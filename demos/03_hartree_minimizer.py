@@ -19,7 +19,6 @@ from kaclab import (
     minimize_hartree_scf,
 )
 from kaclab import grids
-from kaclab.hartree import component_energy_sweep
 
 config = DisorderConfig(d=2, rho=1.0, N=128, nu=0.2, r=0.5, h=0.25, seed=3)
 real = build_realization(config)
@@ -47,8 +46,8 @@ print(f"\nSCF cross-check: {scf.iterations} iterations, "
       f"L2 distance between minimizers = {dist:.2e}")
 
 if real.K > 1:
-    sweep = component_energy_sweep(real, v, config.N)
     print("\nper-component Hartree minima (diagnostic):")
-    for k, energy in sorted(sweep.items()):
+    for k in range(1, real.K + 1):
+        energy = minimize_hartree(real, k, v, config.N).energy
         marker = " <- host" if k == sel.component else ""
         print(f"  component {k}: {energy:.6f}{marker}")

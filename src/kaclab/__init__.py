@@ -29,6 +29,7 @@ from .interaction import (
     build_interaction,
     check_assumptions,
     convolve_density,
+    potential_from_spec,
 )
 from .hartree import (
     HartreeSolution,
@@ -57,8 +58,10 @@ from .manybody import (
 )
 from .ensemble import (
     EnsembleSpec,
+    PipelineResult,
     estimate_event_probabilities,
     run_ensemble,
+    run_pipeline,
     run_realization,
     scaling_sweep,
 )

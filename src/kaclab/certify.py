@@ -22,7 +22,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .constants import supnorm_constant, unit_ball_volume
-from .interaction import InteractionPotential
+from .disorder import volume_fraction
+from .interaction import InteractionPotential, scaling_ratios
+from .laplace import supnorm_bound_check
 
 
 def check_gap_event(pair, v: InteractionPotential, N: int):
@@ -42,13 +44,11 @@ def check_gap_event(pair, v: InteractionPotential, N: int):
 def gap_lower_bound(pair, v: InteractionPotential, N: int) -> float:
     """Transferred lower bound for the effective-operator gap e2 - e1.
 
-    May be negative at strong coupling, in which case the inequality is
-    vacuous and nothing is asserted.
+    This is the margin of the gap event, (lambda2 - lambda1) - rhs.  May be
+    negative at strong coupling, in which case the inequality is vacuous and
+    nothing is asserted.
     """
-    if pair.lambda2 is None:
-        return float("-inf")
-    rhs = supnorm_constant(v.d) ** 2 * N * v.l1_norm * pair.lambda1 ** (v.d / 2.0)
-    return (pair.lambda2 - pair.lambda1) - rhs
+    return check_gap_event(pair, v, N)[1]
 
 
 def condensation_bounds(hs, v: InteractionPotential, oracle: Optional[dict] = None) -> dict:
@@ -79,14 +79,9 @@ def scaling_diagnostics(v: InteractionPotential, N: int, d: int, sigma_ref: Opti
     s1 = ||v||_1 N (ln N)^(2/d), s2 = v(0) (ln N)^(1+2/d); gap_scale_ref is
     the reference gap scale sigma_ref (ln N)^-(1+2/d) when sigma_ref is given.
     """
-    logN = math.log(N)
-    out = {
-        "s1": v.l1_norm * N * logN ** (2.0 / d),
-        "s2": v.v_at_zero * logN ** (1.0 + 2.0 / d),
-        "gap_scale_ref": None,
-    }
+    out = {**scaling_ratios(v, N, d), "gap_scale_ref": None}
     if sigma_ref is not None:
-        out["gap_scale_ref"] = sigma_ref * logN ** -(1.0 + 2.0 / d)
+        out["gap_scale_ref"] = sigma_ref * math.log(N) ** -(1.0 + 2.0 / d)
     return out
 
 
@@ -123,14 +118,8 @@ def build_certificate(
     eta: float = 0.1,
     sigma_ref: Optional[float] = None,
     oracle: Optional[dict] = None,
-    supnorm=None,
 ) -> Certificate:
     """Evaluate every certificate ingredient on one computed realization."""
-    from .disorder import volume_fraction
-    from .hartree import assemble_effective_operator
-    from .laplace import supnorm_bound_check
-    from . import grids
-
     fraction, in_vol, eta = volume_fraction(real, eta)
     target = math.exp(-real.config.nu * unit_ball_volume(real.d) * real.config.r**real.d)
     vol = {
@@ -144,26 +133,22 @@ def build_certificate(
     ok, margin, lhs, rhs = check_gap_event(pair, v, real.config.N)
     gap_ev = {"ok": ok, "margin": margin, "lhs": lhs, "rhs": rhs}
 
-    if supnorm is None:
-        supnorm = supnorm_bound_check(pair, real.d)
+    supnorm = supnorm_bound_check(pair, real.d)
     sup = {"lhs": supnorm.lhs, "rhs": supnorm.rhs, "ok": supnorm.ok,
            "skipped": supnorm.skipped}
 
     bounds = condensation_bounds(hs, v, oracle)
 
-    hop = assemble_effective_operator(hs.u, real, v, real.config.N)
-    quad = grids.inner(hs.u, hop.apply_grid(hs.u), real.h)
     mini = {
-        "energy_vs_quadratic_form": abs(hs.energy - quad),
+        "energy_vs_quadratic_form": abs(hs.energy - hs.quadratic_form),
         "energy_vs_e1_full": abs(hs.energy - hs.e1),
-        "energy_vs_e1_component": abs(hs.energy - hs.e1_component),
         "el_residual": hs.el_residual,
     }
 
     return Certificate(
         volume_event=vol,
         gap_event=gap_ev,
-        gap_lower_bound=gap_lower_bound(pair, v, real.config.N),
+        gap_lower_bound=margin,
         gap_actual=bounds["gap_actual"],
         energy_bound=bounds["energy_bound"],
         energy_gap_observed=bounds["energy_gap_observed"],

@@ -19,13 +19,15 @@ from .certify import build_certificate, certificate_assertions
 from .disorder import DisorderConfig, build_realization, volume_fraction
 from .ensemble import (
     EnsembleSpec,
+    PipelineResult,
     estimate_event_probabilities,
+    hartree_record,
     run_ensemble,
+    run_pipeline,
     scaling_sweep,
 )
 from .errors import BasisSizeError, ConfigError, KacLabError, SolverError
-from .hartree import minimize_hartree
-from .interaction import build_interaction, normalize_potential_spec
+from .interaction import potential_from_spec
 from .laplace import assemble_laplacian, ground_state_component, lowest_eigenpairs
 from .manybody import build_manybody_hamiltonian, condensate_occupation, ground_state, one_body_density_matrix
 
@@ -60,10 +62,6 @@ class RunConfig:
 
     def potential_spec(self) -> dict:
         return dict(self.data["potential"])
-
-    def build_potential(self, N: int, d: int, h: float):
-        kind, kappa, params = normalize_potential_spec(self.potential_spec())
-        return build_interaction(kind, kappa, N, d, h, base_params=params)
 
     def ensemble_spec(self) -> EnsembleSpec:
         ens = self.data["ensemble"]
@@ -150,14 +148,6 @@ def _prepare_run_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _pipeline(cfg: RunConfig):
-    config = cfg.disorder_config()
-    real = build_realization(config)
-    op = assemble_laplacian(real)
-    pair = lowest_eigenpairs(op, count=2, tol=cfg.data["solver"]["eig_tol"])
-    return config, real, op, pair
-
-
 def cmd_sample(cfg: RunConfig, out: Path) -> int:
     config = cfg.disorder_config()
     real = build_realization(config)
@@ -169,7 +159,9 @@ def cmd_sample(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
-    _, real, _, pair = _pipeline(cfg)
+    real = build_realization(cfg.disorder_config())
+    pair = lowest_eigenpairs(assemble_laplacian(real), count=2,
+                             tol=cfg.data["solver"]["eig_tol"])
     sel = ground_state_component(real, pair)
     meta = {
         "eigenvalues": [pair.lambda1, pair.lambda2],
@@ -185,33 +177,23 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_hartree(cfg: RunConfig, out: Path, dump_state=False) -> int:
-    config, real, _, pair = _pipeline(cfg)
-    sel = ground_state_component(real, pair)
-    v = cfg.build_potential(config.N, config.d, real.h)
-    solver = cfg.data["solver"]
-    hs = minimize_hartree(real, sel.component, v, config.N,
-                          tol=solver["el_tol"], max_iter=solver["max_iter"],
-                          eig_tol=solver["eig_tol"])
-    rec = {"component": hs.component, "energy": hs.energy, "e1": hs.e1,
-           "e2": hs.e2, "shift": hs.shift, "iterations": hs.iterations,
-           "el_residual": hs.el_residual}
+    res = run_pipeline(PipelineResult(cfg.disorder_config()), cfg.potential_spec(),
+                       **cfg.data["solver"])
+    hs = res.hartree
+    rec = hartree_record(hs)
     with open(out / "hartree.jsonl", "a") as f:
         f.write(json.dumps(rec, sort_keys=True) + "\n")
     if dump_state:
-        storage.save_field(hs.u, real.h, out / "hartree_u.kleig",
+        storage.save_field(hs.u, res.real.h, out / "hartree_u.kleig",
                            {"energy": hs.energy, "component": hs.component})
     print(json.dumps(rec, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_certify(cfg: RunConfig, out: Path, with_oracle=False) -> int:
-    config, real, _, pair = _pipeline(cfg)
-    sel = ground_state_component(real, pair)
-    v = cfg.build_potential(config.N, config.d, real.h)
-    solver = cfg.data["solver"]
-    hs = minimize_hartree(real, sel.component, v, config.N,
-                          tol=solver["el_tol"], max_iter=solver["max_iter"],
-                          eig_tol=solver["eig_tol"])
+    res = run_pipeline(PipelineResult(cfg.disorder_config()), cfg.potential_spec(),
+                       **cfg.data["solver"])
+    config, real, pair, v, hs = res.config, res.real, res.pair, res.v, res.hartree
     oracle = None
     if with_oracle:
         # the exact check only makes sense for the same N-particle problem,
@@ -227,7 +209,7 @@ def cmd_certify(cfg: RunConfig, out: Path, with_oracle=False) -> int:
                              sigma_ref=cfg.data["ensemble"]["sigma_ref"],
                              oracle=oracle)
     (out / "certificate.json").write_text(cert.to_json())
-    budget = solver["eig_tol"] * max(abs(pair.lambda2 or pair.lambda1), 1.0)
+    budget = cfg.data["solver"]["eig_tol"] * max(abs(pair.lambda2 or pair.lambda1), 1.0)
     checks = certificate_assertions(cert, eig_tol_abs=budget)
     for name, ok, margin in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name} margin={margin:.3e}")
@@ -244,7 +226,7 @@ def cmd_oracle(cfg: RunConfig, out: Path, realization=None, dump_state=False) ->
         config = cfg.disorder_config()
         real = build_realization(config)
     N = cfg.data["oracle"]["N"]
-    v = cfg.build_potential(N, config.d, real.h)
+    v = potential_from_spec(cfg.potential_spec(), N, config.d, real.h)
     H = build_manybody_hamiltonian(real, v, N, cap=cfg.data["oracle"]["basis_cap"])
     gs = ground_state(H)
     rho1 = one_body_density_matrix(gs)

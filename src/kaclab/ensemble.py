@@ -1,5 +1,8 @@
 """Monte Carlo driver over disorder realizations and N-sweeps.
 
+run_pipeline is the one staged pipeline; run_realization formats its result
+as a record, and the CLI runs it too.
+
 Seeds derive from a master seed through a splittable counter scheme, so
 ensembles are reproducible and order-free: records are aggregated sorted by
 seed and per-stage failures are counted and reported rather than silently
@@ -19,18 +22,19 @@ from typing import Optional
 import numpy as np
 
 from .certify import build_certificate
-from .disorder import DisorderConfig, build_realization, volume_fraction
+from .disorder import DisorderConfig, DisorderRealization, build_realization, volume_fraction
 from .errors import KacLabError
-from .hartree import minimize_hartree
-from .interaction import build_interaction, normalize_potential_spec
+from .hartree import HartreeSolution, minimize_hartree
+from .interaction import InteractionPotential, potential_from_spec
 from .laplace import (
+    ComponentSelection,
+    SpectralPair,
     assemble_laplacian,
     ground_state_component,
     lowest_eigenpairs,
-    supnorm_bound_check,
 )
 
-RECORD_SCHEMA_VERSION = 1
+RECORD_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -77,9 +81,68 @@ def worker_budget(requested: int) -> int:
     return max(1, requested)
 
 
-def _potential_for(spec_pot: dict, N: int, d: int, h: float):
-    kind, kappa, params = normalize_potential_spec(spec_pot)
-    return build_interaction(kind, kappa, N, d, h, base_params=params)
+@dataclass
+class PipelineResult:
+    """One realization carried through the pipeline, filled stage by stage.
+
+    stage names the stage that is running; when a stage raises, it names the
+    failing stage and the fields of the earlier stages stay filled.
+    """
+
+    config: DisorderConfig
+    stage: str = "disorder"
+    real: Optional[DisorderRealization] = None
+    pair: Optional[SpectralPair] = None
+    selection: Optional[ComponentSelection] = None
+    v: Optional[InteractionPotential] = None
+    hartree: Optional[HartreeSolution] = None
+
+
+def run_pipeline(
+    result: PipelineResult,
+    potential: dict,
+    eig_tol: float = 1e-9,
+    el_tol: float = 1e-8,
+    max_iter: int = 5000,
+) -> PipelineResult:
+    """disorder -> spectrum -> host component -> potential -> Hartree.
+
+    Fills result in place and returns it.  An empty vacancy set and a
+    one-node domain (no second eigenvalue) stop the pipeline with a
+    KacLabError; solver failures propagate as raised.
+    """
+    config = result.config
+    result.stage = "disorder"
+    real = result.real = build_realization(config)
+    if real.K == 0:
+        raise KacLabError("empty vacancy set")
+
+    result.stage = "spectrum"
+    pair = result.pair = lowest_eigenpairs(assemble_laplacian(real), count=2, tol=eig_tol)
+    if pair.degenerate_size:
+        raise KacLabError("one-node domain")
+
+    result.stage = "component"
+    sel = result.selection = ground_state_component(real, pair)
+
+    result.stage = "potential"
+    v = result.v = potential_from_spec(potential, config.N, config.d, real.h)
+
+    result.stage = "hartree"
+    # |phi1| on the host is the host's ground state: no second Dirichlet solve
+    result.hartree = minimize_hartree(
+        real, sel.component, v, config.N,
+        tol=el_tol, max_iter=max_iter, eig_tol=eig_tol, init=np.abs(pair.phi1),
+    )
+    return result
+
+
+HARTREE_FIELDS = ("component", "energy", "e1", "e2", "shift", "iterations", "el_residual")
+
+
+def hartree_record(hs: HartreeSolution) -> dict:
+    """The JSON-able Hartree summary shared by records and the CLI."""
+    return {key: getattr(hs, key) for key in HARTREE_FIELDS}
 
 
 def run_realization(
@@ -93,89 +156,42 @@ def run_realization(
 ) -> dict:
     """Full pipeline on one realization, captured as a JSON-able record.
 
-    disorder -> spectra -> host component -> Hartree -> certificate; any
-    stage failure is captured in the record under "error" instead of raising,
-    so ensembles keep going and report their failures.
+    run_pipeline, then the certificate; any stage failure is captured in the
+    record under "error" instead of raising, so ensembles keep going and
+    report their failures.
     """
-    record = {
+    result = PipelineResult(config)
+    certificate = error = None
+    try:
+        run_pipeline(result, potential, eig_tol=eig_tol, el_tol=el_tol, max_iter=max_iter)
+        result.stage = "certificate"
+        certificate = build_certificate(
+            result.real, result.pair, result.v, result.hartree,
+            eta=eta, sigma_ref=sigma_ref,
+        ).to_dict()
+    except (KacLabError, ValueError, FloatingPointError, RuntimeError) as exc:
+        # RuntimeError covers SuperLU's singular-matrix error and ArpackError
+        error = {"stage": result.stage, "message": str(exc)}
+
+    real, pair, sel, hs = result.real, result.pair, result.selection, result.hartree
+    return {
         "schema_version": RECORD_SCHEMA_VERSION,
         "seed": config.seed,
-        "config": {
-            "d": config.d,
-            "rho": config.rho,
-            "N": config.N,
-            "nu": config.nu,
-            "r": config.r,
-            "h": config.h,
-        },
+        "config": {key: getattr(config, key) for key in ("d", "rho", "N", "nu", "r", "h")},
         "L": config.box_side,
-        "K": None,
-        "n_vacant": None,
-        "volume_fraction": None,
-        "lambda1": None,
-        "lambda2": None,
-        "degenerate_size": False,
-        "host_component": None,
-        "mass_outside": None,
-        "multiple_support": False,
-        "hartree": None,
-        "certificate": None,
-        "error": None,
+        "K": None if real is None else real.K,
+        "n_vacant": None if real is None else real.n_vacant,
+        "volume_fraction": None if real is None else volume_fraction(real, eta)[0],
+        "lambda1": None if pair is None else pair.lambda1,
+        "lambda2": None if pair is None else pair.lambda2,
+        "degenerate_size": pair is not None and pair.degenerate_size,
+        "host_component": None if sel is None else sel.component,
+        "mass_outside": None if sel is None else sel.mass_outside,
+        "multiple_support": sel is not None and sel.multiple,
+        "hartree": None if hs is None else hartree_record(hs),
+        "certificate": certificate,
+        "error": error,
     }
-    stage = "disorder"
-    try:
-        real = build_realization(config)
-        record["K"] = real.K
-        record["n_vacant"] = real.n_vacant
-        fraction, _, _ = volume_fraction(real, eta)
-        record["volume_fraction"] = fraction
-        if real.K == 0:
-            record["error"] = {"stage": stage, "message": "empty vacancy set"}
-            return record
-
-        stage = "spectrum"
-        op = assemble_laplacian(real)
-        pair = lowest_eigenpairs(op, count=2, tol=eig_tol)
-        record["lambda1"] = pair.lambda1
-        record["lambda2"] = pair.lambda2
-        record["degenerate_size"] = pair.degenerate_size
-
-        v = _potential_for(potential, config.N, config.d, real.h)
-
-        if pair.degenerate_size:
-            record["error"] = {"stage": stage, "message": "one-node domain"}
-            return record
-
-        stage = "component"
-        sel = ground_state_component(real, pair)
-        record["host_component"] = sel.component
-        record["mass_outside"] = sel.mass_outside
-        record["multiple_support"] = sel.multiple
-
-        stage = "hartree"
-        hs = minimize_hartree(
-            real, sel.component, v, config.N,
-            tol=el_tol, max_iter=max_iter, eig_tol=eig_tol,
-        )
-        record["hartree"] = {
-            "component": hs.component,
-            "energy": hs.energy,
-            "e1": hs.e1,
-            "e2": hs.e2,
-            "shift": hs.shift,
-            "iterations": hs.iterations,
-            "el_residual": hs.el_residual,
-        }
-
-        stage = "certificate"
-        cert = build_certificate(
-            real, pair, v, hs, eta=eta, sigma_ref=sigma_ref,
-            supnorm=supnorm_bound_check(pair, real.d),
-        )
-        record["certificate"] = cert.to_dict()
-    except (KacLabError, ValueError, FloatingPointError) as exc:
-        record["error"] = {"stage": stage, "message": str(exc)}
-    return record
 
 
 def _job(args):

@@ -26,6 +26,20 @@ def normalize(a: np.ndarray, h: float) -> np.ndarray:
     return a / n
 
 
+def face_slices(d: int):
+    """Per axis, index tuples (lo, hi) pairing face-adjacent nodes.
+
+    grid[lo] and grid[hi] line up every node with its neighbour one step
+    back along that axis, so each face-adjacent pair appears exactly once.
+    """
+    for ax in range(d):
+        lo = [slice(None)] * d
+        hi = [slice(None)] * d
+        lo[ax] = slice(1, None)
+        hi[ax] = slice(None, -1)
+        yield tuple(lo), tuple(hi)
+
+
 def fix_sign(a: np.ndarray) -> np.ndarray:
     """Flip a global sign so the grid sum is nonnegative (reproducible records).
 

@@ -203,8 +203,8 @@ _KIND_PARAMS = {
 }
 
 
-def normalize_potential_spec(spec: dict):
-    """Split a flat potential spec {kind, kappa, ...} into build_interaction args.
+def potential_from_spec(spec: dict, N: int, d: int, h: float) -> InteractionPotential:
+    """Build the potential a flat config spec {kind, kappa, ...} describes.
 
     Drops entries that are None or irrelevant to the kind, so one config
     schema can describe any built-in potential.
@@ -226,25 +226,34 @@ def normalize_potential_spec(spec: dict):
     }
     if leftovers:
         raise ConfigError(f"unknown potential parameters {sorted(leftovers)}")
-    return kind, kappa, params
+    return build_interaction(kind, kappa, N, d, h, base_params=params)
+
+
+def scaling_ratios(v: InteractionPotential, N: int, d: int) -> dict:
+    """The two normalized scaling diagnostics of the interaction.
+
+    s1 = ||v||_1 N (ln N)^(2/d) stays bounded under the mean-field scaling;
+    s2 = v(0) (ln N)^(1+2/d) must vanish for complete condensation.
+    """
+    logN = math.log(N)
+    return {
+        "s1": v.l1_norm * N * logN ** (2.0 / d),
+        "s2": v.v_at_zero * logN ** (1.0 + 2.0 / d),
+    }
 
 
 def check_assumptions(v: InteractionPotential) -> dict:
     """Report on the standing assumptions and the two scaling diagnostics.
 
-    s1 = ||v||_1 N (ln N)^(2/d) stays bounded under the mean-field scaling;
-    s2 = v(0) (ln N)^(1+2/d) must vanish for complete condensation, so both
-    are reported normalized (report-only, nothing is asserted here).
+    Report-only: nothing is asserted here (see scaling_ratios for s1, s2).
     """
-    logN = math.log(v.N)
     rev = v.values[tuple(slice(None, None, -1) for _ in range(v.d))]
     return {
         "nonneg": bool(np.all(v.values >= 0)),
         "even": bool(np.allclose(v.values, rev, atol=0.0)),
         "pos_def": v.pos_def,
         "l1_finite": bool(np.isfinite(v.l1_norm)),
-        "s1": v.l1_norm * v.N * logN ** (2.0 / v.d),
-        "s2": v.v_at_zero * logN ** (1.0 + 2.0 / v.d),
+        **scaling_ratios(v, v.N, v.d),
     }
 
 

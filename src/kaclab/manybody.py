@@ -29,6 +29,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
+from . import grids
 from .errors import BasisSizeError, GridMismatchError, SolverError
 from .interaction import InteractionPotential
 
@@ -108,13 +109,9 @@ def build_manybody_hamiltonian(
     flat_to_site[sites] = np.arange(M)
     site_grid = flat_to_site.reshape(mask.shape)
     neighbors = [[] for _ in range(M)]
-    for ax in range(d):
-        lo = [slice(None)] * d
-        hi = [slice(None)] * d
-        lo[ax] = slice(1, None)
-        hi[ax] = slice(None, -1)
-        a = site_grid[tuple(hi)].ravel()
-        b = site_grid[tuple(lo)].ravel()
+    for lo, hi in grids.face_slices(d):
+        a = site_grid[hi].ravel()
+        b = site_grid[lo].ravel()
         ok = (a >= 0) & (b >= 0)
         for x, y in zip(a[ok], b[ok]):
             neighbors[x].append(int(y))

@@ -6,6 +6,7 @@ import pytest
 
 from kaclab.cli import EXIT_CERT, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main, parse_config
 from kaclab.errors import ConfigError
+from kaclab.interaction import potential_from_spec
 from kaclab.storage import load_field
 
 
@@ -180,7 +181,7 @@ class TestPotentialKindsViaConfig:
                        "allow_non_posdef": True},
         )
         cfg = parse_config(path)
-        v = cfg.build_potential(4, 2, 0.5)
+        v = potential_from_spec(cfg.potential_spec(), 4, 2, 0.5)
         assert v.kind == "top_hat" and not v.pos_def
 
     def test_custom_table_spec(self, tmp_path):
@@ -192,5 +193,5 @@ class TestPotentialKindsViaConfig:
                        "table_path": str(table)},
         )
         cfg = parse_config(path)
-        v = cfg.build_potential(4, 2, 0.5)
+        v = potential_from_spec(cfg.potential_spec(), 4, 2, 0.5)
         assert v.kind == "custom_table" and v.v_at_zero > 0.0

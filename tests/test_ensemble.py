@@ -16,6 +16,8 @@ from kaclab.ensemble import (
 
 BASE = {"d": 2, "rho": 1.0, "N": 16, "nu": 0.3, "r": 0.6, "h": 0.5}
 POT = {"kind": "gaussian", "kappa": 0.1, "width": 0.5}
+# ~2,100 vacant nodes: above DENSE_CUTOFF, so spectra go through ARPACK
+ARPACK_BASE = {"d": 2, "rho": 1.0, "N": 400, "nu": 0.15, "r": 0.5, "h": 0.4}
 
 RECORD_KEYS = {
     "schema_version", "seed", "config", "L", "K", "n_vacant",
@@ -63,6 +65,23 @@ class TestRunRealization:
         assert rec["error"]["stage"] == "hartree"
         assert rec["certificate"] is None
 
+    def test_runtime_error_captured_with_stage(self, monkeypatch):
+        # SuperLU's singular-matrix error and ArpackError are RuntimeErrors
+        import kaclab.ensemble as ensemble_mod
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(ensemble_mod, "lowest_eigenpairs", singular)
+        rec = run_realization(DisorderConfig(seed=3, **BASE), POT)
+        assert rec["error"] == {"stage": "spectrum",
+                                "message": "Factor is exactly singular"}
+        assert rec["K"] is not None and rec["lambda1"] is None
+        seeds = derive_seeds(4, 3)
+        records = run_ensemble(spec_with(seeds=seeds, workers=1))
+        assert [r["seed"] for r in records] == sorted(seeds)
+        assert all(r["error"]["stage"] == "spectrum" for r in records)
+
 
 class TestEnsemble:
     def test_batch_count_and_validity(self):
@@ -77,6 +96,12 @@ class TestEnsemble:
         seeds = derive_seeds(7, 12)
         fwd = run_ensemble(spec_with(seeds=seeds))
         rev = run_ensemble(spec_with(seeds=seeds[::-1]))
+        assert json.dumps(fwd, sort_keys=True) == json.dumps(rev, sort_keys=True)
+        # ARPACK sizes: each seed runs after a different history in-process
+        seeds = derive_seeds(7, 3)
+        fwd = run_ensemble(spec_with(base=ARPACK_BASE, seeds=seeds))
+        rev = run_ensemble(spec_with(base=ARPACK_BASE, seeds=seeds[::-1]))
+        assert all(r["error"] is None for r in fwd)
         assert json.dumps(fwd, sort_keys=True) == json.dumps(rev, sort_keys=True)
 
     def test_derived_seeds_deterministic_distinct(self):
@@ -166,14 +191,15 @@ class TestGoldenSchema:
 
 class TestParallelExecution:
     def test_two_workers_match_serial(self, monkeypatch):
-        monkeypatch.setenv("KL_WORKERS", "2")
-        seeds = derive_seeds(99, 6)
-        parallel = run_ensemble(spec_with(seeds=seeds, workers=2))
-        monkeypatch.setenv("KL_WORKERS", "1")
-        serial = run_ensemble(spec_with(seeds=seeds, workers=1))
-        assert json.dumps(parallel, sort_keys=True) == json.dumps(
-            serial, sort_keys=True
-        )
+        for base, count in ((BASE, 6), (ARPACK_BASE, 2)):
+            monkeypatch.setenv("KL_WORKERS", "2")
+            seeds = derive_seeds(99, count)
+            parallel = run_ensemble(spec_with(base=base, seeds=seeds, workers=2))
+            monkeypatch.setenv("KL_WORKERS", "1")
+            serial = run_ensemble(spec_with(base=base, seeds=seeds, workers=1))
+            assert json.dumps(parallel, sort_keys=True) == json.dumps(
+                serial, sort_keys=True
+            )
 
 
 class TestThreeDimensional:

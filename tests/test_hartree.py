@@ -33,6 +33,16 @@ def potential_for(real, kappa, width=0.5, truncation=8.0):
     )
 
 
+def host_effective_ground_energy(hs, real, v, N):
+    """Ground energy of the effective operator restricted to the host (dense)."""
+    hop = assemble_effective_operator(hs.u, real, v, N)
+    host = MaskedOperator(
+        mask=real.labels == hs.component, h=real.h,
+        potential=hop.potential, diagonal_shift=hop.diagonal_shift,
+    )
+    return np.linalg.eigvalsh(host.to_dense())[0]
+
+
 def brute_double_sum(u, v):
     total = 0.0
     for x in np.ndindex(u.shape):
@@ -142,7 +152,8 @@ class TestMinimizer:
         assert np.all(np.diff(hs.energy_trace) <= 1e-12 * max(1.0, abs(hs.energy)))
         assert hs.el_residual < 1e-8
         # ground energy of the component operator equals the minimum energy
-        assert hs.e1_component == pytest.approx(hs.energy, abs=1e-9)
+        e1_host = host_effective_ground_energy(hs, real, v, real.config.N)
+        assert e1_host == pytest.approx(hs.energy, abs=1e-9)
 
     def test_variational_ordering(self, corner_blocked_6):
         real = corner_blocked_6
@@ -215,17 +226,9 @@ class TestEffectiveOperator:
         real = corner_blocked_6
         v = potential_for(real, kappa=1.0)
         hs = minimize_hartree(real, 1, v, N=2)
-        assert hs.e1 == pytest.approx(hs.e1_component, abs=1e-10)
+        e1_host = host_effective_ground_energy(hs, real, v, N=2)
+        assert hs.e1 == pytest.approx(e1_host, abs=1e-10)
         assert hs.e1 == pytest.approx(hs.energy, abs=1e-9)
-
-    def test_component_energy_sweep_diagnostic(self, two_strip_5):
-        from kaclab.hartree import component_energy_sweep
-
-        v = potential_for(two_strip_5, kappa=0.1)
-        sweep = component_energy_sweep(two_strip_5, v, N=2)
-        assert set(sweep) == {1, 2}
-        # the 3-node strip (component 2) has the lower minimum
-        assert sweep[2] < sweep[1]
 
     def test_gap_event_fixture_ground_vector_localized(self, two_strip_5):
         # weak coupling keeps the effective ground state on the host strip
