@@ -158,8 +158,15 @@ def cmd_sample(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
+def _nonempty(real):
+    """Stop on an empty vacancy set as run_pipeline does (an error: line, exit 1)."""
+    if real.K == 0:
+        raise KacLabError("empty vacancy set")
+    return real
+
+
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
-    real = build_realization(cfg.disorder_config())
+    real = _nonempty(build_realization(cfg.disorder_config()))
     pair = lowest_eigenpairs(assemble_laplacian(real), count=2,
                              tol=cfg.data["solver"]["eig_tol"])
     sel = ground_state_component(real, pair)
@@ -220,11 +227,11 @@ def cmd_certify(cfg: RunConfig, out: Path, with_oracle=False) -> int:
 
 def cmd_oracle(cfg: RunConfig, out: Path, realization=None, dump_state=False) -> int:
     if realization is not None:
-        real = storage.load_realization(realization)
+        real = _nonempty(storage.load_realization(realization))
         config = real.config
     else:
         config = cfg.disorder_config()
-        real = build_realization(config)
+        real = _nonempty(build_realization(config))
     N = cfg.data["oracle"]["N"]
     v = potential_from_spec(cfg.potential_spec(), N, config.d, real.h)
     H = build_manybody_hamiltonian(real, v, N, cap=cfg.data["oracle"]["basis_cap"])

@@ -14,14 +14,13 @@ potential has a nonnegative lattice Fourier transform), which is what makes
 this module the truth source for the certificates.
 
 Sites are indexed by their row-major position among the vacant nodes; basis
-states are the lexicographically ordered multisets of N site indices, indexed
-through sorted integer keys.  Intended for desk-scale instances (the basis
-dimension C(M+N-1, N) is capped).
+states are the lexicographically ordered multisets of N site indices, and a
+state's row is its rank in the combinatorial number system.  Intended for
+desk-scale instances (the basis dimension C(M+N-1, N) is capped).
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
@@ -41,11 +40,32 @@ def basis_dimension(M: int, N: int) -> int:
     return math.comb(M + N - 1, N)
 
 
-def _multiset_keys(states: np.ndarray, M: int) -> np.ndarray:
-    """Monotone integer key for sorted site tuples (lex order preserved)."""
-    N = states.shape[1]
-    weights = M ** np.arange(N - 1, -1, -1, dtype=np.int64)
-    return states @ weights
+def _lex_basis(M: int, N: int):
+    """Sorted N-tuples over range(M) in lex order, and their rank function.
+
+    The combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3), applied in
+    colex order to the complement of the N-subset c_j = s_j + j of
+    range(M + N - 1), gives top - rank(s) = sum_j w[j, s_j] for the lex rank
+    rank(s) < C(M+N-1, N).  Unranking fixes one column at a time: s_j is the
+    smallest site whose entry fits in what is left to place.
+    """
+    w = [math.comb(M + N - 2 - a - j, N - j) for j in range(N) for a in range(M)]
+    w = np.array(w, dtype=np.int64).reshape(N, M)  # decreasing along each row
+    top = int(w[:, 0].sum())
+    states = np.empty((top + 1, N), dtype=np.int64)
+    left = top - np.arange(top + 1)
+    for j, row in enumerate(w):
+        states[:, j] = np.searchsorted(-row, -left)
+        left = left - row[states[:, j]]
+    return states, lambda s: top - w[np.arange(N), s].sum(axis=1)
+
+
+def _occupations(states: np.ndarray):
+    """Per slot: whether it holds the first copy of its site, and that site's n."""
+    first = np.ones(states.shape, dtype=bool)
+    first[:, 1:] = states[:, 1:] != states[:, :-1]
+    occ = (states[:, :, None] == states[:, None, :]).sum(axis=2)
+    return first, occ
 
 
 @dataclass
@@ -56,8 +76,7 @@ class ManyBodyHamiltonian:
     N: int
     sites: np.ndarray       # row-major flat indices of vacant nodes
     positions: np.ndarray   # (M, d) integer node multi-indices
-    states: np.ndarray      # (D, N) sorted site tuples, lex order
-    keys: np.ndarray
+    states: np.ndarray      # (D, N) sorted site tuples, lex order; row = rank
     h: float
     d: int
 
@@ -87,7 +106,12 @@ class ManyBodyGroundState:
 def build_manybody_hamiltonian(
     real, v: InteractionPotential, N: int, cap: int = BASIS_CAP
 ) -> ManyBodyHamiltonian:
-    """Assemble the bosonic Hamiltonian on the realization's vacant sites."""
+    """Assemble the bosonic Hamiltonian on the realization's vacant sites.
+
+    Each hop is applied to all basis states at once and its targets ranked.
+    No two hops share a matrix entry and each diagonal entry adds its terms in
+    one fixed order, so the matrix equals a per-state loop's bit for bit.
+    """
     if N < 1:
         raise ValueError(f"N={N} must be >= 1")
     mask = real.mask
@@ -104,61 +128,50 @@ def build_manybody_hamiltonian(
     h = real.h
     h2 = h * h
 
-    # face-adjacency among vacant sites, as site-index pairs
+    # face-adjacency among vacant sites, padded with -1 to 2d per site
     flat_to_site = np.full(mask.size, -1, dtype=np.int64)
     flat_to_site[sites] = np.arange(M)
     site_grid = flat_to_site.reshape(mask.shape)
-    neighbors = [[] for _ in range(M)]
-    for lo, hi in grids.face_slices(d):
+    neighbors = np.full((M, 2 * d), -1, dtype=np.int64)
+    for ax, (lo, hi) in enumerate(grids.face_slices(d)):
         a = site_grid[hi].ravel()
         b = site_grid[lo].ravel()
         ok = (a >= 0) & (b >= 0)
-        for x, y in zip(a[ok], b[ok]):
-            neighbors[x].append(int(y))
-            neighbors[y].append(int(x))
+        neighbors[a[ok], 2 * ax] = b[ok]
+        neighbors[b[ok], 2 * ax + 1] = a[ok]
 
-    def pair_value(a: int, b: int) -> float:
-        return v.value_at_offset(positions[a] - positions[b])
+    # literal pair values v(x_a - x_b), zero outside the stencil
+    R = v.stencil_radius
+    offsets = positions[:, None, :] - positions[None, :, :]
+    inside = np.all(np.abs(offsets) <= R, axis=2)
+    pair = np.zeros((M, M))
+    pair[inside] = v.values[tuple((offsets[inside] + R).T)]
 
-    states = np.array(
-        list(combinations_with_replacement(range(M), N)), dtype=np.int64
-    ).reshape(dim, N)
-    keys = _multiset_keys(states, M)
+    states, rank = _lex_basis(M, N)
+    first, occ = _occupations(states)
 
-    rows, cols, vals = [], [], []
-    diag = np.empty(dim)
-    kinetic_diag = N * 2.0 * d / h2
-    for i in range(dim):
-        state = states[i]
-        occupied, counts = np.unique(state, return_counts=True)
-        # pair interaction over occupied sites (literal potential values)
-        inter = 0.0
-        for ia, a in enumerate(occupied):
-            na = counts[ia]
-            if na > 1:
-                inter += 0.5 * na * (na - 1) * v.v_at_zero
-            for ib in range(ia + 1, occupied.size):
-                b = occupied[ib]
-                w = pair_value(int(a), int(b))
-                if w != 0.0:
-                    inter += na * counts[ib] * w
-        diag[i] = kinetic_diag + inter
+    # interaction summed over occupied sites in ascending order, each site's
+    # v(0) term before its pairs with later sites; hops as (row, col, value)
+    inter = np.zeros(dim)
+    hops = []
+    for p in range(N):
+        lead, na = first[:, p], occ[:, p]
+        inter += np.where(lead & (na > 1), 0.5 * na * (na - 1) * v.v_at_zero, 0.0)
+        for q in range(p + 1, N):
+            w = pair[states[:, p], states[:, q]]
+            inter += np.where(lead & first[:, q] & (w != 0.0), na * occ[:, q] * w, 0.0)
+        # hopping: move one particle from a = states[:, p] to a vacant neighbor b
+        src = np.flatnonzero(lead)
+        for b in neighbors[states[src, p]].T:
+            i, b = src[b >= 0], b[b >= 0]
+            new = states[i]
+            nb = (new == b[:, None]).sum(axis=1)
+            new[:, p] = b
+            new.sort(axis=1)
+            hops.append((rank(new), i, -np.sqrt(occ[i, p] * (nb + 1)) / h2))
+    diag = N * 2.0 * d / h2 + inter
 
-        # hopping: move one particle from a to a vacant neighbor b
-        for ia, a in enumerate(occupied):
-            na = counts[ia]
-            for b in neighbors[int(a)]:
-                new = state.copy()
-                pos = np.searchsorted(new, a)
-                new[pos] = b
-                new.sort()
-                j = int(np.searchsorted(keys, int(_multiset_keys(new[None, :], M)[0])))
-                nb = counts[np.searchsorted(occupied, b)] if b in occupied else 0
-                amp = -math.sqrt(na * (nb + 1)) / h2
-                rows.append(j)
-                cols.append(i)
-                vals.append(amp)
-
+    rows, cols, vals = map(np.concatenate, zip(*hops))
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     mat = mat + sp.diags(diag)
     return ManyBodyHamiltonian(
@@ -167,7 +180,6 @@ def build_manybody_hamiltonian(
         sites=sites,
         positions=positions,
         states=states,
-        keys=keys,
         h=h,
         d=d,
     )
@@ -184,7 +196,8 @@ def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
         E, psi = float(vals[0]), vecs[:, 0]
     else:
         try:
-            vals, vecs = eigsh(H.matrix, k=1, which="SA")
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
+            vals, vecs = eigsh(H.matrix, k=1, which="SA", v0=v0)
         except ArpackNoConvergence as exc:
             raise SolverError(f"many-body eigensolver did not converge ({exc})") from exc
         E, psi = float(vals[0]), vecs[:, 0]
@@ -205,31 +218,18 @@ def one_body_density_matrix(gs: ManyBodyGroundState) -> np.ndarray:
 
     Built as B^T B / N where B maps (N-1)-particle reduced states c and sites
     a to sqrt(n_a(c) + 1) psi_{c + a}; positive semidefiniteness and the unit
-    trace are then automatic.
+    trace are then automatic.  Each pair (c, a) comes from exactly one basis
+    state, so B is filled by assignment.
     """
     H = gs.hamiltonian
     M, N = H.site_count, H.N
-    if N == 1:
-        rho = np.outer(gs.psi, gs.psi)
-        gs.rho1 = rho
-        return rho
-
-    reduced = np.array(
-        list(combinations_with_replacement(range(M), N - 1)), dtype=np.int64
-    ).reshape(-1, N - 1)
-    red_keys = _multiset_keys(reduced, M)  # sorted: lex order, monotone key
-
-    B = np.zeros((reduced.shape[0], M))
-    for i, state in enumerate(H.states):
-        occupied, counts = np.unique(state, return_counts=True)
-        amp = gs.psi[i]
-        for a, na in zip(occupied, counts):
-            rest = state.copy().tolist()
-            rest.remove(a)
-            key = int(_multiset_keys(np.array([rest], dtype=np.int64), M)[0])
-            c = int(np.searchsorted(red_keys, key))
-            # sqrt(n_a(c)+1) with n_a(c) = na - 1 on the reduced state
-            B[c, a] += math.sqrt(na) * amp
+    rank = _lex_basis(M, N - 1)[1]
+    first, occ = _occupations(H.states)
+    B = np.zeros((basis_dimension(M, N - 1), M))
+    for p in range(N):
+        i = np.flatnonzero(first[:, p])
+        rest = np.delete(H.states[i], p, axis=1)
+        B[rank(rest), H.states[i, p]] = np.sqrt(occ[i, p]) * gs.psi[i]
     rho = B.T @ B / N
     gs.rho1 = rho
     return rho

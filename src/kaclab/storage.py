@@ -67,19 +67,43 @@ def save_realization(real: DisorderRealization, path) -> Path:
 
 
 def load_realization(path) -> DisorderRealization:
+    """Load a KLVAC1 dump, checked against its sidecar and against itself.
+
+    Raises ValueError naming the fault: wrong magic or file length, a header
+    d, dims or h that differ from the sidecar config, labels other than 0 on
+    a blocked node, or labels outside 1..K (K from the sidecar) on a vacant one.
+    """
     path = Path(path)
     sidecar = json.loads(Path(str(path) + ".json").read_text())
     config = DisorderConfig(**sidecar["config"])
-    with open(path, "rb") as f:
-        d, dims, h = _read_header(f, MAGIC_VAC)
-        n = int(np.prod(dims))
-        nbytes = (n + 7) // 8
-        bits = np.frombuffer(f.read(nbytes), dtype=np.uint8)
-        mask = np.unpackbits(bits)[:n].astype(bool).reshape(dims)
-        labels = np.frombuffer(f.read(4 * n), dtype="<i4").reshape(dims).copy()
+    data = path.read_bytes()
+    head = len(MAGIC_VAC)
+    if data[:head] != MAGIC_VAC:
+        raise ValueError(f"bad magic {data[:head]!r}, expected {MAGIC_VAC!r}")
+    n = int(np.prod(config.grid_dims))
+    nbytes = (n + 7) // 8
+    size = head + 4 * (1 + config.d) + 8 + nbytes + 4 * n
+    if len(data) != size:
+        raise ValueError(f"dump is {len(data)} bytes, the sidecar's grid "
+                         f"{config.grid_dims} needs {size}")
+    d = int(np.frombuffer(data, "<u4", count=1, offset=head)[0])
+    if d != config.d:
+        raise ValueError(f"dump header has d={d}, the sidecar config d={config.d}")
+    dims = tuple(int(x) for x in np.frombuffer(data, "<u4", count=d, offset=head + 4))
     if dims != config.grid_dims:
         raise ValueError("dump dims do not match the sidecar config")
-    K = int(labels.max())
+    h = float(np.frombuffer(data, "<f8", count=1, offset=head + 4 + 4 * d)[0])
+    if h != config.grid_spacing:
+        raise ValueError(f"dump header has h={h!r}, the sidecar grid spacing "
+                         f"{config.grid_spacing!r}")
+    bits = np.frombuffer(data, np.uint8, count=nbytes, offset=size - 4 * n - nbytes)
+    mask = np.unpackbits(bits)[:n].astype(bool).reshape(dims)
+    labels = np.frombuffer(data, "<i4", offset=size - 4 * n).reshape(dims).copy()
+    K = int(sidecar["summary"]["K"])
+    if np.any(labels[~mask] != 0):
+        raise ValueError("dump labels a blocked node (labels must be 0 exactly there)")
+    if np.any((labels[mask] < 1) | (labels[mask] > K)):
+        raise ValueError(f"dump labels a vacant node outside 1..K = 1..{K}")
     counts = np.bincount(labels.ravel(), minlength=K + 1)[1:]
     volumes = [float(c) * h**d for c in counts]
     return DisorderRealization(config, np.zeros((0, d)), mask, labels, K, volumes)

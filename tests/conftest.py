@@ -5,10 +5,13 @@ linear algebra) so they share no code path with the package implementations
 they check.
 """
 
+import math
 from collections import deque
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kaclab import DisorderConfig, DisorderRealization, build_realization
 
@@ -74,6 +77,90 @@ def dense_laplacian(mask, h):
                 if all(0 <= nb[k] < dims[k] for k in range(d)) and mask[nb]:
                     A[i, index[nb]] = -1.0 / h**2
     return A, nodes
+
+
+def _multiset_keys(states, M):
+    """Monotone base-M integer key for sorted site tuples (lex order preserved)."""
+    N = states.shape[1]
+    return states @ (M ** np.arange(N - 1, -1, -1, dtype=np.int64))
+
+
+def loop_manybody_hamiltonian(real, v, N):
+    """Per-state loop assembly of the N-boson Hamiltonian: (csr matrix, states).
+
+    The matrix oracle for kaclab.manybody: the same basis order and the same
+    floating-point operations, one basis state at a time.  The base-M keys
+    overflow int64 once M**N does, so keep M**N below 2**63.
+    """
+    mask = real.mask
+    nodes = [idx for idx in np.ndindex(mask.shape) if mask[idx]]
+    index = {idx: i for i, idx in enumerate(nodes)}
+    M, d = len(nodes), mask.ndim
+    h2 = real.h * real.h
+    neighbors = [[] for _ in range(M)]
+    for idx, i in index.items():
+        for ax in range(d):
+            for step in (-1, 1):
+                nb = list(idx)
+                nb[ax] += step
+                if tuple(nb) in index:
+                    neighbors[i].append(index[tuple(nb)])
+
+    states = np.array(
+        list(combinations_with_replacement(range(M), N)), dtype=np.int64
+    ).reshape(-1, N)
+    keys = _multiset_keys(states, M)
+    dim = states.shape[0]
+    rows, cols, vals = [], [], []
+    diag = np.empty(dim)
+    kinetic_diag = N * 2.0 * d / h2
+    for i in range(dim):
+        state = states[i]
+        occupied, counts = np.unique(state, return_counts=True)
+        inter = 0.0
+        for ia, a in enumerate(occupied):
+            na = counts[ia]
+            if na > 1:
+                inter += 0.5 * na * (na - 1) * v.v_at_zero
+            for ib in range(ia + 1, occupied.size):
+                off = np.subtract(nodes[a], nodes[occupied[ib]])
+                w = v.value_at_offset(off)
+                if w != 0.0:
+                    inter += na * counts[ib] * w
+        diag[i] = kinetic_diag + inter
+        for ia, a in enumerate(occupied):
+            na = counts[ia]
+            for b in neighbors[int(a)]:
+                new = state.copy()
+                new[np.searchsorted(new, a)] = b
+                new.sort()
+                j = int(np.searchsorted(keys, int(_multiset_keys(new[None, :], M)[0])))
+                nb = counts[np.searchsorted(occupied, b)] if b in occupied else 0
+                rows.append(j)
+                cols.append(i)
+                vals.append(-math.sqrt(na * (nb + 1)) / h2)
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    return (mat + sp.diags(diag)).tocsr(), states
+
+
+def loop_density_matrix(states, psi, M):
+    """Per-state loop rho1 = B^T B / N with B[c, a] += sqrt(n_a) psi[c + a]."""
+    N = states.shape[1]
+    if N == 1:
+        return np.outer(psi, psi)
+    reduced = np.array(
+        list(combinations_with_replacement(range(M), N - 1)), dtype=np.int64
+    ).reshape(-1, N - 1)
+    red_keys = _multiset_keys(reduced, M)
+    B = np.zeros((reduced.shape[0], M))
+    for i, state in enumerate(states):
+        occupied, counts = np.unique(state, return_counts=True)
+        for a, na in zip(occupied, counts):
+            rest = state.tolist()
+            rest.remove(a)
+            key = int(_multiset_keys(np.array([rest], dtype=np.int64), M)[0])
+            B[int(np.searchsorted(red_keys, key)), a] += math.sqrt(na) * psi[i]
+    return B.T @ B / N
 
 
 def box_eigenvalue(modes, h, L):

@@ -155,6 +155,14 @@ class TestSubcommands:
         assert main(["sample", "-c", str(tmp_path / "missing.json"),
                      "-o", str(tmp_path / "r")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["spectrum", "oracle"])
+    def test_empty_vacancy_set_is_an_error_line(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, disorder={"nu": 50, "h": 0.4})
+        code = main([command, "-c", str(path), "-o", str(tmp_path / "run")])
+        assert code == EXIT_CERT
+        err = capsys.readouterr().err
+        assert err.strip() == "error: empty vacancy set"
+
     def test_solver_failure_exit_3(self, tmp_path):
         path = write_config(tmp_path, potential={"kappa": 1.0},
                             solver={"max_iter": 1, "el_tol": 1e-14})

@@ -3,28 +3,64 @@
 import numpy as np
 import pytest
 
+from itertools import combinations_with_replacement
+
 from kaclab import (
     BasisSizeError,
+    DisorderConfig,
     DisorderRealization,
     GridMismatchError,
     assemble_laplacian,
     build_interaction,
     build_manybody_hamiltonian,
+    build_realization,
     condensate_occupation,
     ground_state,
     lowest_eigenpairs,
     minimize_hartree,
     one_body_density_matrix,
 )
-from kaclab.manybody import basis_dimension
+from kaclab.manybody import (
+    DENSE_CUTOFF,
+    ManyBodyGroundState,
+    _lex_basis,
+    basis_dimension,
+)
 
-from conftest import dense_laplacian, tiny_box_config
+from conftest import (
+    dense_laplacian,
+    loop_density_matrix,
+    loop_manybody_hamiltonian,
+    tiny_box_config,
+)
 
 
 def potential_for(real, kappa, N, width=0.5):
     return build_interaction(
         "gaussian", kappa, N, real.config.d, real.h, {"width": width}
     )
+
+
+def three_site_strip():
+    mask = np.zeros((3, 3), dtype=bool)
+    mask[1, :] = True
+    return DisorderRealization.from_mask(tiny_box_config(), mask)
+
+
+def small_3d_set():
+    """3x3x3 box with five nodes blocked (M=22, one component)."""
+    mask = np.ones((3, 3, 3), dtype=bool)
+    for node in [(0, 0, 0), (1, 1, 1), (2, 0, 1), (0, 2, 2), (2, 2, 0)]:
+        mask[node] = False
+    return DisorderRealization.from_mask(tiny_box_config(d=3), mask)
+
+
+def disordered_2d_set(N=3, L=2.4, seed=7):
+    """A sampled d=2 vacancy set on a 5x5 grid with some nodes blocked."""
+    config = DisorderConfig(d=2, rho=N / L**2, N=N, nu=0.15, r=0.5, h=0.4, seed=seed)
+    real = build_realization(config)
+    assert 0 < real.n_vacant < real.n_nodes
+    return real
 
 
 def first_quantized_two_boson(real, v):
@@ -188,3 +224,116 @@ class TestOccupation:
             condensate_occupation(rho1, np.ones((4, 4)), free_3x3, 2)
         with pytest.raises(GridMismatchError):
             condensate_occupation(rho1[:5, :5], np.ones((3, 3)), free_3x3, 2)
+
+
+class TestBasisRanking:
+    @pytest.mark.parametrize("M", [1, 2, 5, 9])
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 5])
+    def test_lex_basis_and_ranks_are_row_indices(self, M, N):
+        states, rank = _lex_basis(M, N)
+        dim = basis_dimension(M, N)
+        expected = np.array(list(combinations_with_replacement(range(M), N)))
+        assert np.array_equal(states, expected.reshape(dim, N))
+        assert np.array_equal(rank(states), np.arange(dim))
+
+    def test_ranks_stay_exact_where_base_M_keys_overflow(self):
+        # 3**40 > 2**63: a base-M key would wrap, the rank stays below C(42, 40)
+        states, rank = _lex_basis(3, 40)
+        assert states.shape == (861, 40)
+        assert np.array_equal(rank(states), np.arange(861))
+
+
+def assert_matches_loop_oracle(real, kappa, N, seed=0):
+    """Matrix, basis and rho1 bit-identical to the per-state loop oracle."""
+    v = potential_for(real, kappa, max(N, 2))  # the kappa scaling needs N >= 2
+    H = build_manybody_hamiltonian(real, v, N)
+    ref, ref_states = loop_manybody_hamiltonian(real, v, N)
+    A = H.matrix
+    assert np.array_equal(H.states, ref_states)
+    assert (A != ref).nnz == 0
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, name), getattr(ref, name)), name
+        assert getattr(A, name).tobytes() == getattr(ref, name).tobytes(), name
+    # rho1 is a fixed map of psi, so any unit vector exercises it
+    psi = np.random.default_rng(seed).standard_normal(H.basis_dim)
+    psi /= np.linalg.norm(psi)
+    gs = ManyBodyGroundState(N, H.site_count, H.basis_dim, 0.0, psi, H)
+    rho1 = one_body_density_matrix(gs)
+    assert np.array_equal(rho1, loop_density_matrix(H.states, psi, H.site_count))
+
+
+class TestLoopOracle:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("fixture", ["free_3x3", "corner_blocked_6", "two_strip_5"])
+    def test_fixtures_bit_identical(self, request, fixture, N):
+        assert_matches_loop_oracle(request.getfixturevalue(fixture), 1.3, N, seed=N)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_d3_mask_bit_identical(self, N):
+        assert_matches_loop_oracle(small_3d_set(), 0.8, N)
+
+    def test_disordered_d2_set_bit_identical(self):
+        assert_matches_loop_oracle(disordered_2d_set(), 1.0, 3)
+
+    def test_noninteracting_bit_identical(self, two_strip_5):
+        assert_matches_loop_oracle(two_strip_5, 0.0, 3)
+
+
+class TestReach:
+    @pytest.mark.parametrize("N", [40, 60])
+    def test_many_bosons_on_three_sites(self, N):
+        # a base-3 key of 40 sites reaches 3**40 - 1 > 2**63 and wraps in
+        # int64; ranks stay below C(N+2, N)
+        real = three_site_strip()
+        v = potential_for(real, 0.0, N)
+        lam1 = lowest_eigenpairs(assemble_laplacian(real)).lambda1
+        gs = ground_state(build_manybody_hamiltonian(real, v, N))
+        assert gs.basis_dim == basis_dimension(3, N)
+        assert gs.E_qm == pytest.approx(N * lam1, rel=1e-12)
+        assert np.trace(one_body_density_matrix(gs)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_arpack_ground_state_independent_of_call_history(self):
+        # A, then B, then A again on the ARPACK path: the start vector is
+        # fixed, so A's energy and state repeat byte for byte
+        real_a = build_realization(tiny_box_config(N=2, L=3.0), centers=np.zeros((0, 2)))
+        real_b = build_realization(tiny_box_config(N=2, L=3.0),
+                                   centers=np.array([[-1.0, -1.0]]))
+        H_a = build_manybody_hamiltonian(real_a, potential_for(real_a, 1.0, 3), 3)
+        H_b = build_manybody_hamiltonian(real_b, potential_for(real_b, 1.0, 3), 3)
+        assert H_a.basis_dim > DENSE_CUTOFF and H_b.basis_dim > DENSE_CUTOFF
+        first = ground_state(H_a)
+        ground_state(H_b)
+        again = ground_state(H_a)
+        assert np.float64(first.E_qm).tobytes() == np.float64(again.E_qm).tobytes()
+        assert first.psi.tobytes() == again.psi.tobytes()
+
+
+class TestDisorderedCertificates:
+    """Energy and depletion certificates on sampled sets, beyond the fixtures.
+
+    Connected d=2 sets from build_realization with 43-76 vacant sites; the
+    N=4 instance has a basis of 163,185 states.
+    """
+
+    @pytest.mark.parametrize("L, N, seed, M", [
+        (4.0, 3, 1, 66),
+        (4.0, 3, 3, 76),
+        (3.2, 4, 18, 43),
+    ])
+    def test_certificates_hold(self, L, N, seed, M):
+        real = disordered_2d_set(N=N, L=L, seed=seed)
+        assert real.n_vacant == M and real.K == 1
+        v = potential_for(real, 1.0, N)
+        pair = lowest_eigenpairs(assemble_laplacian(real), tol=1e-9)
+        hs = minimize_hartree(real, 1, v, N, eig_tol=1e-9)
+        gs = ground_state(build_manybody_hamiltonian(real, v, N))
+        rho1 = one_body_density_matrix(gs)
+        n_cond = condensate_occupation(rho1, hs.u, real, N)
+        budget = 1e-7 + 2.0 * (pair.residual1 + pair.residual2) + hs.el_residual
+        assert abs(gs.E_qm / N - hs.e1) <= 0.5 * v.v_at_zero + budget
+        gap = hs.e2 - hs.e1
+        assert gap > 0.0
+        assert 1.0 - n_cond / N <= 0.5 * v.v_at_zero / gap + budget
+        slack = 1e-9 * max(1.0, abs(N * hs.energy))
+        assert N * pair.lambda1 - slack <= gs.E_qm <= N * hs.energy + slack
+        assert np.trace(rho1) == pytest.approx(1.0, abs=1e-12)

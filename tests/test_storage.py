@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from kaclab import build_realization
+from kaclab import DisorderRealization, build_realization
 from kaclab.storage import load_field, load_realization, save_field, save_realization
 
 from conftest import tiny_box_config
@@ -58,4 +61,82 @@ def test_wrong_magic_rejected(tmp_path):
                                "h": 0.5, "seed": 0}})
     )
     with pytest.raises(ValueError, match="magic"):
+        load_realization(path)
+
+
+def saved_dump(tmp_path):
+    real = build_realization(tiny_box_config(N=16, L=4.0, h=0.5, nu=0.4, r=0.6, seed=9))
+    path = save_realization(real, tmp_path / "real.klvac")
+    return real, path, bytearray(path.read_bytes())
+
+
+def test_header_d_must_match_sidecar(tmp_path):
+    _, path, data = saved_dump(tmp_path)
+    data[6:10] = np.uint32(3).tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="d=3.*d=2"):
+        load_realization(path)
+
+
+def test_header_h_must_match_sidecar(tmp_path):
+    real, path, data = saved_dump(tmp_path)
+    offset = 6 + 4 * (1 + real.d)
+    data[offset:offset + 8] = np.float64(2 * real.h).tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="h=1.0"):
+        load_realization(path)
+
+
+def test_label_on_blocked_node_rejected(tmp_path):
+    real, path, data = saved_dump(tmp_path)
+    labels = real.labels.copy()
+    labels[np.unravel_index(np.flatnonzero(~real.mask.ravel())[0], real.dims)] = 1
+    data[len(data) - labels.size * 4:] = labels.astype("<i4").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="blocked node"):
+        load_realization(path)
+
+
+@pytest.mark.parametrize("bad_label", [0, -1, "K+1"])
+def test_vacant_label_outside_components_rejected(tmp_path, bad_label):
+    real, path, data = saved_dump(tmp_path)
+    labels = real.labels.copy()
+    vacant = np.unravel_index(np.flatnonzero(real.mask.ravel())[0], real.dims)
+    labels[vacant] = real.K + 1 if bad_label == "K+1" else bad_label
+    data[len(data) - labels.size * 4:] = labels.astype("<i4").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="vacant node outside 1..K"):
+        load_realization(path)
+
+
+masks = st.integers(2, 5).flatmap(
+    lambda side: arrays(bool, (side - 1, side - 1), elements=st.booleans())
+)
+
+
+def from_mask(mask):
+    side = mask.shape[0] + 1
+    return DisorderRealization.from_mask(tiny_box_config(L=0.5 * side), mask)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mask=masks)
+def test_roundtrip_property(tmp_path_factory, mask):
+    real = from_mask(mask)
+    path = save_realization(real, tmp_path_factory.mktemp("rt") / "real.klvac")
+    loaded = load_realization(path)
+    assert np.array_equal(loaded.mask, real.mask)
+    assert np.array_equal(loaded.labels, real.labels)
+    assert loaded.K == real.K
+    assert loaded.config == real.config
+    assert loaded.component_volumes == real.component_volumes
+
+
+@settings(max_examples=40, deadline=None)
+@given(mask=masks, extend=st.booleans(), byte=st.integers(0, 255))
+def test_single_byte_truncation_or_extension_rejected(tmp_path_factory, mask, extend, byte):
+    path = save_realization(from_mask(mask), tmp_path_factory.mktemp("cut") / "real.klvac")
+    data = path.read_bytes()
+    path.write_bytes(data + bytes([byte]) if extend else data[:-1])
+    with pytest.raises(ValueError, match="bytes"):
         load_realization(path)
