@@ -27,7 +27,6 @@ from .laplace import (
 from .interaction import (
     InteractionPotential,
     build_interaction,
-    check_assumptions,
     convolve_density,
     potential_from_spec,
 )
@@ -45,7 +44,6 @@ from .certify import (
     certificate_assertions,
     check_gap_event,
     condensation_bounds,
-    gap_lower_bound,
     scaling_diagnostics,
 )
 from .manybody import (
@@ -67,7 +65,6 @@ from .ensemble import (
 )
 from .errors import (
     BasisSizeError,
-    CertificateFailure,
     ConfigError,
     GridMismatchError,
     KacLabError,

@@ -41,16 +41,6 @@ def check_gap_event(pair, v: InteractionPotential, N: int):
     return bool(margin > 0.0), margin, lhs, rhs
 
 
-def gap_lower_bound(pair, v: InteractionPotential, N: int) -> float:
-    """Transferred lower bound for the effective-operator gap e2 - e1.
-
-    This is the margin of the gap event, (lambda2 - lambda1) - rhs.  May be
-    negative at strong coupling, in which case the inequality is vacuous and
-    nothing is asserted.
-    """
-    return check_gap_event(pair, v, N)[1]
-
-
 def condensation_bounds(hs, v: InteractionPotential, oracle: Optional[dict] = None) -> dict:
     """Mean-field energy and depletion bounds, with observations if available.
 

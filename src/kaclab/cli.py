@@ -8,6 +8,7 @@ failure, 2 usage error, 3 solver failure.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -36,13 +37,19 @@ EXIT_CERT = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 
+# EnsembleSpec's field defaults are the one source of the solver and ensemble defaults
+_SPEC = {
+    f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
+    for f in dataclasses.fields(EnsembleSpec)
+    if f.name not in ("base", "potential")
+}
 _DEFAULTS = {
     "disorder": {"d": 2, "rho": 1.0, "N": 64, "nu": 0.1, "r": 0.5, "h": 0.25, "seed": 0},
     "potential": {"kind": "gaussian", "kappa": 0.0, "width": 1.0, "truncation": 8.0,
                   "radius": None, "table_path": None, "allow_non_posdef": None},
-    "solver": {"el_tol": 1e-8, "eig_tol": 1e-9, "max_iter": 5000},
-    "ensemble": {"seeds": 30, "master_seed": 0, "N_values": [], "eta": 0.1,
-                 "sigma_ref": None, "workers": 1},
+    "solver": {key: _SPEC[key] for key in ("el_tol", "eig_tol", "max_iter")},
+    "ensemble": {key: _SPEC[key] for key in
+                 ("seeds", "master_seed", "N_values", "eta", "sigma_ref", "workers")},
     "oracle": {"N": 2, "basis_cap": 2_000_000},
     "output_dir": "runs/out",
     "log_level": "INFO",

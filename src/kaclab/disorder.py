@@ -125,21 +125,6 @@ class DisorderRealization:
     def n_nodes(self) -> int:
         return int(self.mask.size)
 
-    def axis_coords(self) -> np.ndarray:
-        """Node coordinates along one axis, -L/2 + i*h for i = 1..n_cells-1."""
-        L = self.config.box_side
-        h = self.h
-        return -L / 2.0 + h * np.arange(1, self.config.n_cells)
-
-    def node_positions(self) -> np.ndarray:
-        """(n_nodes, d) array of node coordinates in row-major order."""
-        c = self.axis_coords()
-        grids = np.meshgrid(*([c] * self.d), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
-    def component_mask(self, k: int) -> np.ndarray:
-        return self.labels == k
-
     @classmethod
     def from_mask(cls, config: DisorderConfig, mask: np.ndarray):
         """Build a realization from an explicit vacancy mask.

@@ -118,7 +118,9 @@ def run_pipeline(
         raise KacLabError("empty vacancy set")
 
     result.stage = "spectrum"
-    pair = result.pair = lowest_eigenpairs(assemble_laplacian(real), count=2, tol=eig_tol)
+    # one operator, so one factor, serves the spectrum and the flow
+    lap = assemble_laplacian(real)
+    pair = result.pair = lowest_eigenpairs(lap, count=2, tol=eig_tol)
     if pair.degenerate_size:
         raise KacLabError("one-node domain")
 
@@ -131,8 +133,8 @@ def run_pipeline(
     result.stage = "hartree"
     # |phi1| on the host is the host's ground state: no second Dirichlet solve
     result.hartree = minimize_hartree(
-        real, sel.component, v, config.N,
-        tol=el_tol, max_iter=max_iter, eig_tol=eig_tol, init=np.abs(pair.phi1),
+        real, sel.component, v, config.N, tol=el_tol, max_iter=max_iter,
+        eig_tol=eig_tol, init=np.abs(pair.phi1), lap=lap,
     )
     return result
 

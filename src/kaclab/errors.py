@@ -34,12 +34,3 @@ class BasisSizeError(KacLabError, ValueError):
 
 class GridMismatchError(KacLabError, ValueError):
     """Two grid quantities do not live on the same grid."""
-
-
-class CertificateFailure(KacLabError, RuntimeError):
-    """An asserted certificate inequality failed beyond tolerance."""
-
-    def __init__(self, failures):
-        names = ", ".join(name for name, *_ in failures)
-        super().__init__(f"certificate assertions failed: {names}")
-        self.failures = failures

@@ -5,7 +5,8 @@ The energy of a unit-norm state u supported on one vacancy component is
     E[u] = <u, -Lap u> + (N-1)/2 * double-sum v(x-y) u(x)^2 u(y)^2,
 
 with h^d quadrature throughout.  Its minimizer is found by projected gradient
-descent on the unit sphere with energy backtracking, which makes monotone
+descent on the unit sphere, preconditioned with the vacancy-set Laplacian's
+factor (the spectrum's), with energy backtracking, which makes monotone
 decrease of the energy trace an enforced invariant; a damped self-consistent
 field solver is kept alongside as an independent cross-check of the (unique)
 minimizer.  Linearizing at u gives the effective operator
@@ -20,13 +21,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+
+# the flow solves with MaskedOperator.factor; perfbench/tracer.py still reads
+# this name (its SPLU_HOLDERS) when it installs, so it stays bound here
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from . import grids
 from .errors import SolverError
 from .interaction import InteractionPotential, convolve_density
-from .laplace import SPD_LU_OPTIONS, MaskedOperator, lowest_eigenpairs
+from .laplace import MaskedOperator, assemble_laplacian, lowest_eigenpairs
 
 SUPPORT_TOL = 1e-12
 
@@ -54,7 +57,6 @@ class HartreeSolution:
     el_residual: float
     energy_trace: list = field(default_factory=list)
     quadratic_form: float = 0.0
-    converged: bool = True
     ground_mass_on_component: float = 0.0
     method: str = "gradient_flow"
 
@@ -107,12 +109,6 @@ def effective_spectrum(hop: MaskedOperator, tol: float = 1e-9):
     return pair.lambda1, pair.lambda2, pair.phi1
 
 
-def _apply_unshifted(u, real, W):
-    """(-Lap + W) u via the stencil; avoids rebuilding operator objects."""
-    op = MaskedOperator(mask=real.mask, h=real.h)
-    return op.apply_grid(u) + W * np.where(real.mask, u, 0.0)
-
-
 def component_ground_state(real, component: int, eig_tol: float = 1e-9):
     """Dirichlet ground state of one component, unit norm, nonnegative."""
     sub = MaskedOperator(mask=real.labels == component, h=real.h)
@@ -161,7 +157,6 @@ def _finalize(u, real, component, v, N, iterations, residual, trace, energy, eig
         el_residual=residual,
         energy_trace=trace,
         quadratic_form=grids.inner(u, hop.apply_grid(u), real.h),
-        converged=True,
         ground_mass_on_component=gmass,
         method=method,
     )
@@ -176,6 +171,7 @@ def minimize_hartree(
     max_iter: int = 5000,
     eig_tol: float = 1e-9,
     init: Optional[np.ndarray] = None,
+    lap: Optional[MaskedOperator] = None,
 ) -> HartreeSolution:
     """Minimize the component Hartree energy by projected gradient descent.
 
@@ -183,47 +179,45 @@ def minimize_hartree(
     positive initial state, each step moves against the sphere-projected
     gradient, clips negative parts and renormalizes; the step size backtracks
     until the energy decreases, so the energy trace is non-increasing by
-    construction.  The raw gradient direction contracts like gap/||A|| per
-    step, hopeless on fine grids, so the gradient is preconditioned by
-    (-Lap + c)^(-1) on the component (factorized once); that is still a
-    descent direction and makes the rate grid-independent.  Convergence is
-    declared when the Euler-Lagrange residual || h_u u - <u, h_u u> u ||
-    drops below tol.
+    construction, whatever the step.  The raw gradient direction contracts
+    like gap/||A|| per step, hopeless on fine grids, so the gradient is
+    preconditioned by P = (-Lap)^(-1): P is positive definite, so the
+    projected direction still descends, and the rate is grid-independent.
+    The preconditioned Hessian is I plus (-Lap)^(-1) times the interaction
+    terms, so tau = 1 is a good first step while the interaction is small
+    against lambda1.  Convergence is declared when the Euler-Lagrange
+    residual || h_u u - <u, h_u u> u || drops below tol.
 
-    The Laplacian is block-diagonal over components, so |phi1| of the whole
-    vacancy set, restricted to the component, is already the component's
-    ground state whenever that component attains lambda1 (also when phi1 is
-    spread over several); passing it as init saves that eigensolve.
+    lap is the Dirichlet Laplacian of the whole vacancy set (built from real
+    when not given); P solves with its factor, so the spectrum's factor is
+    reused.  -Lap is block-diagonal over components and u and the residual
+    live on the component, so its stencil and its factor act there exactly as
+    the component's own.  For the same reason |phi1| of the whole vacancy
+    set, restricted to the component, is already the component's ground state
+    whenever that component attains lambda1 (also when phi1 is spread over
+    several); passing it as init saves that eigensolve.
     """
     comp_mask, u = _initial_state(real, component, init, eig_tol)
     eps = np.finfo(float).eps
-    comp_op = MaskedOperator(mask=comp_mask, h=real.h)
-    comp_flat = np.flatnonzero(comp_mask.ravel())
+    if lap is None:
+        lap = assemble_laplacian(real)
 
     def energy_and_potential(w):
         dens = w * w
         W = (N - 1) * convolve_density(dens, v)
-        kin = grids.inner(w, comp_op.apply_grid(w), real.h)
+        kin = grids.inner(w, lap.apply_grid(w), real.h)
         inter = 0.5 * grids.inner(dens, W, real.h)
         return kin + inter, W
 
     energy, W = energy_and_potential(u)
     trace = [energy]
 
-    # (-Lap + c)^(-1) preconditioner; c at the energy scale of the problem
-    c = abs(energy) + float(np.max(W[comp_mask])) + 1e-12
-    lap = comp_op.to_csr(include_shift=False)
-    precond = (lap + c * sp.identity(lap.shape[0], format="csr")).tocsc()
-    solve = splu(precond, **SPD_LU_OPTIONS).solve
-
-    # preconditioned step: tau = 1 is stable (the preconditioned Hessian has
-    # spectral radius below one by the choice of c), so tau only ever shrinks
     tau = 1.0
     tau_max = 1.0
     residual = np.inf
 
     for it in range(1, max_iter + 1):
-        g = _apply_unshifted(u, real, W)
+        g = lap.apply_grid(u) + W * u
         rayleigh = grids.inner(u, g, real.h)
         resid = g - rayleigh * u
         residual = grids.norm(resid, real.h)
@@ -233,9 +227,7 @@ def minimize_hartree(
             return _finalize(u, real, component, v, N, it - 1, residual, trace,
                              energy, eig_tol, "gradient_flow")
 
-        z = np.zeros(real.mask.size)
-        z[comp_flat] = solve(resid.ravel()[comp_flat])
-        z = z.reshape(real.mask.shape)
+        z = lap.embed(lap.factor.solve(lap.restrict(resid)))
         direction = z - grids.inner(u, z, real.h) * u
 
         accepted = False
@@ -304,7 +296,7 @@ def minimize_hartree_scf(
         phi = grids.normalize(np.clip(pair.phi1, 0.0, None), real.h)
 
         u = grids.normalize(np.sqrt(dens), real.h)
-        g = _apply_unshifted(u, real, W)
+        g = sub.apply_grid(u)
         rayleigh = grids.inner(u, g, real.h)
         residual = grids.norm(g - rayleigh * u, real.h)
         trace.append(rayleigh)

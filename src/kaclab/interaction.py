@@ -242,21 +242,6 @@ def scaling_ratios(v: InteractionPotential, N: int, d: int) -> dict:
     }
 
 
-def check_assumptions(v: InteractionPotential) -> dict:
-    """Report on the standing assumptions and the two scaling diagnostics.
-
-    Report-only: nothing is asserted here (see scaling_ratios for s1, s2).
-    """
-    rev = v.values[tuple(slice(None, None, -1) for _ in range(v.d))]
-    return {
-        "nonneg": bool(np.all(v.values >= 0)),
-        "even": bool(np.allclose(v.values, rev, atol=0.0)),
-        "pos_def": v.pos_def,
-        "l1_finite": bool(np.isfinite(v.l1_norm)),
-        **scaling_ratios(v, v.N, v.d),
-    }
-
-
 def convolve_density(density: np.ndarray, v: InteractionPotential, method: str = "auto") -> np.ndarray:
     """(density * v)(x) = sum_y density(y) v(x - y) h^d on the full grid.
 

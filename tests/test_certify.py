@@ -13,7 +13,6 @@ from kaclab import (
     certificate_assertions,
     check_gap_event,
     condensate_occupation,
-    gap_lower_bound,
     ground_state,
     ground_state_component,
     lowest_eigenpairs,
@@ -82,7 +81,7 @@ class TestGapEvent:
 class TestGapLowerBound:
     def test_zero_potential_bound_is_exact_gap(self, free_3x3):
         pair, v, hs, _ = pipeline(free_3x3, kappa=0.0)
-        bound = gap_lower_bound(pair, v, free_3x3.config.N)
+        bound = check_gap_event(pair, v, free_3x3.config.N)[1]
         assert bound == pytest.approx(pair.lambda2 - pair.lambda1, rel=1e-14)
         assert hs.e2 - hs.e1 == pytest.approx(bound, abs=1e-9)
 
@@ -90,11 +89,11 @@ class TestGapLowerBound:
         real = corner_blocked_6
         pair, v, hs, _ = pipeline(real, kappa=0.5)
         assert supnorm_bound_check(pair, 2).ok
-        bound = gap_lower_bound(pair, v, real.config.N)
+        bound = check_gap_event(pair, v, real.config.N)[1]
         assert hs.e2 - hs.e1 >= bound - 1e-9
 
     def test_bound_may_go_negative(self):
-        bound = gap_lower_bound(fake_pair(2.0, 2.1), fake_potential(5.0), N=50)
+        bound = check_gap_event(fake_pair(2.0, 2.1), fake_potential(5.0), N=50)[1]
         assert bound < 0.0
 
 

@@ -17,12 +17,13 @@ from kaclab import (
     lowest_eigenpairs,
     minimize_hartree,
     minimize_hartree_scf,
+    run_pipeline,
 )
-from kaclab import grids
+from kaclab import PipelineResult, grids
 from kaclab.constants import supnorm_constant
 from kaclab.hartree import component_ground_state, interaction_double_sum
 
-from conftest import tiny_box_config
+from conftest import dense_laplacian, tiny_box_config
 
 
 def potential_for(real, kappa, width=0.5, truncation=8.0):
@@ -229,6 +230,35 @@ class TestEffectiveOperator:
         e1_host = host_effective_ground_energy(hs, real, v, N=2)
         assert hs.e1 == pytest.approx(e1_host, abs=1e-10)
         assert hs.e1 == pytest.approx(hs.energy, abs=1e-9)
+
+    def test_e2_is_global_when_it_sits_on_a_third_component(self):
+        # 76 nodes, K=16, dense path: the host is component 10, phi2 lives on
+        # component 3, and the effective operator's second eigenvalue on
+        # component 1.  h_u and (-Lap)^(-1) are block-diagonal, so a block
+        # eigensolver started from [u, phi2] never leaves components 10 and 3
+        # and returns 9.41561: e2 - e1 2.1x too large, the depletion bound
+        # 2.1x too small
+        config = DisorderConfig(d=2, rho=1.0, N=64, nu=2.0, r=0.5, h=0.4, seed=5)
+        res = run_pipeline(
+            PipelineResult(config), {"kind": "gaussian", "kappa": 10.0, "width": 0.5}
+        )
+        real, pair, hs = res.real, res.pair, res.hartree
+        assert (real.n_vacant, real.K, hs.component) == (76, 16, 10)
+        hop = assemble_effective_operator(hs.u, real, res.v, config.N)
+        lap, nodes = dense_laplacian(real.mask, real.h)
+        A = lap + np.diag(hop.potential[real.mask] - hs.shift)
+        vals, vecs = np.linalg.eigh(A)
+        assert hs.e2 == pytest.approx(vals[1], rel=1e-12)
+        assert hs.e2 == pytest.approx(8.78822, abs=5e-6)
+
+        labels = np.array([real.labels[x] for x in nodes])
+        assert set(labels[np.abs(vecs[:, 1]) > 1e-8]) == {1}
+        phi2_mass = pair.phi2[real.mask] ** 2
+        assert set(labels[phi2_mass > 1e-16]) == {3}
+        confined = np.isin(labels, [hs.component, 3])
+        e2_confined = np.linalg.eigvalsh(A[np.ix_(confined, confined)])[1]
+        assert e2_confined == pytest.approx(9.41561, abs=5e-6)
+        assert (e2_confined - hs.e1) / (hs.e2 - hs.e1) > 2.1
 
     def test_gap_event_fixture_ground_vector_localized(self, two_strip_5):
         # weak coupling keeps the effective ground state on the host strip

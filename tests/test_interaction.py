@@ -5,11 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from kaclab import ConfigError, build_interaction, check_assumptions, convolve_density
+from kaclab import ConfigError, build_interaction, convolve_density
+from kaclab.interaction import scaling_ratios
 
 
 def gaussian(kappa=1.0, N=64, d=2, h=0.25, **params):
     return build_interaction("gaussian", kappa, N, d, h, base_params=params)
+
+
+def assumptions_hold(v):
+    """The standing assumptions: v >= 0, even, positive definite, integrable."""
+    rev = v.values[tuple(slice(None, None, -1) for _ in range(v.d))]
+    return (bool(np.all(v.values >= 0)) and np.array_equal(v.values, rev)
+            and v.pos_def and bool(np.isfinite(v.l1_norm)))
 
 
 def brute_convolution(density, v):
@@ -110,19 +118,19 @@ class TestBuild:
 class TestAssumptionReport:
     def test_gaussian_report(self):
         v = gaussian(kappa=0.9, N=64)
-        rep = check_assumptions(v)
-        assert rep["nonneg"] and rep["even"] and rep["pos_def"] and rep["l1_finite"]
+        assert assumptions_hold(v)
         # s1 = ||v||_1 N ln N recovers kappa ||V||_1, constant in N
-        assert rep["s1"] == pytest.approx(0.9 * 2.0 * math.pi, rel=1e-12)
+        s1 = scaling_ratios(v, v.N, v.d)["s1"]
+        assert s1 == pytest.approx(0.9 * 2.0 * math.pi, rel=1e-12)
 
     def test_s1_constant_under_N(self):
-        reps = [check_assumptions(gaussian(kappa=0.4, N=N))["s1"] for N in (16, 256)]
+        reps = [scaling_ratios(gaussian(kappa=0.4, N=N), N, 2)["s1"] for N in (16, 256)]
         assert reps[0] == pytest.approx(reps[1], rel=1e-12)
 
     def test_s2_shrinks_analytically(self):
         v1, v2 = gaussian(kappa=1.0, N=100), gaussian(kappa=1.0, N=200)
-        r1 = check_assumptions(v1)["s2"]
-        r2 = check_assumptions(v2)["s2"]
+        r1 = scaling_ratios(v1, 100, 2)["s2"]
+        r2 = scaling_ratios(v2, 200, 2)["s2"]
         expected = (
             (math.log(200) ** 2 / (200 * math.log(200)))
             / (math.log(100) ** 2 / (100 * math.log(100)))
@@ -130,8 +138,9 @@ class TestAssumptionReport:
         assert r2 / r1 == pytest.approx(expected, rel=1e-12)
 
     def test_zero_potential_report(self):
-        rep = check_assumptions(gaussian(kappa=0.0))
-        assert rep["nonneg"] and rep["even"] and rep["pos_def"]
+        v = gaussian(kappa=0.0)
+        assert assumptions_hold(v)
+        rep = scaling_ratios(v, v.N, v.d)
         assert rep["s1"] == 0.0 and rep["s2"] == 0.0
 
 

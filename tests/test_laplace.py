@@ -20,7 +20,7 @@ from kaclab import (
     run_pipeline,
     supnorm_bound_check,
 )
-from kaclab import grids, hartree, laplace
+from kaclab import ensemble, grids, laplace
 from kaclab.constants import supnorm_constant
 from kaclab.laplace import DENSE_CUTOFF, SPD_LU_OPTIONS
 
@@ -202,9 +202,10 @@ class TestEigenpairs:
 
 class TestSparseFactorization:
     def test_every_factorization_is_symmetric_mode(self, monkeypatch):
-        # spectrum, flow preconditioner and effective spectrum of one
-        # ARPACK-size d=3 realization (1,678 nodes); a factorization without
-        # the minimum-degree ordering (SuperLU's default COLAMD) fills ~2x more
+        # the Laplacian's factor (spectrum and flow preconditioner) and the
+        # effective spectrum's of one ARPACK-size d=3 realization (1,678
+        # nodes); a factorization without the minimum-degree ordering
+        # (SuperLU's default COLAMD) fills ~2x more
         factors = []
 
         def recording_splu(mat, **kwargs):
@@ -213,17 +214,78 @@ class TestSparseFactorization:
             return lu
 
         monkeypatch.setattr(laplace, "splu", recording_splu)
-        monkeypatch.setattr(hartree, "splu", recording_splu)
         config = DisorderConfig(d=3, rho=1.0, N=128, nu=0.05, r=0.5, h=0.4, seed=2024)
         res = run_pipeline(
             PipelineResult(config), {"kind": "gaussian", "kappa": 0.5, "width": 0.5}
         )
-        assert res.hartree.converged and res.real.n_vacant > DENSE_CUTOFF
-        assert len(factors) == 3
+        assert res.real.n_vacant > DENSE_CUTOFF
+        assert len(factors) == 2
         for mat, lu in factors:
             default = splu(mat)
             fill = lu.L.nnz + lu.U.nnz
             assert fill <= 0.6 * (default.L.nnz + default.U.nnz)
+
+    def test_flow_solves_with_the_spectrum_factor(self, monkeypatch):
+        # d=2 N=1024 (about 5,500 nodes, ARPACK path): the factor built for
+        # the spectrum is the one the Hartree flow solves with
+        factors = []
+
+        class CountingLU:
+            def __init__(self, lu):
+                self.lu, self.solves = lu, 0
+
+            def solve(self, rhs):
+                self.solves += 1
+                return self.lu.solve(rhs)
+
+        def recording_splu(mat, **kwargs):
+            factors.append(CountingLU(splu(mat, **kwargs)))
+            return factors[-1]
+
+        flow = {}
+        minimize_hartree = ensemble.minimize_hartree
+
+        def spy_minimize_hartree(*args, lap, **kwargs):
+            flow["lap"], flow["before"] = lap, factors[0].solves
+            hs = minimize_hartree(*args, lap=lap, **kwargs)
+            flow["after"] = factors[0].solves
+            return hs
+
+        monkeypatch.setattr(laplace, "splu", recording_splu)
+        monkeypatch.setattr(ensemble, "minimize_hartree", spy_minimize_hartree)
+        config = DisorderConfig(d=2, rho=1.0, N=1024, nu=0.15, r=0.5, h=0.4, seed=1)
+        res = run_pipeline(
+            PipelineResult(config), {"kind": "gaussian", "kappa": 1.0, "width": 0.5}
+        )
+        assert res.real.n_vacant > DENSE_CUTOFF
+        spectrum_factor = factors[0]
+        assert flow["lap"].factor is spectrum_factor
+        assert flow["before"] > 0  # ARPACK solved with it first
+        assert flow["after"] - flow["before"] >= res.hartree.iterations
+        # the only other factor is the effective operator's, for e1 and e2
+        assert len(factors) == 2
+
+    def test_full_set_factor_solve_is_the_host_solve(self):
+        # -Lap is block-diagonal over components: solving with the whole
+        # vacancy set's factor on a host-supported right-hand side gives
+        # exact zeros off the host and the host-only factor's solution on it
+        config = tiny_box_config(N=16, L=6.0, h=0.4)
+        mask = np.ones((14, 14), dtype=bool)
+        mask[:, 5] = False                 # a wall: components 5 wide and 8 wide
+        mask[3, 1:3] = mask[9:12, 8] = False
+        real = DisorderRealization.from_mask(config, mask)
+        assert real.K == 2
+        host = real.labels == 1 + int(np.argmax(real.component_volumes))
+        rng = np.random.default_rng(3)
+        rhs = np.where(host, rng.uniform(-1.0, 1.0, mask.shape), 0.0)
+
+        lap = assemble_laplacian(real)
+        full = lap.embed(lap.factor.solve(lap.restrict(rhs)))
+        assert np.all(full[~host] == 0.0)
+        host_op = MaskedOperator(mask=host, h=real.h)
+        own = host_op.embed(host_op.factor.solve(host_op.restrict(rhs)))
+        assert np.max(np.abs(full - own)) <= 1e-13 * np.max(np.abs(own))
+        assert np.allclose(lap.apply_grid(full), rhs, rtol=0.0, atol=1e-10)
 
     def test_symmetric_mode_factorizes_faster_than_default(self):
         # the fill cannot show a dropped SymmetricMode: the minimum-degree
