@@ -58,7 +58,6 @@ class HartreeSolution:
     energy_trace: list = field(default_factory=list)
     quadratic_form: float = 0.0
     ground_mass_on_component: float = 0.0
-    method: str = "gradient_flow"
 
 
 def _check_support(u, real, component):
@@ -128,7 +127,7 @@ def _initial_state(real, component, init, eig_tol):
     return comp_mask, grids.normalize(u, real.h)
 
 
-def _finalize(u, real, component, v, N, iterations, residual, trace, energy, eig_tol, method):
+def _finalize(u, real, component, v, N, iterations, residual, trace, energy, eig_tol):
     """Spectrum of the effective operator h_u at the converged state.
 
     Only the full-set spectrum is solved.  h_u is block-diagonal over the
@@ -139,11 +138,7 @@ def _finalize(u, real, component, v, N, iterations, residual, trace, energy, eig
     to the energy.
     """
     hop = assemble_effective_operator(u, real, v, N)
-    if hop.n_vacant == 1:
-        e1 = float(hop.diagonal()[0])
-        e2, gvec = None, u
-    else:
-        e1, e2, gvec = effective_spectrum(hop, tol=eig_tol)
+    e1, e2, gvec = effective_spectrum(hop, tol=eig_tol)
     comp_mask = real.labels == component
     gmass = float(np.sum(np.where(comp_mask, gvec, 0.0) ** 2)) * real.h**real.d
     return HartreeSolution(
@@ -158,7 +153,6 @@ def _finalize(u, real, component, v, N, iterations, residual, trace, energy, eig
         energy_trace=trace,
         quadratic_form=grids.inner(u, hop.apply_grid(u), real.h),
         ground_mass_on_component=gmass,
-        method=method,
     )
 
 
@@ -225,7 +219,7 @@ def minimize_hartree(
             raise SolverError("NaN in Hartree gradient", trace=trace)
         if residual < tol:
             return _finalize(u, real, component, v, N, it - 1, residual, trace,
-                             energy, eig_tol, "gradient_flow")
+                             energy, eig_tol)
 
         z = lap.embed(lap.factor.solve(lap.restrict(resid)))
         direction = z - grids.inner(u, z, real.h) * u
@@ -250,7 +244,7 @@ def minimize_hartree(
             if residual < 100.0 * tol:
                 # stuck in float noise near the minimum but residual is tiny
                 return _finalize(u, real, component, v, N, it, residual, trace,
-                                 energy, eig_tol, "gradient_flow")
+                                 energy, eig_tol)
             raise SolverError(
                 f"backtracking stalled at iteration {it} "
                 f"(residual {residual:.3e})",
@@ -303,7 +297,7 @@ def minimize_hartree_scf(
         if residual < tol:
             energy = hartree_energy(u, real, component, v, N)
             return _finalize(u, real, component, v, N, it, residual, trace,
-                             energy, eig_tol, "scf")
+                             energy, eig_tol)
 
         dens = (1.0 - mixing) * dens + mixing * phi * phi
         dens /= float(np.sum(dens)) * real.h**real.d

@@ -24,7 +24,6 @@ from scipy.special import gammaincc
 from .errors import ConfigError
 
 POSDEF_RTOL = 1e-10
-DIRECT_CONV_BUDGET = 1 << 16  # stencil_size * grid_size above this switches to FFT
 
 
 @dataclass
@@ -242,36 +241,14 @@ def scaling_ratios(v: InteractionPotential, N: int, d: int) -> dict:
     }
 
 
-def convolve_density(density: np.ndarray, v: InteractionPotential, method: str = "auto") -> np.ndarray:
+def convolve_density(density: np.ndarray, v: InteractionPotential) -> np.ndarray:
     """(density * v)(x) = sum_y density(y) v(x - y) h^d on the full grid.
 
-    The direct stencil summation is the reference; the FFT path is an exact-
-    to-roundoff optimization used automatically on larger problems (both are
-    kept equivalent by tests).  The sum runs over the full stencil including
+    By FFT, exact to roundoff.  The sum runs over the full stencil including
     blocked nodes: densities vanish there, and the output is meaningful on
     every vacant node.
     """
     density = np.asarray(density, dtype=float)
     if density.ndim != v.d:
         raise ValueError("density dimensionality does not match the potential")
-    if method == "auto":
-        big = v.values.size * density.size > DIRECT_CONV_BUDGET
-        method = "fft" if big else "direct"
-    if method == "fft":
-        return fftconvolve(density, v.values, mode="same") * v.h**v.d
-    if method != "direct":
-        raise ValueError(f"unknown convolution method {method!r}")
-
-    R = v.stencil_radius
-    padded = np.pad(density, R)
-    out = np.zeros_like(density)
-    n = density.shape
-    for off_idx in np.ndindex(v.values.shape):
-        val = v.values[off_idx]
-        if val == 0.0:
-            continue
-        sl = tuple(
-            slice(2 * R - oi, 2 * R - oi + n[ax]) for ax, oi in enumerate(off_idx)
-        )
-        out += val * padded[sl]
-    return out * v.h**v.d
+    return fftconvolve(density, v.values, mode="same") * v.h**v.d

@@ -4,12 +4,13 @@ The operator is the standard (2d+1)-point stencil restricted to vacant nodes:
 diagonal 2d/h^2, off-diagonal -1/h^2 between face-adjacent vacant nodes, hard
 zeros on blocked and boundary nodes.  An optional nonnegative one-body
 potential and a constant diagonal shift turn the same machinery into the
-effective mean-field operator.  The matvec is matrix-free.  An operator
-factorizes a sparse copy of itself once, on first use (MaskedOperator.factor),
-as the symmetric positive definite matrix it is (SuperLU in symmetric mode,
-minimum degree ordering of A + A^T, diagonal pivots).  Above DENSE_CUTOFF
-nodes the eigensolver runs shift-invert ARPACK on that factor, and the
-Hartree flow preconditions with the Laplacian's factor, the same object.
+effective mean-field operator.  An operator has two forms: apply_grid, the
+matrix-free product, and matrix(), the sparse matrix of its unshifted SPD
+part, which the dense eigensolver reads and MaskedOperator.factor factorizes
+once, on first use (SuperLU in symmetric mode, minimum degree ordering of
+A + A^T, diagonal pivots).  Above DENSE_CUTOFF nodes the eigensolver runs
+shift-invert ARPACK on that factor, and the Hartree flow preconditions with
+the Laplacian's factor, the same object.
 """
 
 from dataclasses import dataclass, field
@@ -43,7 +44,11 @@ SPD_LU_OPTIONS = {
 
 @dataclass
 class MaskedOperator:
-    """-Laplacian + potential - shift, acting on vacant nodes only."""
+    """-Laplacian + potential - shift, acting on vacant nodes only.
+
+    apply_grid applies all of it; matrix() and factor hold the unshifted
+    SPD part, -Laplacian + potential.
+    """
 
     mask: np.ndarray
     h: float
@@ -72,8 +77,8 @@ class MaskedOperator:
     def n_vacant(self) -> int:
         return self._vac.size
 
-    def apply_grid(self, f: np.ndarray, include_shift: bool = True) -> np.ndarray:
-        """Apply the operator to a full-grid function (zero on blocked nodes)."""
+    def apply_grid(self, f: np.ndarray) -> np.ndarray:
+        """Apply the operator, shift included, to a full-grid function (zero off the mask)."""
         h2 = self.h * self.h
         g = np.where(self.mask, f, 0.0)
         out = (2.0 * self.d / h2) * g
@@ -82,14 +87,10 @@ class MaskedOperator:
             out[hi] -= g[lo] / h2
         if self.potential is not None:
             out += self.potential * g
-        if include_shift and self.diagonal_shift != 0.0:
+        if self.diagonal_shift != 0.0:
             out -= self.diagonal_shift * g
         out[~self.mask] = 0.0
         return out
-
-    def matvec(self, x: np.ndarray, include_shift: bool = True) -> np.ndarray:
-        """Apply to a compressed vector indexed by vacant nodes."""
-        return self.apply_grid(self.embed(x), include_shift)[self.mask]
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """Scatter a compressed vector into a full grid."""
@@ -100,52 +101,38 @@ class MaskedOperator:
     def restrict(self, f: np.ndarray) -> np.ndarray:
         return np.asarray(f).ravel()[self._vac]
 
-    def diagonal(self, include_shift: bool = True) -> np.ndarray:
-        diag = np.full(self.n_vacant, 2.0 * self.d / self.h**2)
+    def matrix(self) -> sp.csc_matrix:
+        """Sparse symmetric -Lap + potential, no shift, in row-major vacant order."""
+        # built on each call, not cached: an operator holding its matrix
+        # (~5 MB at d=2 N=16384) fragmented the heap and raised sparse_2d
+        # peak RSS 9%, 225.9 -> 246.6 MB (+5.3 MB with the malloc mmap
+        # threshold pinned).  The node index stays int64 (scipy stores int32
+        # indices anyway): an int32 one cost sparse_2d 5 MB of peak RSS.
+        n = self.n_vacant
+        nodes = np.arange(n)
+        idx = np.full(self.dims, -1)
+        idx.flat[self._vac] = nodes
+        diag = np.full(n, 2.0 * self.d / self.h**2)
         if self.potential is not None:
             diag = diag + self.potential.ravel()[self._vac]
-        if include_shift and self.diagonal_shift != 0.0:
-            diag = diag - self.diagonal_shift
-        return diag
-
-    def norm_estimate(self) -> float:
-        """Cheap upper bound on the spectral radius (Gershgorin)."""
-        pot_max = float(self.potential.max()) if self.potential is not None else 0.0
-        return 4.0 * self.d / self.h**2 + pot_max + abs(self.diagonal_shift)
-
-    def to_csr(self, include_shift: bool = True) -> sp.csr_matrix:
-        """Sparse copy over vacant nodes; rows/cols in row-major vacant order."""
-        n = self.mask.size
-        idx = np.full(n, -1, dtype=np.int64)
-        idx[self._vac] = np.arange(self.n_vacant)
-        idx = idx.reshape(self.dims)
-
-        rows = [np.arange(self.n_vacant)]
-        cols = [np.arange(self.n_vacant)]
-        vals = [self.diagonal(include_shift)]
-        h2 = self.h * self.h
+        rows, cols, vals = [nodes], [nodes], [diag]
+        off = -1.0 / (self.h * self.h)
         for lo, hi in grids.face_slices(self.d):
-            a = idx[hi].ravel()
-            b = idx[lo].ravel()
+            a, b = idx[hi].ravel(), idx[lo].ravel()
             ok = (a >= 0) & (b >= 0)
             a, b = a[ok], b[ok]
-            off = np.full(a.size, -1.0 / h2)
             rows += [a, b]
             cols += [b, a]
-            vals += [off, off]
-        mat = sp.coo_matrix(
+            vals += [np.full(2 * a.size, off)]
+        return sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_vacant, self.n_vacant),
+            shape=(n, n),
         )
-        return mat.tocsr()
-
-    def to_dense(self, include_shift: bool = True) -> np.ndarray:
-        return self.to_csr(include_shift).toarray()
 
     @cached_property
     def factor(self):
-        """SuperLU factor of the unshifted operator, built on first use."""
-        return splu(self.to_csr(include_shift=False).tocsc(), **SPD_LU_OPTIONS)
+        """SuperLU factor of matrix(), the unshifted operator, built on first use."""
+        return splu(self.matrix(), **SPD_LU_OPTIONS)
 
 
 @dataclass
@@ -202,23 +189,16 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> 
     if count not in (1, 2):
         raise ValueError("count must be 1 or 2")
     n = op.n_vacant
-
-    if n == 1:
-        lam = float(op.diagonal()[0])
-        phi = op.embed(np.array([1.0])) / op.h ** (op.d / 2.0)
-        return SpectralPair(lam, None, phi, None, 0.0, None, degenerate_size=True)
-
     k = min(count, n)
     if n <= DENSE_CUTOFF:
-        dense = op.to_dense(include_shift=False)
-        vals, vecs = scipy.linalg.eigh(dense, subset_by_index=(0, k - 1))
+        vals, vecs = scipy.linalg.eigh(op.matrix().toarray(), subset_by_index=(0, k - 1))
     else:
         try:
             # a fixed start vector makes ARPACK, and so every record, depend
             # only on the operator; np.ones would be orthogonal to the
             # antisymmetric phi2 of a mirror-symmetric domain
             v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-            opinv = LinearOperator((n, n), matvec=op.factor.solve, dtype=float)
+            opinv = LinearOperator((n, n), op.factor.solve, dtype=float)
             # shift-invert mode applies only OPinv; A gives shape and dtype
             vals, vecs = eigsh(opinv, k=k, sigma=0.0, which="LM", v0=v0, OPinv=opinv)
         except ArpackNoConvergence as exc:
@@ -233,7 +213,9 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> 
     lams = [float(v) - shift for v in vals]
     phis = []
     residuals = []
-    floor = 64.0 * np.finfo(float).eps * op.norm_estimate()
+    # machine-precision floor: 64 eps times the Gershgorin bound on ||op||
+    pot_max = float(op.potential.max()) if op.potential is not None else 0.0
+    floor = 64.0 * np.finfo(float).eps * (4.0 * op.d / op.h**2 + pot_max + abs(shift))
     for i in range(k):
         phi = grids.fix_sign(op.embed(vecs[:, i]) / op.h ** (op.d / 2.0))
         res = grids.norm(op.apply_grid(phi) - lams[i] * phi, op.h)
@@ -247,7 +229,8 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> 
         residuals.append(res)
 
     if k == 1:
-        return SpectralPair(lams[0], None, phis[0], None, residuals[0], None)
+        return SpectralPair(lams[0], None, phis[0], None, residuals[0], None,
+                            degenerate_size=n == 1)
     return SpectralPair(lams[0], lams[1], phis[0], phis[1], residuals[0], residuals[1])
 
 

@@ -12,6 +12,7 @@ Each dump gets a sidecar <path>.json carrying the config and summary stats
 """
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -30,14 +31,26 @@ def _write_header(f, magic: bytes, d: int, dims, h: float):
     f.write(np.float64(h).tobytes())
 
 
-def _read_header(f, magic: bytes):
-    got = f.read(len(magic))
-    if got != magic:
-        raise ValueError(f"bad magic {got!r}, expected {magic!r}")
-    d = int(np.frombuffer(f.read(4), dtype="<u4")[0])
-    dims = tuple(int(x) for x in np.frombuffer(f.read(4 * d), dtype="<u4"))
-    h = float(np.frombuffer(f.read(8), dtype="<f8")[0])
-    return d, dims, h
+def _parse_header(data: bytes, magic: bytes, payload, d_expected=None):
+    """(d, dims, h, payload offset) of a dump whose n-node payload is payload(n) bytes.
+
+    Raises ValueError naming the fault: wrong magic, a d other than
+    d_expected (when given), or a file length other than header + payload.
+    """
+    head = len(magic)
+    if data[:head] != magic:
+        raise ValueError(f"bad magic {data[:head]!r}, expected {magic!r}")
+    d = int.from_bytes(data[head:head + 4], "little")  # a file cut here fails below
+    start = head + 4 * (1 + d) + 8
+    if len(data) < start:
+        raise ValueError(f"dump is {len(data)} bytes, too short for a d={d} header")
+    if d_expected is not None and d != d_expected:
+        raise ValueError(f"dump header has d={d}, the sidecar config d={d_expected}")
+    dims = tuple(int(x) for x in np.frombuffer(data, "<u4", count=d, offset=head + 4))
+    size = start + payload(math.prod(dims))
+    if len(data) != size:
+        raise ValueError(f"dump is {len(data)} bytes, its header's grid {dims} needs {size}")
+    return d, dims, float(np.frombuffer(data, "<f8", count=1, offset=start - 8)[0]), start
 
 
 def save_realization(real: DisorderRealization, path) -> Path:
@@ -77,28 +90,16 @@ def load_realization(path) -> DisorderRealization:
     sidecar = json.loads(Path(str(path) + ".json").read_text())
     config = DisorderConfig(**sidecar["config"])
     data = path.read_bytes()
-    head = len(MAGIC_VAC)
-    if data[:head] != MAGIC_VAC:
-        raise ValueError(f"bad magic {data[:head]!r}, expected {MAGIC_VAC!r}")
-    n = int(np.prod(config.grid_dims))
-    nbytes = (n + 7) // 8
-    size = head + 4 * (1 + config.d) + 8 + nbytes + 4 * n
-    if len(data) != size:
-        raise ValueError(f"dump is {len(data)} bytes, the sidecar's grid "
-                         f"{config.grid_dims} needs {size}")
-    d = int(np.frombuffer(data, "<u4", count=1, offset=head)[0])
-    if d != config.d:
-        raise ValueError(f"dump header has d={d}, the sidecar config d={config.d}")
-    dims = tuple(int(x) for x in np.frombuffer(data, "<u4", count=d, offset=head + 4))
+    d, dims, h, start = _parse_header(data, MAGIC_VAC, lambda n: (n + 7) // 8 + 4 * n, config.d)
     if dims != config.grid_dims:
         raise ValueError("dump dims do not match the sidecar config")
-    h = float(np.frombuffer(data, "<f8", count=1, offset=head + 4 + 4 * d)[0])
     if h != config.grid_spacing:
         raise ValueError(f"dump header has h={h!r}, the sidecar grid spacing "
                          f"{config.grid_spacing!r}")
-    bits = np.frombuffer(data, np.uint8, count=nbytes, offset=size - 4 * n - nbytes)
+    n = math.prod(dims)
+    bits = np.frombuffer(data, np.uint8, count=(n + 7) // 8, offset=start)
     mask = np.unpackbits(bits)[:n].astype(bool).reshape(dims)
-    labels = np.frombuffer(data, "<i4", offset=size - 4 * n).reshape(dims).copy()
+    labels = np.frombuffer(data, "<i4", offset=start + (n + 7) // 8).reshape(dims).copy()
     K = int(sidecar["summary"]["K"])
     if np.any(labels[~mask] != 0):
         raise ValueError("dump labels a blocked node (labels must be 0 exactly there)")
@@ -121,10 +122,10 @@ def save_field(grid: np.ndarray, h: float, path, meta: dict | None = None) -> Pa
 
 
 def load_field(path):
+    """Load a KLEIG1 dump: (grid, h, sidecar); ValueError names a fault."""
     path = Path(path)
-    with open(path, "rb") as f:
-        d, dims, h = _read_header(f, MAGIC_EIG)
-        n = int(np.prod(dims))
-        grid = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(dims).copy()
+    data = path.read_bytes()
+    _, dims, h, start = _parse_header(data, MAGIC_EIG, lambda n: 8 * n)
+    grid = np.frombuffer(data, "<f8", offset=start)
     meta = json.loads(Path(str(path) + ".json").read_text())
-    return grid, h, meta
+    return grid.reshape(dims).copy(), h, meta

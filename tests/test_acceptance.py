@@ -278,7 +278,7 @@ def test_criterion_8_oracle_equivalence():
     v = build_interaction("gaussian", 1.7, 3, 2, real.h, {"width": 0.5})
     H1 = build_manybody_hamiltonian(real, v, N=1)
     spec_many = np.linalg.eigvalsh(H1.matrix.toarray())
-    spec_one = np.linalg.eigvalsh(assemble_laplacian(real).to_dense())
+    spec_one = np.linalg.eigvalsh(assemble_laplacian(real).matrix().toarray())
     diff_spec = float(np.max(np.abs(spec_many - spec_one)))
 
     # N=2 density matrix == first-quantized brute force on M <= 6 sites

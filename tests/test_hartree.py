@@ -5,6 +5,7 @@ import pytest
 
 from kaclab import (
     DisorderConfig,
+    DisorderRealization,
     MaskedOperator,
     SolverError,
     assemble_effective_operator,
@@ -41,7 +42,7 @@ def host_effective_ground_energy(hs, real, v, N):
         mask=real.labels == hs.component, h=real.h,
         potential=hop.potential, diagonal_shift=hop.diagonal_shift,
     )
-    return np.linalg.eigvalsh(host.to_dense())[0]
+    return np.linalg.eigvalsh(host.matrix().toarray())[0] - host.diagonal_shift
 
 
 def brute_double_sum(u, v):
@@ -180,9 +181,8 @@ class TestEffectiveOperator:
         hop = assemble_effective_operator(phi, free_3x3, v, N=2)
         assert hop.diagonal_shift == 0.0
         lap = assemble_laplacian(free_3x3)
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(hop.n_vacant)
-        np.testing.assert_allclose(hop.matvec(x), lap.matvec(x), atol=1e-13)
+        f = np.random.default_rng(2).standard_normal(free_3x3.dims)
+        np.testing.assert_allclose(hop.apply_grid(f), lap.apply_grid(f), atol=1e-13)
 
     def test_quadratic_form_equals_energy(self):
         real = build_realization(
@@ -206,13 +206,24 @@ class TestEffectiveOperator:
             mask=real.labels == 1, h=real.h,
             potential=hop.potential, diagonal_shift=hop.diagonal_shift,
         )
-        dense = other.to_dense()
-        lap = MaskedOperator(mask=real.labels == 1, h=real.h).to_dense()
+        dense = other.matrix().toarray() - hop.diagonal_shift * np.eye(other.n_vacant)
+        lap = MaskedOperator(mask=real.labels == 1, h=real.h).matrix().toarray()
         np.testing.assert_allclose(
             np.linalg.eigvalsh(dense),
             np.linalg.eigvalsh(lap) - hop.diagonal_shift,
             rtol=1e-12,
         )
+
+    def test_one_node_domain(self):
+        # h_u is 1x1: the general spectrum path gives e1 = energy, no e2
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[1, 1] = True
+        real = DisorderRealization.from_mask(tiny_box_config(), mask)
+        v = build_interaction("gaussian", 2.0, 3, 2, real.h, {"width": 0.5})
+        hs = minimize_hartree(real, 1, v, N=3)
+        assert hs.e2 is None
+        assert hs.energy == hs.e1 == 16.60682615108455
+        assert hs.ground_mass_on_component == 1.0
 
     def test_effective_spectrum_zero_coupling(self, two_strip_5):
         v = potential_for(two_strip_5, 0.0)
@@ -275,6 +286,6 @@ class TestEffectiveOperator:
         assert hs.ground_mass_on_component > 0.99
         # the minimizer attains the full-domain ground energy
         hop = assemble_effective_operator(hs.u, real, v, N=2)
-        dense_eigs = np.linalg.eigvalsh(hop.to_dense())
+        dense_eigs = np.linalg.eigvalsh(hop.matrix().toarray()) - hop.diagonal_shift
         assert hs.e1 == pytest.approx(dense_eigs[0], rel=1e-10)
         assert hs.energy == pytest.approx(dense_eigs[0], abs=1e-8)

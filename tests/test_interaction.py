@@ -156,27 +156,29 @@ class TestConvolution:
         dens = np.zeros((11, 11))
         x0 = (5, 6)
         dens[x0] = 1.0 / v.h**2
-        out = convolve_density(dens, v, method="direct")
+        out = convolve_density(dens, v)
         R = v.stencil_radius
         for off in np.ndindex(v.values.shape):
             node = (x0[0] + off[0] - R, x0[1] + off[1] - R)
             if 0 <= node[0] < 11 and 0 <= node[1] < 11:
                 assert out[node] == pytest.approx(v.values[off], abs=1e-14)
 
-    def test_random_density_matches_bruteforce(self):
-        v = gaussian(kappa=2.0, N=12, h=0.5, width=0.6)
-        rng = np.random.default_rng(3)
-        dens = rng.random((12, 12))
-        out = convolve_density(dens, v, method="direct")
+    @pytest.mark.parametrize(
+        "shape, kappa, N, d, h, width, seed",
+        [
+            ((12, 12), 2.0, 12, 2, 0.5, 0.6, 3),
+            # stencil radius 16: the stencil is wider than the grid
+            ((17, 17), 1.0, 20, 2, 0.25, 0.5, 4),
+            ((5, 5, 5), 2.0, 16, 3, 0.5, 0.6, 8),
+        ],
+        ids=["d2_12x12", "d2_17x17_wide_stencil", "d3_5x5x5"],
+    )
+    def test_random_density_matches_bruteforce(self, shape, kappa, N, d, h, width, seed):
+        v = gaussian(kappa=kappa, N=N, d=d, h=h, width=width)
+        assert len(shape) == v.d
+        dens = np.random.default_rng(seed).random(shape)
+        out = convolve_density(dens, v)
         np.testing.assert_allclose(out, brute_convolution(dens, v), atol=1e-12)
-
-    def test_fft_equals_direct(self):
-        v = gaussian(kappa=1.0, N=20, h=0.25, width=0.5)
-        rng = np.random.default_rng(4)
-        dens = rng.random((17, 17))
-        a = convolve_density(dens, v, method="direct")
-        b = convolve_density(dens, v, method="fft")
-        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_linearity(self):
         v = gaussian(kappa=1.0, N=20, h=0.5, width=0.5)

@@ -44,8 +44,9 @@ class TestOperator:
         mask[1, 1] = True
         real = DisorderRealization.from_mask(config, mask)
         op = assemble_laplacian(real)
-        x = np.array([1.0])
-        assert op.matvec(x)[0] == pytest.approx(4.0 / real.h**2, rel=1e-15)
+        assert op.matrix().toarray().tolist() == [[4.0 / real.h**2]]
+        out = op.restrict(op.apply_grid(op.embed(np.array([1.0]))))
+        assert out[0] == pytest.approx(4.0 / real.h**2, rel=1e-15)
 
     def test_matvec_symmetry_random_vectors(self):
         real = build_realization(
@@ -55,22 +56,38 @@ class TestOperator:
         rng = np.random.default_rng(0)
         worst = 0.0
         for _ in range(100):
-            x = rng.standard_normal(op.n_vacant)
-            y = rng.standard_normal(op.n_vacant)
-            xay = x @ op.matvec(y)
-            axy = op.matvec(x) @ y
+            x = rng.standard_normal(real.dims)
+            y = rng.standard_normal(real.dims)
+            xay = np.sum(x * op.apply_grid(y))
+            axy = np.sum(op.apply_grid(x) * y)
             worst = max(worst, abs(xay - axy) / max(abs(xay), 1e-300))
         assert worst < 1e-12
 
-    def test_csr_matches_matvec(self):
+    def test_matrix_is_the_loop_stencil(self):
         real = build_realization(
             tiny_box_config(N=16, L=4.0, h=0.25, nu=0.5, r=0.4, seed=4)
         )
+        assert 0 < real.n_vacant < real.mask.size  # disordered
         op = assemble_laplacian(real)
-        mat = op.to_csr()
+        assert np.array_equal(op.matrix().toarray(), dense_laplacian(real.mask, real.h)[0])
+
+    def test_apply_grid_is_matrix_minus_shift(self):
+        # the two forms of an effective operator: the matrix-free product of
+        # the whole operator and the sparse matrix of its unshifted part
+        real = build_realization(
+            tiny_box_config(N=16, L=4.0, h=0.25, nu=0.5, r=0.4, seed=4)
+        )
         rng = np.random.default_rng(1)
+        op = MaskedOperator(
+            mask=real.mask, h=real.h,
+            potential=rng.uniform(0.0, 5.0, real.dims), diagonal_shift=3.7,
+        )
         x = rng.standard_normal(op.n_vacant)
-        np.testing.assert_allclose(mat @ x, op.matvec(x), atol=1e-12)
+        np.testing.assert_allclose(
+            op.restrict(op.apply_grid(op.embed(x))),
+            op.matrix() @ x - op.diagonal_shift * x,
+            rtol=0.0, atol=1e-12,
+        )
 
     def test_free_box_dense_oracle_full_spectrum(self):
         # 8x8 interior grid: all 64 eigenvalues have the sine closed form
@@ -292,7 +309,7 @@ class TestSparseFactorization:
         # factor keeps its fill but takes ~2.5x longer than SuperLU's default
         # on these 6,640 nodes, where symmetric mode takes ~3x less
         config = DisorderConfig(d=3, rho=1.0, N=512, nu=0.05, r=0.5, h=0.4, seed=2024)
-        mat = assemble_laplacian(build_realization(config)).to_csr(include_shift=False).tocsc()
+        mat = assemble_laplacian(build_realization(config)).matrix()
         best = {"spd": np.inf, "default": np.inf}
         for _ in range(3):
             for name, kwargs in (("spd", SPD_LU_OPTIONS), ("default", {})):

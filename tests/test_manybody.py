@@ -88,7 +88,7 @@ class TestHamiltonian:
         v = potential_for(real, kappa=1.3, N=2)
         H = build_manybody_hamiltonian(real, v, N=1)
         assert H.basis_dim == real.n_vacant
-        one_body = assemble_laplacian(real).to_dense()
+        one_body = assemble_laplacian(real).matrix().toarray()
         np.testing.assert_allclose(
             np.linalg.eigvalsh(H.matrix.toarray()),
             np.linalg.eigvalsh(one_body),

@@ -140,3 +140,37 @@ def test_single_byte_truncation_or_extension_rejected(tmp_path_factory, mask, ex
     path.write_bytes(data + bytes([byte]) if extend else data[:-1])
     with pytest.raises(ValueError, match="bytes"):
         load_realization(path)
+
+
+@pytest.mark.parametrize("change", [1, 8, -1, -8], ids=["plus1", "plus8", "cut1", "cut8"])
+def test_field_with_appended_or_cut_bytes_rejected(tmp_path, change):
+    path = save_field(np.arange(12.0).reshape(3, 4), 0.5, tmp_path / "phi.kleig")
+    data = path.read_bytes()
+    path.write_bytes(data + b"\x00" * change if change > 0 else data[:change])
+    with pytest.raises(ValueError, match=f"dump is {len(data) + change} bytes"):
+        load_field(path)
+
+
+fields = st.integers(1, 3).flatmap(
+    lambda d: arrays(float, st.tuples(*[st.integers(1, 5)] * d),
+                     elements=st.floats(allow_nan=False))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=fields, h=st.floats(1e-3, 10.0))
+def test_field_roundtrip_property(tmp_path_factory, grid, h):
+    path = save_field(grid, h, tmp_path_factory.mktemp("rt") / "phi.kleig", {"k": 1})
+    loaded, h_loaded, meta = load_field(path)
+    assert np.array_equal(loaded, grid) and loaded.shape == grid.shape
+    assert h_loaded == h and meta == {"format": "KLEIG1", "k": 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=fields, extend=st.booleans(), byte=st.integers(0, 255))
+def test_field_single_byte_truncation_or_extension_rejected(tmp_path_factory, grid, extend, byte):
+    path = save_field(grid, 0.5, tmp_path_factory.mktemp("cut") / "phi.kleig")
+    data = path.read_bytes()
+    path.write_bytes(data + bytes([byte]) if extend else data[:-1])
+    with pytest.raises(ValueError, match="bytes"):
+        load_field(path)
