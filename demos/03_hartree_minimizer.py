@@ -10,23 +10,16 @@ import numpy as np
 
 from kaclab import (
     DisorderConfig,
-    assemble_laplacian,
-    build_interaction,
-    build_realization,
-    ground_state_component,
-    lowest_eigenpairs,
+    PipelineResult,
     minimize_hartree,
     minimize_hartree_scf,
+    run_pipeline,
 )
 from kaclab import grids
 
 config = DisorderConfig(d=2, rho=1.0, N=128, nu=0.2, r=0.5, h=0.25, seed=3)
-real = build_realization(config)
-pair = lowest_eigenpairs(assemble_laplacian(real))
-sel = ground_state_component(real, pair)
-v = build_interaction("gaussian", 0.8, config.N, 2, real.h, {"width": 0.5})
-
-hs = minimize_hartree(real, sel.component, v, config.N)
+res = run_pipeline(PipelineResult(config), {"kind": "gaussian", "kappa": 0.8, "width": 0.5})
+real, pair, sel, v, hs = res.real, res.pair, res.selection, res.v, res.hartree
 print(f"component {hs.component}: energy = {hs.energy:.8f} "
       f"(Dirichlet lambda1 = {pair.lambda1:.8f})")
 print(f"converged in {hs.iterations} iterations, "

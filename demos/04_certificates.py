@@ -10,24 +10,15 @@ import json
 
 from kaclab import (
     DisorderConfig,
-    assemble_laplacian,
+    PipelineResult,
     build_certificate,
-    build_interaction,
-    build_realization,
     certificate_assertions,
-    ground_state_component,
-    lowest_eigenpairs,
-    minimize_hartree,
+    run_pipeline,
 )
 
 config = DisorderConfig(d=2, rho=1.0, N=96, nu=0.2, r=0.5, h=0.25, seed=21)
-real = build_realization(config)
-pair = lowest_eigenpairs(assemble_laplacian(real))
-sel = ground_state_component(real, pair)
-v = build_interaction("gaussian", 0.3, config.N, 2, real.h, {"width": 0.5})
-hs = minimize_hartree(real, sel.component, v, config.N)
-
-cert = build_certificate(real, pair, v, hs, eta=0.1, sigma_ref=1.0)
+res = run_pipeline(PipelineResult(config), {"kind": "gaussian", "kappa": 0.3, "width": 0.5})
+cert = build_certificate(res.real, res.pair, res.v, res.hartree, eta=0.1, sigma_ref=1.0)
 print(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
 
 print("\nasserted inequalities:")

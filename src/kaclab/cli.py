@@ -1,6 +1,7 @@
 """Command line entry point.
 
-Subcommands: sample, spectrum, hartree, certify, oracle, ensemble, sweep.
+build_parser is the one command table: each subcommand's parser carries its
+handler, and a command's own flags reach that handler as keyword arguments.
 Runs are driven by a JSON config file with dotted --set overrides; every run
 directory receives the fully resolved config echo and a version stamp so
 results stay auditable.  Exit codes: 0 success, 1 asserted-certificate
@@ -71,22 +72,11 @@ class RunConfig:
         return dict(self.data["potential"])
 
     def ensemble_spec(self) -> EnsembleSpec:
-        ens = self.data["ensemble"]
-        dis = dict(self.data["disorder"])
-        dis.pop("seed", None)
-        return EnsembleSpec(
-            base=dis,
-            potential=self.potential_spec(),
-            seeds=ens["seeds"],
-            master_seed=ens["master_seed"],
-            N_values=list(ens["N_values"]),
-            eta=ens["eta"],
-            sigma_ref=ens["sigma_ref"],
-            eig_tol=self.data["solver"]["eig_tol"],
-            el_tol=self.data["solver"]["el_tol"],
-            max_iter=self.data["solver"]["max_iter"],
-            workers=ens["workers"],
-        )
+        # the solver and ensemble sections hold EnsembleSpec fields by name
+        data = self.to_dict()
+        del data["disorder"]["seed"]
+        return EnsembleSpec(base=data["disorder"], potential=data["potential"],
+                            **data["solver"], **data["ensemble"])
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(self.data))
@@ -177,16 +167,17 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     pair = lowest_eigenpairs(assemble_laplacian(real), count=2,
                              tol=cfg.data["solver"]["eig_tol"])
     sel = ground_state_component(real, pair)
+    component = "multiple" if sel.multiple else sel.component
     meta = {
         "eigenvalues": [pair.lambda1, pair.lambda2],
         "residuals": [pair.residual1, pair.residual2],
-        "component": pair.component_of_phi1,
+        "component": component,
     }
     storage.save_field(pair.phi1, real.h, out / "phi1.kleig", {**meta, "index": 1})
     if pair.phi2 is not None:
         storage.save_field(pair.phi2, real.h, out / "phi2.kleig", {**meta, "index": 2})
     print(f"lambda1={pair.lambda1:.9g} lambda2={pair.lambda2} "
-          f"component={pair.component_of_phi1} mass_outside={sel.mass_outside:.3e}")
+          f"component={component} mass_outside={sel.mass_outside:.3e}")
     return EXIT_OK
 
 
@@ -204,6 +195,13 @@ def cmd_hartree(cfg: RunConfig, out: Path, dump_state=False) -> int:
     return EXIT_OK
 
 
+def _exact_oracle(cfg: RunConfig, real, v, N: int):
+    """Exact N-boson ground state under the oracle basis cap, and its rho1."""
+    gs = ground_state(build_manybody_hamiltonian(real, v, N,
+                                                 cap=cfg.data["oracle"]["basis_cap"]))
+    return gs, one_body_density_matrix(gs)
+
+
 def cmd_certify(cfg: RunConfig, out: Path, with_oracle=False) -> int:
     res = run_pipeline(PipelineResult(cfg.disorder_config()), cfg.potential_spec(),
                        **cfg.data["solver"])
@@ -212,10 +210,7 @@ def cmd_certify(cfg: RunConfig, out: Path, with_oracle=False) -> int:
     if with_oracle:
         # the exact check only makes sense for the same N-particle problem,
         # so the config N must be small enough for the basis cap
-        H = build_manybody_hamiltonian(real, v, config.N,
-                                       cap=cfg.data["oracle"]["basis_cap"])
-        gs = ground_state(H)
-        rho1 = one_body_density_matrix(gs)
+        gs, rho1 = _exact_oracle(cfg, real, v, config.N)
         n_cond = condensate_occupation(rho1, hs.u, real, config.N)
         oracle = {"E_qm": gs.E_qm, "n_condensate": n_cond}
     cert = build_certificate(real, pair, v, hs,
@@ -241,9 +236,7 @@ def cmd_oracle(cfg: RunConfig, out: Path, realization=None, dump_state=False) ->
         real = _nonempty(build_realization(config))
     N = cfg.data["oracle"]["N"]
     v = potential_from_spec(cfg.potential_spec(), N, config.d, real.h)
-    H = build_manybody_hamiltonian(real, v, N, cap=cfg.data["oracle"]["basis_cap"])
-    gs = ground_state(H)
-    rho1 = one_body_density_matrix(gs)
+    gs, rho1 = _exact_oracle(cfg, real, v, N)
     summary = {
         "N": N,
         "site_count": gs.site_count,
@@ -286,6 +279,9 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
+_COMMON = ("command", "handler", "config", "overrides", "output_dir")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kaclab",
@@ -294,62 +290,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"kaclab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("sample", "sample a disorder realization and dump it"),
-        ("spectrum", "two lowest Dirichlet eigenpairs on the vacancy set"),
-        ("hartree", "minimize the Hartree energy on the host component"),
-        ("certify", "run the pipeline and evaluate all certificates"),
-        ("oracle", "exact few-boson diagonalization on a small realization"),
-        ("ensemble", "Monte Carlo over seeds with event frequencies"),
-        ("sweep", "N sweep with medians and scaling fits"),
-    ]:
+
+    def command(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("-c", "--config", default=None, help="JSON config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY.PATH=VALUE", help="override a config entry")
         p.add_argument("-o", "--output-dir", default=None)
-        if name == "certify":
-            p.add_argument("--with-oracle", action="store_true",
-                           help="also run the exact diagonalization checks")
-        if name == "oracle":
-            p.add_argument("--realization", default=None,
-                           help="path to a KLVAC1 dump to reuse")
-            p.add_argument("--dump-state", action="store_true")
-        if name == "hartree":
-            p.add_argument("--dump-state", action="store_true")
+        return p
+
+    command("sample", cmd_sample, "sample a disorder realization and dump it")
+    command("spectrum", cmd_spectrum, "two lowest Dirichlet eigenpairs on the vacancy set")
+    p = command("hartree", cmd_hartree, "minimize the Hartree energy on the host component")
+    p.add_argument("--dump-state", action="store_true")
+    p = command("certify", cmd_certify, "run the pipeline and evaluate all certificates")
+    p.add_argument("--with-oracle", action="store_true",
+                   help="also run the exact diagonalization checks")
+    p = command("oracle", cmd_oracle, "exact few-boson diagonalization on a small realization")
+    p.add_argument("--realization", default=None, help="path to a KLVAC1 dump to reuse")
+    p.add_argument("--dump-state", action="store_true")
+    command("ensemble", cmd_ensemble, "Monte Carlo over seeds with event frequencies")
+    command("sweep", cmd_sweep, "N sweep with medians and scaling fits")
     return parser
 
 
-def dispatch(command: str, cfg: RunConfig, **kwargs) -> int:
-    out = _prepare_run_dir(cfg)
-    handlers = {
-        "sample": cmd_sample,
-        "spectrum": cmd_spectrum,
-        "hartree": cmd_hartree,
-        "certify": cmd_certify,
-        "oracle": cmd_oracle,
-        "ensemble": cmd_ensemble,
-        "sweep": cmd_sweep,
-    }
-    return handlers[command](cfg, out, **kwargs)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # what the common options leave is the command's own flags
+    flags = {k: v for k, v in vars(args).items() if k not in _COMMON}
     try:
         cfg = parse_config(args.config, args.overrides)
         if args.output_dir is not None:
             cfg.data["output_dir"] = args.output_dir
-        kwargs = {}
-        if args.command == "certify":
-            kwargs["with_oracle"] = args.with_oracle
-        if args.command == "oracle":
-            kwargs["realization"] = args.realization
-            kwargs["dump_state"] = args.dump_state
-        if args.command == "hartree":
-            kwargs["dump_state"] = args.dump_state
-        return dispatch(args.command, cfg, **kwargs)
+        return args.handler(cfg, _prepare_run_dir(cfg), **flags)
     except (ConfigError, BasisSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,7 +14,6 @@ and all sweeps are labeled exploratory.
 """
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -71,14 +70,6 @@ def derive_seeds(master_seed: int, count: int) -> list:
     """Splittable per-realization seeds from one master seed."""
     ss = np.random.SeedSequence(master_seed)
     return [int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(count)]
-
-
-def worker_budget(requested: int) -> int:
-    """Requested worker count capped by the KL_WORKERS environment variable."""
-    cap = os.environ.get("KL_WORKERS")
-    if cap is not None:
-        return max(1, min(requested, int(cap)))
-    return max(1, requested)
 
 
 @dataclass
@@ -216,7 +207,7 @@ def run_ensemble(spec: EnsembleSpec, N: Optional[int] = None) -> list:
     jobs = [
         ({**base, "seed": seed}, spec.potential, kwargs) for seed in spec.seed_list()
     ]
-    workers = worker_budget(spec.workers)
+    workers = max(1, spec.workers)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_job, jobs))

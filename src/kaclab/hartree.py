@@ -184,9 +184,10 @@ def minimize_hartree(
 
     lap is the Dirichlet Laplacian of the whole vacancy set (built from real
     when not given); P solves with its factor, so the spectrum's factor is
-    reused.  -Lap is block-diagonal over components and u and the residual
-    live on the component, so its stencil and its factor act there exactly as
-    the component's own.  For the same reason |phi1| of the whole vacancy
+    reused, and the converged flow drops it from lap.  -Lap is
+    block-diagonal over components and u and the residual live on the
+    component, so its stencil and its factor act there exactly as the
+    component's own.  For the same reason |phi1| of the whole vacancy
     set, restricted to the component, is already the component's ground state
     whenever that component attains lambda1 (also when phi1 is spread over
     several); passing it as init saves that eigensolve.
@@ -218,8 +219,8 @@ def minimize_hartree(
         if not np.isfinite(residual):
             raise SolverError("NaN in Hartree gradient", trace=trace)
         if residual < tol:
-            return _finalize(u, real, component, v, N, it - 1, residual, trace,
-                             energy, eig_tol)
+            iterations = it - 1
+            break
 
         z = lap.embed(lap.factor.solve(lap.restrict(resid)))
         direction = z - grids.inner(u, z, real.h) * u
@@ -243,21 +244,27 @@ def minimize_hartree(
         if not accepted:
             if residual < 100.0 * tol:
                 # stuck in float noise near the minimum but residual is tiny
-                return _finalize(u, real, component, v, N, it, residual, trace,
-                                 energy, eig_tol)
+                iterations = it
+                break
             raise SolverError(
                 f"backtracking stalled at iteration {it} "
                 f"(residual {residual:.3e})",
                 residuals=[residual],
                 trace=trace,
             )
+    else:
+        raise SolverError(
+            f"Hartree flow did not reach residual {tol:.1e} in {max_iter} "
+            f"iterations (last residual {residual:.3e})",
+            residuals=[residual],
+            trace=trace,
+        )
 
-    raise SolverError(
-        f"Hartree flow did not reach residual {tol:.1e} in {max_iter} "
-        f"iterations (last residual {residual:.3e})",
-        residuals=[residual],
-        trace=trace,
-    )
+    # the flow is done with the Laplacian's factor, if it was built: drop it
+    # before _finalize factorizes h_u, so the two are never held at once
+    vars(lap).pop("factor", None)
+    return _finalize(u, real, component, v, N, iterations, residual, trace,
+                     energy, eig_tol)
 
 
 def minimize_hartree_scf(

@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
-from scipy.special import gammaincc
 
 from .errors import ConfigError
 
@@ -44,13 +43,10 @@ class InteractionPotential:
     stencil_radius: int
     l1_norm: float
     v_at_zero: float
-    scaling_tag: str
     pos_def: bool
     fourier_min: float
     fourier_max: float
-    fourier_l1: float
     v0_from_fourier: float
-    truncation_mass_fraction: float
 
     def value_at_offset(self, offset) -> float:
         """v at an integer grid offset; zero outside the stencil."""
@@ -117,7 +113,6 @@ def build_interaction(
         raise ConfigError(f"h={h} must be positive")
 
     scale = kappa / (N * math.log(N) ** (2.0 / d))
-    truncation_fraction = 0.0
 
     if kind == "gaussian":
         width = float(params.pop("width", 1.0))
@@ -128,7 +123,6 @@ def build_interaction(
         rr = _offset_radii(R, d, h)
         base = np.exp(-(rr**2) / (2.0 * width**2))
         base[rr > truncation * width] = 0.0
-        truncation_fraction = float(gammaincc(d / 2.0, truncation**2 / 2.0))
     elif kind == "top_hat":
         radius = float(params.pop("radius", 1.0))
         allow = bool(params.pop("allow_non_posdef", False))
@@ -185,13 +179,10 @@ def build_interaction(
         stencil_radius=R,
         l1_norm=l1,
         v_at_zero=v0,
-        scaling_tag=f"kappa*V/(N (ln N)^(2/{d}))",
         pos_def=pos_def,
         fourier_min=fmin,
         fourier_max=fmax,
-        fourier_l1=fl1,
         v0_from_fourier=(2.0 * math.pi) ** (-d / 2.0) * fl1,
-        truncation_mass_fraction=truncation_fraction,
     )
 
 

@@ -13,9 +13,9 @@ shift-invert ARPACK on that factor, and the Hartree flow preconditions with
 the Laplacian's factor, the same object.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -151,14 +151,7 @@ class SpectralPair:
     phi2: Optional[np.ndarray]
     residual1: float
     residual2: Optional[float]
-    component_of_phi1: Union[int, str, None] = None
     degenerate_size: bool = False
-
-    @property
-    def gap(self) -> Optional[float]:
-        if self.lambda2 is None:
-            return None
-        return self.lambda2 - self.lambda1
 
     @property
     def numerically_degenerate(self) -> bool:
@@ -241,7 +234,6 @@ class ComponentSelection:
     component: int
     mass_outside: float
     multiple: bool
-    masses: dict = field(default_factory=dict)
 
 
 def ground_state_component(real, pair: SpectralPair) -> ComponentSelection:
@@ -261,9 +253,7 @@ def ground_state_component(real, pair: SpectralPair) -> ComponentSelection:
     total = float(np.sum(weights))
     mass_outside = max(total - masses[component], 0.0)
     multiple = mass_outside > 0.01 or pair.numerically_degenerate
-    sel = ComponentSelection(component, mass_outside, multiple, masses)
-    pair.component_of_phi1 = "multiple" if multiple else component
-    return sel
+    return ComponentSelection(component, mass_outside, multiple)
 
 
 @dataclass

@@ -21,7 +21,6 @@ desk-scale instances (the basis dimension C(M+N-1, N) is capped).
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -75,7 +74,6 @@ class ManyBodyHamiltonian:
     matrix: sp.csr_matrix
     N: int
     sites: np.ndarray       # row-major flat indices of vacant nodes
-    positions: np.ndarray   # (M, d) integer node multi-indices
     states: np.ndarray      # (D, N) sorted site tuples, lex order; row = rank
     h: float
     d: int
@@ -91,7 +89,7 @@ class ManyBodyHamiltonian:
 
 @dataclass
 class ManyBodyGroundState:
-    """Ground energy and state, with the reduced one-particle data."""
+    """Ground energy and state of an assembled Hamiltonian."""
 
     N: int
     site_count: int
@@ -99,8 +97,6 @@ class ManyBodyGroundState:
     E_qm: float
     psi: np.ndarray
     hamiltonian: ManyBodyHamiltonian
-    rho1: Optional[np.ndarray] = None
-    n_condensate: Optional[float] = None
 
 
 def build_manybody_hamiltonian(
@@ -178,7 +174,6 @@ def build_manybody_hamiltonian(
         matrix=mat.tocsr(),
         N=N,
         sites=sites,
-        positions=positions,
         states=states,
         h=h,
         d=d,
@@ -188,10 +183,7 @@ def build_manybody_hamiltonian(
 def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
     """Lowest eigenpair of the assembled Hamiltonian, sign-fixed."""
     dim = H.basis_dim
-    if dim == 1:
-        E = float(H.matrix[0, 0])
-        psi = np.ones(1)
-    elif dim <= DENSE_CUTOFF:
+    if dim <= DENSE_CUTOFF:
         vals, vecs = scipy.linalg.eigh(H.matrix.toarray(), subset_by_index=(0, 0))
         E, psi = float(vals[0]), vecs[:, 0]
     else:
@@ -230,9 +222,7 @@ def one_body_density_matrix(gs: ManyBodyGroundState) -> np.ndarray:
         i = np.flatnonzero(first[:, p])
         rest = np.delete(H.states[i], p, axis=1)
         B[rank(rest), H.states[i, p]] = np.sqrt(occ[i, p]) * gs.psi[i]
-    rho = B.T @ B / N
-    gs.rho1 = rho
-    return rho
+    return B.T @ B / N
 
 
 def condensate_occupation(rho1: np.ndarray, u: np.ndarray, real, N: int) -> float:

@@ -1,10 +1,16 @@
-"""CLI: config parsing, subcommand dispatch, exit codes."""
+"""CLI: config parsing, the command table, exit codes."""
 
+import argparse
 import json
 
+import numpy as np
 import pytest
 
-from kaclab.cli import EXIT_CERT, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main, parse_config
+import kaclab.cli as cli_mod
+from kaclab import EnsembleSpec
+from kaclab.cli import (
+    EXIT_CERT, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main, parse_config,
+)
 from kaclab.errors import ConfigError
 from kaclab.interaction import potential_from_spec
 from kaclab.storage import load_field
@@ -62,6 +68,39 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(path, overrides=["disorder.bogus=1"])
 
+    def test_ensemble_spec_takes_every_section_key(self, tmp_path):
+        given = {
+            "solver": {"el_tol": 3e-7, "eig_tol": 2e-10, "max_iter": 77},
+            "ensemble": {"seeds": [5, 9], "master_seed": 11, "N_values": [8, 16, 32],
+                         "eta": 0.2, "sigma_ref": 1.5, "workers": 3},
+        }
+        cfg = parse_config(write_config(tmp_path, **given))
+        spec = cfg.ensemble_spec()
+        defaults = EnsembleSpec(base={}, potential={})
+        for section, values in given.items():
+            assert set(values) == set(cfg.data[section])
+            for key, value in values.items():
+                assert value != getattr(defaults, key)
+                assert getattr(spec, key) == value
+        disorder = dict(cfg.data["disorder"])
+        del disorder["seed"]
+        assert spec.base == disorder
+        assert spec.potential == cfg.data["potential"]
+
+
+class TestCommandTable:
+    def test_every_handler_is_a_registered_command(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        registered = [p.get_default("handler") for p in sub.choices.values()]
+        handlers = {obj for name, obj in vars(cli_mod).items() if name.startswith("cmd_")}
+        assert len(registered) == len(handlers) == 7
+        assert set(registered) == handlers
+        for argv in [["--help"]] + [[name, "--help"] for name in sub.choices]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+
 
 class TestSubcommands:
     def test_sample_writes_dump(self, tmp_path, capsys):
@@ -117,6 +156,16 @@ class TestSubcommands:
         summary = json.loads((out / "oracle.json").read_text())
         assert summary["basis_dim"] == 49 * 50 // 2
         assert summary["rho1_trace"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_oracle_dump_state_writes_psi(self, tmp_path):
+        path = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["oracle", "-c", str(path), "-o", str(out),
+                     "--dump-state"]) == EXIT_OK
+        summary = json.loads((out / "oracle.json").read_text())
+        psi = np.load(out / "oracle_psi.npy")
+        assert psi.shape == (summary["basis_dim"],)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_oracle_over_cap_exits_2_with_dimension(self, tmp_path, capsys):
         path = write_config(tmp_path)

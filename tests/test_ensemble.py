@@ -11,7 +11,6 @@ from kaclab.ensemble import (
     estimate_event_probabilities,
     scaling_sweep,
     wilson_interval,
-    worker_budget,
 )
 
 BASE = {"d": 2, "rho": 1.0, "N": 16, "nu": 0.3, "r": 0.6, "h": 0.5}
@@ -110,12 +109,6 @@ class TestEnsemble:
         assert a == b
         assert len(set(a)) == 50
 
-    def test_worker_budget_env_cap(self, monkeypatch):
-        monkeypatch.setenv("KL_WORKERS", "2")
-        assert worker_budget(8) == 2
-        monkeypatch.delenv("KL_WORKERS")
-        assert worker_budget(3) == 3
-
 
 class TestEventProbabilities:
     def test_obstacle_free_probabilities_are_one(self):
@@ -190,12 +183,10 @@ class TestGoldenSchema:
 
 
 class TestParallelExecution:
-    def test_two_workers_match_serial(self, monkeypatch):
+    def test_two_workers_match_serial(self):
         for base, count in ((BASE, 6), (ARPACK_BASE, 2)):
-            monkeypatch.setenv("KL_WORKERS", "2")
             seeds = derive_seeds(99, count)
             parallel = run_ensemble(spec_with(base=base, seeds=seeds, workers=2))
-            monkeypatch.setenv("KL_WORKERS", "1")
             serial = run_ensemble(spec_with(base=base, seeds=seeds, workers=1))
             assert json.dumps(parallel, sort_keys=True) == json.dumps(
                 serial, sort_keys=True

@@ -145,6 +145,20 @@ class TestGroundState:
         n_cond = condensate_occupation(rho1, hs.u, real, N)
         assert 1.0 - n_cond / N < 1e-10
 
+    def test_one_site_is_the_diagonal_entry(self):
+        # a 1x1 Hamiltonian goes through eigh like any other: the entry exactly
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[1, 1] = True
+        real = DisorderRealization.from_mask(tiny_box_config(), mask)
+        H = build_manybody_hamiltonian(real, potential_for(real, kappa=2.0, N=3), N=3)
+        gs = ground_state(H)
+        assert gs.E_qm == H.matrix[0, 0]
+        assert np.array_equal(gs.psi, [1.0])
+        # rho1 = sqrt(3)^2 / 3, one rounding off 1
+        rho1 = one_body_density_matrix(gs)
+        assert rho1.shape == (1, 1)
+        assert rho1[0, 0] == pytest.approx(1.0, rel=0, abs=4 * np.finfo(float).eps)
+
     def test_product_state_upper_bound(self, corner_blocked_6):
         # E_qm <= N e1 with the Hartree product trial state, every instance
         real = corner_blocked_6
