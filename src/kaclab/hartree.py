@@ -194,17 +194,21 @@ def minimize_hartree(
     """
     comp_mask, u = _initial_state(real, component, init, eig_tol)
     eps = np.finfo(float).eps
+    h = real.h
     if lap is None:
         lap = assemble_laplacian(real)
 
     def energy_and_potential(w):
+        # the stencil product is returned too: the gradient at an accepted
+        # state reuses it instead of applying the stencil again
         dens = w * w
         W = (N - 1) * convolve_density(dens, v)
-        kin = grids.inner(w, lap.apply_grid(w), real.h)
-        inter = 0.5 * grids.inner(dens, W, real.h)
-        return kin + inter, W
+        Lw = lap.apply_grid(w)
+        kin = grids.inner(w, Lw, h)
+        inter = 0.5 * grids.inner(dens, W, h)
+        return kin + inter, W, Lw
 
-    energy, W = energy_and_potential(u)
+    energy, W, Lu = energy_and_potential(u)
     trace = [energy]
 
     tau = 1.0
@@ -212,10 +216,10 @@ def minimize_hartree(
     residual = np.inf
 
     for it in range(1, max_iter + 1):
-        g = lap.apply_grid(u) + W * u
-        rayleigh = grids.inner(u, g, real.h)
+        g = Lu + W * u
+        rayleigh = grids.inner(u, g, h)
         resid = g - rayleigh * u
-        residual = grids.norm(resid, real.h)
+        residual = grids.norm(resid, h)
         if not np.isfinite(residual):
             raise SolverError("NaN in Hartree gradient", trace=trace)
         if residual < tol:
@@ -223,19 +227,19 @@ def minimize_hartree(
             break
 
         z = lap.embed(lap.factor.solve(lap.restrict(resid)))
-        direction = z - grids.inner(u, z, real.h) * u
+        direction = z - grids.inner(u, z, h) * u
 
         accepted = False
         for _ in range(40):
             w = np.clip(u - tau * direction, 0.0, None)
-            nw = grids.norm(w, real.h)
+            nw = grids.norm(w, h)
             if nw == 0.0:
                 tau *= 0.5
                 continue
             w /= nw
-            new_energy, new_W = energy_and_potential(w)
+            new_energy, new_W, new_Lw = energy_and_potential(w)
             if new_energy <= energy + 8.0 * eps * max(1.0, abs(energy)):
-                u, energy, W = w, new_energy, new_W
+                u, energy, W, Lu = w, new_energy, new_W, new_Lw
                 trace.append(energy)
                 tau = min(tau * 1.3, tau_max)
                 accepted = True

@@ -13,12 +13,11 @@ Quadrature conventions: integrals carry h^d per integration variable, so
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import ConfigError
 
@@ -30,8 +29,13 @@ class InteractionPotential:
     """Sampled pair potential with norms and Fourier diagnostics.
 
     values is the (2R+1)^d stencil of v at offsets (-R..R) * h; entries beyond
-    the truncation radius are zero.  Immutable after construction; safe for
-    concurrent reads.
+    the truncation radius are zero.  The fields are not changed after
+    construction.  The one mutable part is the spectrum cache that
+    convolve_density fills: a dict from padded FFT shape to the rfftn of
+    values at that shape, computed on first use and stored read-only.
+    Concurrent reads stay safe: an entry is inserted whole under the GIL, and
+    two callers that race on a missing shape compute equal arrays, so either
+    one may win.
     """
 
     kind: str
@@ -47,6 +51,7 @@ class InteractionPotential:
     fourier_min: float
     fourier_max: float
     v0_from_fourier: float
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def value_at_offset(self, offset) -> float:
         """v at an integer grid offset; zero outside the stencil."""
@@ -237,9 +242,22 @@ def convolve_density(density: np.ndarray, v: InteractionPotential) -> np.ndarray
 
     By FFT, exact to roundoff.  The sum runs over the full stencil including
     blocked nodes: densities vanish there, and the output is meaningful on
-    every vacant node.
+    every vacant node.  Both factors are zero-padded to the fast real-FFT
+    length of the full linear convolution, and the centered grid-sized block
+    is kept, which is what scipy.signal.fftconvolve(mode="same") computes bit
+    for bit when every grid axis has two or more nodes.  The kernel's
+    spectrum at that padded shape is computed once per potential.
     """
     density = np.asarray(density, dtype=float)
     if density.ndim != v.d:
         raise ValueError("density dimensionality does not match the potential")
-    return fftconvolve(density, v.values, mode="same") * v.h**v.d
+    full = [s + k - 1 for s, k in zip(density.shape, v.values.shape)]
+    fshape = tuple(next_fast_len(n, real=True) for n in full)
+    kernel = v._spectra.get(fshape)
+    if kernel is None:
+        kernel = rfftn(v.values, fshape)
+        kernel.flags.writeable = False
+        v._spectra[fshape] = kernel
+    conv = irfftn(rfftn(density, fshape) * kernel, fshape)
+    same = tuple(slice((n - s) // 2, (n - s) // 2 + s) for n, s in zip(full, density.shape))
+    return conv[same] * v.h**v.d

@@ -26,7 +26,11 @@ from . import grids
 from .constants import supnorm_constant
 from .errors import SolverError
 
-DENSE_CUTOFF = 400
+# measured crossover on d=2 masks (one BLAS thread, medians of 30 calls):
+# below ~190 nodes dense eigh beats ARPACK even on a given factor; above
+# ~220, SuperLU + ARPACK on the effective operator beats eigh too (README,
+# Spectral solver)
+DENSE_CUTOFF = 200
 DEGENERACY_RTOL = 1e-10  # lambda2 - lambda1 below this (relative) is reported degenerate
 
 # SuperLU options of MaskedOperator.factor, the only place kaclab factorizes.

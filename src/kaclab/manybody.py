@@ -33,6 +33,10 @@ from .interaction import InteractionPotential
 
 BASIS_CAP = 2_000_000
 DENSE_CUTOFF = 2000
+# relative residual allowed on a ground state, the eig_tol the one-body
+# solvers default to; eigh is direct and eigsh runs at machine precision, so
+# the oracle instances reach 3e-15 to 7e-15 relative
+RESIDUAL_RTOL = 1e-9
 
 
 def basis_dimension(M: int, N: int) -> int:
@@ -181,7 +185,13 @@ def build_manybody_hamiltonian(
 
 
 def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
-    """Lowest eigenpair of the assembled Hamiltonian, sign-fixed."""
+    """Lowest eigenpair of the assembled Hamiltonian, sign-fixed.
+
+    The residual ||H psi - E psi|| of the unit vector psi is checked against
+    RESIDUAL_RTOL * |E| plus a machine-precision floor proportional to a
+    bound on ||H||, as laplace.lowest_eigenpairs checks its pairs; a
+    violation raises SolverError.
+    """
     dim = H.basis_dim
     if dim <= DENSE_CUTOFF:
         vals, vecs = scipy.linalg.eigh(H.matrix.toarray(), subset_by_index=(0, 0))
@@ -193,6 +203,16 @@ def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
         except ArpackNoConvergence as exc:
             raise SolverError(f"many-body eigensolver did not converge ({exc})") from exc
         E, psi = float(vals[0]), vecs[:, 0]
+    # ||H|| <= max diag(H) + N 2d/h^2: the kinetic part is at most N times the
+    # one-body Gershgorin bound 4d/h^2, the interaction is diagonal and >= 0
+    norm_bound = float(H.matrix.diagonal().max()) + H.N * 2.0 * H.d / H.h**2
+    res = float(np.linalg.norm(H.matrix @ psi - E * psi))
+    if res > RESIDUAL_RTOL * abs(E) + 64.0 * np.finfo(float).eps * norm_bound:
+        raise SolverError(
+            f"many-body ground state residual {res:.3e} exceeds contract "
+            f"tol*E = {RESIDUAL_RTOL * abs(E):.3e}",
+            residuals=[res],
+        )
     if psi.sum() < 0:
         psi = -psi
     return ManyBodyGroundState(

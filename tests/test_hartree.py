@@ -20,7 +20,7 @@ from kaclab import (
     minimize_hartree_scf,
     run_pipeline,
 )
-from kaclab import PipelineResult, grids
+from kaclab import PipelineResult, grids, hartree
 from kaclab.constants import supnorm_constant
 from kaclab.hartree import component_ground_state, interaction_double_sum
 
@@ -172,6 +172,40 @@ class TestMinimizer:
         with pytest.raises(SolverError) as err:
             minimize_hartree(corner_blocked_6, 1, v, 2, tol=1e-14, max_iter=2)
         assert err.value.trace is not None
+
+    def test_one_stencil_product_per_energy_evaluation(self, monkeypatch):
+        # the gradient at an accepted state reuses the stencil product of its
+        # energy evaluation, so until _finalize the flow applies lap exactly
+        # as often as it convolves
+        real = build_realization(
+            tiny_box_config(N=16, L=4.0, h=0.25, nu=0.4, r=0.4, seed=21)
+        )
+        lap = assemble_laplacian(real)
+        sel = ground_state_component(real, lowest_eigenpairs(lap))
+        v = potential_for(real, kappa=0.8)
+        counts = {"apply_grid": 0, "convolve_density": 0}
+        at_finalize = {}
+        apply_grid, convolve, finalize = lap.apply_grid, hartree.convolve_density, hartree._finalize
+
+        def counting_apply_grid(f):
+            counts["apply_grid"] += 1
+            return apply_grid(f)
+
+        def counting_convolve(dens, pot):
+            counts["convolve_density"] += 1
+            return convolve(dens, pot)
+
+        def spy_finalize(*args, **kwargs):
+            at_finalize.update(counts)
+            return finalize(*args, **kwargs)
+
+        lap.apply_grid = counting_apply_grid
+        monkeypatch.setattr(hartree, "convolve_density", counting_convolve)
+        monkeypatch.setattr(hartree, "_finalize", spy_finalize)
+        hs = minimize_hartree(real, sel.component, v, real.config.N, lap=lap)
+        assert hs.iterations > 1
+        assert at_finalize["convolve_density"] >= hs.iterations + 1
+        assert at_finalize["apply_grid"] == at_finalize["convolve_density"]
 
 
 class TestEffectiveOperator:

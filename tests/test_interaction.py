@@ -1,12 +1,20 @@
 """Pair potentials: scaling, standing assumptions, convolution."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
-from kaclab import ConfigError, build_interaction, convolve_density
+import kaclab
+from kaclab import ConfigError, build_interaction, convolve_density, minimize_hartree
+from kaclab import interaction
 from kaclab.interaction import scaling_ratios
+
+from conftest import tiny_box_config
 
 
 def gaussian(kappa=1.0, N=64, d=2, h=0.25, **params):
@@ -224,3 +232,60 @@ class TestConvolution:
         double_sum *= v.h**4
         inner = float(np.sum(f * convolve_density(f, v))) * v.h**2
         assert inner == pytest.approx(double_sum, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape, d, h, width",
+        [
+            ((19, 19), 2, 0.25, 1.0),
+            ((20, 31), 2, 0.25, 1.0),
+            ((319, 319), 2, 0.4, 0.5),
+            # a 161x161 stencil over a 12x12 grid
+            ((12, 12), 2, 0.1, 1.0),
+            ((23, 23, 23), 3, 0.4, 0.5),
+            ((5, 6, 7), 3, 0.4, 0.5),
+        ],
+    )
+    def test_bitwise_fftconvolve(self, shape, d, h, width):
+        v = gaussian(kappa=1.3, N=64, d=d, h=h, width=width)
+        dens = np.random.default_rng(1).random(shape)
+        expected = fftconvolve(dens, v.values, mode="same") * h**d
+        assert np.array_equal(convolve_density(dens, v), expected)
+        # again from the cached kernel spectrum
+        assert np.array_equal(convolve_density(dens, v), expected)
+
+    @pytest.mark.parametrize("shape, d", [((1, 9), 2), ((4, 1, 5), 3)])
+    def test_one_wide_axis_matches_fftconvolve(self, shape, d):
+        # fftconvolve leaves a 1-wide axis out of its FFT, so the sums round
+        # differently (3.3e-19 apart where measured)
+        v = gaussian(kappa=1.3, N=64, d=d, h=0.4, width=0.5)
+        dens = np.random.default_rng(2).random(shape)
+        expected = fftconvolve(dens, v.values, mode="same") * v.h**d
+        np.testing.assert_allclose(convolve_density(dens, v), expected, rtol=0.0, atol=1e-15)
+
+    def test_one_kernel_transform_per_hartree_run(self, monkeypatch):
+        real = kaclab.build_realization(tiny_box_config(N=16, L=4.0, h=0.25, nu=0.5, seed=3))
+        v = gaussian(kappa=2.0, N=16, h=real.h, width=0.5)
+        seen = []
+        rfftn = interaction.rfftn
+
+        def spy_rfftn(x, *args, **kwargs):
+            seen.append(x is v.values)
+            return rfftn(x, *args, **kwargs)
+
+        monkeypatch.setattr(interaction, "rfftn", spy_rfftn)
+        component = 1 + int(np.argmax(real.component_volumes))
+        hs = minimize_hartree(real, component, v, N=16)
+        assert hs.iterations > 1
+        # one density transform per convolution, the kernel transform once
+        assert seen.count(True) == 1
+        assert seen.count(False) > hs.iterations
+
+
+def test_import_does_not_load_scipy_signal():
+    src = os.path.dirname(os.path.dirname(kaclab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run(
+        [sys.executable, "-c",
+         "import kaclab, sys; assert 'scipy.signal' not in sys.modules"],
+        env=env, check=True,
+    )

@@ -155,11 +155,14 @@ class TestEigenpairs:
         assert pair.lambda2 == pytest.approx(expected[1], rel=1e-8)
 
     @pytest.mark.parametrize(
-        "d, N, h, nu", [(2, 64, 0.25, 0.15), (3, 64, 0.4, 0.1)], ids=["d2", "d3"]
+        "d, N, h, nu",
+        [(2, 64, 0.25, 0.15), (3, 64, 0.4, 0.1), (2, 64, 0.4, 0.15)],
+        ids=["d2", "d3", "d2_ensemble_size"],
     )
     def test_sparse_path_matches_dense_oracle_above_cutoff(self, d, N, h, nu):
-        # 400-1200 vacant nodes: dense LAPACK below 1200 before the cutoff
-        # moved, ARPACK on the symmetric-mode factor now
+        # 200-1200 vacant nodes, which dense LAPACK solved before the cutoff
+        # moved (below 1200, then below 400): ARPACK on the symmetric-mode
+        # factor now; d2_ensemble_size is a criterion-5/6 realization
         real = build_realization(DisorderConfig(d=d, rho=1.0, N=N, nu=nu, r=0.5, h=h, seed=3))
         assert DENSE_CUTOFF < real.n_vacant <= 1200
         assert real.n_vacant < np.prod(real.dims)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from itertools import combinations_with_replacement
 
@@ -10,6 +11,7 @@ from kaclab import (
     DisorderConfig,
     DisorderRealization,
     GridMismatchError,
+    SolverError,
     assemble_laplacian,
     build_interaction,
     build_manybody_hamiltonian,
@@ -20,6 +22,7 @@ from kaclab import (
     minimize_hartree,
     one_body_density_matrix,
 )
+from kaclab import manybody
 from kaclab.manybody import (
     DENSE_CUTOFF,
     ManyBodyGroundState,
@@ -320,6 +323,30 @@ class TestReach:
         again = ground_state(H_a)
         assert np.float64(first.E_qm).tobytes() == np.float64(again.E_qm).tobytes()
         assert first.psi.tobytes() == again.psi.tobytes()
+
+
+class TestGroundStateResidual:
+    @pytest.mark.parametrize("N", [2, 3], ids=["dense", "arpack"])
+    def test_perturbed_solver_vector_raises(self, monkeypatch, N):
+        # a solver whose unit vector is 1e-6 off its eigenvector: the
+        # residual (~1e-5) is far above 1e-9 |E| plus the floor (~1e-12)
+        real = build_realization(tiny_box_config(N=2, L=3.0), centers=np.zeros((0, 2)))
+        H = build_manybody_hamiltonian(real, potential_for(real, 1.0, N), N)
+        assert (H.basis_dim > DENSE_CUTOFF) == (N == 3)
+        module, name = (manybody, "eigsh") if N == 3 else (scipy.linalg, "eigh")
+        solver = getattr(module, name)
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = solver(*args, **kwargs)
+            vecs[:, 0] += 1e-6 * np.random.default_rng(1).standard_normal(vecs.shape[0])
+            vecs[:, 0] /= np.linalg.norm(vecs[:, 0])
+            return vals, vecs
+
+        assert ground_state(H).E_qm > 0.0
+        monkeypatch.setattr(module, name, perturbed)
+        with pytest.raises(SolverError, match="residual") as err:
+            ground_state(H)
+        assert err.value.residuals[0] > 1e-7
 
 
 class TestDisorderedCertificates:
