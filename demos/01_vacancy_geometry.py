@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from kaclab import DisorderConfig, build_realization, volume_fraction
-from kaclab.constants import unit_ball_volume
 
 nu, r = 0.4, 0.6
 config = DisorderConfig(d=2, rho=1.0, N=144, nu=nu, r=r, h=0.25, seed=7)
@@ -23,8 +22,8 @@ print(f"connected components: K = {real.K}")
 largest = sorted(real.component_volumes, reverse=True)[:5]
 print(f"largest component volumes: {[round(v, 3) for v in largest]}")
 
-fraction, in_event, eta = volume_fraction(real, eta=0.1)
-target = math.exp(-nu * unit_ball_volume(2) * r**2)
+eta = 0.1
+fraction, in_event, target = volume_fraction(real, eta=eta)
 print(f"\nvolume fraction {fraction:.4f} vs limit exp(-nu pi r^2) = {target:.4f}"
       f" -> typical-volume event (eta={eta}): {in_event}")
 

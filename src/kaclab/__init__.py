@@ -43,7 +43,6 @@ from .certify import (
     build_certificate,
     certificate_assertions,
     check_gap_event,
-    condensation_bounds,
     scaling_diagnostics,
 )
 from .manybody import (

@@ -41,28 +41,6 @@ def check_gap_event(pair, v: InteractionPotential, N: int):
     return bool(margin > 0.0), margin, lhs, rhs
 
 
-def condensation_bounds(hs, v: InteractionPotential, oracle: Optional[dict] = None) -> dict:
-    """Mean-field energy and depletion bounds, with observations if available.
-
-    oracle, when given, is a dict with E_qm and n_condensate from the exact
-    diagonalization.  The depletion bound needs a positive effective gap and
-    is recorded as not applicable (None) otherwise.
-    """
-    v0 = v.v_at_zero
-    gap = None if hs.e2 is None else hs.e2 - hs.e1
-    out = {
-        "energy_bound": 0.5 * v0,
-        "depletion_bound": (0.5 * v0 / gap) if gap is not None and gap > 0 else None,
-        "gap_actual": gap,
-        "energy_gap_observed": None,
-        "depletion_observed": None,
-    }
-    if oracle is not None:
-        out["energy_gap_observed"] = abs(oracle["E_qm"] / v.N - hs.e1)
-        out["depletion_observed"] = 1.0 - oracle["n_condensate"] / v.N
-    return out
-
-
 def scaling_diagnostics(v: InteractionPotential, N: int, d: int, sigma_ref: Optional[float] = None) -> dict:
     """Normalized scaling ratios of the interaction, purely informational.
 
@@ -109,9 +87,13 @@ def build_certificate(
     sigma_ref: Optional[float] = None,
     oracle: Optional[dict] = None,
 ) -> Certificate:
-    """Evaluate every certificate ingredient on one computed realization."""
-    fraction, in_vol, eta = volume_fraction(real, eta)
-    target = math.exp(-real.config.nu * unit_ball_volume(real.d) * real.config.r**real.d)
+    """Evaluate every certificate ingredient on one computed realization.
+
+    oracle, when given, is a dict with E_qm and n_condensate from the exact
+    diagonalization.  The depletion bound needs a positive effective gap and
+    is recorded as not applicable (None) otherwise.
+    """
+    fraction, in_vol, target = volume_fraction(real, eta)
     vol = {
         "ok": in_vol,
         "fraction": fraction,
@@ -127,7 +109,8 @@ def build_certificate(
     sup = {"lhs": supnorm.lhs, "rhs": supnorm.rhs, "ok": supnorm.ok,
            "skipped": supnorm.skipped}
 
-    bounds = condensation_bounds(hs, v, oracle)
+    v0 = v.v_at_zero
+    gap = None if hs.e2 is None else hs.e2 - hs.e1
 
     mini = {
         "energy_vs_quadratic_form": abs(hs.energy - hs.quadratic_form),
@@ -139,11 +122,11 @@ def build_certificate(
         volume_event=vol,
         gap_event=gap_ev,
         gap_lower_bound=margin,
-        gap_actual=bounds["gap_actual"],
-        energy_bound=bounds["energy_bound"],
-        energy_gap_observed=bounds["energy_gap_observed"],
-        depletion_bound=bounds["depletion_bound"],
-        depletion_observed=bounds["depletion_observed"],
+        gap_actual=gap,
+        energy_bound=0.5 * v0,
+        energy_gap_observed=None if oracle is None else abs(oracle["E_qm"] / v.N - hs.e1),
+        depletion_bound=(0.5 * v0 / gap) if gap is not None and gap > 0 else None,
+        depletion_observed=None if oracle is None else 1.0 - oracle["n_condensate"] / v.N,
         supnorm_diag=sup,
         minimizer_consistency=mini,
         scaling=scaling_diagnostics(v, real.config.N, real.d, sigma_ref),

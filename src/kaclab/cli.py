@@ -62,8 +62,9 @@ class RunConfig:
 
     def __init__(self, data: dict):
         self.data = data
-        # touching the disorder config validates every numeric precondition
+        # building both specs validates every numeric precondition
         self.disorder_config()
+        self.ensemble_spec()
 
     def disorder_config(self) -> DisorderConfig:
         return DisorderConfig(**self.data["disorder"])
@@ -129,6 +130,8 @@ def parse_config(path=None, overrides=()) -> RunConfig:
         leaf = parts[-1]
         if leaf not in node:
             raise ConfigError(f"unknown config key '{dotted}'")
+        if isinstance(node[leaf], dict):
+            raise ConfigError(f"override '{dotted}' names a section, not a key")
         try:
             node[leaf] = json.loads(raw)
         except json.JSONDecodeError:
@@ -149,21 +152,15 @@ def cmd_sample(cfg: RunConfig, out: Path) -> int:
     config = cfg.disorder_config()
     real = build_realization(config)
     storage.save_realization(real, out / "realization.klvac")
-    fraction, in_event, eta = volume_fraction(real, cfg.data["ensemble"]["eta"])
+    eta = cfg.data["ensemble"]["eta"]
+    fraction, in_event, _ = volume_fraction(real, eta)
     print(f"K={real.K} vacant={real.n_vacant} fraction={fraction:.6f} "
           f"volume_event={in_event} (eta={eta})")
     return EXIT_OK
 
 
-def _nonempty(real):
-    """Stop on an empty vacancy set as run_pipeline does (an error: line, exit 1)."""
-    if real.K == 0:
-        raise KacLabError("empty vacancy set")
-    return real
-
-
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
-    real = _nonempty(build_realization(cfg.disorder_config()))
+    real = build_realization(cfg.disorder_config())
     pair = lowest_eigenpairs(assemble_laplacian(real), count=2,
                              tol=cfg.data["solver"]["eig_tol"])
     sel = ground_state_component(real, pair)
@@ -229,11 +226,11 @@ def cmd_certify(cfg: RunConfig, out: Path, with_oracle=False) -> int:
 
 def cmd_oracle(cfg: RunConfig, out: Path, realization=None, dump_state=False) -> int:
     if realization is not None:
-        real = _nonempty(storage.load_realization(realization))
+        real = storage.load_realization(realization)
         config = real.config
     else:
         config = cfg.disorder_config()
-        real = _nonempty(build_realization(config))
+        real = build_realization(config)
     N = cfg.data["oracle"]["N"]
     v = potential_from_spec(cfg.potential_spec(), N, config.d, real.h)
     gs, rho1 = _exact_oracle(cfg, real, v, N)

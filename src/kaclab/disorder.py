@@ -10,6 +10,7 @@ decomposed into face-connected components.  Everything is a pure function of
 (config, seed): identical inputs give bit-identical realizations.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,9 +193,6 @@ def _label_components(mask, h, d):
     structure = ndimage.generate_binary_structure(d, 1)  # face adjacency only
     raw, K = ndimage.label(mask, structure=structure)
     raw = raw.astype(np.int32)
-    if K == 0:
-        return raw, 0, []
-
     flat = raw.ravel()
     vacant_pos = np.flatnonzero(flat)
     present, first_occ = np.unique(flat[vacant_pos], return_index=True)
@@ -202,10 +200,13 @@ def _label_components(mask, h, d):
     lut = np.zeros(K + 1, dtype=np.int32)
     lut[present[order]] = np.arange(1, K + 1, dtype=np.int32)
     labels = lut[raw]
+    return labels, int(K), component_volumes(labels, K, h, d)
 
+
+def component_volumes(labels, K, h, d) -> list:
+    """Cell count * h^d of each component 1..K of a label grid."""
     counts = np.bincount(labels.ravel(), minlength=K + 1)[1:]
-    volumes = [float(c) * h**d for c in counts]
-    return labels, int(K), volumes
+    return [float(c) * h**d for c in counts]
 
 
 def volume_fraction(real: DisorderRealization, eta: float = 0.1):
@@ -217,10 +218,10 @@ def volume_fraction(real: DisorderRealization, eta: float = 0.1):
     event holds when the fraction is within eta of exp(-nu * omega_d * r^d),
     the almost-sure limiting fraction (omega_d = unit-ball volume).
 
-    Returns (fraction, in_event, eta).
+    Returns (fraction, in_event, target).  This is the one place the target
+    is computed; the certificate records this float.
     """
     cfg = real.config
     fraction = real.n_vacant / real.n_nodes
-    target = float(np.exp(-cfg.nu * unit_ball_volume(cfg.d) * cfg.r**cfg.d))
-    in_event = bool(abs(fraction - target) < eta)
-    return fraction, in_event, eta
+    target = math.exp(-cfg.nu * unit_ball_volume(cfg.d) * cfg.r**cfg.d)
+    return fraction, abs(fraction - target) < eta, target

@@ -14,6 +14,7 @@ and all sweeps are labeled exploratory.
 """
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,7 +23,7 @@ import numpy as np
 
 from .certify import build_certificate
 from .disorder import DisorderConfig, DisorderRealization, build_realization, volume_fraction
-from .errors import KacLabError
+from .errors import ConfigError, KacLabError
 from .hartree import HartreeSolution, minimize_hartree
 from .interaction import InteractionPotential, potential_from_spec
 from .laplace import (
@@ -54,11 +55,20 @@ class EnsembleSpec:
 
     def __post_init__(self):
         if isinstance(self.seeds, int) and self.seeds < 1:
-            raise ValueError("seed count must be >= 1")
+            raise ConfigError("seed count must be >= 1")
         if self.N_values and any(
             b <= a for a, b in zip(self.N_values, self.N_values[1:])
         ):
-            raise ValueError("N_values must be strictly increasing")
+            raise ConfigError("N_values must be strictly increasing")
+        for name in ("eig_tol", "el_tol", "eta", "sigma_ref", "max_iter", "workers"):
+            value = getattr(self, name)
+            integer = name in ("max_iter", "workers")
+            kind = numbers.Integral if integer else numbers.Real
+            if value is None and name == "sigma_ref":
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind) or not value > 0:
+                raise ConfigError(f"{name}={value!r} must be a positive "
+                                  f"{'integer' if integer else 'number'}")
 
     def seed_list(self) -> list:
         if isinstance(self.seeds, int):
@@ -207,9 +217,8 @@ def run_ensemble(spec: EnsembleSpec, N: Optional[int] = None) -> list:
     jobs = [
         ({**base, "seed": seed}, spec.potential, kwargs) for seed in spec.seed_list()
     ]
-    workers = max(1, spec.workers)
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if spec.workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             records = list(pool.map(_job, jobs))
     else:
         records = [_job(j) for j in jobs]
@@ -235,6 +244,8 @@ def estimate_event_probabilities(spec: EnsembleSpec, records: Optional[list] = N
 
     Estimates P(volume event), P(gap event) and P(gap >= sigma_ref scale).
     Failed realizations are excluded from the frequencies but counted.
+    records, when given, are run_ensemble(spec)'s, so their certificates
+    carry spec's sigma_ref scale.
     """
     if records is None:
         if isinstance(spec.seeds, int) and spec.seeds < 30:
@@ -250,13 +261,10 @@ def estimate_event_probabilities(spec: EnsembleSpec, records: Optional[list] = N
 
     gap_ref_hits = None
     if spec.sigma_ref is not None and n:
-        N = ok_records[0]["config"]["N"]
-        d = ok_records[0]["config"]["d"]
-        scale = spec.sigma_ref * math.log(N) ** -(1.0 + 2.0 / d)
+        # each certificate carries its gap lambda2 - lambda1 and its scale
+        certs = [r["certificate"] for r in ok_records]
         gap_ref_hits = sum(
-            1
-            for r in ok_records
-            if r["lambda2"] is not None and (r["lambda2"] - r["lambda1"]) >= scale
+            1 for c in certs if c["gap_event"]["lhs"] >= c["scaling"]["gap_scale_ref"]
         )
 
     def pack(hits):
@@ -295,7 +303,7 @@ def scaling_sweep(spec: EnsembleSpec) -> dict:
     scale, so the disordered fits are trend data only.
     """
     if len(spec.N_values) < 3:
-        raise ValueError("need >= 3 N values for a sweep")
+        raise ConfigError("need >= 3 N values for a sweep")
     d = spec.base["d"]
     rows = []
     for N in spec.N_values:

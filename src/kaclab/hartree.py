@@ -69,9 +69,11 @@ def _check_support(u, real, component):
         )
 
 
-def kinetic_energy(u: np.ndarray, real) -> float:
-    op = MaskedOperator(mask=real.mask, h=real.h)
-    return grids.inner(u, op.apply_grid(u), real.h)
+def _mean_field(u: np.ndarray, v: InteractionPotential, N: int, h: float):
+    """W = (N-1)(u^2 * v) and the interaction energy <u^2, W>/2, h_u's shift."""
+    dens = u * u
+    W = (N - 1) * convolve_density(dens, v)
+    return W, 0.5 * grids.inner(dens, W, h)
 
 
 def interaction_double_sum(u: np.ndarray, v: InteractionPotential, real) -> float:
@@ -83,7 +85,8 @@ def interaction_double_sum(u: np.ndarray, v: InteractionPotential, real) -> floa
 def hartree_energy(u: np.ndarray, real, component: int, v: InteractionPotential, N: int) -> float:
     """Energy functional at a unit-norm state supported on one component."""
     _check_support(u, real, component)
-    return kinetic_energy(u, real) + 0.5 * (N - 1) * interaction_double_sum(u, v, real)
+    kinetic = grids.inner(u, MaskedOperator(mask=real.mask, h=real.h).apply_grid(u), real.h)
+    return kinetic + _mean_field(u, v, N, real.h)[1]
 
 
 def assemble_effective_operator(u: np.ndarray, real, v: InteractionPotential, N: int) -> MaskedOperator:
@@ -93,13 +96,8 @@ def assemble_effective_operator(u: np.ndarray, real, v: InteractionPotential, N:
     convolution reaches across obstacles even though u does not), and the
     constant shift is carried on the diagonal separately.
     """
-    dens = u * u
-    conv = convolve_density(dens, v)
-    W = (N - 1) * conv
-    shift = 0.5 * (N - 1) * grids.inner(dens, conv, real.h)
-    return MaskedOperator(
-        mask=real.mask, h=real.h, potential=W, diagonal_shift=shift
-    )
+    W, shift = _mean_field(u, v, N, real.h)
+    return MaskedOperator(mask=real.mask, h=real.h, potential=W, diagonal_shift=shift)
 
 
 def effective_spectrum(hop: MaskedOperator, tol: float = 1e-9):
@@ -127,17 +125,17 @@ def _initial_state(real, component, init, eig_tol):
     return comp_mask, grids.normalize(u, real.h)
 
 
-def _finalize(u, real, component, v, N, iterations, residual, trace, energy, eig_tol):
-    """Spectrum of the effective operator h_u at the converged state.
+def _finalize(u, real, component, hop, iterations, residual, trace, energy, eig_tol):
+    """Spectrum of the effective operator hop = h_u at the converged state u.
 
-    Only the full-set spectrum is solved.  h_u is block-diagonal over the
-    components, so its ground energy e1 is the least of the component ground
-    energies, e1 <= e1_host; and u is a unit trial state on the host, so
-    e1_host <= <u, h_u u> = energy.  A host-restricted solve would therefore
-    sit between e1 and energy, and |energy - e1| already bounds its distance
-    to the energy.
+    The caller builds hop from the mean field it already holds, so nothing
+    here convolves.  Only the full-set spectrum is solved.  h_u is
+    block-diagonal over the components, so its ground energy e1 is the least
+    of the component ground energies, e1 <= e1_host; and u is a unit trial
+    state on the host, so e1_host <= <u, h_u u> = energy.  A host-restricted
+    solve would therefore sit between e1 and energy, and |energy - e1|
+    already bounds its distance to the energy.
     """
-    hop = assemble_effective_operator(u, real, v, N)
     e1, e2, gvec = effective_spectrum(hop, tol=eig_tol)
     comp_mask = real.labels == component
     gmass = float(np.sum(np.where(comp_mask, gvec, 0.0) ** 2)) * real.h**real.d
@@ -199,16 +197,14 @@ def minimize_hartree(
         lap = assemble_laplacian(real)
 
     def energy_and_potential(w):
-        # the stencil product is returned too: the gradient at an accepted
-        # state reuses it instead of applying the stencil again
-        dens = w * w
-        W = (N - 1) * convolve_density(dens, v)
+        # the stencil product and the mean field are returned too: the
+        # gradient at an accepted state reuses the product, and h_u at the
+        # converged one is built from its W and shift
+        W, shift = _mean_field(w, v, N, h)
         Lw = lap.apply_grid(w)
-        kin = grids.inner(w, Lw, h)
-        inter = 0.5 * grids.inner(dens, W, h)
-        return kin + inter, W, Lw
+        return grids.inner(w, Lw, h) + shift, W, shift, Lw
 
-    energy, W, Lu = energy_and_potential(u)
+    energy, W, shift, Lu = energy_and_potential(u)
     trace = [energy]
 
     tau = 1.0
@@ -237,9 +233,9 @@ def minimize_hartree(
                 tau *= 0.5
                 continue
             w /= nw
-            new_energy, new_W, new_Lw = energy_and_potential(w)
+            new_energy, new_W, new_shift, new_Lw = energy_and_potential(w)
             if new_energy <= energy + 8.0 * eps * max(1.0, abs(energy)):
-                u, energy, W, Lu = w, new_energy, new_W, new_Lw
+                u, energy, W, shift, Lu = w, new_energy, new_W, new_shift, new_Lw
                 trace.append(energy)
                 tau = min(tau * 1.3, tau_max)
                 accepted = True
@@ -267,7 +263,8 @@ def minimize_hartree(
     # the flow is done with the Laplacian's factor, if it was built: drop it
     # before _finalize factorizes h_u, so the two are never held at once
     vars(lap).pop("factor", None)
-    return _finalize(u, real, component, v, N, iterations, residual, trace,
+    hop = MaskedOperator(mask=real.mask, h=h, potential=W, diagonal_shift=shift)
+    return _finalize(u, real, component, hop, iterations, residual, trace,
                      energy, eig_tol)
 
 
@@ -307,7 +304,8 @@ def minimize_hartree_scf(
         trace.append(rayleigh)
         if residual < tol:
             energy = hartree_energy(u, real, component, v, N)
-            return _finalize(u, real, component, v, N, it, residual, trace,
+            hop = assemble_effective_operator(u, real, v, N)
+            return _finalize(u, real, component, hop, it, residual, trace,
                              energy, eig_tol)
 
         dens = (1.0 - mixing) * dens + mixing * phi * phi

@@ -24,7 +24,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from . import grids
 from .constants import supnorm_constant
-from .errors import SolverError
+from .errors import KacLabError, SolverError
 
 # measured crossover on d=2 masks (one BLAS thread, medians of 30 calls):
 # below ~190 nodes dense eigh beats ARPACK even on a given factor; above
@@ -66,7 +66,7 @@ class MaskedOperator:
             if self.potential.shape != self.mask.shape:
                 raise ValueError("potential grid does not match the mask")
         if not np.any(self.mask):
-            raise ValueError("empty vacancy set: operator has no domain")
+            raise KacLabError("empty vacancy set")
         self._vac = np.flatnonzero(self.mask.ravel())
 
     @property
@@ -168,8 +168,6 @@ class SpectralPair:
 
 def assemble_laplacian(real) -> MaskedOperator:
     """Pure Dirichlet Laplacian on the realization's vacancy mask."""
-    if real.n_vacant == 0:
-        raise ValueError("realization has an empty vacancy set (K = 0)")
     return MaskedOperator(mask=real.mask, h=real.h)
 
 

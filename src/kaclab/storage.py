@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .disorder import DisorderConfig, DisorderRealization
+from .disorder import DisorderConfig, DisorderRealization, component_volumes, volume_fraction
 
 MAGIC_VAC = b"KLVAC1"
 MAGIC_EIG = b"KLEIG1"
@@ -59,10 +59,6 @@ def save_realization(real: DisorderRealization, path) -> Path:
         _write_header(f, MAGIC_VAC, real.d, real.dims, real.h)
         f.write(np.packbits(real.mask.ravel().astype(np.uint8)).tobytes())
         f.write(real.labels.astype("<i4").ravel().tobytes())
-
-    from .disorder import volume_fraction
-
-    fraction, _, _ = volume_fraction(real)
     sidecar = {
         "format": "KLVAC1",
         "config": asdict(real.config),
@@ -70,7 +66,7 @@ def save_realization(real: DisorderRealization, path) -> Path:
             "K": real.K,
             "n_vacant": real.n_vacant,
             "n_nodes": real.n_nodes,
-            "volume_fraction": fraction,
+            "volume_fraction": volume_fraction(real)[0],
             "component_volumes": real.component_volumes,
             "n_centers": int(real.centers.shape[0]),
         },
@@ -105,8 +101,7 @@ def load_realization(path) -> DisorderRealization:
         raise ValueError("dump labels a blocked node (labels must be 0 exactly there)")
     if np.any((labels[mask] < 1) | (labels[mask] > K)):
         raise ValueError(f"dump labels a vacant node outside 1..K = 1..{K}")
-    counts = np.bincount(labels.ravel(), minlength=K + 1)[1:]
-    volumes = [float(c) * h**d for c in counts]
+    volumes = component_volumes(labels, K, h, d)
     return DisorderRealization(config, np.zeros((0, d)), mask, labels, K, volumes)
 
 

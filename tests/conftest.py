@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kaclab import DisorderConfig, DisorderRealization, build_realization
+from kaclab import DisorderConfig, DisorderRealization, EnsembleSpec, build_realization, run_ensemble
 
 
 def brute_force_mask(config, centers):
@@ -205,3 +205,18 @@ def two_strip_5():
     real = DisorderRealization.from_mask(config, mask)
     assert real.K == 2
     return real
+
+
+@pytest.fixture(scope="session")
+def criterion_56_records():
+    """The 200 realizations of acceptance criteria 5 and 6, as (spec, records).
+
+    sigma_ref = 6 puts the gap reference scale inside the ensemble's gaps, so
+    the gap-above-reference event is hit by some realizations and not others.
+    """
+    spec = EnsembleSpec(
+        base={"d": 2, "rho": 1.0, "N": 64, "nu": 0.15, "r": 0.5, "h": 0.4},
+        potential={"kind": "gaussian", "kappa": 0.05, "width": 0.5},
+        seeds=200, master_seed=2024, eig_tol=1e-9, sigma_ref=6.0,
+    )
+    return spec, run_ensemble(spec)

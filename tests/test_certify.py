@@ -3,9 +3,11 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from kaclab import (
+    DisorderConfig,
     assemble_laplacian,
     build_certificate,
     build_interaction,
@@ -14,12 +16,14 @@ from kaclab import (
     check_gap_event,
     condensate_occupation,
     ground_state,
+    build_realization,
     ground_state_component,
     lowest_eigenpairs,
     minimize_hartree,
     one_body_density_matrix,
     scaling_diagnostics,
     supnorm_bound_check,
+    volume_fraction,
 )
 from kaclab.constants import supnorm_constant
 
@@ -166,3 +170,15 @@ class TestScalingDiagnostics:
         assert d2["gap_scale_ref"] / d1["gap_scale_ref"] == pytest.approx(
             expected, rel=1e-12
         )
+
+
+def test_volume_event_records_volume_fractions_target(criterion_56_records):
+    # the event's ok, margin and target come from one float, volume_fraction's
+    spec, records = criterion_56_records
+    for rec in records:
+        vol = rec["certificate"]["volume_event"]
+        assert vol["ok"] == (vol["margin"] > 0)
+        real = build_realization(DisorderConfig(**rec["config"], seed=rec["seed"]))
+        fraction, in_event, target = volume_fraction(real, spec.eta)
+        assert (vol["fraction"], vol["ok"]) == (fraction, in_event)
+        assert np.float64(vol["target"]).tobytes() == np.float64(target).tobytes()

@@ -204,6 +204,20 @@ class TestSubcommands:
         assert main(["sample", "-c", str(tmp_path / "missing.json"),
                      "-o", str(tmp_path / "r")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep"],
+        ["ensemble", "--set", "ensemble.N_values=[64,16]"],
+        ["ensemble", "--set", "ensemble.seeds=0"],
+        ["ensemble", "--set", 'ensemble.workers="2"'],
+        ["ensemble", "--set", "solver.eig_tol=x"],
+        ["sample", "--set", "disorder=5"],
+    ], ids=["sweep_default", "N_values_decrease", "no_seeds", "workers_string",
+            "eig_tol_string", "whole_section"])
+    def test_config_error_is_one_error_line(self, tmp_path, capsys, argv):
+        assert main(argv + ["-o", str(tmp_path / "run")]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     @pytest.mark.parametrize("command", ["spectrum", "oracle"])
     def test_empty_vacancy_set_is_an_error_line(self, tmp_path, capsys, command):
         path = write_config(tmp_path, disorder={"nu": 50, "h": 0.4})

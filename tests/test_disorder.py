@@ -148,10 +148,10 @@ class TestBuildRealization:
 class TestVolumeFraction:
     def test_empty_disorder_fraction_exactly_one(self):
         real = build_realization(config_L10(nu=0.0))
-        fraction, in_event, eta = volume_fraction(real, eta=1e-12)
+        fraction, in_event, target = volume_fraction(real, eta=1e-12)
         assert fraction == 1.0
         assert in_event
-        assert eta == 1e-12
+        assert target == 1.0
 
     def test_unit_ball_volumes(self):
         assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-14)

@@ -132,6 +132,15 @@ class TestEventProbabilities:
             stats = summary[key]
             assert 0.0 <= stats["lo"] <= stats["frequency"] <= stats["hi"] <= 1.0
 
+    def test_gap_above_reference_recounts_from_lambdas(self, criterion_56_records):
+        spec, records = criterion_56_records
+        summary = estimate_event_probabilities(spec, records=records)
+        scale = spec.sigma_ref * math.log(spec.base["N"]) ** -(1.0 + 2.0 / spec.base["d"])
+        ok = [r for r in records if r["error"] is None]
+        hits = sum(r["lambda2"] - r["lambda1"] >= scale for r in ok)
+        assert 0 < hits < len(ok) == summary["n_ok"]
+        assert summary["gap_above_reference"]["hits"] == hits
+
     def test_too_few_seeds_rejected(self):
         with pytest.raises(ValueError, match="30"):
             estimate_event_probabilities(spec_with(seeds=5))

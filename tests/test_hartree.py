@@ -176,7 +176,8 @@ class TestMinimizer:
     def test_one_stencil_product_per_energy_evaluation(self, monkeypatch):
         # the gradient at an accepted state reuses the stencil product of its
         # energy evaluation, so until _finalize the flow applies lap exactly
-        # as often as it convolves
+        # as often as it convolves; h_u is built from the last accepted W
+        # and shift, so _finalize convolves nothing
         real = build_realization(
             tiny_box_config(N=16, L=4.0, h=0.25, nu=0.4, r=0.4, seed=21)
         )
@@ -206,6 +207,7 @@ class TestMinimizer:
         assert hs.iterations > 1
         assert at_finalize["convolve_density"] >= hs.iterations + 1
         assert at_finalize["apply_grid"] == at_finalize["convolve_density"]
+        assert counts["convolve_density"] == at_finalize["convolve_density"]
 
 
 class TestEffectiveOperator:
@@ -228,6 +230,9 @@ class TestEffectiveOperator:
         hop = assemble_effective_operator(hs.u, real, v, N)
         quad = grids.inner(hs.u, hop.apply_grid(hs.u), real.h)
         assert quad == pytest.approx(hs.energy, abs=1e-12)
+        # the flow's h_u, from its own mean field, is this operator
+        assert hs.shift == pytest.approx(hop.diagonal_shift, rel=1e-15)
+        assert (hs.e1, hs.e2) == pytest.approx(effective_spectrum(hop)[:2], rel=1e-12)
 
     def test_far_component_sees_shifted_laplacian(self, two_strip_5):
         # narrow potential cannot reach the other strip: there the effective

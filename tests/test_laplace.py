@@ -11,9 +11,12 @@ from scipy.sparse.linalg import splu
 from kaclab import (
     DisorderConfig,
     DisorderRealization,
+    KacLabError,
     MaskedOperator,
     PipelineResult,
     assemble_laplacian,
+    build_interaction,
+    build_manybody_hamiltonian,
     build_realization,
     ground_state_component,
     lowest_eigenpairs,
@@ -47,6 +50,16 @@ class TestOperator:
         assert op.matrix().toarray().tolist() == [[4.0 / real.h**2]]
         out = op.restrict(op.apply_grid(op.embed(np.array([1.0]))))
         assert out[0] == pytest.approx(4.0 / real.h**2, rel=1e-15)
+
+    def test_empty_mask_is_one_error(self):
+        # one check, in MaskedOperator, also stops the exact oracle's build
+        real = DisorderRealization.from_mask(tiny_box_config(), np.zeros((3, 3), dtype=bool))
+        v = build_interaction("gaussian", 1.0, 2, 2, real.h, {"width": 0.5})
+        for build in (lambda: MaskedOperator(mask=real.mask, h=real.h),
+                      lambda: assemble_laplacian(real),
+                      lambda: build_manybody_hamiltonian(real, v, 2)):
+            with pytest.raises(KacLabError, match="^empty vacancy set$"):
+                build()
 
     def test_matvec_symmetry_random_vectors(self):
         real = build_realization(

@@ -329,8 +329,9 @@ class TestGroundStateResidual:
     @pytest.mark.parametrize("N", [2, 3], ids=["dense", "arpack"])
     def test_perturbed_solver_vector_raises(self, monkeypatch, N):
         # a solver whose unit vector is 1e-6 off its eigenvector: the
-        # residual (~1e-5) is far above 1e-9 |E| plus the floor (~1e-12)
-        real = build_realization(tiny_box_config(N=2, L=3.0), centers=np.zeros((0, 2)))
+        # residual (~1e-5) is far above 1e-9 |E| plus the floor (~1e-12);
+        # 16 sites give bases of 136 (N=2, eigh) and 816 (N=3, eigsh) states
+        real = build_realization(tiny_box_config(N=2, L=2.5), centers=np.zeros((0, 2)))
         H = build_manybody_hamiltonian(real, potential_for(real, 1.0, N), N)
         assert (H.basis_dim > DENSE_CUTOFF) == (N == 3)
         module, name = (manybody, "eigsh") if N == 3 else (scipy.linalg, "eigh")
