@@ -38,6 +38,6 @@ print(f"sup-norm diagnostic: max|phi1|^2 = {check.lhs:.4f} "
 # with the (ln N)-weakened mean-field interaction, does the gap dominate?
 for kappa in (0.05, 0.5, 5.0):
     v = build_interaction("gaussian", kappa, config.N, 2, real.h, {"width": 0.5})
-    ok, margin, lhs, rhs = check_gap_event(pair, v, config.N)
+    ok, margin, lhs, rhs = check_gap_event(pair, v)
     print(f"kappa = {kappa:5.2f}: gap event {str(ok):5s} "
           f"(gap {lhs:.4f} vs interaction scale {rhs:.4f})")

@@ -23,34 +23,38 @@ from typing import Optional
 
 from .constants import supnorm_constant, unit_ball_volume
 from .disorder import volume_fraction
-from .interaction import InteractionPotential, scaling_ratios
+from .interaction import InteractionPotential
 from .laplace import supnorm_bound_check
 
 
-def check_gap_event(pair, v: InteractionPotential, N: int):
+def check_gap_event(pair, v: InteractionPotential):
     """Spectral gap dominates the interaction scale: lhs > rhs with margin.
 
     Returns (ok, margin, lhs, rhs) where lhs = lambda2 - lambda1 and
-    rhs = C^2 N ||v||_1 lambda1^(d/2).
+    rhs = C^2 N ||v||_1 lambda1^(d/2), with N and d those of v.
     """
     if pair.lambda2 is None:
         return False, float("-inf"), 0.0, 0.0
     lhs = pair.lambda2 - pair.lambda1
-    rhs = supnorm_constant(v.d) ** 2 * N * v.l1_norm * pair.lambda1 ** (v.d / 2.0)
+    rhs = supnorm_constant(v.d) ** 2 * v.N * v.l1_norm * pair.lambda1 ** (v.d / 2.0)
     margin = lhs - rhs
     return bool(margin > 0.0), margin, lhs, rhs
 
 
-def scaling_diagnostics(v: InteractionPotential, N: int, d: int, sigma_ref: Optional[float] = None) -> dict:
+def scaling_diagnostics(v: InteractionPotential, sigma_ref: Optional[float] = None) -> dict:
     """Normalized scaling ratios of the interaction, purely informational.
 
-    s1 = ||v||_1 N (ln N)^(2/d), s2 = v(0) (ln N)^(1+2/d); gap_scale_ref is
-    the reference gap scale sigma_ref (ln N)^-(1+2/d) when sigma_ref is given.
+    With N and d those of v: s1 = ||v||_1 N (ln N)^(2/d) stays bounded under
+    the mean-field scaling; s2 = v(0) (ln N)^(1+2/d) must vanish for complete
+    condensation; gap_scale_ref is the reference gap scale
+    sigma_ref (ln N)^-(1+2/d) when sigma_ref is given.
     """
-    out = {**scaling_ratios(v, N, d), "gap_scale_ref": None}
-    if sigma_ref is not None:
-        out["gap_scale_ref"] = sigma_ref * math.log(N) ** -(1.0 + 2.0 / d)
-    return out
+    logN = math.log(v.N)
+    return {
+        "s1": v.l1_norm * v.N * logN ** (2.0 / v.d),
+        "s2": v.v_at_zero * logN ** (1.0 + 2.0 / v.d),
+        "gap_scale_ref": None if sigma_ref is None else sigma_ref * logN ** -(1.0 + 2.0 / v.d),
+    }
 
 
 @dataclass
@@ -102,7 +106,7 @@ def build_certificate(
         "eta": eta,
     }
 
-    ok, margin, lhs, rhs = check_gap_event(pair, v, real.config.N)
+    ok, margin, lhs, rhs = check_gap_event(pair, v)
     gap_ev = {"ok": ok, "margin": margin, "lhs": lhs, "rhs": rhs}
 
     supnorm = supnorm_bound_check(pair, real.d)
@@ -129,7 +133,7 @@ def build_certificate(
         depletion_observed=None if oracle is None else 1.0 - oracle["n_condensate"] / v.N,
         supnorm_diag=sup,
         minimizer_consistency=mini,
-        scaling=scaling_diagnostics(v, real.config.N, real.d, sigma_ref),
+        scaling=scaling_diagnostics(v, sigma_ref),
         constants={
             "supnorm_constant": supnorm_constant(real.d),
             "unit_ball_volume": unit_ball_volume(real.d),

@@ -54,11 +54,18 @@ class EnsembleSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if isinstance(self.seeds, int) and self.seeds < 1:
-            raise ConfigError("seed count must be >= 1")
-        if self.N_values and any(
-            b <= a for a, b in zip(self.N_values, self.N_values[1:])
-        ):
+        def is_int(x):
+            return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+        if not ((is_int(self.seeds) and self.seeds >= 1) or (
+                isinstance(self.seeds, list) and self.seeds and all(map(is_int, self.seeds)))):
+            raise ConfigError(f"seeds={self.seeds!r} must be a positive integer "
+                              "or a non-empty list of integers")
+        if not (is_int(self.master_seed) and self.master_seed >= 0):
+            raise ConfigError(f"master_seed={self.master_seed!r} must be a nonnegative integer")
+        if not (isinstance(self.N_values, list) and all(map(is_int, self.N_values))):
+            raise ConfigError(f"N_values={self.N_values!r} must be a list of integers")
+        if any(b <= a for a, b in zip(self.N_values, self.N_values[1:])):
             raise ConfigError("N_values must be strictly increasing")
         for name in ("eig_tol", "el_tol", "eta", "sigma_ref", "max_iter", "workers"):
             value = getattr(self, name)
@@ -71,9 +78,9 @@ class EnsembleSpec:
                                   f"{'integer' if integer else 'number'}")
 
     def seed_list(self) -> list:
-        if isinstance(self.seeds, int):
-            return derive_seeds(self.master_seed, self.seeds)
-        return [int(s) for s in self.seeds]
+        if isinstance(self.seeds, list):
+            return [int(s) for s in self.seeds]
+        return derive_seeds(self.master_seed, self.seeds)
 
 
 def derive_seeds(master_seed: int, count: int) -> list:
@@ -101,18 +108,25 @@ class PipelineResult:
 
 def run_pipeline(
     result: PipelineResult,
-    potential: dict,
+    potential,
     eig_tol: float = 1e-9,
     el_tol: float = 1e-8,
     max_iter: int = 5000,
 ) -> PipelineResult:
-    """disorder -> spectrum -> host component -> potential -> Hartree.
+    """potential -> disorder -> spectrum -> host component -> Hartree.
 
-    Fills result in place and returns it.  An empty vacancy set and a
-    one-node domain (no second eigenvalue) stop the pipeline with a
-    KacLabError; solver failures propagate as raised.
+    potential is a spec dict, built first so that a bad spec fails before any
+    solve, or an InteractionPotential built for config's N, d and spacing.
+    Fills result in place and returns it.  An empty vacancy set and a one-node
+    domain (no second eigenvalue) stop the pipeline with a KacLabError;
+    solver failures propagate as raised.
     """
     config = result.config
+    result.stage = "potential"
+    if not isinstance(potential, InteractionPotential):
+        potential = potential_from_spec(potential, config.N, config.d, config.grid_spacing)
+    v = result.v = potential
+
     result.stage = "disorder"
     real = result.real = build_realization(config)
     if real.K == 0:
@@ -127,9 +141,6 @@ def run_pipeline(
 
     result.stage = "component"
     sel = result.selection = ground_state_component(real, pair)
-
-    result.stage = "potential"
-    v = result.v = potential_from_spec(potential, config.N, config.d, real.h)
 
     result.stage = "hartree"
     # |phi1| on the host is the host's ground state: no second Dirichlet solve
@@ -150,7 +161,7 @@ def hartree_record(hs: HartreeSolution) -> dict:
 
 def run_realization(
     config: DisorderConfig,
-    potential: dict,
+    potential,
     eta: float = 0.1,
     sigma_ref: Optional[float] = None,
     eig_tol: float = 1e-9,
@@ -159,9 +170,9 @@ def run_realization(
 ) -> dict:
     """Full pipeline on one realization, captured as a JSON-able record.
 
-    run_pipeline, then the certificate; any stage failure is captured in the
-    record under "error" instead of raising, so ensembles keep going and
-    report their failures.
+    run_pipeline on potential (a spec dict or a built potential), then the
+    certificate; any stage failure is captured in the record under "error"
+    instead of raising, so ensembles keep going and report their failures.
     """
     result = PipelineResult(config)
     certificate = error = None
@@ -198,25 +209,24 @@ def run_realization(
 
 
 def _job(args):
-    config_fields, potential, kwargs = args
-    return run_realization(DisorderConfig(**config_fields), potential, **kwargs)
+    config, v, kwargs = args
+    return run_realization(config, v, **kwargs)
 
 
 def run_ensemble(spec: EnsembleSpec, N: Optional[int] = None) -> list:
-    """Run the pipeline over all seeds; records come back sorted by seed."""
+    """Run the pipeline over all seeds; records come back sorted by seed.
+
+    The one potential is built before any realization: a bad spec raises here.
+    """
     base = dict(spec.base)
     if N is not None:
         base["N"] = N
-    kwargs = {
-        "eta": spec.eta,
-        "sigma_ref": spec.sigma_ref,
-        "eig_tol": spec.eig_tol,
-        "el_tol": spec.el_tol,
-        "max_iter": spec.max_iter,
-    }
-    jobs = [
-        ({**base, "seed": seed}, spec.potential, kwargs) for seed in spec.seed_list()
-    ]
+    kwargs = {key: getattr(spec, key)
+              for key in ("eta", "sigma_ref", "eig_tol", "el_tol", "max_iter")}
+    configs = [DisorderConfig(**base, seed=seed) for seed in spec.seed_list()]
+    first = configs[0]
+    v = potential_from_spec(spec.potential, first.N, first.d, first.grid_spacing)
+    jobs = [(config, v, kwargs) for config in configs]
     if spec.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             records = list(pool.map(_job, jobs))

@@ -4,9 +4,10 @@ The pair potential is kappa * V(x) / (N (ln N)^(2/d)) sampled on a centered
 stencil of integer offsets; the (ln N)-weakened mean-field scaling keeps the
 potential energy per particle comparable to the spectral gap of the disordered
 Laplacian.  Admissible profiles are nonnegative, even and positive definite
-(nonnegative lattice Fourier transform); the built-in Gaussian satisfies all
-three, the top-hat deliberately fails positive definiteness and is only
-available behind an override flag for stress tests.
+(nonnegative lattice Fourier transform); a build checks the first two only.
+The built-in Gaussian satisfies all three, the top-hat deliberately fails
+positive definiteness and is only available behind an override flag for
+stress tests.
 
 Quadrature conventions: integrals carry h^d per integration variable, so
 ||v||_1 = sum(values) h^d and (f * v)(x) = sum_y f(y) v(x-y) h^d.
@@ -21,16 +22,15 @@ from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import ConfigError
 
-POSDEF_RTOL = 1e-10
-
 
 @dataclass
 class InteractionPotential:
-    """Sampled pair potential with norms and Fourier diagnostics.
+    """Sampled pair potential and its norms.
 
     values is the (2R+1)^d stencil of v at offsets (-R..R) * h; entries beyond
-    the truncation radius are zero.  The fields are not changed after
-    construction.  The one mutable part is the spectrum cache that
+    the truncation radius are zero.  N, d and h are those it was built for,
+    and the certificates read N and d from here.  The fields are not changed
+    after construction.  The one mutable part is the spectrum cache that
     convolve_density fills: a dict from padded FFT shape to the rfftn of
     values at that shape, computed on first use and stored read-only.
     Concurrent reads stay safe: an entry is inserted whole under the GIL, and
@@ -47,10 +47,6 @@ class InteractionPotential:
     stencil_radius: int
     l1_norm: float
     v_at_zero: float
-    pos_def: bool
-    fourier_min: float
-    fourier_max: float
-    v0_from_fourier: float
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def value_at_offset(self, offset) -> float:
@@ -65,27 +61,6 @@ def _offset_radii(R: int, d: int, h: float) -> np.ndarray:
     axes = np.arange(-R, R + 1) * h
     grids = np.meshgrid(*([axes] * d), indexing="ij")
     return np.sqrt(sum(g * g for g in grids))
-
-
-def _fourier_diagnostics(values: np.ndarray, h: float):
-    """Sample the lattice symbol hat v(k) = (2 pi)^(-d/2) h^d sum v(x) e^(-ikx).
-
-    Zero-padding the FFT samples the exact symbol of the sampled potential on
-    a finer frequency grid; the L1 quadrature of |hat v| then reproduces v(0)
-    up to the (tiny) mass of any sign-changing part, which is the consistency
-    check v(0) = (2 pi)^(-d/2) ||hat v||_1.
-    """
-    d = values.ndim
-    side = values.shape[0]
-    R = (side - 1) // 2
-    pad = next_fast_len(max(4 * side, 64))
-    arr = np.zeros((pad,) * d)
-    arr[tuple(slice(0, side) for _ in range(d))] = values
-    arr = np.roll(arr, -R, axis=tuple(range(d)))
-    symbol = np.fft.fftn(arr).real * h**d * (2.0 * math.pi) ** (-d / 2.0)
-    dk = 2.0 * math.pi / (pad * h)
-    fourier_l1 = float(np.sum(np.abs(symbol)) * dk**d)
-    return float(symbol.min()), float(symbol.max()), fourier_l1
 
 
 def build_interaction(
@@ -171,8 +146,6 @@ def build_interaction(
     values = scale * base
     l1 = float(values.sum() * h**d)
     v0 = float(values[(R,) * d])
-    fmin, fmax, fl1 = _fourier_diagnostics(values, h)
-    pos_def = bool(fmin >= -POSDEF_RTOL * max(fmax, 0.0))
 
     return InteractionPotential(
         kind=kind,
@@ -184,10 +157,6 @@ def build_interaction(
         stencil_radius=R,
         l1_norm=l1,
         v_at_zero=v0,
-        pos_def=pos_def,
-        fourier_min=fmin,
-        fourier_max=fmax,
-        v0_from_fourier=(2.0 * math.pi) ** (-d / 2.0) * fl1,
     )
 
 
@@ -222,19 +191,6 @@ def potential_from_spec(spec: dict, N: int, d: int, h: float) -> InteractionPote
     if leftovers:
         raise ConfigError(f"unknown potential parameters {sorted(leftovers)}")
     return build_interaction(kind, kappa, N, d, h, base_params=params)
-
-
-def scaling_ratios(v: InteractionPotential, N: int, d: int) -> dict:
-    """The two normalized scaling diagnostics of the interaction.
-
-    s1 = ||v||_1 N (ln N)^(2/d) stays bounded under the mean-field scaling;
-    s2 = v(0) (ln N)^(1+2/d) must vanish for complete condensation.
-    """
-    logN = math.log(N)
-    return {
-        "s1": v.l1_norm * N * logN ** (2.0 / d),
-        "s2": v.v_at_zero * logN ** (1.0 + 2.0 / d),
-    }
 
 
 def convolve_density(density: np.ndarray, v: InteractionPotential) -> np.ndarray:

@@ -12,6 +12,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.fft import next_fast_len
 
 from kaclab import DisorderConfig, DisorderRealization, EnsembleSpec, build_realization, run_ensemble
 
@@ -161,6 +162,31 @@ def loop_density_matrix(states, psi, M):
             key = int(_multiset_keys(np.array([rest], dtype=np.int64), M)[0])
             B[int(np.searchsorted(red_keys, key)), a] += math.sqrt(na) * psi[i]
     return B.T @ B / N
+
+
+def lattice_symbol(v):
+    """Samples of the lattice symbol of v, and v(0) recovered from them.
+
+    hat v(k) = (2 pi)^(-d/2) h^d sum_x v(x) e^(-ikx).  Zero-padding the
+    stencil to at least four times its width samples this exact symbol on a
+    fine frequency grid.  v is positive definite when every sample is
+    nonnegative, and then v(0) = (2 pi)^(-d/2) ||hat v||_1, whose quadrature
+    over the samples is the second value returned.
+    """
+    d, side, R = v.d, v.values.shape[0], v.stencil_radius
+    pad = next_fast_len(max(4 * side, 64))
+    arr = np.zeros((pad,) * d)
+    arr[(slice(0, side),) * d] = v.values
+    arr = np.roll(arr, -R, axis=tuple(range(d)))
+    symbol = np.fft.fftn(arr).real * v.h**d * (2.0 * math.pi) ** (-d / 2.0)
+    dk = 2.0 * math.pi / (pad * v.h)
+    return symbol, (2.0 * math.pi) ** (-d / 2.0) * float(np.sum(np.abs(symbol)) * dk**d)
+
+
+def positive_definite(v):
+    """No symbol sample below -1e-10 times the symbol's maximum."""
+    symbol, _ = lattice_symbol(v)
+    return bool(symbol.min() >= -1e-10 * max(symbol.max(), 0.0))
 
 
 def box_eigenvalue(modes, h, L):

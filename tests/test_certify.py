@@ -32,8 +32,8 @@ def fake_pair(lam1, lam2):
     return SimpleNamespace(lambda1=lam1, lambda2=lam2)
 
 
-def fake_potential(l1, d=2):
-    return SimpleNamespace(l1_norm=l1, d=d)
+def fake_potential(l1, N, d=2):
+    return SimpleNamespace(l1_norm=l1, N=N, d=d)
 
 
 def pipeline(real, kappa, solve_oracle=False, oracle_N=None):
@@ -56,14 +56,14 @@ class TestGapEvent:
     def test_zero_potential_margin_is_gap(self, free_3x3):
         pair = lowest_eigenpairs(assemble_laplacian(free_3x3))
         v = build_interaction("gaussian", 0.0, 2, 2, free_3x3.h, {"width": 0.5})
-        ok, margin, lhs, rhs = check_gap_event(pair, v, N=2)
+        ok, margin, lhs, rhs = check_gap_event(pair, v)
         assert ok
         assert rhs == 0.0
         assert margin == pytest.approx(pair.lambda2 - pair.lambda1, rel=1e-14)
 
     def test_degenerate_squares_fail_event(self):
         pair = fake_pair(3.0, 3.0)
-        ok, margin, _, _ = check_gap_event(pair, fake_potential(0.1), N=5)
+        ok, margin, _, _ = check_gap_event(pair, fake_potential(0.1, N=5))
         assert not ok and margin <= 0.0
 
     def test_worked_arithmetic_example(self):
@@ -72,20 +72,20 @@ class TestGapEvent:
         assert c2 == pytest.approx(math.e**2 / math.pi, rel=1e-14)
         pair = fake_pair(0.5, 0.8)
         # N ||v||_1 = 0.02: rhs = C^2 * 0.02 * lambda1^(d/2), power 1 at d=2
-        ok, margin, lhs, rhs = check_gap_event(pair, fake_potential(0.02), N=1)
+        ok, margin, lhs, rhs = check_gap_event(pair, fake_potential(0.02, N=1))
         assert rhs == pytest.approx(c2 * 0.02 * 0.5, rel=1e-14)
         assert ok
         assert margin == pytest.approx(0.3 - rhs, rel=1e-12)
 
     def test_missing_lambda2_fails(self):
-        ok, margin, _, _ = check_gap_event(fake_pair(1.0, None), fake_potential(0.1), 2)
+        ok, margin, _, _ = check_gap_event(fake_pair(1.0, None), fake_potential(0.1, N=2))
         assert not ok
 
 
 class TestGapLowerBound:
     def test_zero_potential_bound_is_exact_gap(self, free_3x3):
         pair, v, hs, _ = pipeline(free_3x3, kappa=0.0)
-        bound = check_gap_event(pair, v, free_3x3.config.N)[1]
+        bound = check_gap_event(pair, v)[1]
         assert bound == pytest.approx(pair.lambda2 - pair.lambda1, rel=1e-14)
         assert hs.e2 - hs.e1 == pytest.approx(bound, abs=1e-9)
 
@@ -93,11 +93,11 @@ class TestGapLowerBound:
         real = corner_blocked_6
         pair, v, hs, _ = pipeline(real, kappa=0.5)
         assert supnorm_bound_check(pair, 2).ok
-        bound = check_gap_event(pair, v, real.config.N)[1]
+        bound = check_gap_event(pair, v)[1]
         assert hs.e2 - hs.e1 >= bound - 1e-9
 
     def test_bound_may_go_negative(self):
-        bound = check_gap_event(fake_pair(2.0, 2.1), fake_potential(5.0), N=50)[1]
+        bound = check_gap_event(fake_pair(2.0, 2.1), fake_potential(5.0, N=50))[1]
         assert bound < 0.0
 
 
@@ -157,15 +157,15 @@ class TestCertificate:
 class TestScalingDiagnostics:
     def test_zero_potential(self, free_3x3):
         v = build_interaction("gaussian", 0.0, 2, 2, free_3x3.h, {"width": 0.5})
-        diag = scaling_diagnostics(v, 2, 2, sigma_ref=1.0)
+        diag = scaling_diagnostics(v, sigma_ref=1.0)
         assert diag["s1"] == 0.0 and diag["s2"] == 0.0
         assert diag["gap_scale_ref"] == pytest.approx(math.log(2) ** -2.0)
 
     def test_reference_scale_shrinks_with_N(self):
         v64 = build_interaction("gaussian", 1.0, 64, 2, 0.25, {"width": 0.5})
-        d1 = scaling_diagnostics(v64, 64, 2, sigma_ref=0.5)
+        d1 = scaling_diagnostics(v64, sigma_ref=0.5)
         v4096 = build_interaction("gaussian", 1.0, 4096, 2, 0.25, {"width": 0.5})
-        d2 = scaling_diagnostics(v4096, 4096, 2, sigma_ref=0.5)
+        d2 = scaling_diagnostics(v4096, sigma_ref=0.5)
         expected = (math.log(64) / math.log(4096)) ** 2.0
         assert d2["gap_scale_ref"] / d1["gap_scale_ref"] == pytest.approx(
             expected, rel=1e-12

@@ -15,6 +15,8 @@ from kaclab.errors import ConfigError
 from kaclab.interaction import potential_from_spec
 from kaclab.storage import load_field
 
+from conftest import positive_definite
+
 
 def write_config(tmp_path, **sections):
     data = {
@@ -211,12 +213,27 @@ class TestSubcommands:
         ["ensemble", "--set", 'ensemble.workers="2"'],
         ["ensemble", "--set", "solver.eig_tol=x"],
         ["sample", "--set", "disorder=5"],
+        ["ensemble", "--set", "potential.kind=foo"],
+        ["ensemble", "--set", "disorder.N=1"],
+        ["ensemble", "--set", 'ensemble.seeds="30"'],
+        ["ensemble", "--set", "ensemble.seeds=true"],
+        ["ensemble", "--set", "ensemble.seeds=[]"],
+        ["ensemble", "--set", "ensemble.seeds=2.5"],
+        ["ensemble", "--set", "ensemble.master_seed=x"],
+        ["ensemble", "--set", "ensemble.N_values=5"],
+        ["ensemble", "--set", "ensemble.seeds=[1,2.0]"],
+        ["ensemble", "--set", "ensemble.master_seed=-1"],
+        ["ensemble", "--set", "ensemble.N_values=[16,64.0,256]"],
     ], ids=["sweep_default", "N_values_decrease", "no_seeds", "workers_string",
-            "eig_tol_string", "whole_section"])
+            "eig_tol_string", "whole_section", "unknown_potential_kind", "N_below_two",
+            "seeds_string", "seeds_bool", "seeds_empty", "seeds_float",
+            "master_seed_string", "N_values_scalar", "seeds_float_entry",
+            "master_seed_negative", "N_values_float_entry"])
     def test_config_error_is_one_error_line(self, tmp_path, capsys, argv):
         assert main(argv + ["-o", str(tmp_path / "run")]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "run" / "records.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["spectrum", "oracle"])
     def test_empty_vacancy_set_is_an_error_line(self, tmp_path, capsys, command):
@@ -253,7 +270,7 @@ class TestPotentialKindsViaConfig:
         )
         cfg = parse_config(path)
         v = potential_from_spec(cfg.potential_spec(), 4, 2, 0.5)
-        assert v.kind == "top_hat" and not v.pos_def
+        assert v.kind == "top_hat" and not positive_definite(v)
 
     def test_custom_table_spec(self, tmp_path):
         table = tmp_path / "profile.txt"

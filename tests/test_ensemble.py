@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from kaclab import DisorderConfig, EnsembleSpec, run_ensemble, run_realization
+from kaclab import ConfigError, DisorderConfig, EnsembleSpec, run_ensemble, run_realization
 from kaclab.ensemble import (
     derive_seeds,
     estimate_event_probabilities,
@@ -108,6 +108,47 @@ class TestEnsemble:
         b = derive_seeds(123, 50)
         assert a == b
         assert len(set(a)) == 50
+
+
+class TestPotentialOncePerEnsemble:
+    @staticmethod
+    def count_builds(monkeypatch):
+        import kaclab.ensemble as ensemble_mod
+
+        calls = []
+        build = ensemble_mod.potential_from_spec
+
+        def spy(spec, N, d, h):
+            calls.append(N)
+            return build(spec, N, d, h)
+
+        monkeypatch.setattr(ensemble_mod, "potential_from_spec", spy)
+        return calls
+
+    def test_one_build_for_all_seeds(self, monkeypatch):
+        calls = self.count_builds(monkeypatch)
+        records = run_ensemble(spec_with(seeds=5))
+        assert calls == [BASE["N"]]
+        assert len(records) == 5 and all(r["error"] is None for r in records)
+
+    def test_one_build_per_N_in_a_sweep(self, monkeypatch):
+        calls = self.count_builds(monkeypatch)
+        scaling_sweep(spec_with(seeds=2, N_values=[16, 64, 256]))
+        assert calls == [16, 64, 256]
+
+    @pytest.mark.parametrize("potential, base", [
+        ({"kind": "foo"}, BASE),
+        (POT, {**BASE, "N": 1, "rho": 1.0 / 16}),
+    ], ids=["unknown_kind", "N_below_two"])
+    def test_bad_spec_fails_before_any_realization(self, monkeypatch, potential, base):
+        import kaclab.ensemble as ensemble_mod
+
+        def no_realization(config):
+            raise AssertionError("a realization was built")
+
+        monkeypatch.setattr(ensemble_mod, "build_realization", no_realization)
+        with pytest.raises(ConfigError):
+            run_ensemble(spec_with(base=base, potential=potential, seeds=3))
 
 
 class TestEventProbabilities:

@@ -12,9 +12,9 @@ from scipy.signal import fftconvolve
 import kaclab
 from kaclab import ConfigError, build_interaction, convolve_density, minimize_hartree
 from kaclab import interaction
-from kaclab.interaction import scaling_ratios
+from kaclab.certify import scaling_diagnostics
 
-from conftest import tiny_box_config
+from conftest import lattice_symbol, positive_definite, tiny_box_config
 
 
 def gaussian(kappa=1.0, N=64, d=2, h=0.25, **params):
@@ -25,7 +25,7 @@ def assumptions_hold(v):
     """The standing assumptions: v >= 0, even, positive definite, integrable."""
     rev = v.values[tuple(slice(None, None, -1) for _ in range(v.d))]
     return (bool(np.all(v.values >= 0)) and np.array_equal(v.values, rev)
-            and v.pos_def and bool(np.isfinite(v.l1_norm)))
+            and positive_definite(v) and bool(np.isfinite(v.l1_norm)))
 
 
 def brute_convolution(density, v):
@@ -47,7 +47,7 @@ class TestBuild:
         assert np.all(v.values == 0.0)
         assert v.l1_norm == 0.0
         assert v.v_at_zero == 0.0
-        assert v.pos_def
+        assert positive_definite(v)
 
     def test_gaussian_l1_closed_form(self):
         # integral of exp(-|x|^2/2) over the plane is 2 pi
@@ -76,14 +76,14 @@ class TestBuild:
         assert np.all(v.values >= 0.0)
 
     def test_gaussian_positive_definite(self):
-        assert gaussian().pos_def
-        assert gaussian(d=3, h=0.4, width=0.5).pos_def
+        assert positive_definite(gaussian())
+        assert positive_definite(gaussian(d=3, h=0.4, width=0.5))
 
     def test_fourier_v0_consistency(self):
         # v(0) = (2 pi)^(-d/2) ||hat v||_1, both sides computed independently
         for d, h, w in [(2, 0.25, 1.0), (2, 0.5, 0.5), (3, 0.4, 0.5)]:
             v = build_interaction("gaussian", 1.3, 40, d, h, {"width": w})
-            assert v.v0_from_fourier == pytest.approx(v.v_at_zero, rel=1e-8)
+            assert lattice_symbol(v)[1] == pytest.approx(v.v_at_zero, rel=1e-8)
 
     def test_top_hat_requires_override(self):
         with pytest.raises(ConfigError, match="positive definite"):
@@ -93,8 +93,9 @@ class TestBuild:
         v = build_interaction(
             "top_hat", 1.0, 10, 2, 0.25, {"radius": 1.0, "allow_non_posdef": True}
         )
-        assert not v.pos_def
-        assert v.fourier_min < -1e-3 * v.fourier_max
+        assert not positive_definite(v)
+        symbol, _ = lattice_symbol(v)
+        assert symbol.min() < -1e-3 * symbol.max()
 
     def test_custom_table(self, tmp_path):
         table = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
@@ -128,17 +129,17 @@ class TestAssumptionReport:
         v = gaussian(kappa=0.9, N=64)
         assert assumptions_hold(v)
         # s1 = ||v||_1 N ln N recovers kappa ||V||_1, constant in N
-        s1 = scaling_ratios(v, v.N, v.d)["s1"]
+        s1 = scaling_diagnostics(v)["s1"]
         assert s1 == pytest.approx(0.9 * 2.0 * math.pi, rel=1e-12)
 
     def test_s1_constant_under_N(self):
-        reps = [scaling_ratios(gaussian(kappa=0.4, N=N), N, 2)["s1"] for N in (16, 256)]
+        reps = [scaling_diagnostics(gaussian(kappa=0.4, N=N))["s1"] for N in (16, 256)]
         assert reps[0] == pytest.approx(reps[1], rel=1e-12)
 
     def test_s2_shrinks_analytically(self):
         v1, v2 = gaussian(kappa=1.0, N=100), gaussian(kappa=1.0, N=200)
-        r1 = scaling_ratios(v1, 100, 2)["s2"]
-        r2 = scaling_ratios(v2, 200, 2)["s2"]
+        r1 = scaling_diagnostics(v1)["s2"]
+        r2 = scaling_diagnostics(v2)["s2"]
         expected = (
             (math.log(200) ** 2 / (200 * math.log(200)))
             / (math.log(100) ** 2 / (100 * math.log(100)))
@@ -148,7 +149,7 @@ class TestAssumptionReport:
     def test_zero_potential_report(self):
         v = gaussian(kappa=0.0)
         assert assumptions_hold(v)
-        rep = scaling_ratios(v, v.N, v.d)
+        rep = scaling_diagnostics(v)
         assert rep["s1"] == 0.0 and rep["s2"] == 0.0
 
 
