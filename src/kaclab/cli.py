@@ -4,13 +4,15 @@ build_parser is the one command table: each subcommand's parser carries its
 handler, and a command's own flags reach that handler as keyword arguments.
 Runs are driven by a JSON config file with dotted --set overrides; every run
 directory receives the fully resolved config echo and a version stamp so
-results stay auditable.  Exit codes: 0 success, 1 asserted-certificate
-failure, 2 usage error, 3 solver failure.
+results stay auditable.  The config's log_level sets the level of the
+"kaclab" logger, whose records go to stderr.  Exit codes: 0 success, 1
+asserted-certificate failure, 2 usage error, 3 solver failure.
 """
 
 import argparse
 import dataclasses
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_CERT = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 # EnsembleSpec's field defaults are the one source of the solver and ensemble defaults
 _SPEC = {
@@ -62,6 +65,9 @@ class RunConfig:
 
     def __init__(self, data: dict):
         self.data = data
+        if data["log_level"] not in LOG_LEVELS:
+            raise ConfigError(f"log_level={data['log_level']!r} must be one of "
+                              f"{', '.join(LOG_LEVELS)}")
         # building both specs validates every numeric precondition
         self.disorder_config()
         self.ensemble_spec()
@@ -320,6 +326,8 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config, args.overrides)
         if args.output_dir is not None:
             cfg.data["output_dir"] = args.output_dir
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger("kaclab").setLevel(cfg.data["log_level"])
         return args.handler(cfg, _prepare_run_dir(cfg), **flags)
     except (ConfigError, BasisSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -143,10 +143,11 @@ def run_pipeline(
     sel = result.selection = ground_state_component(real, pair)
 
     result.stage = "hartree"
-    # |phi1| on the host is the host's ground state: no second Dirichlet solve
+    # the spectrum steers the flow: |phi1| starts it on the host, no second
+    # Dirichlet solve, and lambda1, lambda2 shift its preconditioner and h_u
     result.hartree = minimize_hartree(
         real, sel.component, v, config.N, tol=el_tol, max_iter=max_iter,
-        eig_tol=eig_tol, init=np.abs(pair.phi1), lap=lap,
+        eig_tol=eig_tol, lap=lap, pair=pair,
     )
     return result
 
@@ -258,7 +259,7 @@ def estimate_event_probabilities(spec: EnsembleSpec, records: Optional[list] = N
     carry spec's sigma_ref scale.
     """
     if records is None:
-        if isinstance(spec.seeds, int) and spec.seeds < 30:
+        if len(spec.seed_list()) < 30:
             raise ValueError("need >= 30 seeds for frequency estimates")
         records = run_ensemble(spec)
 

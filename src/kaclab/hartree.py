@@ -6,7 +6,8 @@ The energy of a unit-norm state u supported on one vacancy component is
 
 with h^d quadrature throughout.  Its minimizer is found by projected gradient
 descent on the unit sphere, preconditioned with the vacancy-set Laplacian's
-factor (the spectrum's), with energy backtracking, which makes monotone
+factor (the spectrum's), shifted on the spectrum's two lowest modes when the
+pipeline hands them over, with energy backtracking, which makes monotone
 decrease of the energy trace an enforced invariant; a damped self-consistent
 field solver is kept alongside as an independent cross-check of the (unique)
 minimizer.  Linearizing at u gives the effective operator
@@ -17,6 +18,7 @@ whose ground energy on the host component equals E[u]; the shift is stored
 separately so componentwise gaps are unaffected by it.
 """
 
+import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,9 +31,17 @@ from scipy.sparse.linalg import splu  # noqa: F401
 from . import grids
 from .errors import SolverError
 from .interaction import InteractionPotential, convolve_density
-from .laplace import MaskedOperator, assemble_laplacian, lowest_eigenpairs
+from .laplace import MaskedOperator, SpectralPair, assemble_laplacian, lowest_eigenpairs
 
 SUPPORT_TOL = 1e-12
+# the flow's preconditioner and h_u's shift-invert point sit at sigma = 0.9
+# lambda1 of the Laplacian: below lambda1, so both stay positive definite,
+# with a 10% margin for FFT roundoff in W (and for kappa = 0, where W = 0).
+# 0.99 lambda1 slowed the flow under strong interaction: mean iterations
+# 31.5 -> 87.3 on 200 seeds at d=2, N=64, kappa=10.
+SHIFT_FRACTION = 0.9
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -125,17 +135,23 @@ def _initial_state(real, component, init, eig_tol):
     return comp_mask, grids.normalize(u, real.h)
 
 
-def _finalize(u, real, component, hop, iterations, residual, trace, energy, eig_tol):
-    """Spectrum of the effective operator hop = h_u at the converged state u.
+def _finalize(u, real, component, W, shift, iterations, residual, trace, energy,
+              eig_tol, sigma=0.0):
+    """Spectrum of the effective operator h_u = -Lap + W - shift at the converged u.
 
-    The caller builds hop from the mean field it already holds, so nothing
-    here convolves.  Only the full-set spectrum is solved.  h_u is
+    The caller passes the mean field W and shift it already holds, so nothing
+    here convolves.  The factorized part of h_u is -Lap + W - sigma: W >= 0,
+    so by Weyl's inequality its least eigenvalue is at least lambda1 > sigma
+    and the shift-invert solve stays positive definite; sigma near e1 only
+    speeds it up.  Only the full-set spectrum is solved.  h_u is
     block-diagonal over the components, so its ground energy e1 is the least
     of the component ground energies, e1 <= e1_host; and u is a unit trial
     state on the host, so e1_host <= <u, h_u u> = energy.  A host-restricted
     solve would therefore sit between e1 and energy, and |energy - e1|
     already bounds its distance to the energy.
     """
+    hop = MaskedOperator(mask=real.mask, h=real.h, potential=W - sigma,
+                         diagonal_shift=shift - sigma)
     e1, e2, gvec = effective_spectrum(hop, tol=eig_tol)
     comp_mask = real.labels == component
     gmass = float(np.sum(np.where(comp_mask, gvec, 0.0) ** 2)) * real.h**real.d
@@ -145,7 +161,7 @@ def _finalize(u, real, component, hop, iterations, residual, trace, energy, eig_
         energy=energy,
         e1=e1,
         e2=e2,
-        shift=hop.diagonal_shift,
+        shift=shift,
         iterations=iterations,
         el_residual=residual,
         energy_trace=trace,
@@ -164,6 +180,7 @@ def minimize_hartree(
     eig_tol: float = 1e-9,
     init: Optional[np.ndarray] = None,
     lap: Optional[MaskedOperator] = None,
+    pair: Optional[SpectralPair] = None,
 ) -> HartreeSolution:
     """Minimize the component Hartree energy by projected gradient descent.
 
@@ -188,13 +205,49 @@ def minimize_hartree(
     component's own.  For the same reason |phi1| of the whole vacancy
     set, restricted to the component, is already the component's ground state
     whenever that component attains lambda1 (also when phi1 is spread over
-    several); passing it as init saves that eigensolve.
+    several); it is the default init when pair is given, which saves that
+    eigensolve.
+
+    pair, the spectrum of lap, steers both solves.  With P = (-Lap)^(-1) the
+    phi2 mode contracts only like lambda1/lambda2 per step, slow on the
+    clustered low spectra of vacancy sets.  So with sigma = 0.9 lambda1 the
+    preconditioner becomes
+
+        P r = (-Lap)^(-1) r + sum_{k=1,2} (1/(lambda_k - sigma) - 1/lambda_k)
+              <phi_k, r> phi_k,   then zeroed off the component,
+
+    which is (-Lap - sigma)^(-1) on span{phi1, phi2} and (-Lap)^(-1) on the
+    rest.  Both coefficients are positive since sigma < lambda1 <= lambda2,
+    so P stays symmetric positive definite on functions of the component and
+    the projected direction still descends.  The restriction is needed: on a
+    fragmented set phi1 and phi2 may live on other components, and without
+    it the correction moved mass off the host (at d=2, N=1024, nu=2,
+    kappa=10, 3 of 40 flows ended with up to 45% of the mass off the host
+    and the energy up to 2.3% above the minimum).  h_u's
+    spectrum is then shift-inverted at sigma too (see _finalize).  Without
+    pair the flow preconditions with (-Lap)^(-1) and h_u shift-inverts at 0.
     """
+    if init is None and pair is not None:
+        init = np.abs(pair.phi1)
     comp_mask, u = _initial_state(real, component, init, eig_tol)
     eps = np.finfo(float).eps
     h = real.h
     if lap is None:
         lap = assemble_laplacian(real)
+    sigma, modes = 0.0, []
+    if pair is not None:
+        sigma = SHIFT_FRACTION * pair.lambda1
+        modes = [(phi, 1.0 / (lam - sigma) - 1.0 / lam)
+                 for lam, phi in ((pair.lambda1, pair.phi1), (pair.lambda2, pair.phi2))
+                 if phi is not None]
+
+    def precondition(r):
+        z = lap.embed(lap.factor.solve(lap.restrict(r)))
+        if not modes:
+            return z
+        for phi, coef in modes:
+            z += (coef * grids.inner(phi, r, h)) * phi
+        return np.where(comp_mask, z, 0.0)
 
     def energy_and_potential(w):
         # the stencil product and the mean field are returned too: the
@@ -210,6 +263,7 @@ def minimize_hartree(
     tau = 1.0
     tau_max = 1.0
     residual = np.inf
+    backtracks = 0
 
     for it in range(1, max_iter + 1):
         g = Lu + W * u
@@ -222,7 +276,7 @@ def minimize_hartree(
             iterations = it - 1
             break
 
-        z = lap.embed(lap.factor.solve(lap.restrict(resid)))
+        z = precondition(resid)
         direction = z - grids.inner(u, z, h) * u
 
         accepted = False
@@ -231,6 +285,7 @@ def minimize_hartree(
             nw = grids.norm(w, h)
             if nw == 0.0:
                 tau *= 0.5
+                backtracks += 1
                 continue
             w /= nw
             new_energy, new_W, new_shift, new_Lw = energy_and_potential(w)
@@ -241,6 +296,7 @@ def minimize_hartree(
                 accepted = True
                 break
             tau *= 0.5
+            backtracks += 1
         if not accepted:
             if residual < 100.0 * tol:
                 # stuck in float noise near the minimum but residual is tiny
@@ -259,13 +315,14 @@ def minimize_hartree(
             residuals=[residual],
             trace=trace,
         )
+    logger.debug("Hartree flow converged: %d iterations, %d backtracks, residual %.3e",
+                 iterations, backtracks, residual)
 
     # the flow is done with the Laplacian's factor, if it was built: drop it
     # before _finalize factorizes h_u, so the two are never held at once
     vars(lap).pop("factor", None)
-    hop = MaskedOperator(mask=real.mask, h=h, potential=W, diagonal_shift=shift)
-    return _finalize(u, real, component, hop, iterations, residual, trace,
-                     energy, eig_tol)
+    return _finalize(u, real, component, W, shift, iterations, residual, trace,
+                     energy, eig_tol, sigma)
 
 
 def minimize_hartree_scf(
@@ -304,8 +361,8 @@ def minimize_hartree_scf(
         trace.append(rayleigh)
         if residual < tol:
             energy = hartree_energy(u, real, component, v, N)
-            hop = assemble_effective_operator(u, real, v, N)
-            return _finalize(u, real, component, hop, it, residual, trace,
+            W, shift = _mean_field(u, v, N, real.h)
+            return _finalize(u, real, component, W, shift, it, residual, trace,
                              energy, eig_tol)
 
         dens = (1.0 - mixing) * dens + mixing * phi * phi

@@ -2,15 +2,16 @@
 
 The operator is the standard (2d+1)-point stencil restricted to vacant nodes:
 diagonal 2d/h^2, off-diagonal -1/h^2 between face-adjacent vacant nodes, hard
-zeros on blocked and boundary nodes.  An optional nonnegative one-body
-potential and a constant diagonal shift turn the same machinery into the
-effective mean-field operator.  An operator has two forms: apply_grid, the
-matrix-free product, and matrix(), the sparse matrix of its unshifted SPD
-part, which the dense eigensolver reads and MaskedOperator.factor factorizes
-once, on first use (SuperLU in symmetric mode, minimum degree ordering of
-A + A^T, diagonal pivots).  Above DENSE_CUTOFF nodes the eigensolver runs
-shift-invert ARPACK on that factor, and the Hartree flow preconditions with
-the Laplacian's factor, the same object.
+zeros on blocked and boundary nodes.  An optional one-body potential, with
+-Lap + potential positive definite, and a constant diagonal shift turn the
+same machinery into the effective mean-field operator.  An operator has two
+forms: apply_grid, the matrix-free product, and matrix(), the sparse matrix
+of its unshifted SPD part, which the dense eigensolver reads and
+MaskedOperator.factor factorizes once, on first use (SuperLU in symmetric
+mode, minimum degree ordering of A + A^T, diagonal pivots).  Above
+DENSE_CUTOFF nodes the eigensolver runs shift-invert ARPACK on that factor,
+and the Hartree flow preconditions with the Laplacian's factor, the same
+object.
 """
 
 from dataclasses import dataclass
@@ -34,11 +35,14 @@ DENSE_CUTOFF = 200
 DEGENERACY_RTOL = 1e-10  # lambda2 - lambda1 below this (relative) is reported degenerate
 
 # SuperLU options of MaskedOperator.factor, the only place kaclab factorizes.
-# The matrix is -Lap_Dirichlet, plus for the effective operator a nonnegative
-# potential (built from profiles that interaction.py validates nonnegative),
-# so it is symmetric positive definite and diagonal pivots are safe.  In
-# symmetric mode SuperLU can then order A + A^T by minimum degree, which
-# halves the fill of its default COLAMD ordering in 2D and cuts it ~2.2x in 3D.
+# The matrix is -Lap_Dirichlet, or for the effective operator h_u
+# -Lap + W - sigma: W >= 0 (kappa >= 0 and profiles that interaction.py
+# validates nonnegative) and sigma = 0.9 lambda1 (0 without the Laplacian's
+# spectrum), so by Weyl's inequality its least eigenvalue is at least
+# lambda1 - sigma > 0.  It is symmetric positive definite and diagonal pivots
+# are safe.  In symmetric mode SuperLU can then order A + A^T by minimum
+# degree, which halves the fill of its default COLAMD ordering in 2D and cuts
+# it ~2.2x in 3D.
 SPD_LU_OPTIONS = {
     "permc_spec": "MMD_AT_PLUS_A",
     "diag_pivot_thresh": 0.0,
@@ -176,8 +180,10 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> 
 
     Small problems go through dense LAPACK; larger ones through ARPACK in
     shift-invert mode at sigma=0, which is safe because the unshifted
-    operator (-Laplacian + nonnegative potential) is positive definite.  The
-    constant diagonal shift is reapplied to the eigenvalues afterwards.
+    operator -Laplacian + potential is positive definite (a caller that
+    wants another shift-invert point folds it into the potential and the
+    shift, as hartree does for h_u).  The constant diagonal shift is
+    reapplied to the eigenvalues afterwards.
     Residuals are checked against tol * lambda plus a machine-precision floor
     proportional to the operator norm; violations raise SolverError.
     """

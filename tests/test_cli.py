@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -147,6 +148,21 @@ class TestSubcommands:
         grid, _, _ = load_field(out / "hartree_u.kleig")
         assert grid.shape == (7, 7)
 
+    @pytest.mark.parametrize("level, logged", [("DEBUG", 1), ("INFO", 0)])
+    def test_log_level_sets_the_package_logger(self, tmp_path, caplog, level, logged):
+        # caplog captures DEBUG and restores the logger's level after the test;
+        # main then sets that level from the config
+        caplog.set_level(logging.DEBUG, logger="kaclab")
+        path = write_config(tmp_path, potential={"kappa": 0.3}, log_level=level)
+        out = tmp_path / "run"
+        assert main(["hartree", "-c", str(path), "-o", str(out)]) == EXIT_OK
+        rec = json.loads((out / "hartree.jsonl").read_text())
+        flow = [r for r in caplog.records if r.name == "kaclab.hartree"]
+        assert len(flow) == logged
+        if logged:
+            assert flow[0].levelno == logging.DEBUG
+            assert f"{rec['iterations']} iterations" in flow[0].getMessage()
+
     def test_oracle_summary_and_reuse_of_dump(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "run"
@@ -224,11 +240,14 @@ class TestSubcommands:
         ["ensemble", "--set", "ensemble.seeds=[1,2.0]"],
         ["ensemble", "--set", "ensemble.master_seed=-1"],
         ["ensemble", "--set", "ensemble.N_values=[16,64.0,256]"],
+        ["sample", "--set", "log_level=LOUD"],
+        ["sample", "--set", "log_level=10"],
     ], ids=["sweep_default", "N_values_decrease", "no_seeds", "workers_string",
             "eig_tol_string", "whole_section", "unknown_potential_kind", "N_below_two",
             "seeds_string", "seeds_bool", "seeds_empty", "seeds_float",
             "master_seed_string", "N_values_scalar", "seeds_float_entry",
-            "master_seed_negative", "N_values_float_entry"])
+            "master_seed_negative", "N_values_float_entry", "log_level_unknown",
+            "log_level_number"])
     def test_config_error_is_one_error_line(self, tmp_path, capsys, argv):
         assert main(argv + ["-o", str(tmp_path / "run")]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()

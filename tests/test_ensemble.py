@@ -182,9 +182,16 @@ class TestEventProbabilities:
         assert 0 < hits < len(ok) == summary["n_ok"]
         assert summary["gap_above_reference"]["hits"] == hits
 
-    def test_too_few_seeds_rejected(self):
-        with pytest.raises(ValueError, match="30"):
-            estimate_event_probabilities(spec_with(seeds=5))
+    def test_too_few_seeds_rejected(self, monkeypatch):
+        import kaclab.ensemble as ensemble_mod
+
+        def no_ensemble(spec, N=None):
+            raise AssertionError("the ensemble ran")
+
+        monkeypatch.setattr(ensemble_mod, "run_ensemble", no_ensemble)
+        for seeds in (5, [1, 2, 3]):
+            with pytest.raises(ValueError, match="30"):
+                estimate_event_probabilities(spec_with(seeds=seeds))
 
     def test_wilson_interval_contains_estimate(self):
         for hits, n in [(0, 10), (5, 10), (10, 10), (37, 100)]:
