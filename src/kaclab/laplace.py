@@ -14,6 +14,7 @@ and the Hartree flow preconditions with the Laplacian's factor, the same
 object.
 """
 
+import logging
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -27,12 +28,14 @@ from . import grids
 from .constants import supnorm_constant
 from .errors import KacLabError, SolverError
 
-# measured crossover on d=2 masks (one BLAS thread, medians of 30 calls):
-# below ~190 nodes dense eigh beats ARPACK even on a given factor; above
-# ~220, SuperLU + ARPACK on the effective operator beats eigh too (README,
-# Spectral solver)
+# measured crossover on d=2 masks (one BLAS thread, medians of 30 calls),
+# the Laplacian and h_u together: ~190 nodes with ARPACK at tol=0, where
+# this was set; ~150 with ARPACK stopping at tol / 10, one row of the
+# README sweep (Spectral solver), so it stays
 DENSE_CUTOFF = 200
 DEGENERACY_RTOL = 1e-10  # lambda2 - lambda1 below this (relative) is reported degenerate
+
+logger = logging.getLogger(__name__)
 
 # SuperLU options of MaskedOperator.factor, the only place kaclab factorizes.
 # The matrix is -Lap_Dirichlet, or for the effective operator h_u
@@ -185,7 +188,10 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> 
     shift, as hartree does for h_u).  The constant diagonal shift is
     reapplied to the eigenvalues afterwards.
     Residuals are checked against tol * lambda plus a machine-precision floor
-    proportional to the operator norm; violations raise SolverError.
+    proportional to the operator norm; violations raise SolverError.  ARPACK
+    stops when its Ritz estimates reach tol / 10, not at machine precision,
+    and each ARPACK run logs one DEBUG line with its size, LU solves and
+    residuals.
     """
     if count not in (1, 2):
         raise ValueError("count must be 1 or 2")
@@ -199,9 +205,26 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> 
             # only on the operator; np.ones would be orthogonal to the
             # antisymmetric phi2 of a mirror-symmetric domain
             v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-            opinv = LinearOperator((n, n), op.factor.solve, dtype=float)
-            # shift-invert mode applies only OPinv; A gives shape and dtype
-            vals, vecs = eigsh(opinv, k=k, sigma=0.0, which="LM", v0=v0, OPinv=opinv)
+            # factorize before ARPACK allocates its workspace: a factor built
+            # inside the first solve raised sparse_2d peak RSS 162 -> 177 MB
+            lu_solve = op.factor.solve
+            solves = 0
+
+            def solve(rhs):
+                nonlocal solves
+                solves += 1
+                return lu_solve(rhs)
+
+            opinv = LinearOperator((n, n), solve, dtype=float)
+            # shift-invert mode applies only OPinv; A gives shape and dtype.
+            # ARPACK stops at a tenth of the contract checked below.  Its Ritz
+            # estimates bound the residual of the inverse, not of op, so the
+            # margin is measured: the checked residual came out at most
+            # 0.097 tol * lambda on 400 d=2 N=64 sets (~300 nodes), 0.027 at
+            # d=2 N=1024 and 0.003 at d=3 N=128.  Its default tol=0 iterates
+            # on to machine precision, a third more solves.
+            vals, vecs = eigsh(opinv, k=k, sigma=0.0, which="LM", v0=v0, OPinv=opinv,
+                               tol=tol / 10)
         except ArpackNoConvergence as exc:
             raise SolverError(
                 f"eigensolver did not converge ({exc})",
@@ -228,6 +251,9 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> 
             )
         phis.append(phi)
         residuals.append(res)
+    if n > DENSE_CUTOFF:
+        logger.debug("ARPACK shift-invert on %d nodes: %d LU solves, residuals %s",
+                     n, solves, ", ".join(f"{r:.3e}" for r in residuals))
 
     if k == 1:
         return SpectralPair(lams[0], None, phis[0], None, residuals[0], None,
@@ -254,12 +280,12 @@ def ground_state_component(real, pair: SpectralPair) -> ComponentSelection:
     eigenvalue degeneracy, so either signal invalidates a unique host.
     """
     weights = pair.phi1**2 * real.h**real.d
-    masses = {}
-    for k in range(1, real.K + 1):
-        masses[k] = float(np.sum(weights[real.labels == k]))
-    component = max(masses, key=lambda k: (masses[k], -k))
+    # all K masses in one pass over the grid; argmax takes the lowest k on a tie
+    masses = np.bincount(real.labels.ravel(), weights=weights.ravel(),
+                         minlength=real.K + 1)[1:]
+    component = 1 + int(np.argmax(masses))
     total = float(np.sum(weights))
-    mass_outside = max(total - masses[component], 0.0)
+    mass_outside = max(total - float(masses[component - 1]), 0.0)
     multiple = mass_outside > 0.01 or pair.numerically_degenerate
     return ComponentSelection(component, mass_outside, multiple)
 

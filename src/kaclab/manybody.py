@@ -19,26 +19,29 @@ state's row is its rank in the combinatorial number system.  Intended for
 desk-scale instances (the basis dimension C(M+N-1, N) is capped).
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import grids
 from .errors import BasisSizeError, GridMismatchError, KacLabError, SolverError
 from .interaction import InteractionPotential
 
 BASIS_CAP = 2_000_000
-# measured crossover (one BLAS thread, N=2, medians of 30 calls): eigh beats
-# eigsh up to D=231 (2.4 ms against 3.3 ms), eigsh wins from D=253 (README)
+# measured crossover (one BLAS thread, N=2, medians of 30 calls): with eigsh
+# at tol=0 eigh won up to D=231 and eigsh from D=253; stopping at
+# RESIDUAL_RTOL / 10, eigsh wins from D=210, one row lower (README), so it stays
 DENSE_CUTOFF = 240
 # relative residual allowed on a ground state, the eig_tol the one-body
-# solvers default to; eigh is direct and eigsh runs at machine precision, so
-# the oracle instances reach 3e-15 to 7e-15 relative
+# solvers default to; eigh is direct and eigsh stops at a tenth of it
 RESIDUAL_RTOL = 1e-9
+
+logger = logging.getLogger(__name__)
 
 
 def basis_dimension(M: int, N: int) -> int:
@@ -192,7 +195,10 @@ def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
     The residual ||H psi - E psi|| of the unit vector psi is checked against
     RESIDUAL_RTOL * |E| plus a machine-precision floor proportional to a
     bound on ||H||, as laplace.lowest_eigenpairs checks its pairs; a
-    violation raises SolverError.
+    violation raises SolverError.  ARPACK stops when its Ritz estimate, which
+    in SA mode is H's own residual, reaches RESIDUAL_RTOL / 10 |E|; each
+    ARPACK run logs one DEBUG line with the basis size, the products with H
+    and the residual.
     """
     dim = H.basis_dim
     if dim <= DENSE_CUTOFF:
@@ -201,7 +207,19 @@ def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
     else:
         try:
             v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
-            vals, vecs = eigsh(H.matrix, k=1, which="SA", v0=v0)
+            matvecs = 0
+
+            def matvec(x):
+                nonlocal matvecs
+                matvecs += 1
+                return H.matrix @ x
+
+            # in SA mode ARPACK's Ritz estimate is H's own residual, so
+            # stopping at RESIDUAL_RTOL / 10 leaves a 10x margin on the
+            # check below; its default tol=0 iterates on to machine
+            # precision, a third to a half more products
+            h_op = LinearOperator((dim, dim), matvec, dtype=float)
+            vals, vecs = eigsh(h_op, k=1, which="SA", v0=v0, tol=RESIDUAL_RTOL / 10)
         except ArpackNoConvergence as exc:
             raise SolverError(f"many-body eigensolver did not converge ({exc})") from exc
         E, psi = float(vals[0]), vecs[:, 0]
@@ -215,6 +233,9 @@ def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
             f"tol*E = {RESIDUAL_RTOL * abs(E):.3e}",
             residuals=[res],
         )
+    if dim > DENSE_CUTOFF:
+        logger.debug("ARPACK ground state on %d states: %d products, residual %.3e",
+                     dim, matvecs, res)
     if psi.sum() < 0:
         psi = -psi
     return ManyBodyGroundState(

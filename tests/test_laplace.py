@@ -1,5 +1,6 @@
 """Masked Dirichlet Laplacian: stencil, eigenpairs, component selection."""
 
+import logging
 import math
 import time
 
@@ -23,7 +24,8 @@ from kaclab import (
     run_pipeline,
     supnorm_bound_check,
 )
-from kaclab import ensemble, grids, laplace
+from kaclab import ensemble, grids, hartree, laplace
+from kaclab.ensemble import derive_seeds
 from kaclab.constants import supnorm_constant
 from kaclab.laplace import DENSE_CUTOFF, SPD_LU_OPTIONS
 
@@ -233,6 +235,17 @@ class TestEigenpairs:
         assert pair.lambda1 == pytest.approx(min(per_component), rel=1e-11)
 
 
+class CountingLU:
+    """A SuperLU factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
 class TestSparseFactorization:
     def test_every_factorization_is_symmetric_mode(self, monkeypatch):
         # the Laplacian's factor (spectrum and flow preconditioner) and the
@@ -264,14 +277,6 @@ class TestSparseFactorization:
         # drops it before the effective operator is factorized
         factors = []
         flow = {}
-
-        class CountingLU:
-            def __init__(self, lu):
-                self.lu, self.solves = lu, 0
-
-            def solve(self, rhs):
-                self.solves += 1
-                return self.lu.solve(rhs)
 
         def recording_splu(mat, **kwargs):
             if factors:
@@ -339,6 +344,86 @@ class TestSparseFactorization:
         assert best["spd"] < best["default"]
 
 
+class TestArpackStopping:
+    """ARPACK stops at a tenth of the residual contract, not at machine precision.
+
+    LU solves summed over the seeds of derive_seeds(7, count), Laplacian
+    and h_u, at ARPACK's default tol=0 and at tol / 10:
+
+    | d | N | count | Laplacian | h_u |
+    | --- | --- | --- | --- | --- |
+    | 2 | 64 | 20 | 780 -> 454 | 488 -> 420 |
+    | 2 | 1024 | 5 | 317 -> 228 | 156 -> 122 |
+    | 3 | 128 | 5 | 245 -> 190 | 190 -> 105 |
+    """
+
+    @pytest.mark.parametrize("d, N, count, max_lap, max_hu", [
+        (2, 64, 20, 500, 440),
+        (2, 1024, 5, 240, 130),
+        (3, 128, 5, 200, 110),
+    ])
+    def test_solves_and_residual_margin(self, monkeypatch, d, N, count, max_lap, max_hu):
+        factors, lap_solves, pairs = [], [], []
+
+        def recording_splu(mat, **kwargs):
+            factors.append(CountingLU(splu(mat, **kwargs)))
+            return factors[-1]
+
+        def spy_minimize_hartree(*args, **kwargs):
+            lap_solves.append(factors[-1].solves)  # the spectrum's ARPACK run
+            return minimize_hartree(*args, **kwargs)
+
+        def recording_eigenpairs(op, **kwargs):
+            pairs.append((lowest_eigenpairs(op, **kwargs), kwargs["tol"]))
+            return pairs[-1][0]
+
+        minimize_hartree = ensemble.minimize_hartree
+        monkeypatch.setattr(laplace, "splu", recording_splu)
+        monkeypatch.setattr(ensemble, "minimize_hartree", spy_minimize_hartree)
+        monkeypatch.setattr(ensemble, "lowest_eigenpairs", recording_eigenpairs)
+        monkeypatch.setattr(hartree, "lowest_eigenpairs", recording_eigenpairs)
+        hu_solves = []
+        for seed in derive_seeds(7, count):
+            config = DisorderConfig(d=d, rho=1.0, N=N, nu=0.15 if d == 2 else 0.05,
+                                    r=0.5, h=0.4, seed=seed)
+            res = run_pipeline(PipelineResult(config),
+                               {"kind": "gaussian", "kappa": 0.05, "width": 0.5})
+            assert res.real.n_vacant > DENSE_CUTOFF
+            hu_solves.append(factors[-1].solves)  # h_u's ARPACK run
+        assert sum(lap_solves) <= max_lap
+        assert sum(hu_solves) <= max_hu
+        if d == 3:
+            assert max(hu_solves) <= 25  # 21 = ncv + 1, ARPACK's floor
+        # every Laplacian and h_u pair sits at least 5x inside the contract
+        # (measured: at most 0.097 tol * lambda, on 400 d=2 N=64 seeds)
+        assert len(pairs) == 2 * count
+        for pair, tol in pairs:
+            for lam, res in ((pair.lambda1, pair.residual1), (pair.lambda2, pair.residual2)):
+                assert res <= 0.2 * tol * abs(lam)
+
+    def test_one_debug_line_per_arpack_run(self, monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="kaclab.laplace")
+        factors = []
+
+        def recording_splu(mat, **kwargs):
+            factors.append(CountingLU(splu(mat, **kwargs)))
+            return factors[-1]
+
+        monkeypatch.setattr(laplace, "splu", recording_splu)
+        lowest_eigenpairs(MaskedOperator(mask=np.ones((8, 8), dtype=bool), h=0.5))
+        assert not caplog.records  # 64 nodes: dense eigh, no ARPACK run
+        real = build_realization(DisorderConfig(d=2, rho=1.0, N=64, nu=0.15, r=0.5,
+                                                h=0.4, seed=3))
+        assert real.n_vacant > DENSE_CUTOFF
+        pair = lowest_eigenpairs(assemble_laplacian(real))
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert f"on {real.n_vacant} nodes" in message
+        assert f"{factors[0].solves} LU solves" in message
+        assert f"residuals {pair.residual1:.3e}, {pair.residual2:.3e}" in message
+
+
 class TestGroundStateComponent:
     def test_single_component(self, free_3x3):
         pair = lowest_eigenpairs(assemble_laplacian(free_3x3))
@@ -364,6 +449,35 @@ class TestGroundStateComponent:
         assert sel.component == 2
         assert sel.mass_outside < 1e-10
         assert not sel.multiple
+
+    def test_masses_match_a_per_component_loop(self):
+        # a fragmented set (nu = 2): one bincount pass gives the same host,
+        # flag and leaked mass as summing phi1^2 h^d over each label's mask
+        config = DisorderConfig(d=2, rho=1.0, N=1024, nu=2.0, r=0.5, h=0.4, seed=1)
+        real = build_realization(config)
+        assert real.K > 100
+        pair = lowest_eigenpairs(assemble_laplacian(real))
+        weights = pair.phi1**2 * real.h**real.d
+        masses = [float(np.sum(weights[real.labels == k])) for k in range(1, real.K + 1)]
+        component = max(range(1, real.K + 1), key=lambda k: (masses[k - 1], -k))
+        outside = max(float(np.sum(weights)) - masses[component - 1], 0.0)
+        sel = ground_state_component(real, pair)
+        assert sel.component == component
+        assert sel.multiple == (outside > 0.01 or pair.numerically_degenerate)
+        assert sel.mass_outside == pytest.approx(outside, abs=1e-15)
+
+    def test_equal_masses_pick_the_lowest_label(self):
+        config = tiny_box_config()
+        mask = np.array(
+            [[True, False, True], [True, False, True], [False, False, False]]
+        )
+        real = DisorderRealization.from_mask(config, mask)
+        pair = lowest_eigenpairs(assemble_laplacian(real))
+        pair.phi1 = grids.normalize(mask.astype(float), real.h)  # half on each square
+        sel = ground_state_component(real, pair)
+        assert sel.component == 1
+        assert sel.mass_outside == pytest.approx(0.5, rel=1e-15)
+        assert sel.multiple
 
     def test_identical_squares_flagged_multiple(self):
         config = tiny_box_config()

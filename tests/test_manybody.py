@@ -1,8 +1,11 @@
 """Exact few-boson diagonalization against independent first-quantized oracles."""
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from itertools import combinations_with_replacement
 
@@ -348,6 +351,46 @@ class TestGroundStateResidual:
         with pytest.raises(SolverError, match="residual") as err:
             ground_state(H)
         assert err.value.residuals[0] > 1e-7
+
+
+class TestArpackStopping:
+    """ARPACK's SA run stops at RESIDUAL_RTOL / 10, not at machine precision."""
+
+    # the first three connected 22-24-site d=2 sets of derive_seeds(2024, ...)
+    # at L=2.4: N=3 bases of 2,024-2,300 states
+    SEEDS = (11069854644879971893, 1093408664070836919, 10952088214607132430)
+
+    def test_fewer_products_same_energy(self, monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="kaclab.manybody")
+        counts = []
+        solver = manybody.eigsh
+
+        def counting_eigsh(A, *args, **kwargs):
+            op = aslinearoperator(A)
+            counts.append(0)
+
+            def matvec(x):
+                counts[-1] += 1
+                return op.matvec(x)
+
+            return solver(LinearOperator(op.shape, matvec, dtype=float), *args, **kwargs)
+
+        monkeypatch.setattr(manybody, "eigsh", counting_eigsh)
+        for seed in self.SEEDS:
+            real = disordered_2d_set(N=3, L=2.4, seed=seed)
+            assert 22 <= real.n_vacant <= 24 and real.K == 1
+            H = build_manybody_hamiltonian(real, potential_for(real, 1.0, 3), 3)
+            gs = ground_state(H)
+            exact = scipy.linalg.eigh(H.matrix.toarray(), eigvals_only=True,
+                                      subset_by_index=(0, 0))[0]
+            assert gs.E_qm == pytest.approx(exact, rel=1e-13)
+            # 61 products each; ARPACK's default tol=0 took 81-91
+            assert counts[-1] <= 70
+            record = caplog.records[-1]
+            assert record.levelno == logging.DEBUG
+            message = record.getMessage()
+            assert f"on {H.basis_dim} states: {counts[-1]} products" in message
+        assert len(counts) == len(caplog.records) == 3
 
 
 class TestDisorderedCertificates:
