@@ -15,10 +15,16 @@ minimizer.  Linearizing at u gives the effective operator
     h_u = -Lap + (N-1)(u^2 * v) - shift,   shift = (N-1)/2 * double-sum,
 
 whose ground energy on the host component equals E[u]; the shift is stored
-separately so componentwise gaps are unaffected by it.
+separately so componentwise gaps are unaffected by it.  Its two lowest
+eigenvalues e1, e2 on the whole vacancy set come, on the large sets
+reuses_laplacian_factor selects, from a block LOBPCG preconditioned with
+the Laplacian's factor and accepted only when Weyl's inequality with the
+Laplacian's lambda3 certifies them; otherwise, and on smaller sets, from
+h_u's own factorization and ARPACK.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,8 +46,23 @@ SUPPORT_TOL = 1e-12
 # 0.99 lambda1 slowed the flow under strong interaction: mean iterations
 # 31.5 -> 87.3 on 200 seeds at d=2, N=64, kappa=10.
 SHIFT_FRACTION = 0.9
+# h_u's spectrum comes from the Laplacian's factor (block LOBPCG, certified
+# by Weyl's inequality with lambda3) on sets of at least this many vacant
+# nodes, per dimension; elsewhere h_u is factorized and solved by ARPACK.
+# The measured crossover (README, Spectral solver) sets it; it depends only
+# on d and the node count, so records stay deterministic.
+FACTOR_REUSE_MIN_NODES = {2: 4000, 3: 1000}
+LOBPCG_MAX_ITER = 40
 
 logger = logging.getLogger(__name__)
+# one DEBUG line per effective-spectrum solve: its path, iterations, LU
+# solves, certificate margin and the reason for any fallback
+spectrum_logger = logger.getChild("spectrum")
+
+
+def reuses_laplacian_factor(d: int, n_vacant: int) -> bool:
+    """Whether the pipeline asks the Laplacian for lambda3, which selects the LOBPCG path."""
+    return n_vacant >= FACTOR_REUSE_MIN_NODES.get(d, math.inf)
 
 
 @dataclass
@@ -110,10 +131,140 @@ def assemble_effective_operator(u: np.ndarray, real, v: InteractionPotential, N:
     return MaskedOperator(mask=real.mask, h=real.h, potential=W, diagonal_shift=shift)
 
 
-def effective_spectrum(hop: MaskedOperator, tol: float = 1e-9):
-    """Two lowest eigenvalues of the effective operator and its ground vector."""
-    pair = lowest_eigenpairs(hop, count=2, tol=tol)
-    return pair.lambda1, pair.lambda2, pair.phi1
+@dataclass
+class FactorSpectrum:
+    """h_u's two lowest eigenpairs from the Laplacian's factor, with their certificate.
+
+    margin is lambda3 - residual3 + min(potential) - (theta2 + ||R||_2); the
+    pair is certified (reason None) when it exceeds the residual floor and
+    both residuals met the contract, and reason says why not otherwise.
+    """
+
+    e1: float
+    e2: float
+    phi1: np.ndarray
+    iterations: int
+    solves: int
+    margin: float
+    reason: Optional[str]
+
+    @property
+    def certified(self) -> bool:
+        return self.reason is None
+
+
+def laplacian_factor_spectrum(hop: MaskedOperator, lap: MaskedOperator, pair: SpectralPair,
+                              start: np.ndarray, tol: float = 1e-9,
+                              max_iter: int = LOBPCG_MAX_ITER) -> FactorSpectrum:
+    """Block-2 LOBPCG for hop's two lowest eigenpairs, preconditioned by lap's factor.
+
+    hop is -Lap + potential - shift on lap's vacancy set and pair holds lap's
+    three lowest eigenpairs.  The start block is [start, phi2]; each step
+    runs Rayleigh-Ritz on an orthonormal basis of [X, T R, P] (Knyazev,
+    SIAM J. Sci. Comput. 23, 2001) with the flow's preconditioner form
+
+        T r = (-Lap)^(-1) r + sum_{k=1,2,3} (1/(lambda_k - sigma) - 1/lambda_k)
+              <phi_k, r> phi_k,   sigma = 0.9 lambda1,
+
+    not zeroed off any component, and stops when each residual is below
+    tol/2 * |e|, half the contract lowest_eigenpairs checks.
+
+    The block never leaves the components of start and phi2, since hop and
+    T are block-diagonal over components, so convergence alone does not make
+    theta1 <= theta2 (the Ritz values of -Lap + potential) the lowest two.
+    The certificate does.  For orthonormal X with residual block R there are
+    two eigenvalues of -Lap + potential within ||R||_2 of theta1 and theta2
+    (Kahan; Parlett, The Symmetric Eigenvalue Problem, Thm 11.5.2), and by
+    Weyl's inequality the third one is at least lambda3 - residual3 +
+    min(potential), taking lambda1..lambda3 as the Laplacian's three lowest,
+    as the gap event does for lambda1, lambda2.  If that exceeds
+    theta2 + ||R||_2, only the two found eigenvalues lie below it, so they
+    are the global e1, e2.
+    """
+    scale = hop.h ** (hop.d / 2.0)  # unit discrete norm <-> unit vector
+    B = hop.matrix()
+    lams = np.array([pair.lambda1, pair.lambda2, pair.lambda3])
+    modes = np.stack([lap.restrict(phi) * scale for phi in (pair.phi1, pair.phi2, pair.phi3)],
+                     axis=1)
+    sigma = SHIFT_FRACTION * pair.lambda1
+    coef = (1.0 / (lams - sigma) - 1.0 / lams)[:, None]
+    lu_solve = lap.factor.solve
+    solves = 0
+
+    def precondition(R):
+        nonlocal solves
+        solves += R.shape[1]
+        return lu_solve(R) + modes @ (coef * (modes.T @ R))
+
+    def rayleigh_ritz(S):
+        # S starts with X, so Q[:, 2:] is orthogonal to it and the new Ritz
+        # vectors' part there is the next direction P, free of cancellation
+        Q = np.linalg.qr(S)[0]
+        BQ = B @ Q
+        theta, Y = np.linalg.eigh(Q.T @ BQ)
+        Y = Y[:, :2]
+        return theta[:2], Q @ Y, BQ @ Y, Q[:, 2:] @ Y[2:]
+
+    shift, floor = hop.diagonal_shift, hop.residual_floor
+    theta, X, BX, P = rayleigh_ritz(np.stack([lap.restrict(start), modes[:, 1]], axis=1))
+    for iterations in range(max_iter + 1):
+        R = BX - X * theta
+        done = np.linalg.norm(R, axis=0) <= tol / 2 * np.abs(theta - shift) + floor
+        if done.all() or iterations == max_iter:
+            break
+        # a converged column stays in X but gets no solve (soft locking):
+        # u usually converges in 2 steps, so this halves the LU solves
+        blocks = [X, precondition(R[:, ~done])] + ([P] if iterations else [])
+        theta, X, BX, P = rayleigh_ritz(np.hstack(blocks))
+
+    min_potential = float(hop.restrict(hop.potential).min()) if hop.potential is not None else 0.0
+    margin = (pair.lambda3 - pair.residual3 + min_potential
+              - (theta[1] + np.linalg.norm(R, 2)))
+    reason = None
+    if not done.all():
+        reason = f"no convergence in {max_iter} iterations"
+    elif not margin > floor:
+        reason = "not certified"
+    return FactorSpectrum(
+        e1=float(theta[0] - shift), e2=float(theta[1] - shift),
+        phi1=grids.fix_sign(hop.embed(X[:, 0]) / scale), iterations=iterations,
+        solves=solves, margin=float(margin), reason=reason,
+    )
+
+
+def effective_spectrum(hop: MaskedOperator, tol: float = 1e-9,
+                       lap: Optional[MaskedOperator] = None,
+                       pair: Optional[SpectralPair] = None,
+                       start: Optional[np.ndarray] = None):
+    """Two lowest eigenvalues of the effective operator and its ground vector.
+
+    When pair carries the Laplacian's lambda3 (run_pipeline asks for it on
+    the sets reuses_laplacian_factor selects), laplacian_factor_spectrum
+    solves on lap's factor from [start, phi2] and its certified answer is
+    taken.  Otherwise, and whenever it is not certified, lowest_eigenpairs
+    solves hop itself (on its own factor above DENSE_CUTOFF).  lap's factor,
+    when given, is released before that: at most one factor is held at any
+    time.
+    """
+    found = None
+    if pair is not None and pair.lambda3 is not None:
+        found = laplacian_factor_spectrum(hop, lap, pair, start, tol)
+    if lap is not None:
+        vars(lap).pop("factor", None)
+    if found is not None:
+        note = (f"{found.iterations} LOBPCG iterations, {found.solves} LU solves, "
+                f"certificate margin {found.margin:.3e}")
+        if found.certified:
+            spectrum_logger.debug("effective spectrum on %d nodes: Laplacian's factor, %s",
+                                  hop.n_vacant, note)
+            return found.e1, found.e2, found.phi1
+        note = f"fallback after {note}: {found.reason}"
+    else:
+        note = "no lambda3"
+    own = lowest_eigenpairs(hop, count=2, tol=tol)
+    spectrum_logger.debug("effective spectrum on %d nodes: own eigensolve (%s)",
+                          hop.n_vacant, note)
+    return own.lambda1, own.lambda2, own.phi1
 
 
 def component_ground_state(real, component: int, eig_tol: float = 1e-9):
@@ -136,14 +287,18 @@ def _initial_state(real, component, init, eig_tol):
 
 
 def _finalize(u, real, component, W, shift, iterations, residual, trace, energy,
-              eig_tol, sigma=0.0):
+              eig_tol, sigma=0.0, lap=None, pair=None):
     """Spectrum of the effective operator h_u = -Lap + W - shift at the converged u.
 
     The caller passes the mean field W and shift it already holds, so nothing
-    here convolves.  The factorized part of h_u is -Lap + W - sigma: W >= 0,
+    here convolves.  The SPD part of h_u is -Lap + W - sigma: W >= 0,
     so by Weyl's inequality its least eigenvalue is at least lambda1 > sigma
-    and the shift-invert solve stays positive definite; sigma near e1 only
-    speeds it up.  Only the full-set spectrum is solved.  h_u is
+    and a shift-invert solve on its factor stays positive definite; sigma
+    near e1 only speeds it up.  lap and pair, the flow's Laplacian and its
+    spectrum, go to effective_spectrum: with lambda3 in pair it solves on
+    lap's factor from [u, phi2] and keeps the answer only when Weyl's
+    inequality certifies it, else it releases lap's factor and factorizes
+    h_u.  Only the full-set spectrum is solved.  h_u is
     block-diagonal over the components, so its ground energy e1 is the least
     of the component ground energies, e1 <= e1_host; and u is a unit trial
     state on the host, so e1_host <= <u, h_u u> = energy.  A host-restricted
@@ -152,7 +307,7 @@ def _finalize(u, real, component, W, shift, iterations, residual, trace, energy,
     """
     hop = MaskedOperator(mask=real.mask, h=real.h, potential=W - sigma,
                          diagonal_shift=shift - sigma)
-    e1, e2, gvec = effective_spectrum(hop, tol=eig_tol)
+    e1, e2, gvec = effective_spectrum(hop, tol=eig_tol, lap=lap, pair=pair, start=u)
     comp_mask = real.labels == component
     gmass = float(np.sum(np.where(comp_mask, gvec, 0.0) ** 2)) * real.h**real.d
     return HartreeSolution(
@@ -318,11 +473,10 @@ def minimize_hartree(
     logger.debug("Hartree flow converged: %d iterations, %d backtracks, residual %.3e",
                  iterations, backtracks, residual)
 
-    # the flow is done with the Laplacian's factor, if it was built: drop it
-    # before _finalize factorizes h_u, so the two are never held at once
-    vars(lap).pop("factor", None)
+    # effective_spectrum drops the Laplacian's factor once it is done with
+    # it, before any factorization of h_u, so the two are never held at once
     return _finalize(u, real, component, W, shift, iterations, residual, trace,
-                     energy, eig_tol, sigma)
+                     energy, eig_tol, sigma, lap, pair)
 
 
 def minimize_hartree_scf(

@@ -11,7 +11,9 @@ MaskedOperator.factor factorizes once, on first use (SuperLU in symmetric
 mode, minimum degree ordering of A + A^T, diagonal pivots).  Above
 DENSE_CUTOFF nodes the eigensolver runs shift-invert ARPACK on that factor,
 and the Hartree flow preconditions with the Laplacian's factor, the same
-object.
+object.  On large sets the pipeline asks for a third eigenpair: lambda3
+bounds the rest of the spectrum from below, which lets hartree take h_u's
+spectrum from this same factor, certified, instead of factorizing h_u.
 """
 
 import logging
@@ -112,6 +114,13 @@ class MaskedOperator:
     def restrict(self, f: np.ndarray) -> np.ndarray:
         return np.asarray(f).ravel()[self._vac]
 
+    @property
+    def residual_floor(self) -> float:
+        """Machine-precision floor of a residual: 64 eps times the Gershgorin bound on ||op||."""
+        pot_max = float(self.potential.max()) if self.potential is not None else 0.0
+        return 64.0 * np.finfo(float).eps * (4.0 * self.d / self.h**2 + pot_max
+                                             + abs(self.diagonal_shift))
+
     def matrix(self) -> sp.csc_matrix:
         """Sparse symmetric -Lap + potential, no shift, in row-major vacant order."""
         # built on each call, not cached: an operator holding its matrix
@@ -148,12 +157,14 @@ class MaskedOperator:
 
 @dataclass
 class SpectralPair:
-    """Two lowest eigenpairs of a masked operator.
+    """Two (or three) lowest eigenpairs of a masked operator.
 
     Eigenvectors are full-grid functions with unit discrete L2 norm
     (sum phi^2 h^d = 1) and nonnegative grid sum.  residual_i is the
     discrete norm of A phi_i - lambda_i phi_i.  On a one-node domain only
-    the single eigenvalue exists and degenerate_size is set.
+    the single eigenvalue exists and degenerate_size is set.  The third
+    pair is filled only when asked for (count=3): it bounds the rest of the
+    spectrum from below, which certifies h_u's e1, e2 (hartree).
     """
 
     lambda1: float
@@ -163,6 +174,9 @@ class SpectralPair:
     residual1: float
     residual2: Optional[float]
     degenerate_size: bool = False
+    lambda3: Optional[float] = None
+    phi3: Optional[np.ndarray] = None
+    residual3: Optional[float] = None
 
     @property
     def numerically_degenerate(self) -> bool:
@@ -179,7 +193,7 @@ def assemble_laplacian(real) -> MaskedOperator:
 
 
 def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> SpectralPair:
-    """Two smallest eigenpairs of a masked operator.
+    """The count (1, 2 or 3) smallest eigenpairs of a masked operator.
 
     Small problems go through dense LAPACK; larger ones through ARPACK in
     shift-invert mode at sigma=0, which is safe because the unshifted
@@ -193,8 +207,9 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> 
     and each ARPACK run logs one DEBUG line with its size, LU solves and
     residuals.
     """
-    if count not in (1, 2):
-        raise ValueError("count must be 1 or 2")
+    if count not in (1, 2, 3):
+        raise ValueError(f"count must be 1, 2 or 3 (lambda3 certifies h_u's spectrum), "
+                         f"not {count!r}")
     n = op.n_vacant
     k = min(count, n)
     if n <= DENSE_CUTOFF:
@@ -237,9 +252,7 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> 
     lams = [float(v) - shift for v in vals]
     phis = []
     residuals = []
-    # machine-precision floor: 64 eps times the Gershgorin bound on ||op||
-    pot_max = float(op.potential.max()) if op.potential is not None else 0.0
-    floor = 64.0 * np.finfo(float).eps * (4.0 * op.d / op.h**2 + pot_max + abs(shift))
+    floor = op.residual_floor
     for i in range(k):
         phi = grids.fix_sign(op.embed(vecs[:, i]) / op.h ** (op.d / 2.0))
         res = grids.norm(op.apply_grid(phi) - lams[i] * phi, op.h)
@@ -255,10 +268,12 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> 
         logger.debug("ARPACK shift-invert on %d nodes: %d LU solves, residuals %s",
                      n, solves, ", ".join(f"{r:.3e}" for r in residuals))
 
-    if k == 1:
-        return SpectralPair(lams[0], None, phis[0], None, residuals[0], None,
-                            degenerate_size=n == 1)
-    return SpectralPair(lams[0], lams[1], phis[0], phis[1], residuals[0], residuals[1])
+    def nth(values, i):
+        return values[i] if i < k else None
+
+    return SpectralPair(lams[0], nth(lams, 1), phis[0], nth(phis, 1), residuals[0],
+                        nth(residuals, 1), degenerate_size=n == 1, lambda3=nth(lams, 2),
+                        phi3=nth(phis, 2), residual3=nth(residuals, 2))
 
 
 @dataclass

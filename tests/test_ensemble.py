@@ -2,10 +2,23 @@
 
 import json
 import math
+import os
 
 import pytest
 
-from kaclab import ConfigError, DisorderConfig, EnsembleSpec, run_ensemble, run_realization
+from kaclab import (
+    ConfigError,
+    DisorderConfig,
+    EnsembleSpec,
+    PipelineResult,
+    build_certificate,
+    certify,
+    ensemble,
+    run_ensemble,
+    run_pipeline,
+    run_realization,
+    volume_fraction,
+)
 from kaclab.ensemble import (
     derive_seeds,
     estimate_event_probabilities,
@@ -248,6 +261,40 @@ class TestParallelExecution:
             assert json.dumps(parallel, sort_keys=True) == json.dumps(
                 serial, sort_keys=True
             )
+
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        # BLAS reads its thread count when numpy loads, so a worker sees the
+        # setting only if it starts with it; the caller's environment is back
+        # once the pool is shut down
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        with ensemble.worker_pool(2) as pool:
+            seen = [pool.submit(os.getenv, key).result() for key in ensemble.ONE_BLAS_THREAD]
+        assert seen == ["1", "1", "1"]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+        assert "MKL_NUM_THREADS" not in os.environ
+
+
+class TestVolumeFractionOncePerRecord:
+    def test_one_count_and_the_same_certificate(self, monkeypatch):
+        config = DisorderConfig(seed=3, **BASE)
+        calls = []
+
+        def counting_volume_fraction(real, eta=0.1):
+            calls.append(eta)
+            return volume_fraction(real, eta)
+
+        direct = run_pipeline(PipelineResult(config), POT)
+        expected = build_certificate(direct.real, direct.pair, direct.v, direct.hartree,
+                                     eta=0.2, sigma_ref=1.0)
+        monkeypatch.setattr(ensemble, "volume_fraction", counting_volume_fraction)
+        monkeypatch.setattr(certify, "volume_fraction", counting_volume_fraction)
+        rec = run_realization(config, POT, eta=0.2, sigma_ref=1.0)
+        assert calls == [0.2]
+        assert json.dumps(rec["certificate"], sort_keys=True) == json.dumps(
+            expected.to_dict(), sort_keys=True)
+        assert rec["volume_fraction"] == rec["certificate"]["volume_event"]["fraction"]
 
 
 class TestThreeDimensional:

@@ -1,9 +1,11 @@
 """Hartree minimization, effective operator, and cross-solver agreement."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from kaclab import (
     DisorderConfig,
@@ -22,9 +24,14 @@ from kaclab import (
     minimize_hartree_scf,
     run_pipeline,
 )
-from kaclab import PipelineResult, grids, hartree
+from kaclab import PipelineResult, grids, hartree, laplace
 from kaclab.constants import supnorm_constant
-from kaclab.hartree import component_ground_state, interaction_double_sum
+from kaclab.hartree import (
+    component_ground_state,
+    interaction_double_sum,
+    laplacian_factor_spectrum,
+    reuses_laplacian_factor,
+)
 from kaclab.laplace import DENSE_CUTOFF
 
 from conftest import dense_laplacian, tiny_box_config
@@ -391,3 +398,128 @@ class TestSpectrumSteeredFlow:
         message = record.getMessage()
         assert f"{hs.iterations} iterations" in message and "backtracks" in message
         assert f"residual {hs.el_residual:.3e}" in message
+
+
+# d=3, N=128: 1,664 nodes, above the 1,000-node crossover in 3D, so the
+# pipeline asks for lambda3 and takes h_u's spectrum from the Laplacian's
+# factor; certified at kappa 0 (no iteration) and at kappa 10 (20 iterations)
+D3_ABOVE_CROSSOVER = DisorderConfig(d=3, rho=1.0, N=128, nu=0.05, r=0.5, h=0.4,
+                                    seed=7778828159576237216)
+# the dense-path instance of test_e2_is_global_when_it_sits_on_a_third_component
+THIRD_COMPONENT_76 = DisorderConfig(d=2, rho=1.0, N=64, nu=2.0, r=0.5, h=0.4, seed=5)
+
+
+def gaussian(kappa):
+    return {"kind": "gaussian", "kappa": kappa, "width": 0.5}
+
+
+def fallback_setup(config, kappa):
+    """The flow given the Laplacian's three lowest pairs, and the parts of h_u."""
+    real = build_realization(config)
+    v = potential_for(real, kappa)
+    lap = assemble_laplacian(real)
+    pair = lowest_eigenpairs(lap, count=3)
+    sel = ground_state_component(real, pair)
+    hs = minimize_hartree(real, sel.component, v, config.N, lap=lap, pair=pair)
+    hop = assemble_effective_operator(hs.u, real, v, config.N)
+    return real, lap, pair, hs, hop
+
+
+def spectrum_lines(caplog):
+    lines = [r for r in caplog.records if r.name == "kaclab.hartree.spectrum"]
+    caplog.clear()
+    return lines
+
+
+class TestLaplacianFactorSpectrum:
+    @pytest.mark.parametrize("kappa", [0.0, 10.0])
+    def test_one_factorization_matches_dense(self, monkeypatch, kappa):
+        factors = []
+
+        def counting_splu(mat, **kwargs):
+            factors.append(mat.shape)
+            return splu(mat, **kwargs)
+
+        monkeypatch.setattr(laplace, "splu", counting_splu)
+        res = run_pipeline(PipelineResult(D3_ABOVE_CROSSOVER), gaussian(kappa))
+        real, pair, hs = res.real, res.pair, res.hartree
+        assert reuses_laplacian_factor(3, real.n_vacant) and pair.lambda3 is not None
+        assert factors == [(real.n_vacant, real.n_vacant)]  # the Laplacian's, only
+        hop = assemble_effective_operator(hs.u, real, res.v, D3_ABOVE_CROSSOVER.N)
+        A, _ = dense_laplacian(real.mask, real.h)
+        vals = np.linalg.eigvalsh(A + np.diag(hop.potential[real.mask])) - hs.shift
+        assert (hs.e1, hs.e2) == pytest.approx(vals[:2], rel=1e-12)
+        if kappa == 0.0:
+            assert (hs.e1, hs.e2) == pytest.approx((pair.lambda1, pair.lambda2), rel=1e-12)
+
+    def test_crossover_depends_on_dimension_and_size_only(self):
+        # the benchmark sizes: ensemble_small (~320 nodes, d=2) and the
+        # sparse_3d warm-up below 2D's 4,000-node crossover keep h_u's factor
+        assert not reuses_laplacian_factor(2, 320)
+        assert not reuses_laplacian_factor(2, 3999) and reuses_laplacian_factor(2, 4000)
+        assert not reuses_laplacian_factor(3, 999) and reuses_laplacian_factor(3, 1000)
+        assert reuses_laplacian_factor(2, 90_815) and reuses_laplacian_factor(3, 13_514)
+        assert not reuses_laplacian_factor(1, 10**6)
+
+    def test_third_component_is_not_certified_on_76_nodes(self):
+        # the block [u, phi2] never leaves components 10 and 3, so LOBPCG
+        # converges to the confined 9.41561; lambda3 cannot certify it, and
+        # minimize_hartree falls back to h_u's own eigensolve
+        real, lap, pair, hs, hop = fallback_setup(THIRD_COMPONENT_76, 10.0)
+        assert (real.n_vacant, hs.component) == (76, 10)
+        assert hs.e2 == pytest.approx(8.78822, abs=5e-6)
+        found = laplacian_factor_spectrum(hop, lap, pair, hs.u)
+        assert not found.certified and found.reason == "not certified"
+        assert found.margin < 0.0
+        assert found.e2 == pytest.approx(9.41561, abs=5e-6)
+        assert found.e1 == pytest.approx(hs.e1, rel=1e-12)
+        capped = laplacian_factor_spectrum(hop, lap, pair, hs.u, max_iter=0)
+        assert capped.reason == "no convergence in 0 iterations" and capped.solves == 0
+
+    def test_sparse_e2_on_a_third_component_falls_back(self):
+        # above DENSE_CUTOFF (1,278 nodes, K=318): the host is component 269,
+        # phi2 lives on 78 and h_u's second eigenvector on 59, so the block
+        # started from [u, phi2] misses e2; the certificate refuses it and the
+        # global eigensolve returns the true e2
+        config = DisorderConfig(**FRAGMENTED, seed=LEAKING_SEEDS[0])
+        real, lap, pair, hs, hop = fallback_setup(config, 10.0)
+        assert real.n_vacant > DENSE_CUTOFF
+        A, nodes = dense_laplacian(real.mask, real.h)
+        vals, vecs = np.linalg.eigh(A + np.diag(hop.potential[real.mask]))
+        vals -= hs.shift
+        assert (hs.e1, hs.e2) == pytest.approx(vals[:2], rel=1e-12)
+        labels = np.array([real.labels[x] for x in nodes])
+        (e2_component,) = set(labels[np.abs(vecs[:, 1]) > 1e-8])
+        phi2_components = set(labels[np.abs(pair.phi2[real.mask]) > 1e-8])
+        assert e2_component not in phi2_components | {hs.component}
+        found = laplacian_factor_spectrum(hop, lap, pair, hs.u)
+        assert found.reason == "not certified"
+        assert found.e2 > hs.e2 + 1e-3
+
+    def test_one_debug_line_per_effective_spectrum(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="kaclab.hartree")
+        number = r"(-?[0-9.]+(?:e[+-][0-9]+)?)"
+
+        res = run_pipeline(PipelineResult(D3_ABOVE_CROSSOVER), gaussian(10.0))
+        (line,) = spectrum_lines(caplog)
+        message = line.getMessage()
+        assert line.levelno == logging.DEBUG
+        assert message.startswith(f"effective spectrum on {res.real.n_vacant} nodes: "
+                                  "Laplacian's factor")
+        iterations, solves, margin = map(float, re.search(
+            rf"{number} LOBPCG iterations, {number} LU solves, "
+            rf"certificate margin {number}$", message).groups())
+        # u converges at once, so after the first steps only e2's column is solved
+        assert iterations <= solves <= 2 * iterations and margin > 0.0
+
+        fallback_setup(THIRD_COMPONENT_76, 10.0)
+        (line,) = spectrum_lines(caplog)
+        message = line.getMessage()
+        assert "own eigensolve (fallback after" in message
+        assert message.endswith(": not certified)")
+        assert float(re.search(rf"certificate margin {number}:", message).group(1)) < 0.0
+
+        real = build_realization(THIRD_COMPONENT_76)
+        minimize_hartree(real, 10, potential_for(real, 10.0), THIRD_COMPONENT_76.N)
+        (line,) = spectrum_lines(caplog)
+        assert line.getMessage() == "effective spectrum on 76 nodes: own eigensolve (no lambda3)"

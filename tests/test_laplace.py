@@ -187,6 +187,31 @@ class TestEigenpairs:
         assert pair.lambda1 == pytest.approx(expected[0], rel=1e-10)
         assert pair.lambda2 == pytest.approx(expected[1], rel=1e-10)
 
+    @pytest.mark.parametrize("N", [16, 64], ids=["dense", "arpack"])
+    def test_third_pair_matches_dense_oracle(self, N):
+        # count=3 adds lambda3, phi3 and residual3 on both paths; the first
+        # two pairs are the count=2 ones
+        real = build_realization(DisorderConfig(d=2, rho=1.0, N=N, nu=0.15, r=0.5, h=0.4,
+                                                seed=3))
+        lap = assemble_laplacian(real)
+        pair, pair2 = lowest_eigenpairs(lap, count=3), lowest_eigenpairs(lap)
+        assert (real.n_vacant > DENSE_CUTOFF) == (N == 64)
+        A, _ = dense_laplacian(real.mask, real.h)
+        expected = np.linalg.eigvalsh(A)[:3]
+        lams = (pair.lambda1, pair.lambda2, pair.lambda3)
+        assert lams == pytest.approx(expected, rel=1e-10)
+        assert (pair.lambda1, pair.lambda2) == pytest.approx(
+            (pair2.lambda1, pair2.lambda2), rel=1e-12)
+        assert grids.norm(pair.phi3, real.h) == pytest.approx(1.0, abs=1e-12)
+        res = grids.norm(lap.apply_grid(pair.phi3) - pair.lambda3 * pair.phi3, real.h)
+        assert pair.residual3 == pytest.approx(res, rel=1e-12)
+        assert pair2.lambda3 is pair2.phi3 is pair2.residual3 is None
+
+    def test_count_outside_one_to_three_is_refused(self):
+        op = MaskedOperator(mask=np.ones((4, 4), dtype=bool), h=0.5)
+        with pytest.raises(ValueError, match="count must be 1, 2 or 3"):
+            lowest_eigenpairs(op, count=4)
+
     def test_identical_squares_are_degenerate(self):
         config = tiny_box_config()
         mask = np.array(
@@ -250,8 +275,10 @@ class TestSparseFactorization:
     def test_every_factorization_is_symmetric_mode(self, monkeypatch):
         # the Laplacian's factor (spectrum and flow preconditioner) and the
         # effective spectrum's of one ARPACK-size d=3 realization (1,678
-        # nodes); a factorization without the minimum-degree ordering
-        # (SuperLU's default COLAMD) fills ~2x more
+        # nodes), on the path that factorizes h_u (pinned: this size reuses
+        # the Laplacian's factor); a factorization without the minimum-degree
+        # ordering (SuperLU's default COLAMD) fills ~2x more
+        monkeypatch.setattr(hartree, "FACTOR_REUSE_MIN_NODES", {})
         factors = []
 
         def recording_splu(mat, **kwargs):
@@ -273,8 +300,10 @@ class TestSparseFactorization:
 
     def test_flow_solves_with_the_spectrum_factor(self, monkeypatch):
         # d=2 N=1024 (about 5,500 nodes, ARPACK path): the factor built for
-        # the spectrum is the one the Hartree flow solves with, and the flow
-        # drops it before the effective operator is factorized
+        # the spectrum is the one the Hartree flow solves with, and on the
+        # path that factorizes h_u (pinned: this size reuses the Laplacian's
+        # factor) it is dropped before the effective operator is factorized
+        monkeypatch.setattr(hartree, "FACTOR_REUSE_MIN_NODES", {})
         factors = []
         flow = {}
 
@@ -378,6 +407,9 @@ class TestArpackStopping:
             return pairs[-1][0]
 
         minimize_hartree = ensemble.minimize_hartree
+        # h_u's own ARPACK run: pinned to the path that factorizes h_u, which
+        # the pipeline leaves for the Laplacian's factor at these sizes
+        monkeypatch.setattr(hartree, "FACTOR_REUSE_MIN_NODES", {})
         monkeypatch.setattr(laplace, "splu", recording_splu)
         monkeypatch.setattr(ensemble, "minimize_hartree", spy_minimize_hartree)
         monkeypatch.setattr(ensemble, "lowest_eigenpairs", recording_eigenpairs)
