@@ -90,17 +90,14 @@ def build_certificate(
     eta: float = 0.1,
     sigma_ref: Optional[float] = None,
     oracle: Optional[dict] = None,
-    volume: Optional[tuple] = None,
 ) -> Certificate:
     """Evaluate every certificate ingredient on one computed realization.
 
     oracle, when given, is a dict with E_qm and n_condensate from the exact
     diagonalization.  The depletion bound needs a positive effective gap and
-    is recorded as not applicable (None) otherwise.  volume is
-    volume_fraction(real, eta) when the caller already holds it (a record
-    does), and is computed here otherwise.
+    is recorded as not applicable (None) otherwise.
     """
-    fraction, in_vol, target = volume or volume_fraction(real, eta)
+    fraction, in_vol, target = volume_fraction(real, eta)
     vol = {
         "ok": in_vol,
         "fraction": fraction,

@@ -14,11 +14,8 @@ and all sweeps are labeled exploratory.
 """
 
 import math
-import multiprocessing
 import numbers
-import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,12 +35,6 @@ from .laplace import (
 )
 
 RECORD_SCHEMA_VERSION = 2
-# kaclab's heavy calls (SuperLU, ARPACK, small dense eigh) run on one thread;
-# a BLAS pool beside them in every worker only burns CPU: a 100-seed d=2
-# N=64 ensemble took 11.7 s of CPU for 6.1 s of wall time with the default
-# OpenBLAS pool, 5.4 s for 5.4 s with one thread
-ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                   "MKL_NUM_THREADS": "1"}
 
 
 @dataclass
@@ -187,20 +178,25 @@ def run_realization(
     instead of raising, so ensembles keep going and report their failures.
     """
     result = PipelineResult(config)
-    certificate = error = volume = None
+    certificate = error = None
     try:
         run_pipeline(result, potential, eig_tol=eig_tol, el_tol=el_tol, max_iter=max_iter)
         result.stage = "certificate"
-        volume = volume_fraction(result.real, eta)
         certificate = build_certificate(
             result.real, result.pair, result.v, result.hartree,
-            eta=eta, sigma_ref=sigma_ref, volume=volume,
+            eta=eta, sigma_ref=sigma_ref,
         ).to_dict()
     except (KacLabError, ValueError, FloatingPointError, RuntimeError) as exc:
         # RuntimeError covers SuperLU's singular-matrix error and ArpackError
         error = {"stage": result.stage, "message": str(exc)}
 
     real, pair, sel, hs = result.real, result.pair, result.selection, result.hartree
+    if certificate is not None:
+        fraction = certificate["volume_event"]["fraction"]
+    elif real is not None:
+        fraction = volume_fraction(real, eta)[0]
+    else:
+        fraction = None
     return {
         "schema_version": RECORD_SCHEMA_VERSION,
         "seed": config.seed,
@@ -208,7 +204,7 @@ def run_realization(
         "L": config.box_side,
         "K": None if real is None else real.K,
         "n_vacant": None if real is None else real.n_vacant,
-        "volume_fraction": None if real is None else (volume or volume_fraction(real, eta))[0],
+        "volume_fraction": fraction,
         "lambda1": None if pair is None else pair.lambda1,
         "lambda2": None if pair is None else pair.lambda2,
         "degenerate_size": pair is not None and pair.degenerate_size,
@@ -226,34 +222,10 @@ def _job(args):
     return run_realization(config, v, **kwargs)
 
 
-@contextmanager
-def worker_pool(workers: int):
-    """Process pool whose workers run BLAS on one thread.
-
-    BLAS reads its thread count when numpy loads it, so the workers are
-    spawned, not forked from a process that has numpy loaded, while the
-    ONE_BLAS_THREAD environment is set; the caller's environment is restored
-    when the pool is shut down.
-    """
-    saved = {key: os.environ.get(key) for key in ONE_BLAS_THREAD}
-    os.environ.update(ONE_BLAS_THREAD)
-    try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            yield pool
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
 def run_ensemble(spec: EnsembleSpec, N: Optional[int] = None) -> list:
     """Run the pipeline over all seeds; records come back sorted by seed.
 
     The one potential is built before any realization: a bad spec raises here.
-    With workers > 1 the seeds run in a worker_pool, one BLAS thread each.
     """
     base = dict(spec.base)
     if N is not None:
@@ -265,7 +237,7 @@ def run_ensemble(spec: EnsembleSpec, N: Optional[int] = None) -> list:
     v = potential_from_spec(spec.potential, first.N, first.d, first.grid_spacing)
     jobs = [(config, v, kwargs) for config in configs]
     if spec.workers > 1 and len(jobs) > 1:
-        with worker_pool(spec.workers) as pool:
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             records = list(pool.map(_job, jobs))
     else:
         records = [_job(j) for j in jobs]

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import pytest
 
@@ -261,19 +260,6 @@ class TestParallelExecution:
             assert json.dumps(parallel, sort_keys=True) == json.dumps(
                 serial, sort_keys=True
             )
-
-
-    def test_workers_run_one_blas_thread(self, monkeypatch):
-        # BLAS reads its thread count when numpy loads, so a worker sees the
-        # setting only if it starts with it; the caller's environment is back
-        # once the pool is shut down
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        with ensemble.worker_pool(2) as pool:
-            seen = [pool.submit(os.getenv, key).result() for key in ensemble.ONE_BLAS_THREAD]
-        assert seen == ["1", "1", "1"]
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
-        assert "MKL_NUM_THREADS" not in os.environ
 
 
 class TestVolumeFractionOncePerRecord:

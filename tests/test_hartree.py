@@ -462,18 +462,24 @@ class TestLaplacianFactorSpectrum:
         assert not reuses_laplacian_factor(1, 10**6)
 
     def test_third_component_is_not_certified_on_76_nodes(self):
-        # the block [u, phi2] never leaves components 10 and 3, so LOBPCG
-        # converges to the confined 9.41561; lambda3 cannot certify it, and
-        # minimize_hartree falls back to h_u's own eigensolve
+        # the block [u, phi2] never leaves components 10 and 3, where theta2
+        # is the confined 9.41561 from the start; lambda3 cannot certify it,
+        # so it is refused before any LU solve, and minimize_hartree falls
+        # back to h_u's own eigensolve
         real, lap, pair, hs, hop = fallback_setup(THIRD_COMPONENT_76, 10.0)
         assert (real.n_vacant, hs.component) == (76, 10)
         assert hs.e2 == pytest.approx(8.78822, abs=5e-6)
         found = laplacian_factor_spectrum(hop, lap, pair, hs.u)
-        assert not found.certified and found.reason == "not certified"
+        assert found.reason == "start block's theta2 above the bound"
+        assert (found.iterations, found.solves) == (0, 0)
         assert found.margin < 0.0
         assert found.e2 == pytest.approx(9.41561, abs=5e-6)
-        assert found.e1 == pytest.approx(hs.e1, rel=1e-12)
-        capped = laplacian_factor_spectrum(hop, lap, pair, hs.u, max_iter=0)
+
+    def test_iteration_cap(self, monkeypatch):
+        # this set is certified at kappa = 10 (test_one_factorization_matches_dense)
+        _, lap, pair, hs, hop = fallback_setup(D3_ABOVE_CROSSOVER, 10.0)
+        monkeypatch.setattr(hartree, "LOBPCG_MAX_ITER", 0)
+        capped = laplacian_factor_spectrum(hop, lap, pair, hs.u)
         assert capped.reason == "no convergence in 0 iterations" and capped.solves == 0
 
     def test_sparse_e2_on_a_third_component_falls_back(self):
@@ -493,7 +499,7 @@ class TestLaplacianFactorSpectrum:
         phi2_components = set(labels[np.abs(pair.phi2[real.mask]) > 1e-8])
         assert e2_component not in phi2_components | {hs.component}
         found = laplacian_factor_spectrum(hop, lap, pair, hs.u)
-        assert found.reason == "not certified"
+        assert found.reason == "start block's theta2 above the bound"
         assert found.e2 > hs.e2 + 1e-3
 
     def test_one_debug_line_per_effective_spectrum(self, caplog):
@@ -516,7 +522,7 @@ class TestLaplacianFactorSpectrum:
         (line,) = spectrum_lines(caplog)
         message = line.getMessage()
         assert "own eigensolve (fallback after" in message
-        assert message.endswith(": not certified)")
+        assert message.endswith(": start block's theta2 above the bound)")
         assert float(re.search(rf"certificate margin {number}:", message).group(1)) < 0.0
 
         real = build_realization(THIRD_COMPONENT_76)

@@ -433,6 +433,56 @@ class TestArpackStopping:
             for lam, res in ((pair.lambda1, pair.residual1), (pair.lambda2, pair.residual2)):
                 assert res <= 0.2 * tol * abs(lam)
 
+    @pytest.mark.parametrize("d, N, count, max_lap, max_lobpcg", [
+        (2, 1024, 5, 250, 25),
+        (3, 128, 5, 200, 20),
+    ])
+    def test_factor_reuse_solves_and_residual_margin(self, monkeypatch, d, N, count,
+                                                      max_lap, max_lobpcg):
+        # the unpinned pipeline at the sizes above, which ask for lambda3 and
+        # solve h_u on the Laplacian's factor (measured: Laplacian solves 235
+        # and 185 for count=3, LOBPCG solves per item at most 19 and 16, every
+        # residual at most 0.01 tol * lambda, lambda3's included)
+        factors, lap_solves, pairs, found = [], [], [], []
+
+        def recording_splu(mat, **kwargs):
+            factors.append(CountingLU(splu(mat, **kwargs)))
+            return factors[-1]
+
+        def spy_minimize_hartree(*args, **kwargs):
+            lap_solves.append(factors[-1].solves)  # the spectrum's ARPACK run
+            return minimize_hartree(*args, **kwargs)
+
+        def recording_eigenpairs(op, **kwargs):
+            pairs.append((lowest_eigenpairs(op, **kwargs), kwargs["tol"]))
+            return pairs[-1][0]
+
+        def recording_factor_spectrum(*args, **kwargs):
+            found.append(factor_spectrum(*args, **kwargs))
+            return found[-1]
+
+        minimize_hartree = ensemble.minimize_hartree
+        factor_spectrum = hartree.laplacian_factor_spectrum
+        monkeypatch.setattr(laplace, "splu", recording_splu)
+        monkeypatch.setattr(ensemble, "minimize_hartree", spy_minimize_hartree)
+        monkeypatch.setattr(ensemble, "lowest_eigenpairs", recording_eigenpairs)
+        monkeypatch.setattr(hartree, "laplacian_factor_spectrum", recording_factor_spectrum)
+        for seed in derive_seeds(7, count):
+            config = DisorderConfig(d=d, rho=1.0, N=N, nu=0.15 if d == 2 else 0.05,
+                                    r=0.5, h=0.4, seed=seed)
+            run_pipeline(PipelineResult(config),
+                         {"kind": "gaussian", "kappa": 0.05, "width": 0.5})
+        assert len(factors) == count  # the Laplacian's, one per item
+        assert all(f.certified for f in found) and len(found) == count
+        assert sum(lap_solves) <= max_lap
+        assert max(f.solves for f in found) <= max_lobpcg
+        # a breach of lambda3's contract raises SolverError like the others
+        assert len(pairs) == count
+        for pair, tol in pairs:
+            for lam, res in ((pair.lambda1, pair.residual1), (pair.lambda2, pair.residual2),
+                             (pair.lambda3, pair.residual3)):
+                assert res <= 0.2 * tol * abs(lam)
+
     def test_one_debug_line_per_arpack_run(self, monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger="kaclab.laplace")
         factors = []
