@@ -95,7 +95,7 @@ class DisorderRealization:
     mask   : boolean grid over the interior nodes, True = vacant
     labels : integer grid, component id (1..K) per vacant node, 0 elsewhere;
              ids are canonical: components ordered by their first vacant node
-             in row-major order
+             in row-major order, the order ndimage.label numbers them in
     component_volumes : cell count * h^d per component, index k-1
     """
 
@@ -166,7 +166,7 @@ def build_realization(config: DisorderConfig, centers=None) -> DisorderRealizati
 
     A node is vacant iff its Euclidean distance to every center exceeds r
     (exact distances, no rasterized stencil).  Components are face-connected
-    sets of vacant nodes, labeled canonically.
+    sets of vacant nodes, labeled in row-major order of their first node.
     """
     if centers is None:
         centers = sample_centers(config)
@@ -189,17 +189,10 @@ def build_realization(config: DisorderConfig, centers=None) -> DisorderRealizati
 
 
 def _label_components(mask, h, d):
-    """Label face-connected components; canonical order by first vacant node."""
+    """Label face-connected components, which ndimage.label numbers in canonical order."""
     structure = ndimage.generate_binary_structure(d, 1)  # face adjacency only
     raw, K = ndimage.label(mask, structure=structure)
-    raw = raw.astype(np.int32)
-    flat = raw.ravel()
-    vacant_pos = np.flatnonzero(flat)
-    present, first_occ = np.unique(flat[vacant_pos], return_index=True)
-    order = np.argsort(vacant_pos[first_occ])  # raster position of first node
-    lut = np.zeros(K + 1, dtype=np.int32)
-    lut[present[order]] = np.arange(1, K + 1, dtype=np.int32)
-    labels = lut[raw]
+    labels = raw.astype(np.int32)
     return labels, int(K), component_volumes(labels, K, h, d)
 
 

@@ -133,11 +133,10 @@ def run_pipeline(
         raise KacLabError("empty vacancy set")
 
     result.stage = "spectrum"
-    # one operator, so one factor, serves the spectrum and the flow, and on
-    # the sets where lambda3 is asked for, h_u's spectrum too
-    lap = assemble_laplacian(real)
+    # the pair carries its operator, so one factor serves the spectrum and
+    # the flow, and on the sets where lambda3 is asked for, h_u's spectrum too
     count = 3 if reuses_laplacian_factor(real.d, real.n_vacant) else 2
-    pair = result.pair = lowest_eigenpairs(lap, count=count, tol=eig_tol)
+    pair = result.pair = lowest_eigenpairs(assemble_laplacian(real), count=count, tol=eig_tol)
     if pair.degenerate_size:
         raise KacLabError("one-node domain")
 
@@ -149,7 +148,7 @@ def run_pipeline(
     # Dirichlet solve, and lambda1, lambda2 shift its preconditioner and h_u
     result.hartree = minimize_hartree(
         real, sel.component, v, config.N, tol=el_tol, max_iter=max_iter,
-        eig_tol=eig_tol, lap=lap, pair=pair,
+        eig_tol=eig_tol, pair=pair,
     )
     return result
 

@@ -7,8 +7,9 @@ The energy of a unit-norm state u supported on one vacancy component is
 with h^d quadrature throughout.  Its minimizer is found by projected gradient
 descent on the unit sphere, preconditioned with the vacancy-set Laplacian's
 factor (the spectrum's), shifted on the spectrum's two lowest modes when the
-pipeline hands them over, with energy backtracking, which makes monotone
-decrease of the energy trace an enforced invariant; a damped self-consistent
+pipeline hands them over, with energy backtracking: a step is accepted only
+when the new energy is at most old + 8 eps max(1, |old|), so the energy trace
+never rises by more than that roundoff allowance; a damped self-consistent
 field solver is kept alongside as an independent cross-check of the (unique)
 minimizer.  Linearizing at u gives the effective operator
 
@@ -109,8 +110,8 @@ def _mean_field(u: np.ndarray, v: InteractionPotential, N: int, h: float):
 
 def interaction_double_sum(u: np.ndarray, v: InteractionPotential, real) -> float:
     """double-sum v(x-y) u(x)^2 u(y)^2 with h^d per integration variable."""
-    dens = u * u
-    return grids.inner(dens, convolve_density(dens, v), real.h)
+    # at N = 2 the mean field's energy is half of it, exactly
+    return 2.0 * _mean_field(u, v, 2, real.h)[1]
 
 
 def hartree_energy(u: np.ndarray, real, component: int, v: InteractionPotential, N: int) -> float:
@@ -153,14 +154,15 @@ class FactorSpectrum:
         return self.reason is None
 
 
-def laplacian_factor_spectrum(hop: MaskedOperator, lap: MaskedOperator, pair: SpectralPair,
-                              start: np.ndarray, tol: float = 1e-9) -> FactorSpectrum:
-    """Block-2 LOBPCG for hop's two lowest eigenpairs, preconditioned by lap's factor.
+def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np.ndarray,
+                              tol: float = 1e-9) -> FactorSpectrum:
+    """Block-2 LOBPCG for hop's two lowest eigenpairs, preconditioned by pair's factor.
 
-    hop is -Lap + potential - shift on lap's vacancy set and pair holds lap's
-    three lowest eigenpairs.  The start block is [start, phi2]; each step
-    runs Rayleigh-Ritz on an orthonormal basis of [X, T R, P] (Knyazev,
-    SIAM J. Sci. Comput. 23, 2001) with the flow's preconditioner form
+    pair holds the three lowest eigenpairs of the Laplacian lap =
+    pair.operator and hop is -Lap + potential - shift on lap's vacancy set.
+    The start block is [start, phi2]; each step runs Rayleigh-Ritz on an
+    orthonormal basis of [X, T R, P] (Knyazev, SIAM J. Sci. Comput. 23,
+    2001) with the flow's preconditioner form
 
         T r = (-Lap)^(-1) r + sum_{k=1,2,3} (1/(lambda_k - sigma) - 1/lambda_k)
               <phi_k, r> phi_k,   sigma = 0.9 lambda1,
@@ -188,6 +190,7 @@ def laplacian_factor_spectrum(hop: MaskedOperator, lap: MaskedOperator, pair: Sp
     happened only outside the mean-field regime, where the spread of the
     potential exceeds lambda3 - lambda2.
     """
+    lap = pair.operator
     scale = hop.h ** (hop.d / 2.0)  # unit discrete norm <-> unit vector
     B = hop.matrix()
     lams = np.array([pair.lambda1, pair.lambda2, pair.lambda3])
@@ -250,15 +253,15 @@ def effective_spectrum(hop: MaskedOperator, tol: float = 1e-9,
 
     When pair carries the Laplacian's lambda3 (run_pipeline asks for it on
     the sets reuses_laplacian_factor selects), laplacian_factor_spectrum
-    solves on lap's factor from [start, phi2] and its certified answer is
-    taken.  Otherwise, and whenever it is not certified, lowest_eigenpairs
-    solves hop itself (on its own factor above DENSE_CUTOFF).  lap's factor,
-    when given, is released before that: at most one factor is held at any
-    time.
+    solves on pair.operator's factor from [start, phi2] and its certified
+    answer is taken.  Otherwise, and whenever it is not certified,
+    lowest_eigenpairs solves hop itself (on its own factor above
+    DENSE_CUTOFF).  The factor of lap, the flow's Laplacian, is released
+    before that: at most one factor is held at any time.
     """
     found = None
     if pair is not None and pair.lambda3 is not None:
-        found = laplacian_factor_spectrum(hop, lap, pair, start, tol)
+        found = laplacian_factor_spectrum(hop, pair, start, tol)
     if lap is not None:
         vars(lap).pop("factor", None)
     if found is not None:
@@ -304,16 +307,16 @@ def _finalize(u, real, component, W, shift, iterations, residual, trace, energy,
     here convolves.  The SPD part of h_u is -Lap + W - sigma: W >= 0,
     so by Weyl's inequality its least eigenvalue is at least lambda1 > sigma
     and a shift-invert solve on its factor stays positive definite; sigma
-    near e1 only speeds it up.  lap and pair, the flow's Laplacian and its
-    spectrum, go to effective_spectrum: with lambda3 in pair it solves on
-    lap's factor from [u, phi2] and keeps the answer only when Weyl's
-    inequality certifies it, else it releases lap's factor and factorizes
-    h_u.  Only the full-set spectrum is solved.  h_u is
-    block-diagonal over the components, so its ground energy e1 is the least
-    of the component ground energies, e1 <= e1_host; and u is a unit trial
-    state on the host, so e1_host <= <u, h_u u> = energy.  A host-restricted
-    solve would therefore sit between e1 and energy, and |energy - e1|
-    already bounds its distance to the energy.
+    near e1 only speeds it up.  lap and pair, the flow's Laplacian and the
+    spectrum it came with, go to effective_spectrum: with lambda3 in pair it
+    solves on lap's factor from [u, phi2] and keeps the answer only when
+    Weyl's inequality certifies it; otherwise, and without pair, it releases
+    lap's factor before it factorizes h_u.  Only the full-set spectrum is
+    solved.  h_u is block-diagonal over the components, so its ground
+    energy e1 is the least of the component ground energies, e1 <= e1_host;
+    and u is a unit trial state on the host, so e1_host <= <u, h_u u> =
+    energy.  A host-restricted solve would therefore sit between e1 and
+    energy, and |energy - e1| already bounds its distance to the energy.
     """
     hop = MaskedOperator(mask=real.mask, h=real.h, potential=W - sigma,
                          diagonal_shift=shift - sigma)
@@ -344,7 +347,6 @@ def minimize_hartree(
     max_iter: int = 5000,
     eig_tol: float = 1e-9,
     init: Optional[np.ndarray] = None,
-    lap: Optional[MaskedOperator] = None,
     pair: Optional[SpectralPair] = None,
 ) -> HartreeSolution:
     """Minimize the component Hartree energy by projected gradient descent.
@@ -352,19 +354,20 @@ def minimize_hartree(
     Starting from the component's Dirichlet ground state, or from a supplied
     positive initial state, each step moves against the sphere-projected
     gradient, clips negative parts and renormalizes; the step size backtracks
-    until the energy decreases, so the energy trace is non-increasing by
-    construction, whatever the step.  The raw gradient direction contracts
-    like gap/||A|| per step, hopeless on fine grids, so the gradient is
-    preconditioned by P = (-Lap)^(-1): P is positive definite, so the
-    projected direction still descends, and the rate is grid-independent.
+    until the new energy is at most old + 8 eps max(1, |old|), so no step of
+    the energy trace rises by more than that roundoff allowance, whatever
+    the step.  The raw gradient direction contracts like gap/||A|| per
+    step, hopeless on fine grids, so the gradient is preconditioned by
+    P = (-Lap)^(-1): P is positive definite, so the projected direction
+    still descends, and the rate is grid-independent.
     The preconditioned Hessian is I plus (-Lap)^(-1) times the interaction
     terms, so tau = 1 is a good first step while the interaction is small
     against lambda1.  Convergence is declared when the Euler-Lagrange
     residual || h_u u - <u, h_u u> u || drops below tol.
 
-    lap is the Dirichlet Laplacian of the whole vacancy set (built from real
-    when not given); P solves with its factor, so the spectrum's factor is
-    reused, and the converged flow drops it from lap.  -Lap is
+    P solves with the factor of lap, the Dirichlet Laplacian of the whole
+    vacancy set: pair.operator, the spectrum's, when pair is given, else
+    built from real.  The converged flow drops that factor.  -Lap is
     block-diagonal over components and u and the residual live on the
     component, so its stencil and its factor act there exactly as the
     component's own.  For the same reason |phi1| of the whole vacancy
@@ -397,8 +400,8 @@ def minimize_hartree(
     comp_mask, u = _initial_state(real, component, init, eig_tol)
     eps = np.finfo(float).eps
     h = real.h
-    if lap is None:
-        lap = assemble_laplacian(real)
+    # the spectrum's operator, and so its factor, serves the flow
+    lap = pair.operator if pair is not None else assemble_laplacian(real)
     sigma, modes = 0.0, []
     if pair is not None:
         sigma = SHIFT_FRACTION * pair.lambda1

@@ -63,6 +63,15 @@ def _offset_radii(R: int, d: int, h: float) -> np.ndarray:
     return np.sqrt(sum(g * g for g in grids))
 
 
+# each kind's parameters and their defaults, None where there is none; the
+# config's potential section takes its keys from here
+POTENTIAL_PARAMS = {
+    "gaussian": {"width": 1.0, "truncation": 8.0},
+    "top_hat": {"radius": 1.0, "allow_non_posdef": False},
+    "custom_table": {"table": None, "table_path": None},
+}
+
+
 def build_interaction(
     kind: str,
     kappa: float,
@@ -73,16 +82,22 @@ def build_interaction(
 ) -> InteractionPotential:
     """Sample v = kappa V / (N (ln N)^(2/d)) on its grid stencil.
 
-    base_params by kind:
+    base_params by kind (defaults in POTENTIAL_PARAMS); a parameter of
+    another kind, or of none, is a ConfigError:
       gaussian     : width (default 1.0), truncation in widths (default 8.0)
-      top_hat      : radius, allow_non_posdef (must be True; the profile is
-                     not positive definite)
+      top_hat      : radius (default 1.0), allow_non_posdef (must be True;
+                     the profile is not positive definite)
       custom_table : table, an (n, 2) array of radius/value rows, or
                      table_path to a text file with one "radius value" pair
                      per line; radial linear interpolation, zero beyond the
                      last radius
     """
-    params = dict(base_params or {})
+    if not isinstance(kind, str) or kind not in POTENTIAL_PARAMS:
+        raise ConfigError(f"unknown potential kind {kind!r}")
+    foreign = sorted(set(base_params or {}) - set(POTENTIAL_PARAMS[kind]))
+    if foreign:
+        raise ConfigError(f"potential parameters {foreign} do not apply to kind {kind!r}")
+    params = {**POTENTIAL_PARAMS[kind], **(base_params or {})}
     if N < 2:
         raise ConfigError(f"N={N} must be >= 2 (the scaling divides by ln N)")
     if kappa < 0:
@@ -95,8 +110,8 @@ def build_interaction(
     scale = kappa / (N * math.log(N) ** (2.0 / d))
 
     if kind == "gaussian":
-        width = float(params.pop("width", 1.0))
-        truncation = float(params.pop("truncation", 8.0))
+        width = float(params["width"])
+        truncation = float(params["truncation"])
         if width <= 0 or truncation <= 0:
             raise ConfigError("gaussian width and truncation must be positive")
         R = max(int(math.ceil(truncation * width / h)), 1)
@@ -104,9 +119,8 @@ def build_interaction(
         base = np.exp(-(rr**2) / (2.0 * width**2))
         base[rr > truncation * width] = 0.0
     elif kind == "top_hat":
-        radius = float(params.pop("radius", 1.0))
-        allow = bool(params.pop("allow_non_posdef", False))
-        if not allow:
+        radius = float(params["radius"])
+        if not params["allow_non_posdef"]:
             raise ConfigError(
                 "top_hat is not positive definite; pass "
                 "allow_non_posdef=True to build it for stress tests"
@@ -117,10 +131,10 @@ def build_interaction(
         rr = _offset_radii(R, d, h)
         base = (rr <= radius).astype(float)
     elif kind == "custom_table":
-        if "table" in params:
-            table = np.asarray(params.pop("table"), dtype=float)
-        elif "table_path" in params:
-            table = np.loadtxt(params.pop("table_path"), ndmin=2)
+        if params["table"] is not None:
+            table = np.asarray(params["table"], dtype=float)
+        elif params["table_path"] is not None:
+            table = np.loadtxt(params["table_path"], ndmin=2)
         else:
             raise ConfigError("custom_table needs 'table' or 'table_path'")
         if table.ndim != 2 or table.shape[1] != 2:
@@ -133,11 +147,7 @@ def build_interaction(
         R = max(int(math.ceil(radii[-1] / h)), 1)
         rr = _offset_radii(R, d, h)
         base = np.interp(rr, radii, vals, left=vals[0], right=0.0)
-    else:
-        raise ConfigError(f"unknown potential kind {kind!r}")
 
-    if params:
-        raise ConfigError(f"unknown potential parameters {sorted(params)}")
     if np.any(base < 0):
         raise ConfigError("profile is not nonnegative")
     if not np.allclose(base, base[tuple(slice(None, None, -1) for _ in range(d))]):
@@ -160,36 +170,16 @@ def build_interaction(
     )
 
 
-_KIND_PARAMS = {
-    "gaussian": ("width", "truncation"),
-    "top_hat": ("radius", "allow_non_posdef"),
-    "custom_table": ("table", "table_path"),
-}
-
-
 def potential_from_spec(spec: dict, N: int, d: int, h: float) -> InteractionPotential:
     """Build the potential a flat config spec {kind, kappa, ...} describes.
 
-    Drops entries that are None or irrelevant to the kind, so one config
-    schema can describe any built-in potential.
+    Entries that are None are unset, so one config schema, which holds every
+    kind's parameters, can describe any built-in potential; a set parameter
+    of another kind is a ConfigError.
     """
-    spec = dict(spec)
-    kind = spec.pop("kind", "gaussian")
-    kappa = spec.pop("kappa", 0.0)
-    if kind not in _KIND_PARAMS:
-        raise ConfigError(f"unknown potential kind {kind!r}")
-    params = {
-        key: spec[key]
-        for key in _KIND_PARAMS[kind]
-        if spec.get(key) is not None
-    }
-    leftovers = {
-        key for key, val in spec.items()
-        if val is not None and key not in _KIND_PARAMS[kind]
-        and not any(key in allowed for allowed in _KIND_PARAMS.values())
-    }
-    if leftovers:
-        raise ConfigError(f"unknown potential parameters {sorted(leftovers)}")
+    params = {key: val for key, val in spec.items() if val is not None}
+    kind = params.pop("kind", "gaussian")
+    kappa = params.pop("kappa", 0.0)
     return build_interaction(kind, kappa, N, d, h, base_params=params)
 
 

@@ -76,7 +76,8 @@ class MaskedOperator:
                 raise ValueError("potential grid does not match the mask")
         if not np.any(self.mask):
             raise KacLabError("empty vacancy set")
-        self._vac = np.flatnonzero(self.mask.ravel())
+        # row-major flat grid index of each vacant node: node i is sites[i]
+        self.sites = np.flatnonzero(self.mask.ravel())
 
     @property
     def d(self) -> int:
@@ -88,7 +89,18 @@ class MaskedOperator:
 
     @property
     def n_vacant(self) -> int:
-        return self._vac.size
+        return self.sites.size
+
+    def face_pairs(self):
+        """Per axis, the face-adjacent vacant node pairs (a, b), b one step after a."""
+        # the node index stays int64 (scipy stores int32 indices anyway): an
+        # int32 one cost sparse_2d 5 MB of peak RSS
+        idx = np.full(self.dims, -1)
+        idx.flat[self.sites] = np.arange(self.n_vacant)
+        for lo, hi in grids.face_slices(self.d):
+            a, b = idx[hi].ravel(), idx[lo].ravel()
+            ok = (a >= 0) & (b >= 0)
+            yield a[ok], b[ok]
 
     def apply_grid(self, f: np.ndarray) -> np.ndarray:
         """Apply the operator, shift included, to a full-grid function (zero off the mask)."""
@@ -108,11 +120,11 @@ class MaskedOperator:
     def embed(self, x: np.ndarray) -> np.ndarray:
         """Scatter a compressed vector into a full grid."""
         g = np.zeros(self.mask.size, dtype=float)
-        g[self._vac] = x
+        g[self.sites] = x
         return g.reshape(self.dims)
 
     def restrict(self, f: np.ndarray) -> np.ndarray:
-        return np.asarray(f).ravel()[self._vac]
+        return np.asarray(f).ravel()[self.sites]
 
     @property
     def residual_floor(self) -> float:
@@ -126,21 +138,15 @@ class MaskedOperator:
         # built on each call, not cached: an operator holding its matrix
         # (~5 MB at d=2 N=16384) fragmented the heap and raised sparse_2d
         # peak RSS 9%, 225.9 -> 246.6 MB (+5.3 MB with the malloc mmap
-        # threshold pinned).  The node index stays int64 (scipy stores int32
-        # indices anyway): an int32 one cost sparse_2d 5 MB of peak RSS.
+        # threshold pinned)
         n = self.n_vacant
         nodes = np.arange(n)
-        idx = np.full(self.dims, -1)
-        idx.flat[self._vac] = nodes
         diag = np.full(n, 2.0 * self.d / self.h**2)
         if self.potential is not None:
-            diag = diag + self.potential.ravel()[self._vac]
+            diag = diag + self.potential.ravel()[self.sites]
         rows, cols, vals = [nodes], [nodes], [diag]
         off = -1.0 / (self.h * self.h)
-        for lo, hi in grids.face_slices(self.d):
-            a, b = idx[hi].ravel(), idx[lo].ravel()
-            ok = (a >= 0) & (b >= 0)
-            a, b = a[ok], b[ok]
+        for a, b in self.face_pairs():
             rows += [a, b]
             cols += [b, a]
             vals += [np.full(2 * a.size, off)]
@@ -157,14 +163,16 @@ class MaskedOperator:
 
 @dataclass
 class SpectralPair:
-    """Two (or three) lowest eigenpairs of a masked operator.
+    """Two (or three) lowest eigenpairs of a masked operator, and that operator.
 
     Eigenvectors are full-grid functions with unit discrete L2 norm
     (sum phi^2 h^d = 1) and nonnegative grid sum.  residual_i is the
     discrete norm of A phi_i - lambda_i phi_i.  On a one-node domain only
     the single eigenvalue exists and degenerate_size is set.  The third
     pair is filled only when asked for (count=3): it bounds the rest of the
-    spectrum from below, which certifies h_u's e1, e2 (hartree).
+    spectrum from below, which certifies h_u's e1, e2 (hartree).  operator
+    is the one solved, with its factor when ARPACK built one, so a later
+    solve with the same matrix (the Hartree flow's) reuses it.
     """
 
     lambda1: float
@@ -177,6 +185,7 @@ class SpectralPair:
     lambda3: Optional[float] = None
     phi3: Optional[np.ndarray] = None
     residual3: Optional[float] = None
+    operator: Optional[MaskedOperator] = None
 
     @property
     def numerically_degenerate(self) -> bool:
@@ -273,7 +282,7 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> 
 
     return SpectralPair(lams[0], nth(lams, 1), phis[0], nth(phis, 1), residuals[0],
                         nth(residuals, 1), degenerate_size=n == 1, lambda3=nth(lams, 2),
-                        phi3=nth(phis, 2), residual3=nth(residuals, 2))
+                        phi3=nth(phis, 2), residual3=nth(residuals, 2), operator=op)
 
 
 @dataclass

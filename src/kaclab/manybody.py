@@ -13,10 +13,11 @@ lattice level (the variational arguments transcribe verbatim when the sampled
 potential has a nonnegative lattice Fourier transform), which is what makes
 this module the truth source for the certificates.
 
-Sites are indexed by their row-major position among the vacant nodes; basis
-states are the lexicographically ordered multisets of N site indices, and a
-state's row is its rank in the combinatorial number system.  Intended for
-desk-scale instances (the basis dimension C(M+N-1, N) is capped).
+Sites are numbered as laplace.MaskedOperator numbers the vacant nodes (in
+row-major order) and particles hop along its face pairs; basis states are the
+lexicographically ordered multisets of N site indices, and a state's row is
+its rank in the combinatorial number system.  Intended for desk-scale
+instances (the basis dimension C(M+N-1, N) is capped).
 """
 
 import logging
@@ -28,9 +29,9 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from . import grids
-from .errors import BasisSizeError, GridMismatchError, KacLabError, SolverError
+from .errors import BasisSizeError, GridMismatchError, SolverError
 from .interaction import InteractionPotential
+from .laplace import MaskedOperator
 
 BASIS_CAP = 2_000_000
 # measured crossover (one BLAS thread, N=2, medians of 30 calls): with eigsh
@@ -119,31 +120,20 @@ def build_manybody_hamiltonian(
     """
     if N < 1:
         raise ValueError(f"N={N} must be >= 1")
-    mask = real.mask
-    sites = np.flatnonzero(mask.ravel())
-    M = sites.size
-    if M == 0:
-        raise KacLabError("empty vacancy set")
+    # the Laplacian's site numbering and face pairs; it raises on an empty set
+    op = MaskedOperator(real.mask, real.h)
+    sites, M, d, h = op.sites, op.n_vacant, op.d, real.h
     dim = basis_dimension(M, N)
     if dim > cap:
         raise BasisSizeError(dim, cap)
-
-    positions = np.argwhere(mask)  # row-major order matches flatnonzero
-    d = mask.ndim
-    h = real.h
+    positions = np.stack(np.unravel_index(sites, op.dims), axis=1)
     h2 = h * h
 
     # face-adjacency among vacant sites, padded with -1 to 2d per site
-    flat_to_site = np.full(mask.size, -1, dtype=np.int64)
-    flat_to_site[sites] = np.arange(M)
-    site_grid = flat_to_site.reshape(mask.shape)
     neighbors = np.full((M, 2 * d), -1, dtype=np.int64)
-    for ax, (lo, hi) in enumerate(grids.face_slices(d)):
-        a = site_grid[hi].ravel()
-        b = site_grid[lo].ravel()
-        ok = (a >= 0) & (b >= 0)
-        neighbors[a[ok], 2 * ax] = b[ok]
-        neighbors[b[ok], 2 * ax + 1] = a[ok]
+    for ax, (a, b) in enumerate(op.face_pairs()):
+        neighbors[a, 2 * ax] = b
+        neighbors[b, 2 * ax + 1] = a
 
     # literal pair values v(x_a - x_b), zero outside the stencil
     R = v.stencil_radius
@@ -174,13 +164,13 @@ def build_manybody_hamiltonian(
             new[:, p] = b
             new.sort(axis=1)
             hops.append((rank(new), i, -np.sqrt(occ[i, p] * (nb + 1)) / h2))
-    diag = N * 2.0 * d / h2 + inter
+    each = np.arange(dim)
+    hops.append((each, each, N * 2.0 * d / h2 + inter))
 
+    # one conversion: no hop lands on the diagonal or on another hop's entry
     rows, cols, vals = map(np.concatenate, zip(*hops))
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    mat = mat + sp.diags(diag)
     return ManyBodyHamiltonian(
-        matrix=mat.tocsr(),
+        matrix=sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr(),
         N=N,
         sites=sites,
         states=states,
@@ -283,5 +273,5 @@ def condensate_occupation(rho1: np.ndarray, u: np.ndarray, real, N: int) -> floa
             f"density matrix is {rho1.shape[0]}x{rho1.shape[0]} but the "
             f"realization has {real.n_vacant} vacant sites"
         )
-    u_sites = u.ravel()[np.flatnonzero(real.mask.ravel())]
+    u_sites = u[real.mask]
     return float(N * real.h**real.d * (u_sites @ rho1 @ u_sites))

@@ -230,6 +230,7 @@ class TestSubcommands:
         ["ensemble", "--set", "solver.eig_tol=x"],
         ["sample", "--set", "disorder=5"],
         ["ensemble", "--set", "potential.kind=foo"],
+        ["ensemble", "--set", "potential.kind=[1]"],
         ["ensemble", "--set", "disorder.N=1"],
         ["ensemble", "--set", 'ensemble.seeds="30"'],
         ["ensemble", "--set", "ensemble.seeds=true"],
@@ -243,7 +244,7 @@ class TestSubcommands:
         ["sample", "--set", "log_level=LOUD"],
         ["sample", "--set", "log_level=10"],
     ], ids=["sweep_default", "N_values_decrease", "no_seeds", "workers_string",
-            "eig_tol_string", "whole_section", "unknown_potential_kind", "N_below_two",
+            "eig_tol_string", "whole_section", "unknown_potential_kind", "potential_kind_list", "N_below_two",
             "seeds_string", "seeds_bool", "seeds_empty", "seeds_float",
             "master_seed_string", "N_values_scalar", "seeds_float_entry",
             "master_seed_negative", "N_values_float_entry", "log_level_unknown",
@@ -281,11 +282,14 @@ class TestSubcommands:
 
 
 class TestPotentialKindsViaConfig:
+    # write_config's base potential sets the gaussian width: a key of another
+    # kind, which the top_hat and custom_table specs below must unset
+
     def test_top_hat_spec(self, tmp_path):
         path = write_config(
             tmp_path,
             potential={"kind": "top_hat", "kappa": 0.1, "radius": 0.8,
-                       "allow_non_posdef": True},
+                       "allow_non_posdef": True, "width": None},
         )
         cfg = parse_config(path)
         v = potential_from_spec(cfg.potential_spec(), 4, 2, 0.5)
@@ -297,8 +301,25 @@ class TestPotentialKindsViaConfig:
         path = write_config(
             tmp_path,
             potential={"kind": "custom_table", "kappa": 0.2,
-                       "table_path": str(table)},
+                       "table_path": str(table), "width": None},
         )
         cfg = parse_config(path)
         v = potential_from_spec(cfg.potential_spec(), 4, 2, 0.5)
         assert v.kind == "custom_table" and v.v_at_zero > 0.0
+
+    def test_echo_holds_the_kind_parameters(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, potential={"kind": "top_hat", "width": None}))
+        assert cfg.to_dict()["potential"] == {
+            "kind": "top_hat", "kappa": 0.0, "radius": 1.0, "allow_non_posdef": False,
+            "width": None, "truncation": None, "table": None, "table_path": None,
+        }
+        assert parse_config().data["potential"]["width"] == 1.0
+
+    @pytest.mark.parametrize("command", ["hartree", "ensemble"])
+    def test_key_of_another_kind_is_a_config_error(self, tmp_path, capsys, command):
+        # radius belongs to top_hat: the default gaussian must not drop it
+        argv = [command, "--set", "potential.radius=3", "-o", str(tmp_path / "run")]
+        assert main(argv) == EXIT_USAGE
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == ("error: potential parameters ['radius'] do not apply "
+                       "to kind 'gaussian'")

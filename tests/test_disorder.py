@@ -134,10 +134,17 @@ class TestBuildRealization:
         )
 
     def test_canonical_label_order(self):
-        real = build_realization(config_L10(seed=11, nu=0.7, r=0.6))
-        flat = real.labels.ravel()
-        firsts = [np.flatnonzero(flat == k)[0] for k in range(1, real.K + 1)]
-        assert firsts == sorted(firsts)
+        # a sampled realization, then random 2D and 3D masks
+        rng = np.random.default_rng(3)
+        config_3d = DisorderConfig(d=3, rho=1.0, N=27, nu=0.0, r=0.5, h=0.25, seed=0)
+        reals = [build_realization(config_L10(seed=11, nu=0.7, r=0.6))]
+        for config in [config_L10()] * 10 + [config_3d] * 10:
+            mask = rng.random(config.grid_dims) < rng.uniform(0.3, 0.7)
+            reals.append(DisorderRealization.from_mask(config, mask))
+        for real in reals:
+            flat = real.labels.ravel()
+            firsts = [np.flatnonzero(flat == k)[0] for k in range(1, real.K + 1)]
+            assert firsts == sorted(firsts)
 
     def test_from_mask_rejects_wrong_shape(self):
         config = tiny_box_config()

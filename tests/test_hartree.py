@@ -211,9 +211,10 @@ class TestMinimizer:
             return finalize(*args, **kwargs)
 
         lap.apply_grid = counting_apply_grid
+        monkeypatch.setattr(hartree, "assemble_laplacian", lambda _: lap)
         monkeypatch.setattr(hartree, "convolve_density", counting_convolve)
         monkeypatch.setattr(hartree, "_finalize", spy_finalize)
-        hs = minimize_hartree(real, sel.component, v, real.config.N, lap=lap)
+        hs = minimize_hartree(real, sel.component, v, real.config.N)
         assert hs.iterations > 1
         assert at_finalize["convolve_density"] >= hs.iterations + 1
         assert at_finalize["apply_grid"] == at_finalize["convolve_density"]
@@ -380,7 +381,7 @@ class TestSpectrumSteeredFlow:
         sel = ground_state_component(real, pair)
         assert real.n_vacant > DENSE_CUTOFF and real.K > 1
         v = potential_for(real, kappa)
-        hs = minimize_hartree(real, sel.component, v, config.N, lap=lap, pair=pair)
+        hs = minimize_hartree(real, sel.component, v, config.N, pair=pair)
         assert np.all(np.diff(hs.energy_trace) <= 0.0)
         hop = assemble_effective_operator(hs.u, real, v, config.N)
         A, _ = dense_laplacian(real.mask, real.h)
@@ -388,6 +389,44 @@ class TestSpectrumSteeredFlow:
         assert (hs.e1, hs.e2) == pytest.approx(vals[:2], rel=1e-12)
         if kappa == 0.0:
             assert (hs.e1, hs.e2) == pytest.approx((pair.lambda1, pair.lambda2), rel=1e-12)
+
+    def test_pair_brings_its_factor(self, monkeypatch):
+        # 2,834 nodes, below 2D's crossover: the spectrum's factor serves the
+        # flow, so the only other factorization is h_u's
+        factors = []
+
+        def counting_splu(mat, **kwargs):
+            factors.append(mat)
+            return splu(mat, **kwargs)
+
+        monkeypatch.setattr(laplace, "splu", counting_splu)
+        config = DisorderConfig(d=2, rho=1.0, N=512, nu=0.15, r=0.5, h=0.4, seed=3)
+        real = build_realization(config)
+        pair = lowest_eigenpairs(assemble_laplacian(real))
+        assert real.n_vacant == 2834 and len(factors) == 1
+        v = potential_for(real, 0.5)
+        hs = minimize_hartree(real, 1, v, config.N, pair=pair)
+        assert len(factors) == 2
+        # the second is h_u's SPD part -Lap + W - sigma
+        W = assemble_effective_operator(hs.u, real, v, config.N).potential
+        sigma = hartree.SHIFT_FRACTION * pair.lambda1
+        assert (factors[1] != MaskedOperator(real.mask, real.h, W - sigma).matrix()).nnz == 0
+
+    @pytest.mark.parametrize("kappa", [0.5, 10.0])
+    def test_energy_trace_steps_within_roundoff_allowance(self, kappa, corner_blocked_6):
+        # a step is accepted when new <= old + 8 eps max(1, |old|), the rule
+        # the docstrings state; with and without the spectrum's pair
+        eps = np.finfo(float).eps
+        traces = [minimize_hartree(corner_blocked_6, 1, potential_for(corner_blocked_6, kappa),
+                                   corner_blocked_6.config.N).energy_trace]
+        for seed in (0, 1):
+            config = DisorderConfig(d=2, rho=1.0, N=64, nu=0.3, r=0.5, h=0.4, seed=seed)
+            res = run_pipeline(PipelineResult(config), gaussian(kappa))
+            traces.append(res.hartree.energy_trace)
+        for trace in traces:
+            assert len(trace) > 2
+            for old, new in zip(trace, trace[1:]):
+                assert new <= old + 8.0 * eps * max(1.0, abs(old))
 
     def test_one_debug_line_per_converged_flow(self, caplog, corner_blocked_6):
         caplog.set_level(logging.DEBUG, logger="kaclab.hartree")
@@ -417,12 +456,11 @@ def fallback_setup(config, kappa):
     """The flow given the Laplacian's three lowest pairs, and the parts of h_u."""
     real = build_realization(config)
     v = potential_for(real, kappa)
-    lap = assemble_laplacian(real)
-    pair = lowest_eigenpairs(lap, count=3)
+    pair = lowest_eigenpairs(assemble_laplacian(real), count=3)
     sel = ground_state_component(real, pair)
-    hs = minimize_hartree(real, sel.component, v, config.N, lap=lap, pair=pair)
+    hs = minimize_hartree(real, sel.component, v, config.N, pair=pair)
     hop = assemble_effective_operator(hs.u, real, v, config.N)
-    return real, lap, pair, hs, hop
+    return real, pair, hs, hop
 
 
 def spectrum_lines(caplog):
@@ -466,10 +504,10 @@ class TestLaplacianFactorSpectrum:
         # is the confined 9.41561 from the start; lambda3 cannot certify it,
         # so it is refused before any LU solve, and minimize_hartree falls
         # back to h_u's own eigensolve
-        real, lap, pair, hs, hop = fallback_setup(THIRD_COMPONENT_76, 10.0)
+        real, pair, hs, hop = fallback_setup(THIRD_COMPONENT_76, 10.0)
         assert (real.n_vacant, hs.component) == (76, 10)
         assert hs.e2 == pytest.approx(8.78822, abs=5e-6)
-        found = laplacian_factor_spectrum(hop, lap, pair, hs.u)
+        found = laplacian_factor_spectrum(hop, pair, hs.u)
         assert found.reason == "start block's theta2 above the bound"
         assert (found.iterations, found.solves) == (0, 0)
         assert found.margin < 0.0
@@ -477,9 +515,9 @@ class TestLaplacianFactorSpectrum:
 
     def test_iteration_cap(self, monkeypatch):
         # this set is certified at kappa = 10 (test_one_factorization_matches_dense)
-        _, lap, pair, hs, hop = fallback_setup(D3_ABOVE_CROSSOVER, 10.0)
+        _, pair, hs, hop = fallback_setup(D3_ABOVE_CROSSOVER, 10.0)
         monkeypatch.setattr(hartree, "LOBPCG_MAX_ITER", 0)
-        capped = laplacian_factor_spectrum(hop, lap, pair, hs.u)
+        capped = laplacian_factor_spectrum(hop, pair, hs.u)
         assert capped.reason == "no convergence in 0 iterations" and capped.solves == 0
 
     def test_sparse_e2_on_a_third_component_falls_back(self):
@@ -488,7 +526,7 @@ class TestLaplacianFactorSpectrum:
         # started from [u, phi2] misses e2; the certificate refuses it and the
         # global eigensolve returns the true e2
         config = DisorderConfig(**FRAGMENTED, seed=LEAKING_SEEDS[0])
-        real, lap, pair, hs, hop = fallback_setup(config, 10.0)
+        real, pair, hs, hop = fallback_setup(config, 10.0)
         assert real.n_vacant > DENSE_CUTOFF
         A, nodes = dense_laplacian(real.mask, real.h)
         vals, vecs = np.linalg.eigh(A + np.diag(hop.potential[real.mask]))
@@ -498,7 +536,7 @@ class TestLaplacianFactorSpectrum:
         (e2_component,) = set(labels[np.abs(vecs[:, 1]) > 1e-8])
         phi2_components = set(labels[np.abs(pair.phi2[real.mask]) > 1e-8])
         assert e2_component not in phi2_components | {hs.component}
-        found = laplacian_factor_spectrum(hop, lap, pair, hs.u)
+        found = laplacian_factor_spectrum(hop, pair, hs.u)
         assert found.reason == "start block's theta2 above the bound"
         assert found.e2 > hs.e2 + 1e-3
 

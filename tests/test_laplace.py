@@ -315,10 +315,11 @@ class TestSparseFactorization:
 
         minimize_hartree = ensemble.minimize_hartree
 
-        def spy_minimize_hartree(*args, lap, **kwargs):
+        def spy_minimize_hartree(*args, pair, **kwargs):
+            lap = pair.operator
             flow["lap"], flow["before"] = lap, factors[0].solves
             flow["shared"] = lap.factor is factors[0]
-            hs = minimize_hartree(*args, lap=lap, **kwargs)
+            hs = minimize_hartree(*args, pair=pair, **kwargs)
             flow["after"] = factors[0].solves
             return hs
 

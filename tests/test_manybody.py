@@ -14,6 +14,7 @@ from kaclab import (
     DisorderConfig,
     DisorderRealization,
     GridMismatchError,
+    MaskedOperator,
     SolverError,
     assemble_laplacian,
     build_interaction,
@@ -100,6 +101,16 @@ class TestHamiltonian:
             np.linalg.eigvalsh(one_body),
             atol=1e-10,
         )
+
+    def test_N1_matrix_is_the_laplacian_entry_for_entry(self, corner_blocked_6, two_strip_5):
+        # one owner of the site numbering and the face pairs: with one
+        # particle the many-body matrix is the one-body stencil's, bit for bit
+        for real in (corner_blocked_6, two_strip_5, small_3d_set(), disordered_2d_set()):
+            H = build_manybody_hamiltonian(real, potential_for(real, 1.3, N=2), N=1)
+            one_body = MaskedOperator(real.mask, real.h).matrix().tocsr()
+            assert H.matrix.shape == one_body.shape
+            assert (H.matrix != one_body).nnz == 0
+            assert np.array_equal(H.matrix.toarray(), one_body.toarray())
 
     def test_two_sites_two_bosons_noninteracting(self):
         config = tiny_box_config()
