@@ -31,7 +31,7 @@ from .ensemble import (
     scaling_sweep,
 )
 from .errors import BasisSizeError, ConfigError, KacLabError, SolverError
-from .interaction import POTENTIAL_PARAMS, potential_from_spec
+from .interaction import POTENTIAL_PARAMS, potential_from_spec, potential_params
 from .laplace import assemble_laplacian, ground_state_component, lowest_eigenpairs
 from .manybody import build_manybody_hamiltonian, condensate_occupation, ground_state, one_body_density_matrix
 
@@ -49,9 +49,11 @@ _SPEC = {
 }
 _DEFAULTS = {
     "disorder": {"d": 2, "rho": 1.0, "N": 64, "nu": 0.1, "r": 0.5, "h": 0.25, "seed": 0},
-    # every kind's parameters, unset; RunConfig fills in the chosen kind's defaults
+    # every kind's parameters, unset, except an inline table, which only
+    # Python callers pass; RunConfig fills in the chosen kind's defaults
     "potential": {"kind": "gaussian", "kappa": 0.0,
-                  **{key: None for params in POTENTIAL_PARAMS.values() for key in params}},
+                  **{key: None for params in POTENTIAL_PARAMS.values() for key in params
+                     if key != "table"}},
     "solver": {key: _SPEC[key] for key in ("el_tol", "eig_tol", "max_iter")},
     "ensemble": {key: _SPEC[key] for key in
                  ("seeds", "master_seed", "N_values", "eta", "sigma_ref", "workers")},
@@ -69,12 +71,12 @@ class RunConfig:
         if data["log_level"] not in LOG_LEVELS:
             raise ConfigError(f"log_level={data['log_level']!r} must be one of "
                               f"{', '.join(LOG_LEVELS)}")
-        # the echo shows the chosen kind's parameters, defaults filled in; an
-        # unknown kind is reported when the potential is built
+        # a bad kind or parameter fails every subcommand; the echo shows the
+        # chosen kind's parameters, defaults filled in
         pot = data["potential"]
-        kind = pot["kind"] if isinstance(pot["kind"], str) else None
-        for key, default in POTENTIAL_PARAMS.get(kind, {}).items():
-            pot[key] = default if pot[key] is None else pot[key]
+        chosen = potential_params(pot["kind"], {k: v for k, v in pot.items()
+                                                if k not in ("kind", "kappa") and v is not None})
+        pot.update((key, val) for key, val in chosen.items() if key in pot)
         # building both specs validates every numeric precondition
         self.disorder_config()
         self.ensemble_spec()

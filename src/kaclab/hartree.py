@@ -246,7 +246,6 @@ def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np
 
 
 def effective_spectrum(hop: MaskedOperator, tol: float = 1e-9,
-                       lap: Optional[MaskedOperator] = None,
                        pair: Optional[SpectralPair] = None,
                        start: Optional[np.ndarray] = None):
     """Two lowest eigenvalues of the effective operator and its ground vector.
@@ -256,14 +255,13 @@ def effective_spectrum(hop: MaskedOperator, tol: float = 1e-9,
     solves on pair.operator's factor from [start, phi2] and its certified
     answer is taken.  Otherwise, and whenever it is not certified,
     lowest_eigenpairs solves hop itself (on its own factor above
-    DENSE_CUTOFF).  The factor of lap, the flow's Laplacian, is released
-    before that: at most one factor is held at any time.
+    DENSE_CUTOFF).  pair.operator's factor is released before that: at
+    most one factor is held at any time.
     """
     found = None
     if pair is not None and pair.lambda3 is not None:
         found = laplacian_factor_spectrum(hop, pair, start, tol)
-    if lap is not None:
-        vars(lap).pop("factor", None)
+        vars(pair.operator).pop("factor", None)
     if found is not None:
         note = (f"{found.iterations} LOBPCG iterations, {found.solves} LU solves, "
                 f"certificate margin {found.margin:.3e}")
@@ -300,27 +298,27 @@ def _initial_state(real, component, init, eig_tol):
 
 
 def _finalize(u, real, component, W, shift, iterations, residual, trace, energy,
-              eig_tol, sigma=0.0, lap=None, pair=None):
+              eig_tol, sigma=0.0, pair=None):
     """Spectrum of the effective operator h_u = -Lap + W - shift at the converged u.
 
     The caller passes the mean field W and shift it already holds, so nothing
     here convolves.  The SPD part of h_u is -Lap + W - sigma: W >= 0,
     so by Weyl's inequality its least eigenvalue is at least lambda1 > sigma
     and a shift-invert solve on its factor stays positive definite; sigma
-    near e1 only speeds it up.  lap and pair, the flow's Laplacian and the
-    spectrum it came with, go to effective_spectrum: with lambda3 in pair it
-    solves on lap's factor from [u, phi2] and keeps the answer only when
-    Weyl's inequality certifies it; otherwise, and without pair, it releases
-    lap's factor before it factorizes h_u.  Only the full-set spectrum is
-    solved.  h_u is block-diagonal over the components, so its ground
-    energy e1 is the least of the component ground energies, e1 <= e1_host;
-    and u is a unit trial state on the host, so e1_host <= <u, h_u u> =
-    energy.  A host-restricted solve would therefore sit between e1 and
-    energy, and |energy - e1| already bounds its distance to the energy.
+    near e1 only speeds it up.  pair, the flow's spectrum, goes to
+    effective_spectrum: with lambda3 in pair it solves on pair.operator's
+    factor from [u, phi2], releases that factor, and keeps the answer only
+    when Weyl's inequality certifies it; otherwise it factorizes h_u.  Only
+    the full-set spectrum is solved.  h_u is block-diagonal over the
+    components, so its ground energy e1 is the least of the component ground
+    energies, e1 <= e1_host; and u is a unit trial state on the host, so
+    e1_host <= <u, h_u u> = energy.  A host-restricted solve would therefore
+    sit between e1 and energy, and |energy - e1| already bounds its distance
+    to the energy.
     """
     hop = MaskedOperator(mask=real.mask, h=real.h, potential=W - sigma,
                          diagonal_shift=shift - sigma)
-    e1, e2, gvec = effective_spectrum(hop, tol=eig_tol, lap=lap, pair=pair, start=u)
+    e1, e2, gvec = effective_spectrum(hop, tol=eig_tol, pair=pair, start=u)
     comp_mask = real.labels == component
     gmass = float(np.sum(np.where(comp_mask, gvec, 0.0) ** 2)) * real.h**real.d
     return HartreeSolution(
@@ -486,10 +484,12 @@ def minimize_hartree(
     logger.debug("Hartree flow converged: %d iterations, %d backtracks, residual %.3e",
                  iterations, backtracks, residual)
 
-    # effective_spectrum drops the Laplacian's factor once it is done with
-    # it, before any factorization of h_u, so the two are never held at once
+    # drop the Laplacian's factor before h_u is factorized; with lambda3,
+    # effective_spectrum solves on it first and drops it then
+    if pair is None or pair.lambda3 is None:
+        vars(lap).pop("factor", None)
     return _finalize(u, real, component, W, shift, iterations, residual, trace,
-                     energy, eig_tol, sigma, lap, pair)
+                     energy, eig_tol, sigma, pair)
 
 
 def minimize_hartree_scf(

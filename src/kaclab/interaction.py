@@ -14,6 +14,7 @@ Quadrature conventions: integrals carry h^d per integration variable, so
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -72,6 +73,17 @@ POTENTIAL_PARAMS = {
 }
 
 
+def potential_params(kind, params: Optional[dict] = None) -> dict:
+    """kind's defaults in POTENTIAL_PARAMS overridden by params; an unknown
+    kind, or a parameter of another kind or of none, is a ConfigError."""
+    if not isinstance(kind, str) or kind not in POTENTIAL_PARAMS:
+        raise ConfigError(f"unknown potential kind {kind!r}")
+    foreign = sorted(set(params or {}) - set(POTENTIAL_PARAMS[kind]))
+    if foreign:
+        raise ConfigError(f"potential parameters {foreign} do not apply to kind {kind!r}")
+    return {**POTENTIAL_PARAMS[kind], **(params or {})}
+
+
 def build_interaction(
     kind: str,
     kappa: float,
@@ -82,8 +94,7 @@ def build_interaction(
 ) -> InteractionPotential:
     """Sample v = kappa V / (N (ln N)^(2/d)) on its grid stencil.
 
-    base_params by kind (defaults in POTENTIAL_PARAMS); a parameter of
-    another kind, or of none, is a ConfigError:
+    base_params by kind, resolved by potential_params:
       gaussian     : width (default 1.0), truncation in widths (default 8.0)
       top_hat      : radius (default 1.0), allow_non_posdef (must be True;
                      the profile is not positive definite)
@@ -92,16 +103,11 @@ def build_interaction(
                      per line; radial linear interpolation, zero beyond the
                      last radius
     """
-    if not isinstance(kind, str) or kind not in POTENTIAL_PARAMS:
-        raise ConfigError(f"unknown potential kind {kind!r}")
-    foreign = sorted(set(base_params or {}) - set(POTENTIAL_PARAMS[kind]))
-    if foreign:
-        raise ConfigError(f"potential parameters {foreign} do not apply to kind {kind!r}")
-    params = {**POTENTIAL_PARAMS[kind], **(base_params or {})}
+    params = potential_params(kind, base_params)
     if N < 2:
         raise ConfigError(f"N={N} must be >= 2 (the scaling divides by ln N)")
-    if kappa < 0:
-        raise ConfigError(f"kappa={kappa} must be nonnegative")
+    if not isinstance(kappa, numbers.Real) or kappa < 0:
+        raise ConfigError(f"kappa={kappa!r} must be a nonnegative number")
     if d not in (2, 3):
         raise ConfigError(f"d={d} unsupported")
     if h <= 0:
@@ -173,14 +179,13 @@ def build_interaction(
 def potential_from_spec(spec: dict, N: int, d: int, h: float) -> InteractionPotential:
     """Build the potential a flat config spec {kind, kappa, ...} describes.
 
-    Entries that are None are unset, so one config schema, which holds every
-    kind's parameters, can describe any built-in potential; a set parameter
-    of another kind is a ConfigError.
+    Parameters that are None are unset, so one config schema, which holds
+    every kind's parameters, can describe any built-in potential.
     """
-    params = {key: val for key, val in spec.items() if val is not None}
-    kind = params.pop("kind", "gaussian")
-    kappa = params.pop("kappa", 0.0)
-    return build_interaction(kind, kappa, N, d, h, base_params=params)
+    params = {key: val for key, val in spec.items()
+              if key not in ("kind", "kappa") and val is not None}
+    return build_interaction(spec.get("kind", "gaussian"), spec.get("kappa", 0.0),
+                             N, d, h, base_params=params)
 
 
 def convolve_density(density: np.ndarray, v: InteractionPotential) -> np.ndarray:

@@ -231,6 +231,9 @@ class TestSubcommands:
         ["sample", "--set", "disorder=5"],
         ["ensemble", "--set", "potential.kind=foo"],
         ["ensemble", "--set", "potential.kind=[1]"],
+        ["ensemble", "--set", "potential.kind=null"],
+        ["ensemble", "--set", "potential.kappa=null"],
+        ["ensemble", "--set", "potential.table=[[0,1]]"],
         ["ensemble", "--set", "disorder.N=1"],
         ["ensemble", "--set", 'ensemble.seeds="30"'],
         ["ensemble", "--set", "ensemble.seeds=true"],
@@ -244,7 +247,8 @@ class TestSubcommands:
         ["sample", "--set", "log_level=LOUD"],
         ["sample", "--set", "log_level=10"],
     ], ids=["sweep_default", "N_values_decrease", "no_seeds", "workers_string",
-            "eig_tol_string", "whole_section", "unknown_potential_kind", "potential_kind_list", "N_below_two",
+            "eig_tol_string", "whole_section", "unknown_potential_kind", "potential_kind_list",
+            "potential_kind_null", "potential_kappa_null", "potential_table", "N_below_two",
             "seeds_string", "seeds_bool", "seeds_empty", "seeds_float",
             "master_seed_string", "N_values_scalar", "seeds_float_entry",
             "master_seed_negative", "N_values_float_entry", "log_level_unknown",
@@ -311,11 +315,11 @@ class TestPotentialKindsViaConfig:
         cfg = parse_config(write_config(tmp_path, potential={"kind": "top_hat", "width": None}))
         assert cfg.to_dict()["potential"] == {
             "kind": "top_hat", "kappa": 0.0, "radius": 1.0, "allow_non_posdef": False,
-            "width": None, "truncation": None, "table": None, "table_path": None,
+            "width": None, "truncation": None, "table_path": None,
         }
         assert parse_config().data["potential"]["width"] == 1.0
 
-    @pytest.mark.parametrize("command", ["hartree", "ensemble"])
+    @pytest.mark.parametrize("command", ["sample", "spectrum", "hartree", "ensemble"])
     def test_key_of_another_kind_is_a_config_error(self, tmp_path, capsys, command):
         # radius belongs to top_hat: the default gaussian must not drop it
         argv = [command, "--set", "potential.radius=3", "-o", str(tmp_path / "run")]
