@@ -281,7 +281,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     result = scaling_sweep(spec)
     (out / "sweep.json").write_text(json.dumps(result, sort_keys=True, indent=1))
     rows = result["rows"]
-    cols = ["N", "n_ok", "n_failed", "median_lambda1", "median_gap",
+    cols = ["N", "n_ok", "n_failed", "median_lambda1", "median_gap", "n_with_bound",
             "median_depletion_bound"]
     lines = [",".join(cols)]
     for row in rows:

@@ -185,8 +185,9 @@ def run_realization(
             result.real, result.pair, result.v, result.hartree,
             eta=eta, sigma_ref=sigma_ref,
         ).to_dict()
-    except (KacLabError, ValueError, FloatingPointError, RuntimeError) as exc:
-        # RuntimeError covers SuperLU's singular-matrix error and ArpackError
+    except (KacLabError, ValueError, FloatingPointError, RuntimeError, MemoryError) as exc:
+        # RuntimeError covers SuperLU's singular-matrix error and ArpackError;
+        # SuperLU raises MemoryError when its fill does not fit
         error = {"stage": result.stage, "message": str(exc)}
 
     real, pair, sel, hs = result.real, result.pair, result.selection, result.hartree
@@ -316,6 +317,8 @@ def _fit_loglog(x, y):
 def scaling_sweep(spec: EnsembleSpec) -> dict:
     """Medians of lambda1, gap and depletion bound across an N sweep.
 
+    n_with_bound counts a row's records with a depletion bound (e2 > e1);
+    with none, the median bound is NaN, since no bound is not a zero one.
     Fits log(median lambda1) both against log N and against
     log((ln N)^(-2/d)); the asymptotic (ln N) regime is not reachable at desk
     scale, so the disordered fits are trend data only.
@@ -341,7 +344,8 @@ def scaling_sweep(spec: EnsembleSpec) -> dict:
                 "n_failed": len(records) - len(ok),
                 "median_lambda1": float(np.median(lam1)) if lam1 else None,
                 "median_gap": float(np.median(gaps)) if gaps else None,
-                "median_depletion_bound": float(np.median(depl)) if depl else 0.0,
+                "n_with_bound": len(depl),
+                "median_depletion_bound": float(np.median(depl)) if depl else math.nan,
             }
         )
 

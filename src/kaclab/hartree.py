@@ -5,10 +5,10 @@ The energy of a unit-norm state u supported on one vacancy component is
     E[u] = <u, -Lap u> + (N-1)/2 * double-sum v(x-y) u(x)^2 u(y)^2,
 
 with h^d quadrature throughout.  Its minimizer is found by projected gradient
-descent on the unit sphere, preconditioned with the vacancy-set Laplacian's
-factor (the spectrum's), shifted on the spectrum's two lowest modes when the
-pipeline hands them over, with energy backtracking: a step is accepted only
-when the new energy is at most old + 8 eps max(1, |old|), so the energy trace
+descent on the unit sphere, preconditioned with the factor of a Laplacian
+(the vacancy set's from the pipeline, else the component's) shifted on its
+two lowest modes, with energy backtracking: a step is accepted only when
+the new energy is at most old + 8 eps max(1, |old|), so the energy trace
 never rises by more than that roundoff allowance; a damped self-consistent
 field solver is kept alongside as an independent cross-check of the (unique)
 minimizer.  Linearizing at u gives the effective operator
@@ -38,11 +38,11 @@ from scipy.sparse.linalg import splu  # noqa: F401
 from . import grids
 from .errors import SolverError
 from .interaction import InteractionPotential, convolve_density
-from .laplace import MaskedOperator, SpectralPair, assemble_laplacian, lowest_eigenpairs
+from .laplace import MaskedOperator, SpectralPair, lowest_eigenpairs
 
 SUPPORT_TOL = 1e-12
-# the flow's preconditioner and h_u's shift-invert point sit at sigma = 0.9
-# lambda1 of the Laplacian: below lambda1, so both stay positive definite,
+# the flow's preconditioner and h_u's shift-invert point (see _finalize) sit
+# at sigma = 0.9 lambda1: below lambda1, so both stay positive definite,
 # with a 10% margin for FFT roundoff in W (and for kappa = 0, where W = 0).
 # 0.99 lambda1 slowed the flow under strong interaction: mean iterations
 # 31.5 -> 87.3 on 200 seeds at d=2, N=64, kappa=10.
@@ -258,11 +258,10 @@ def effective_spectrum(hop: MaskedOperator, tol: float = 1e-9,
     DENSE_CUTOFF).  pair.operator's factor is released before that: at
     most one factor is held at any time.
     """
-    found = None
+    note = "no lambda3"
     if pair is not None and pair.lambda3 is not None:
         found = laplacian_factor_spectrum(hop, pair, start, tol)
         vars(pair.operator).pop("factor", None)
-    if found is not None:
         note = (f"{found.iterations} LOBPCG iterations, {found.solves} LU solves, "
                 f"certificate margin {found.margin:.3e}")
         if found.certified:
@@ -270,8 +269,6 @@ def effective_spectrum(hop: MaskedOperator, tol: float = 1e-9,
                                   hop.n_vacant, note)
             return found.e1, found.e2, found.phi1
         note = f"fallback after {note}: {found.reason}"
-    else:
-        note = "no lambda3"
     own = lowest_eigenpairs(hop, count=2, tol=tol)
     spectrum_logger.debug("effective spectrum on %d nodes: own eigensolve (%s)",
                           hop.n_vacant, note)
@@ -286,36 +283,38 @@ def component_ground_state(real, component: int, eig_tol: float = 1e-9):
     return grids.normalize(phi, real.h), pair.lambda1
 
 
-def _initial_state(real, component, init, eig_tol):
-    """Component mask and unit start state: init clipped to the component."""
+def _component_mask(real, component):
+    """The component's nodes; an empty component is a ValueError, before any solve."""
     comp_mask = real.labels == component
     if not np.any(comp_mask):
         raise ValueError(f"component {component} is empty")
-    if init is None:
-        return comp_mask, component_ground_state(real, component, eig_tol)[0]
+    return comp_mask
+
+
+def _initial_state(comp_mask, init, h):
+    """Unit start state: init clipped to the component and to nonnegative values."""
     u = np.clip(np.where(comp_mask, np.asarray(init, dtype=float), 0.0), 0.0, None)
-    return comp_mask, grids.normalize(u, real.h)
+    return grids.normalize(u, h)
 
 
 def _finalize(u, real, component, W, shift, iterations, residual, trace, energy,
-              eig_tol, sigma=0.0, pair=None):
+              eig_tol, pair=None):
     """Spectrum of the effective operator h_u = -Lap + W - shift at the converged u.
 
     The caller passes the mean field W and shift it already holds, so nothing
-    here convolves.  The SPD part of h_u is -Lap + W - sigma: W >= 0,
-    so by Weyl's inequality its least eigenvalue is at least lambda1 > sigma
-    and a shift-invert solve on its factor stays positive definite; sigma
-    near e1 only speeds it up.  pair, the flow's spectrum, goes to
-    effective_spectrum: with lambda3 in pair it solves on pair.operator's
-    factor from [u, phi2], releases that factor, and keeps the answer only
-    when Weyl's inequality certifies it; otherwise it factorizes h_u.  Only
-    the full-set spectrum is solved.  h_u is block-diagonal over the
-    components, so its ground energy e1 is the least of the component ground
-    energies, e1 <= e1_host; and u is a unit trial state on the host, so
-    e1_host <= <u, h_u u> = energy.  A host-restricted solve would therefore
-    sit between e1 and energy, and |energy - e1| already bounds its distance
-    to the energy.
+    here convolves.  h_u is solved on the whole vacancy set, shift-inverted
+    at sigma: by Weyl's inequality (W >= 0) the least eigenvalue of its SPD
+    part -Lap + W - sigma is at least the set's lambda1 - sigma, so sigma must
+    lie below the set's lambda1.  The rule: sigma = 0.9 lambda1 of pair when
+    pair.operator spans the vacancy set, else 0, since a component's lambda1
+    bounds only that component.  effective_spectrum gets pair: with lambda3
+    it tries pair.operator's factor first, certified (see there).  Only the
+    full-set spectrum is solved: h_u is block-diagonal over the components
+    and u is a unit trial state on the host, so e1 <= e1_host <= <u, h_u u>
+    = energy, and |energy - e1| bounds a host-restricted solve's distance.
     """
+    spans_set = pair is not None and pair.operator.n_vacant == real.n_vacant
+    sigma = SHIFT_FRACTION * pair.lambda1 if spans_set else 0.0
     hop = MaskedOperator(mask=real.mask, h=real.h, potential=W - sigma,
                          diagonal_shift=shift - sigma)
     e1, e2, gvec = effective_spectrum(hop, tol=eig_tol, pair=pair, start=u)
@@ -349,35 +348,29 @@ def minimize_hartree(
 ) -> HartreeSolution:
     """Minimize the component Hartree energy by projected gradient descent.
 
-    Starting from the component's Dirichlet ground state, or from a supplied
-    positive initial state, each step moves against the sphere-projected
-    gradient, clips negative parts and renormalizes; the step size backtracks
-    until the new energy is at most old + 8 eps max(1, |old|), so no step of
-    the energy trace rises by more than that roundoff allowance, whatever
-    the step.  The raw gradient direction contracts like gap/||A|| per
-    step, hopeless on fine grids, so the gradient is preconditioned by
-    P = (-Lap)^(-1): P is positive definite, so the projected direction
-    still descends, and the rate is grid-independent.
-    The preconditioned Hessian is I plus (-Lap)^(-1) times the interaction
-    terms, so tau = 1 is a good first step while the interaction is small
-    against lambda1.  Convergence is declared when the Euler-Lagrange
-    residual || h_u u - <u, h_u u> u || drops below tol.
+    Starting from |phi1| of pair, or from a supplied positive initial state,
+    each step moves against the sphere-projected gradient, clips negative
+    parts and renormalizes; the step size backtracks until the new energy is
+    at most old + 8 eps max(1, |old|), so no step of the energy trace rises
+    by more than that roundoff allowance.  The raw gradient contracts like
+    gap/||A|| per step, hopeless on fine grids, so it is preconditioned by a
+    positive definite P built on (-Lap)^(-1): the projected direction still
+    descends, the rate is grid-independent, and tau = 1 is a good first step
+    while the interaction is small against lambda1.  Convergence is declared
+    when the Euler-Lagrange residual || h_u u - <u, h_u u> u || is below tol.
 
-    P solves with the factor of lap, the Dirichlet Laplacian of the whole
-    vacancy set: pair.operator, the spectrum's, when pair is given, else
-    built from real.  The converged flow drops that factor.  -Lap is
-    block-diagonal over components and u and the residual live on the
-    component, so its stencil and its factor act there exactly as the
-    component's own.  For the same reason |phi1| of the whole vacancy
-    set, restricted to the component, is already the component's ground state
-    whenever that component attains lambda1 (also when phi1 is spread over
-    several); it is the default init when pair is given, which saves that
-    eigensolve.
+    pair is the spectrum of lap = pair.operator, the Dirichlet Laplacian of
+    the whole vacancy set (run_pipeline's) or, when pair is None, of the
+    component alone, solved here.  P solves with lap's factor, which the
+    converged flow drops.  -Lap is block-diagonal over components and u and
+    the residual live on the component, so the whole set's stencil and
+    factor act there as the component's own, and |phi1| of the whole set is
+    the component's ground state whenever the component attains lambda1;
+    either pair's |phi1| is the default init.
 
-    pair, the spectrum of lap, steers both solves.  With P = (-Lap)^(-1) the
-    phi2 mode contracts only like lambda1/lambda2 per step, slow on the
-    clustered low spectra of vacancy sets.  So with sigma = 0.9 lambda1 the
-    preconditioner becomes
+    With P = (-Lap)^(-1) the phi2 mode contracts only like lambda1/lambda2
+    per step, slow on the clustered low spectra of vacancy sets.  So with
+    sigma = 0.9 lambda1 the preconditioner becomes
 
         P r = (-Lap)^(-1) r + sum_{k=1,2} (1/(lambda_k - sigma) - 1/lambda_k)
               <phi_k, r> phi_k,   then zeroed off the component,
@@ -389,28 +382,24 @@ def minimize_hartree(
     fragmented set phi1 and phi2 may live on other components, and without
     it the correction moved mass off the host (at d=2, N=1024, nu=2,
     kappa=10, 3 of 40 flows ended with up to 45% of the mass off the host
-    and the energy up to 2.3% above the minimum).  h_u's
-    spectrum is then shift-inverted at sigma too (see _finalize).  Without
-    pair the flow preconditions with (-Lap)^(-1) and h_u shift-inverts at 0.
+    and the energy up to 2.3% above the minimum).  _finalize then solves
+    h_u's spectrum on the whole vacancy set, shift-inverted by its rule.
     """
-    if init is None and pair is not None:
-        init = np.abs(pair.phi1)
-    comp_mask, u = _initial_state(real, component, init, eig_tol)
+    comp_mask = _component_mask(real, component)
+    if pair is None:
+        pair = lowest_eigenpairs(MaskedOperator(mask=comp_mask, h=real.h), count=2, tol=eig_tol)
+    u = _initial_state(comp_mask, np.abs(pair.phi1) if init is None else init, real.h)
     eps = np.finfo(float).eps
     h = real.h
     # the spectrum's operator, and so its factor, serves the flow
-    lap = pair.operator if pair is not None else assemble_laplacian(real)
-    sigma, modes = 0.0, []
-    if pair is not None:
-        sigma = SHIFT_FRACTION * pair.lambda1
-        modes = [(phi, 1.0 / (lam - sigma) - 1.0 / lam)
-                 for lam, phi in ((pair.lambda1, pair.phi1), (pair.lambda2, pair.phi2))
-                 if phi is not None]
+    lap = pair.operator
+    sigma = SHIFT_FRACTION * pair.lambda1
+    modes = [(phi, 1.0 / (lam - sigma) - 1.0 / lam)
+             for lam, phi in ((pair.lambda1, pair.phi1), (pair.lambda2, pair.phi2))
+             if phi is not None]
 
     def precondition(r):
         z = lap.embed(lap.factor.solve(lap.restrict(r)))
-        if not modes:
-            return z
         for phi, coef in modes:
             z += (coef * grids.inner(phi, r, h)) * phi
         return np.where(comp_mask, z, 0.0)
@@ -486,10 +475,10 @@ def minimize_hartree(
 
     # drop the Laplacian's factor before h_u is factorized; with lambda3,
     # effective_spectrum solves on it first and drops it then
-    if pair is None or pair.lambda3 is None:
+    if pair.lambda3 is None:
         vars(lap).pop("factor", None)
     return _finalize(u, real, component, W, shift, iterations, residual, trace,
-                     energy, eig_tol, sigma, pair)
+                     energy, eig_tol, pair)
 
 
 def minimize_hartree_scf(
@@ -510,7 +499,10 @@ def minimize_hartree_scf(
     u = sqrt(density) is below tol.  Algorithmically unrelated to the
     gradient flow; by uniqueness of the minimizer both must agree.
     """
-    comp_mask, u = _initial_state(real, component, init, eig_tol)
+    comp_mask = _component_mask(real, component)
+    if init is None:
+        init = component_ground_state(real, component, eig_tol)[0]
+    u = _initial_state(comp_mask, init, real.h)
     dens = u * u
 
     residual = np.inf

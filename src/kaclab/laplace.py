@@ -42,12 +42,12 @@ logger = logging.getLogger(__name__)
 # SuperLU options of MaskedOperator.factor, the only place kaclab factorizes.
 # The matrix is -Lap_Dirichlet, or for the effective operator h_u
 # -Lap + W - sigma: W >= 0 (kappa >= 0 and profiles that interaction.py
-# validates nonnegative) and sigma = 0.9 lambda1 (0 without the Laplacian's
-# spectrum), so by Weyl's inequality its least eigenvalue is at least
-# lambda1 - sigma > 0.  It is symmetric positive definite and diagonal pivots
-# are safe.  In symmetric mode SuperLU can then order A + A^T by minimum
-# degree, which halves the fill of its default COLAMD ordering in 2D and cuts
-# it ~2.2x in 3D.
+# validates nonnegative) and sigma is 0.9 lambda1 of the whole vacancy set,
+# or 0 (hartree._finalize states the rule), so by Weyl's inequality its least
+# eigenvalue is at least lambda1 - sigma > 0.  It is symmetric positive
+# definite and diagonal pivots are safe.  In symmetric mode SuperLU can then
+# order A + A^T by minimum degree, which halves the fill of its default
+# COLAMD ordering in 2D and cuts it ~2.2x in 3D.
 SPD_LU_OPTIONS = {
     "permc_spec": "MMD_AT_PLUS_A",
     "diag_pivot_thresh": 0.0,

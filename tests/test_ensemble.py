@@ -93,6 +93,26 @@ class TestRunRealization:
         assert [r["seed"] for r in records] == sorted(seeds)
         assert all(r["error"]["stage"] == "spectrum" for r in records)
 
+    def test_memory_error_captured_with_stage(self, monkeypatch):
+        # SuperLU raises MemoryError when its fill does not fit; the other
+        # seeds of the ensemble still come back
+        spec = spec_with(seeds=3, workers=1)
+        failing = spec.seed_list()[1]
+        solve, calls = ensemble.lowest_eigenpairs, []
+
+        def out_of_memory_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:  # seeds run in seed_list order on one worker
+                raise MemoryError("fill does not fit")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "lowest_eigenpairs", out_of_memory_once)
+        records = run_ensemble(spec)
+        assert len(records) == 3
+        (failed,) = [r for r in records if r["error"] is not None]
+        assert failed["seed"] == failing
+        assert failed["error"] == {"stage": "spectrum", "message": "fill does not fit"}
+
 
 class TestEnsemble:
     def test_batch_count_and_validity(self):
@@ -324,6 +344,21 @@ class TestScalingSweep:
         result = scaling_sweep(spec)
         for row in result["rows"]:
             assert row["median_depletion_bound"] == 0.0
+
+    def test_missing_depletion_bound_reads_nan(self, monkeypatch):
+        # a row where no record has a bound must not claim a zero one
+        def records(spec, N):
+            rec = {"error": None, "lambda1": 1.0 / N, "lambda2": 2.0 / N,
+                   "certificate": {"depletion_bound": None}}
+            with_bound = dict(rec, certificate={"depletion_bound": 0.25})
+            return [rec, with_bound] if N == 64 else [rec, rec]
+
+        monkeypatch.setattr(ensemble, "run_ensemble", records)
+        rows = scaling_sweep(spec_with(N_values=[16, 64, 256]))["rows"]
+        assert [row["n_with_bound"] for row in rows] == [0, 1, 0]
+        assert math.isnan(rows[0]["median_depletion_bound"])
+        assert rows[1]["median_depletion_bound"] == 0.25
+        assert math.isnan(rows[2]["median_depletion_bound"])
 
     def test_requires_three_N_values(self):
         with pytest.raises(ValueError):

@@ -192,7 +192,8 @@ class TestMinimizer:
             tiny_box_config(N=16, L=4.0, h=0.25, nu=0.4, r=0.4, seed=21)
         )
         lap = assemble_laplacian(real)
-        sel = ground_state_component(real, lowest_eigenpairs(lap))
+        pair = lowest_eigenpairs(lap)
+        sel = ground_state_component(real, pair)
         v = potential_for(real, kappa=0.8)
         counts = {"apply_grid": 0, "convolve_density": 0}
         at_finalize = {}
@@ -211,10 +212,9 @@ class TestMinimizer:
             return finalize(*args, **kwargs)
 
         lap.apply_grid = counting_apply_grid
-        monkeypatch.setattr(hartree, "assemble_laplacian", lambda _: lap)
         monkeypatch.setattr(hartree, "convolve_density", counting_convolve)
         monkeypatch.setattr(hartree, "_finalize", spy_finalize)
-        hs = minimize_hartree(real, sel.component, v, real.config.N)
+        hs = minimize_hartree(real, sel.component, v, real.config.N, pair=pair)
         assert hs.iterations > 1
         assert at_finalize["convolve_density"] >= hs.iterations + 1
         assert at_finalize["apply_grid"] == at_finalize["convolve_density"]
@@ -389,6 +389,33 @@ class TestSpectrumSteeredFlow:
         assert (hs.e1, hs.e2) == pytest.approx(vals[:2], rel=1e-12)
         if kappa == 0.0:
             assert (hs.e1, hs.e2) == pytest.approx((pair.lambda1, pair.lambda2), rel=1e-12)
+
+    def test_component_pair_shift_inverts_h_u_below_the_set(self):
+        # demo 03's set: 1,705 nodes, K=2, host 1.  Without pair the flow
+        # solves component 2's own spectrum (2 nodes, lambda1 = 47.46), but
+        # h_u lives on the whole set, whose lambda1 is 0.624: shift-inverted
+        # at 0.9 * 47.46, its ARPACK solve returned e1 = 42.55, not 0.5468
+        config = DisorderConfig(d=2, rho=1.0, N=128, nu=0.2, r=0.5, h=0.25, seed=3)
+        real = build_realization(config)
+        assert (real.n_vacant, real.K) == (1705, 2) and real.n_vacant > DENSE_CUTOFF
+        assert np.count_nonzero(real.labels == 2) == 2
+        v = potential_for(real, kappa=0.8)
+        hs = minimize_hartree(real, 2, v, config.N)
+        hop = assemble_effective_operator(hs.u, real, v, config.N)
+        A, _ = dense_laplacian(real.mask, real.h)
+        vals = np.linalg.eigvalsh(A + np.diag(hop.potential[real.mask])) - hs.shift
+        assert (hs.e1, hs.e2) == pytest.approx(vals[:2], rel=1e-10)
+
+    def test_empty_component_rejected_before_any_eigensolve(self, monkeypatch, two_strip_5):
+        def eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolve before the empty-component check")
+
+        monkeypatch.setattr(hartree, "lowest_eigenpairs", eigensolve)
+        real = two_strip_5
+        v = potential_for(real, kappa=1.0)
+        for solver in (minimize_hartree, minimize_hartree_scf):
+            with pytest.raises(ValueError, match=f"component {real.K + 1} is empty"):
+                solver(real, real.K + 1, v, 2)
 
     def test_pair_brings_its_factor(self, monkeypatch):
         # 2,834 nodes, below 2D's crossover: the spectrum's factor serves the
