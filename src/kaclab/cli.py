@@ -277,15 +277,17 @@ def cmd_ensemble(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
-    spec = cfg.ensemble_spec()
-    result = scaling_sweep(spec)
+    result = scaling_sweep(cfg.ensemble_spec())
+    # strict JSON has no NaN: a missing median is null, and an empty CSV field
+    rows = result["rows"] = [
+        {key: None if isinstance(val, float) and np.isnan(val) else val
+         for key, val in row.items()} for row in result["rows"]]
     (out / "sweep.json").write_text(json.dumps(result, sort_keys=True, indent=1))
-    rows = result["rows"]
     cols = ["N", "n_ok", "n_failed", "median_lambda1", "median_gap", "n_with_bound",
             "median_depletion_bound"]
     lines = [",".join(cols)]
     for row in rows:
-        lines.append(",".join(str(row[c]) for c in cols))
+        lines.append(",".join("" if row[c] is None else str(row[c]) for c in cols))
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     print(json.dumps(result["fits"], sort_keys=True))
     return EXIT_OK

@@ -17,11 +17,9 @@ minimizer.  Linearizing at u gives the effective operator
 
 whose ground energy on the host component equals E[u]; the shift is stored
 separately so componentwise gaps are unaffected by it.  Its two lowest
-eigenvalues e1, e2 on the whole vacancy set come, on the large sets
-reuses_laplacian_factor selects, from a block LOBPCG preconditioned with
-the Laplacian's factor and accepted only when Weyl's inequality with the
-Laplacian's lambda3 certifies them; otherwise, and on smaller sets, from
-h_u's own factorization and ARPACK.
+eigenvalues e1, e2 on the whole vacancy set come from the Laplacian's factor
+(block LOBPCG, certified with lambda3) or from h_u's own; one rule,
+_spans_set, picks the path and h_u's shift-invert point.
 """
 
 import logging
@@ -41,8 +39,8 @@ from .interaction import InteractionPotential, convolve_density
 from .laplace import MaskedOperator, SpectralPair, lowest_eigenpairs
 
 SUPPORT_TOL = 1e-12
-# the flow's preconditioner and h_u's shift-invert point (see _finalize) sit
-# at sigma = 0.9 lambda1: below lambda1, so both stay positive definite,
+# the preconditioners and h_u's shift-invert point (see _shifted_modes) sit
+# at sigma = 0.9 lambda1: below lambda1, so all stay positive definite,
 # with a 10% margin for FFT roundoff in W (and for kappa = 0, where W = 0).
 # 0.99 lambda1 slowed the flow under strong interaction: mean iterations
 # 31.5 -> 87.3 on 200 seeds at d=2, N=64, kappa=10.
@@ -54,6 +52,8 @@ SHIFT_FRACTION = 0.9
 # on d and the node count, so records stay deterministic.
 FACTOR_REUSE_MIN_NODES = {2: 4000, 3: 1000}
 LOBPCG_MAX_ITER = 40
+# the SCF cross-check's residual tolerance, iteration cap, mixing, eigensolve tolerance
+_SCF_TOL, _SCF_MAX_ITER, _SCF_MIXING, _SCF_EIG_TOL = 1e-8, 500, 0.4, 1e-10
 
 logger = logging.getLogger(__name__)
 # one DEBUG line per effective-spectrum solve: its path, iterations, LU
@@ -64,6 +64,35 @@ spectrum_logger = logger.getChild("spectrum")
 def reuses_laplacian_factor(d: int, n_vacant: int) -> bool:
     """Whether the pipeline asks the Laplacian for lambda3, which selects the LOBPCG path."""
     return n_vacant >= FACTOR_REUSE_MIN_NODES.get(d, math.inf)
+
+
+def _spans_set(pair: Optional[SpectralPair], n_vacant: int) -> bool:
+    """The rule that steers h_u: pair's operator spans the vacancy set of n_vacant nodes.
+
+    h_u is solved on the whole set.  Only a spanning pair's lambda1 bounds
+    its SPD part -Lap + W - sigma from below (W >= 0, Weyl's inequality; a
+    component's bounds only that component), and only a spanning pair's
+    factor has h_u's size.  So h_u is shift-inverted at a spanning pair's
+    sigma, else at 0, and solved on its factor when lambda3 can certify it
+    (the path run_pipeline takes on the sets reuses_laplacian_factor
+    selects), else on h_u's own factor.
+    """
+    return pair is not None and pair.operator.n_vacant == n_vacant
+
+
+def _shifted_modes(pair: SpectralPair, count: int = 0):
+    """sigma = SHIFT_FRACTION lambda1 of pair, and its count lowest modes.
+
+    Each mode comes as (phi_k, 1/(lambda_k - sigma) - 1/lambda_k): added to
+    (-Lap)^(-1), these make (-Lap - sigma)^(-1) on the modes' span.  Each
+    coefficient is positive, since sigma < lambda1 <= lambda_k, so the sum
+    stays positive definite.  The flow takes two modes, LOBPCG three.
+    """
+    sigma = SHIFT_FRACTION * pair.lambda1
+    modes = list(zip((pair.phi1, pair.phi2, pair.phi3),
+                     (pair.lambda1, pair.lambda2, pair.lambda3)))[:count]
+    return sigma, [(phi, 1.0 / (lam - sigma) - 1.0 / lam) for phi, lam in modes
+                   if phi is not None]
 
 
 @dataclass
@@ -162,10 +191,10 @@ def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np
     pair.operator and hop is -Lap + potential - shift on lap's vacancy set.
     The start block is [start, phi2]; each step runs Rayleigh-Ritz on an
     orthonormal basis of [X, T R, P] (Knyazev, SIAM J. Sci. Comput. 23,
-    2001) with the flow's preconditioner form
+    2001) with the flow's preconditioner form on all three _shifted_modes,
 
         T r = (-Lap)^(-1) r + sum_{k=1,2,3} (1/(lambda_k - sigma) - 1/lambda_k)
-              <phi_k, r> phi_k,   sigma = 0.9 lambda1,
+              <phi_k, r> phi_k,
 
     not zeroed off any component, and stops when each residual is below
     tol/2 * |e|, half the contract lowest_eigenpairs checks.
@@ -193,11 +222,9 @@ def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np
     lap = pair.operator
     scale = hop.h ** (hop.d / 2.0)  # unit discrete norm <-> unit vector
     B = hop.matrix()
-    lams = np.array([pair.lambda1, pair.lambda2, pair.lambda3])
-    modes = np.stack([lap.restrict(phi) * scale for phi in (pair.phi1, pair.phi2, pair.phi3)],
-                     axis=1)
-    sigma = SHIFT_FRACTION * pair.lambda1
-    coef = (1.0 / (lams - sigma) - 1.0 / lams)[:, None]
+    shifted = _shifted_modes(pair, 3)[1]
+    modes = np.stack([lap.restrict(phi) * scale for phi, _ in shifted], axis=1)
+    coef = np.array([c for _, c in shifted])[:, None]
     lu_solve = lap.factor.solve
     solves = 0
 
@@ -250,24 +277,30 @@ def effective_spectrum(hop: MaskedOperator, tol: float = 1e-9,
                        start: Optional[np.ndarray] = None):
     """Two lowest eigenvalues of the effective operator and its ground vector.
 
-    When pair carries the Laplacian's lambda3 (run_pipeline asks for it on
-    the sets reuses_laplacian_factor selects), laplacian_factor_spectrum
-    solves on pair.operator's factor from [start, phi2] and its certified
-    answer is taken.  Otherwise, and whenever it is not certified,
-    lowest_eigenpairs solves hop itself (on its own factor above
-    DENSE_CUTOFF).  pair.operator's factor is released before that: at
-    most one factor is held at any time.
+    pair is a Laplacian's spectrum, whose factor the flow solved with.  By
+    _spans_set, laplacian_factor_spectrum may solve on that factor from
+    [start, phi2] (start |phi1| by default), and its certified answer is
+    taken.  Otherwise lowest_eigenpairs solves hop itself (on its own factor
+    above DENSE_CUTOFF).  pair.operator's factor is released in between,
+    after its last use: at most one factor is held at any time.
     """
-    note = "no lambda3"
-    if pair is not None and pair.lambda3 is not None:
-        found = laplacian_factor_spectrum(hop, pair, start, tol)
-        vars(pair.operator).pop("factor", None)
+    found = None
+    if pair is None or pair.lambda3 is None:
+        note = "no lambda3"
+    elif not _spans_set(pair, hop.n_vacant):
+        note = "pair off the vacancy set"
+    else:
+        found = laplacian_factor_spectrum(hop, pair, np.abs(pair.phi1) if start is None else start,
+                                          tol)
         note = (f"{found.iterations} LOBPCG iterations, {found.solves} LU solves, "
                 f"certificate margin {found.margin:.3e}")
-        if found.certified:
-            spectrum_logger.debug("effective spectrum on %d nodes: Laplacian's factor, %s",
-                                  hop.n_vacant, note)
-            return found.e1, found.e2, found.phi1
+    if pair is not None:
+        vars(pair.operator).pop("factor", None)
+    if found is not None and found.certified:
+        spectrum_logger.debug("effective spectrum on %d nodes: Laplacian's factor, %s",
+                              hop.n_vacant, note)
+        return found.e1, found.e2, found.phi1
+    if found is not None:
         note = f"fallback after {note}: {found.reason}"
     own = lowest_eigenpairs(hop, count=2, tol=tol)
     spectrum_logger.debug("effective spectrum on %d nodes: own eigensolve (%s)",
@@ -302,34 +335,20 @@ def _finalize(u, real, component, W, shift, iterations, residual, trace, energy,
     """Spectrum of the effective operator h_u = -Lap + W - shift at the converged u.
 
     The caller passes the mean field W and shift it already holds, so nothing
-    here convolves.  h_u is solved on the whole vacancy set, shift-inverted
-    at sigma: by Weyl's inequality (W >= 0) the least eigenvalue of its SPD
-    part -Lap + W - sigma is at least the set's lambda1 - sigma, so sigma must
-    lie below the set's lambda1.  The rule: sigma = 0.9 lambda1 of pair when
-    pair.operator spans the vacancy set, else 0, since a component's lambda1
-    bounds only that component.  effective_spectrum gets pair: with lambda3
-    it tries pair.operator's factor first, certified (see there).  Only the
+    here convolves; pair sets the shift-invert point by _spans_set.  Only the
     full-set spectrum is solved: h_u is block-diagonal over the components
     and u is a unit trial state on the host, so e1 <= e1_host <= <u, h_u u>
     = energy, and |energy - e1| bounds a host-restricted solve's distance.
     """
-    spans_set = pair is not None and pair.operator.n_vacant == real.n_vacant
-    sigma = SHIFT_FRACTION * pair.lambda1 if spans_set else 0.0
+    sigma = _shifted_modes(pair)[0] if _spans_set(pair, real.n_vacant) else 0.0
     hop = MaskedOperator(mask=real.mask, h=real.h, potential=W - sigma,
                          diagonal_shift=shift - sigma)
     e1, e2, gvec = effective_spectrum(hop, tol=eig_tol, pair=pair, start=u)
     comp_mask = real.labels == component
     gmass = float(np.sum(np.where(comp_mask, gvec, 0.0) ** 2)) * real.h**real.d
     return HartreeSolution(
-        u=u,
-        component=component,
-        energy=energy,
-        e1=e1,
-        e2=e2,
-        shift=shift,
-        iterations=iterations,
-        el_residual=residual,
-        energy_trace=trace,
+        u=u, component=component, energy=energy, e1=e1, e2=e2, shift=shift,
+        iterations=iterations, el_residual=residual, energy_trace=trace,
         quadratic_form=grids.inner(u, hop.apply_grid(u), real.h),
         ground_mass_on_component=gmass,
     )
@@ -361,29 +380,23 @@ def minimize_hartree(
 
     pair is the spectrum of lap = pair.operator, the Dirichlet Laplacian of
     the whole vacancy set (run_pipeline's) or, when pair is None, of the
-    component alone, solved here.  P solves with lap's factor, which the
-    converged flow drops.  -Lap is block-diagonal over components and u and
-    the residual live on the component, so the whole set's stencil and
+    component alone, solved here.  P solves with lap's factor, which
+    effective_spectrum releases.  -Lap is block-diagonal over components and
+    u and the residual live on the component, so the whole set's stencil and
     factor act there as the component's own, and |phi1| of the whole set is
     the component's ground state whenever the component attains lambda1;
     either pair's |phi1| is the default init.
 
     With P = (-Lap)^(-1) the phi2 mode contracts only like lambda1/lambda2
-    per step, slow on the clustered low spectra of vacancy sets.  So with
-    sigma = 0.9 lambda1 the preconditioner becomes
-
-        P r = (-Lap)^(-1) r + sum_{k=1,2} (1/(lambda_k - sigma) - 1/lambda_k)
-              <phi_k, r> phi_k,   then zeroed off the component,
-
-    which is (-Lap - sigma)^(-1) on span{phi1, phi2} and (-Lap)^(-1) on the
-    rest.  Both coefficients are positive since sigma < lambda1 <= lambda2,
-    so P stays symmetric positive definite on functions of the component and
-    the projected direction still descends.  The restriction is needed: on a
+    per step, slow on the clustered low spectra of vacancy sets.  So P adds
+    the two lowest _shifted_modes, (-Lap - sigma)^(-1) on span{phi1, phi2},
+    and is then zeroed off the component, where it stays positive definite,
+    so the projected direction still descends.  The restriction is needed: on a
     fragmented set phi1 and phi2 may live on other components, and without
     it the correction moved mass off the host (at d=2, N=1024, nu=2,
     kappa=10, 3 of 40 flows ended with up to 45% of the mass off the host
     and the energy up to 2.3% above the minimum).  _finalize then solves
-    h_u's spectrum on the whole vacancy set, shift-inverted by its rule.
+    h_u's spectrum on the whole vacancy set.
     """
     comp_mask = _component_mask(real, component)
     if pair is None:
@@ -393,10 +406,7 @@ def minimize_hartree(
     h = real.h
     # the spectrum's operator, and so its factor, serves the flow
     lap = pair.operator
-    sigma = SHIFT_FRACTION * pair.lambda1
-    modes = [(phi, 1.0 / (lam - sigma) - 1.0 / lam)
-             for lam, phi in ((pair.lambda1, pair.phi1), (pair.lambda2, pair.phi2))
-             if phi is not None]
+    modes = _shifted_modes(pair, 2)[1]
 
     def precondition(r):
         z = lap.embed(lap.factor.solve(lap.restrict(r)))
@@ -472,45 +482,30 @@ def minimize_hartree(
         )
     logger.debug("Hartree flow converged: %d iterations, %d backtracks, residual %.3e",
                  iterations, backtracks, residual)
-
-    # drop the Laplacian's factor before h_u is factorized; with lambda3,
-    # effective_spectrum solves on it first and drops it then
-    if pair.lambda3 is None:
-        vars(lap).pop("factor", None)
     return _finalize(u, real, component, W, shift, iterations, residual, trace,
                      energy, eig_tol, pair)
 
 
-def minimize_hartree_scf(
-    real,
-    component: int,
-    v: InteractionPotential,
-    N: int,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-    mixing: float = 0.4,
-    eig_tol: float = 1e-10,
-    init: Optional[np.ndarray] = None,
-) -> HartreeSolution:
+def minimize_hartree_scf(real, component: int, v: InteractionPotential, N: int) -> HartreeSolution:
     """Damped self-consistent field solver, the independent cross-check.
 
-    Iterates density -> ground state of (-Lap + (N-1)(density * v)) on the
-    component -> mixed density, until the Euler-Lagrange residual of
-    u = sqrt(density) is below tol.  Algorithmically unrelated to the
-    gradient flow; by uniqueness of the minimizer both must agree.
+    From the component's ground state, iterates density -> ground state of
+    (-Lap + (N-1)(density * v)) on the component -> mixed density, until the
+    Euler-Lagrange residual of u = sqrt(density) is below _SCF_TOL.
+    Algorithmically unrelated to the gradient flow; by uniqueness of the
+    minimizer both must agree.
     """
     comp_mask = _component_mask(real, component)
-    if init is None:
-        init = component_ground_state(real, component, eig_tol)[0]
-    u = _initial_state(comp_mask, init, real.h)
+    u = _initial_state(comp_mask, component_ground_state(real, component, _SCF_EIG_TOL)[0],
+                       real.h)
     dens = u * u
 
     residual = np.inf
     trace = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, _SCF_MAX_ITER + 1):
         W = (N - 1) * convolve_density(dens, v)
         sub = MaskedOperator(mask=comp_mask, h=real.h, potential=W)
-        pair = lowest_eigenpairs(sub, count=1, tol=eig_tol)
+        pair = lowest_eigenpairs(sub, count=1, tol=_SCF_EIG_TOL)
         phi = grids.normalize(np.clip(pair.phi1, 0.0, None), real.h)
 
         u = grids.normalize(np.sqrt(dens), real.h)
@@ -518,17 +513,17 @@ def minimize_hartree_scf(
         rayleigh = grids.inner(u, g, real.h)
         residual = grids.norm(g - rayleigh * u, real.h)
         trace.append(rayleigh)
-        if residual < tol:
+        if residual < _SCF_TOL:
             energy = hartree_energy(u, real, component, v, N)
             W, shift = _mean_field(u, v, N, real.h)
             return _finalize(u, real, component, W, shift, it, residual, trace,
-                             energy, eig_tol)
+                             energy, _SCF_EIG_TOL)
 
-        dens = (1.0 - mixing) * dens + mixing * phi * phi
+        dens = (1.0 - _SCF_MIXING) * dens + _SCF_MIXING * phi * phi
         dens /= float(np.sum(dens)) * real.h**real.d
 
     raise SolverError(
-        f"SCF did not reach residual {tol:.1e} in {max_iter} iterations "
+        f"SCF did not reach residual {_SCF_TOL:.1e} in {_SCF_MAX_ITER} iterations "
         f"(last residual {residual:.3e})",
         residuals=[residual],
         trace=trace,

@@ -43,7 +43,7 @@ logger = logging.getLogger(__name__)
 # The matrix is -Lap_Dirichlet, or for the effective operator h_u
 # -Lap + W - sigma: W >= 0 (kappa >= 0 and profiles that interaction.py
 # validates nonnegative) and sigma is 0.9 lambda1 of the whole vacancy set,
-# or 0 (hartree._finalize states the rule), so by Weyl's inequality its least
+# or 0 (hartree._spans_set states the rule), so by Weyl's inequality its least
 # eigenvalue is at least lambda1 - sigma > 0.  It is symmetric positive
 # definite and diagonal pivots are safe.  In symmetric mode SuperLU can then
 # order A + A^T by minimum degree, which halves the fill of its default

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import kaclab.cli as cli_mod
-from kaclab import EnsembleSpec
+from kaclab import EnsembleSpec, ensemble
 from kaclab.cli import (
     EXIT_CERT, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main, parse_config,
 )
@@ -327,3 +327,69 @@ class TestPotentialKindsViaConfig:
         (err,) = capsys.readouterr().err.splitlines()
         assert err == ("error: potential parameters ['radius'] do not apply "
                        "to kind 'gaussian'")
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, as strict JSON parsers do."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def parse_json_outputs(out):
+    """Every JSON and JSON Lines file in a run directory, parsed strictly."""
+    parsed = {}
+    for path in sorted(out.glob("*.json")):
+        parsed[path.name] = strict_json(path.read_text())
+    for path in sorted(out.glob("*.jsonl")):
+        parsed[path.name] = [strict_json(line) for line in path.read_text().splitlines()]
+    return parsed
+
+
+# each subcommand's argv after its name, and the JSON files it writes
+# besides config_echo.json
+JSON_WRITERS = {
+    "sample": ([], {"realization.klvac.json"}),
+    "spectrum": ([], {"phi1.kleig.json", "phi2.kleig.json"}),
+    "hartree": ([], {"hartree.jsonl"}),
+    "certify": (["--with-oracle", "--set", "disorder.N=2", "--set", "disorder.rho=0.125"],
+                {"certificate.json"}),
+    "oracle": ([], {"oracle.json"}),
+    "ensemble": ([], {"records.jsonl", "summary.json"}),
+    "sweep": (["--set", "ensemble.N_values=[16,64,256]"], {"sweep.json"}),
+}
+
+
+class TestStrictJsonOutputs:
+    def test_every_command_is_covered(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(JSON_WRITERS) == set(sub.choices)
+
+    @pytest.mark.parametrize("command", JSON_WRITERS)
+    def test_every_json_file_parses_strictly(self, tmp_path, command):
+        flags, written = JSON_WRITERS[command]
+        path = write_config(tmp_path, disorder={"nu": 0.3}, potential={"kappa": 0.3},
+                            ensemble={"seeds": 2})
+        out = tmp_path / "run"
+        assert main([command, "-c", str(path), "-o", str(out)] + flags) == EXIT_OK
+        parsed = parse_json_outputs(out)
+        assert set(parsed) == written | {"config_echo.json"}
+
+    def test_sweep_writes_a_missing_median_as_null(self, tmp_path, monkeypatch):
+        # N=16 has no record with a depletion bound, N=256 no successful one
+        def records(spec, N):
+            rec = {"error": None, "lambda1": 1.0 / N, "lambda2": 2.0 / N,
+                   "certificate": {"depletion_bound": 0.25 if N == 64 else None}}
+            return [dict(rec, error="failed")] if N == 256 else [rec]
+
+        monkeypatch.setattr(ensemble, "run_ensemble", records)
+        path = write_config(tmp_path, ensemble={"N_values": [16, 64, 256]})
+        out = tmp_path / "run"
+        assert main(["sweep", "-c", str(path), "-o", str(out)]) == EXIT_OK
+        rows = parse_json_outputs(out)["sweep.json"]["rows"]
+        assert [row["median_depletion_bound"] for row in rows] == [None, 0.25, None]
+        assert rows[2]["median_lambda1"] is None and rows[2]["median_gap"] is None
+        header, *lines = (out / "sweep.csv").read_text().splitlines()
+        assert header.endswith(",median_depletion_bound")
+        assert lines[0].endswith(",0,") and lines[2] == "256,0,1,,,0,"

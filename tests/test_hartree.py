@@ -594,3 +594,40 @@ class TestLaplacianFactorSpectrum:
         minimize_hartree(real, 10, potential_for(real, 10.0), THIRD_COMPONENT_76.N)
         (line,) = spectrum_lines(caplog)
         assert line.getMessage() == "effective spectrum on 76 nodes: own eigensolve (no lambda3)"
+
+    def test_component_pair_with_lambda3_takes_the_own_eigensolve(self, caplog):
+        # d=2 N=256 nu=0.4 seed 5: K=3 on 1,111 nodes, the host has 1,102.
+        # A pair of the host alone cannot solve h_u on the whole set (its
+        # factor has 1,102 rows), so only the flow uses it: e1 and e2 are
+        # those of the flow without pair, and its factor is released too
+        caplog.set_level(logging.DEBUG, logger="kaclab.hartree")
+        config = DisorderConfig(d=2, rho=1.0, N=256, nu=0.4, r=0.5, h=0.4, seed=5)
+        real = build_realization(config)
+        sel = ground_state_component(real, lowest_eigenpairs(assemble_laplacian(real)))
+        host = real.labels == sel.component
+        assert (real.K, real.n_vacant, int(host.sum())) == (3, 1111, 1102)
+        v = potential_for(real, 1.0)
+        plain = minimize_hartree(real, sel.component, v, config.N)
+        pair = lowest_eigenpairs(MaskedOperator(mask=host, h=real.h), count=3)
+        spectrum_lines(caplog)
+        hs = minimize_hartree(real, sel.component, v, config.N, pair=pair)
+        assert (hs.e1, hs.e2) == pytest.approx((plain.e1, plain.e2), rel=1e-12)
+        assert "factor" not in vars(pair.operator)
+        (line,) = spectrum_lines(caplog)
+        assert line.getMessage() == ("effective spectrum on 1111 nodes: "
+                                     "own eigensolve (pair off the vacancy set)")
+
+    def test_effective_spectrum_starts_from_phi1_by_default(self, caplog):
+        # without start, the block starts from |phi1| of the Laplacian's pair
+        # and is certified on this set (kappa 10, as in the tests above)
+        caplog.set_level(logging.DEBUG, logger="kaclab.hartree")
+        real, pair, hs, hop = fallback_setup(D3_ABOVE_CROSSOVER, 10.0)
+        spectrum_lines(caplog)
+        e1, e2, gvec = effective_spectrum(hop, pair=pair)
+        (line,) = spectrum_lines(caplog)
+        assert "Laplacian's factor" in line.getMessage()
+        assert "factor" not in vars(pair.operator)
+        own = effective_spectrum(hop)
+        assert (e1, e2) == pytest.approx(own[:2], rel=1e-12)
+        assert (e1, e2) == pytest.approx((hs.e1, hs.e2), rel=1e-12)
+        assert grids.inner(gvec, own[2], real.h) == pytest.approx(1.0, abs=1e-9)
