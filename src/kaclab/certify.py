@@ -14,6 +14,9 @@ Strict inequalities between computed eigenvalues are meaningless without a
 numerical budget, so every asserted check carries one derived from the solver
 residuals.  The continuum constants are used verbatim; when the discrete
 sup-norm diagnostic fails, the gap transfer is recorded but not asserted.
+The effective gap e2 - e1, and so the depletion bound, is accurate only to
+about the Hartree flow's el_tol, not to the eig_tol contract: e2 is not
+stationary in u (hartree.HartreeSolution).
 """
 
 import json

@@ -49,12 +49,10 @@ _SPEC = {
 }
 _DEFAULTS = {
     "disorder": {"d": 2, "rho": 1.0, "N": 64, "nu": 0.1, "r": 0.5, "h": 0.25, "seed": 0},
-    # every kind's parameters, unset, except an inline table, which only
-    # Python callers pass; RunConfig fills in the chosen kind's defaults
+    # every kind's parameters, unset; RunConfig fills in the chosen kind's defaults
     "potential": {"kind": "gaussian", "kappa": 0.0,
-                  **{key: None for params in POTENTIAL_PARAMS.values() for key in params
-                     if key != "table"}},
-    "solver": {key: _SPEC[key] for key in ("el_tol", "eig_tol", "max_iter")},
+                  **{key: None for params in POTENTIAL_PARAMS.values() for key in params}},
+    "solver": {key: _SPEC[key] for key in ("el_tol", "eig_tol")},
     "ensemble": {key: _SPEC[key] for key in
                  ("seeds", "master_seed", "N_values", "eta", "sigma_ref", "workers")},
     "oracle": {"N": 2, "basis_cap": 2_000_000},

@@ -24,9 +24,10 @@ import numpy as np
 from .certify import build_certificate
 from .disorder import DisorderConfig, DisorderRealization, build_realization, volume_fraction
 from .errors import ConfigError, KacLabError
-from .hartree import HartreeSolution, minimize_hartree, reuses_laplacian_factor
+from .hartree import EL_TOL, HartreeSolution, minimize_hartree, reuses_laplacian_factor
 from .interaction import InteractionPotential, potential_from_spec
 from .laplace import (
+    EIG_TOL,
     ComponentSelection,
     SpectralPair,
     assemble_laplacian,
@@ -35,6 +36,7 @@ from .laplace import (
 )
 
 RECORD_SCHEMA_VERSION = 2
+WILSON_Z = 1.959963984540054  # the standard normal's 97.5% quantile: a 95% interval
 
 
 @dataclass
@@ -48,9 +50,8 @@ class EnsembleSpec:
     N_values: list = field(default_factory=list)
     eta: float = 0.1
     sigma_ref: Optional[float] = None
-    eig_tol: float = 1e-9
-    el_tol: float = 1e-8
-    max_iter: int = 5000
+    eig_tol: float = EIG_TOL
+    el_tol: float = EL_TOL
     workers: int = 1
 
     def __post_init__(self):
@@ -67,9 +68,9 @@ class EnsembleSpec:
             raise ConfigError(f"N_values={self.N_values!r} must be a list of integers")
         if any(b <= a for a, b in zip(self.N_values, self.N_values[1:])):
             raise ConfigError("N_values must be strictly increasing")
-        for name in ("eig_tol", "el_tol", "eta", "sigma_ref", "max_iter", "workers"):
+        for name in ("eig_tol", "el_tol", "eta", "sigma_ref", "workers"):
             value = getattr(self, name)
-            integer = name in ("max_iter", "workers")
+            integer = name == "workers"
             kind = numbers.Integral if integer else numbers.Real
             if value is None and name == "sigma_ref":
                 continue
@@ -109,9 +110,8 @@ class PipelineResult:
 def run_pipeline(
     result: PipelineResult,
     potential,
-    eig_tol: float = 1e-9,
-    el_tol: float = 1e-8,
-    max_iter: int = 5000,
+    eig_tol: float = EIG_TOL,
+    el_tol: float = EL_TOL,
 ) -> PipelineResult:
     """potential -> disorder -> spectrum -> host component -> Hartree.
 
@@ -146,10 +146,8 @@ def run_pipeline(
     result.stage = "hartree"
     # the spectrum steers the flow: |phi1| starts it on the host, no second
     # Dirichlet solve, and lambda1, lambda2 shift its preconditioner and h_u
-    result.hartree = minimize_hartree(
-        real, sel.component, v, config.N, tol=el_tol, max_iter=max_iter,
-        eig_tol=eig_tol, pair=pair,
-    )
+    result.hartree = minimize_hartree(real, sel.component, v, config.N, tol=el_tol,
+                                      eig_tol=eig_tol, pair=pair)
     return result
 
 
@@ -166,9 +164,8 @@ def run_realization(
     potential,
     eta: float = 0.1,
     sigma_ref: Optional[float] = None,
-    eig_tol: float = 1e-9,
-    el_tol: float = 1e-8,
-    max_iter: int = 5000,
+    eig_tol: float = EIG_TOL,
+    el_tol: float = EL_TOL,
 ) -> dict:
     """Full pipeline on one realization, captured as a JSON-able record.
 
@@ -179,7 +176,7 @@ def run_realization(
     result = PipelineResult(config)
     certificate = error = None
     try:
-        run_pipeline(result, potential, eig_tol=eig_tol, el_tol=el_tol, max_iter=max_iter)
+        run_pipeline(result, potential, eig_tol=eig_tol, el_tol=el_tol)
         result.stage = "certificate"
         certificate = build_certificate(
             result.real, result.pair, result.v, result.hartree,
@@ -230,8 +227,7 @@ def run_ensemble(spec: EnsembleSpec, N: Optional[int] = None) -> list:
     base = dict(spec.base)
     if N is not None:
         base["N"] = N
-    kwargs = {key: getattr(spec, key)
-              for key in ("eta", "sigma_ref", "eig_tol", "el_tol", "max_iter")}
+    kwargs = {key: getattr(spec, key) for key in ("eta", "sigma_ref", "eig_tol", "el_tol")}
     configs = [DisorderConfig(**base, seed=seed) for seed in spec.seed_list()]
     first = configs[0]
     v = potential_from_spec(spec.potential, first.N, first.d, first.grid_spacing)
@@ -244,8 +240,9 @@ def run_ensemble(spec: EnsembleSpec, N: Optional[int] = None) -> list:
     return sorted(records, key=lambda rec: rec["seed"])
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, n: int):
     """Wilson 95% score interval for a binomial proportion."""
+    z = WILSON_Z
     if n == 0:
         return 0.0, 0.0, 1.0
     p = successes / n

@@ -36,9 +36,13 @@ from scipy.sparse.linalg import splu  # noqa: F401
 from . import grids
 from .errors import SolverError
 from .interaction import InteractionPotential, convolve_density
-from .laplace import MaskedOperator, SpectralPair, lowest_eigenpairs
+from .laplace import EIG_TOL, MaskedOperator, SpectralPair, lowest_eigenpairs
 
 SUPPORT_TOL = 1e-12
+# the flow's contract: the Euler-Lagrange residual of a converged u is below
+# EL_TOL (every el_tol defaults to it), reached within MAX_ITER steps
+EL_TOL = 1e-8
+MAX_ITER = 5000
 # the preconditioners and h_u's shift-invert point (see _shifted_modes) sit
 # at sigma = 0.9 lambda1: below lambda1, so all stay positive definite,
 # with a 10% margin for FFT roundoff in W (and for kappa = 0, where W = 0).
@@ -52,8 +56,8 @@ SHIFT_FRACTION = 0.9
 # on d and the node count, so records stay deterministic.
 FACTOR_REUSE_MIN_NODES = {2: 4000, 3: 1000}
 LOBPCG_MAX_ITER = 40
-# the SCF cross-check's residual tolerance, iteration cap, mixing, eigensolve tolerance
-_SCF_TOL, _SCF_MAX_ITER, _SCF_MIXING, _SCF_EIG_TOL = 1e-8, 500, 0.4, 1e-10
+# the SCF cross-check's iteration cap, mixing, eigensolve tolerance (it stops at EL_TOL)
+_SCF_MAX_ITER, _SCF_MIXING, _SCF_EIG_TOL = 500, 0.4, 1e-10
 
 logger = logging.getLogger(__name__)
 # one DEBUG line per effective-spectrum solve: its path, iterations, LU
@@ -103,7 +107,10 @@ class HartreeSolution:
                      on the host component
     energy         : value of the energy functional at u
     e1, e2         : two lowest eigenvalues of the effective operator on the
-                     full vacancy set (all components)
+                     full vacancy set (all components); e2 is not
+                     stationary in u, so it and the depletion bound are
+                     accurate only to about the flow's el_tol (6.7e-9
+                     relative seen at the default), not to the eig_tol contract
     shift          : the subtracted interaction constant
     quadratic_form : <u, h_u u>, equal to energy by construction of the shift
     """
@@ -184,7 +191,7 @@ class FactorSpectrum:
 
 
 def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np.ndarray,
-                              tol: float = 1e-9) -> FactorSpectrum:
+                              tol: float = EIG_TOL) -> FactorSpectrum:
     """Block-2 LOBPCG for hop's two lowest eigenpairs, preconditioned by pair's factor.
 
     pair holds the three lowest eigenpairs of the Laplacian lap =
@@ -272,7 +279,7 @@ def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np
     )
 
 
-def effective_spectrum(hop: MaskedOperator, tol: float = 1e-9,
+def effective_spectrum(hop: MaskedOperator, tol: float = EIG_TOL,
                        pair: Optional[SpectralPair] = None,
                        start: Optional[np.ndarray] = None):
     """Two lowest eigenvalues of the effective operator and its ground vector.
@@ -308,7 +315,7 @@ def effective_spectrum(hop: MaskedOperator, tol: float = 1e-9,
     return own.lambda1, own.lambda2, own.phi1
 
 
-def component_ground_state(real, component: int, eig_tol: float = 1e-9):
+def component_ground_state(real, component: int, eig_tol: float = EIG_TOL):
     """Dirichlet ground state of one component, unit norm, nonnegative."""
     sub = MaskedOperator(mask=real.labels == component, h=real.h)
     pair = lowest_eigenpairs(sub, count=1, tol=eig_tol)
@@ -359,9 +366,8 @@ def minimize_hartree(
     component: int,
     v: InteractionPotential,
     N: int,
-    tol: float = 1e-8,
-    max_iter: int = 5000,
-    eig_tol: float = 1e-9,
+    tol: float = EL_TOL,
+    eig_tol: float = EIG_TOL,
     init: Optional[np.ndarray] = None,
     pair: Optional[SpectralPair] = None,
 ) -> HartreeSolution:
@@ -376,7 +382,8 @@ def minimize_hartree(
     positive definite P built on (-Lap)^(-1): the projected direction still
     descends, the rate is grid-independent, and tau = 1 is a good first step
     while the interaction is small against lambda1.  Convergence is declared
-    when the Euler-Lagrange residual || h_u u - <u, h_u u> u || is below tol.
+    when the Euler-Lagrange residual || h_u u - <u, h_u u> u || is below tol;
+    a flow that has not converged in MAX_ITER steps raises SolverError.
 
     pair is the spectrum of lap = pair.operator, the Dirichlet Laplacian of
     the whole vacancy set (run_pipeline's) or, when pair is None, of the
@@ -430,7 +437,7 @@ def minimize_hartree(
     residual = np.inf
     backtracks = 0
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         g = Lu + W * u
         rayleigh = grids.inner(u, g, h)
         resid = g - rayleigh * u
@@ -475,7 +482,7 @@ def minimize_hartree(
             )
     else:
         raise SolverError(
-            f"Hartree flow did not reach residual {tol:.1e} in {max_iter} "
+            f"Hartree flow did not reach residual {tol:.1e} in {MAX_ITER} "
             f"iterations (last residual {residual:.3e})",
             residuals=[residual],
             trace=trace,
@@ -491,7 +498,7 @@ def minimize_hartree_scf(real, component: int, v: InteractionPotential, N: int) 
 
     From the component's ground state, iterates density -> ground state of
     (-Lap + (N-1)(density * v)) on the component -> mixed density, until the
-    Euler-Lagrange residual of u = sqrt(density) is below _SCF_TOL.
+    Euler-Lagrange residual of u = sqrt(density) is below EL_TOL.
     Algorithmically unrelated to the gradient flow; by uniqueness of the
     minimizer both must agree.
     """
@@ -513,7 +520,7 @@ def minimize_hartree_scf(real, component: int, v: InteractionPotential, N: int) 
         rayleigh = grids.inner(u, g, real.h)
         residual = grids.norm(g - rayleigh * u, real.h)
         trace.append(rayleigh)
-        if residual < _SCF_TOL:
+        if residual < EL_TOL:
             energy = hartree_energy(u, real, component, v, N)
             W, shift = _mean_field(u, v, N, real.h)
             return _finalize(u, real, component, W, shift, it, residual, trace,
@@ -523,7 +530,7 @@ def minimize_hartree_scf(real, component: int, v: InteractionPotential, N: int) 
         dens /= float(np.sum(dens)) * real.h**real.d
 
     raise SolverError(
-        f"SCF did not reach residual {_SCF_TOL:.1e} in {_SCF_MAX_ITER} iterations "
+        f"SCF did not reach residual {EL_TOL:.1e} in {_SCF_MAX_ITER} iterations "
         f"(last residual {residual:.3e})",
         residuals=[residual],
         trace=trace,

@@ -69,7 +69,7 @@ def _offset_radii(R: int, d: int, h: float) -> np.ndarray:
 POTENTIAL_PARAMS = {
     "gaussian": {"width": 1.0, "truncation": 8.0},
     "top_hat": {"radius": 1.0, "allow_non_posdef": False},
-    "custom_table": {"table": None, "table_path": None},
+    "custom_table": {"table_path": None},
 }
 
 
@@ -98,8 +98,7 @@ def build_interaction(
       gaussian     : width (default 1.0), truncation in widths (default 8.0)
       top_hat      : radius (default 1.0), allow_non_posdef (must be True;
                      the profile is not positive definite)
-      custom_table : table, an (n, 2) array of radius/value rows, or
-                     table_path to a text file with one "radius value" pair
+      custom_table : table_path, a text file with one "radius value" pair
                      per line; radial linear interpolation, zero beyond the
                      last radius
     """
@@ -137,12 +136,9 @@ def build_interaction(
         rr = _offset_radii(R, d, h)
         base = (rr <= radius).astype(float)
     elif kind == "custom_table":
-        if params["table"] is not None:
-            table = np.asarray(params["table"], dtype=float)
-        elif params["table_path"] is not None:
-            table = np.loadtxt(params["table_path"], ndmin=2)
-        else:
-            raise ConfigError("custom_table needs 'table' or 'table_path'")
+        if params["table_path"] is None:
+            raise ConfigError("custom_table needs 'table_path'")
+        table = np.loadtxt(params["table_path"], ndmin=2)
         if table.ndim != 2 or table.shape[1] != 2:
             raise ConfigError("table must have rows of (radius, value)")
         radii, vals = table[:, 0], table[:, 1]
@@ -179,13 +175,16 @@ def build_interaction(
 def potential_from_spec(spec: dict, N: int, d: int, h: float) -> InteractionPotential:
     """Build the potential a flat config spec {kind, kappa, ...} describes.
 
-    Parameters that are None are unset, so one config schema, which holds
-    every kind's parameters, can describe any built-in potential.
+    kind and kappa are taken as given: a missing one is a ConfigError that
+    names it.  Parameters that are None are unset, so one config schema,
+    which holds every kind's parameters, can describe any built-in potential.
     """
+    missing = [key for key in ("kind", "kappa") if key not in spec]
+    if missing:
+        raise ConfigError(f"potential spec has no {' or '.join(map(repr, missing))}")
     params = {key: val for key, val in spec.items()
               if key not in ("kind", "kappa") and val is not None}
-    return build_interaction(spec.get("kind", "gaussian"), spec.get("kappa", 0.0),
-                             N, d, h, base_params=params)
+    return build_interaction(spec["kind"], spec["kappa"], N, d, h, base_params=params)
 
 
 def convolve_density(density: np.ndarray, v: InteractionPotential) -> np.ndarray:

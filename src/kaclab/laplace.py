@@ -36,6 +36,9 @@ from .errors import KacLabError, SolverError
 # README sweep (Spectral solver), so it stays
 DENSE_CUTOFF = 200
 DEGENERACY_RTOL = 1e-10  # lambda2 - lambda1 below this (relative) is reported degenerate
+# the solver contract: an eigenpair's residual is at most EIG_TOL |eigenvalue|
+# plus a machine-precision floor (check_residual); every eig_tol defaults to it
+EIG_TOL = 1e-9
 
 logger = logging.getLogger(__name__)
 
@@ -196,12 +199,25 @@ class SpectralPair:
         )
 
 
+def start_vector(n: int) -> np.ndarray:
+    """ARPACK's fixed start, so every record depends only on the operator (np.ones
+    is orthogonal to the antisymmetric phi2 of a mirror-symmetric domain)."""
+    return np.random.default_rng(0).uniform(-1.0, 1.0, n)
+
+
+def check_residual(what: str, res: float, value: float, floor: float, tol: float = EIG_TOL):
+    """Raise SolverError when res exceeds the contract tol |value| + floor."""
+    if res > tol * max(abs(value), 1e-300) + floor:
+        raise SolverError(f"{what} residual {res:.3e} exceeds contract "
+                          f"tol*|value| = {tol * abs(value):.3e}", residuals=[res])
+
+
 def assemble_laplacian(real) -> MaskedOperator:
     """Pure Dirichlet Laplacian on the realization's vacancy mask."""
     return MaskedOperator(mask=real.mask, h=real.h)
 
 
-def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> SpectralPair:
+def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = EIG_TOL) -> SpectralPair:
     """The count (1, 2 or 3) smallest eigenpairs of a masked operator.
 
     Small problems go through dense LAPACK; larger ones through ARPACK in
@@ -210,8 +226,8 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> 
     wants another shift-invert point folds it into the potential and the
     shift, as hartree does for h_u).  The constant diagonal shift is
     reapplied to the eigenvalues afterwards.
-    Residuals are checked against tol * lambda plus a machine-precision floor
-    proportional to the operator norm; violations raise SolverError.  ARPACK
+    Residuals are checked by check_residual against tol * lambda plus a
+    machine-precision floor proportional to the operator norm.  ARPACK
     stops when its Ritz estimates reach tol / 10, not at machine precision,
     and each ARPACK run logs one DEBUG line with its size, LU solves and
     residuals.
@@ -225,10 +241,7 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> 
         vals, vecs = scipy.linalg.eigh(op.matrix().toarray(), subset_by_index=(0, k - 1))
     else:
         try:
-            # a fixed start vector makes ARPACK, and so every record, depend
-            # only on the operator; np.ones would be orthogonal to the
-            # antisymmetric phi2 of a mirror-symmetric domain
-            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+            v0 = start_vector(n)
             # factorize before ARPACK allocates its workspace: a factor built
             # inside the first solve raised sparse_2d peak RSS 162 -> 177 MB
             lu_solve = op.factor.solve
@@ -259,18 +272,12 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = 1e-9) -> 
 
     shift = op.diagonal_shift
     lams = [float(v) - shift for v in vals]
-    phis = []
-    residuals = []
+    phis, residuals = [], []
     floor = op.residual_floor
     for i in range(k):
         phi = grids.fix_sign(op.embed(vecs[:, i]) / op.h ** (op.d / 2.0))
         res = grids.norm(op.apply_grid(phi) - lams[i] * phi, op.h)
-        if res > tol * max(abs(lams[i]), 1e-300) + floor:
-            raise SolverError(
-                f"eigenpair {i + 1} residual {res:.3e} exceeds contract "
-                f"tol*lambda = {tol * abs(lams[i]):.3e}",
-                residuals=[res],
-            )
+        check_residual(f"eigenpair {i + 1}", res, lams[i], floor, tol)
         phis.append(phi)
         residuals.append(res)
     if n > DENSE_CUTOFF:

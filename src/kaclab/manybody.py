@@ -29,18 +29,16 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from . import grids
 from .errors import BasisSizeError, GridMismatchError, SolverError
 from .interaction import InteractionPotential
-from .laplace import MaskedOperator
+from .laplace import EIG_TOL, MaskedOperator, check_residual, start_vector
 
 BASIS_CAP = 2_000_000
 # measured crossover (one BLAS thread, N=2, medians of 30 calls): with eigsh
 # at tol=0 eigh won up to D=231 and eigsh from D=253; stopping at
-# RESIDUAL_RTOL / 10, eigsh wins from D=210, one row lower (README), so it stays
+# EIG_TOL / 10, eigsh wins from D=210, one row lower (README), so it stays
 DENSE_CUTOFF = 240
-# relative residual allowed on a ground state, the eig_tol the one-body
-# solvers default to; eigh is direct and eigsh stops at a tenth of it
-RESIDUAL_RTOL = 1e-9
 
 logger = logging.getLogger(__name__)
 
@@ -182,21 +180,18 @@ def build_manybody_hamiltonian(
 def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
     """Lowest eigenpair of the assembled Hamiltonian, sign-fixed.
 
-    The residual ||H psi - E psi|| of the unit vector psi is checked against
-    RESIDUAL_RTOL * |E| plus a machine-precision floor proportional to a
-    bound on ||H||, as laplace.lowest_eigenpairs checks its pairs; a
-    violation raises SolverError.  ARPACK stops when its Ritz estimate, which
-    in SA mode is H's own residual, reaches RESIDUAL_RTOL / 10 |E|; each
-    ARPACK run logs one DEBUG line with the basis size, the products with H
-    and the residual.
+    The residual ||H psi - E psi|| of the unit vector psi is held to the
+    one-body solvers' contract, laplace.check_residual at EIG_TOL with a
+    machine-precision floor proportional to a bound on ||H||.  ARPACK starts
+    from laplace.start_vector and stops when its Ritz estimate, which in SA
+    mode is H's own residual, reaches EIG_TOL / 10 |E|; each ARPACK run logs
+    one DEBUG line with the basis size, the products with H and the residual.
     """
     dim = H.basis_dim
     if dim <= DENSE_CUTOFF:
         vals, vecs = scipy.linalg.eigh(H.matrix.toarray(), subset_by_index=(0, 0))
-        E, psi = float(vals[0]), vecs[:, 0]
     else:
         try:
-            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
             matvecs = 0
 
             def matvec(x):
@@ -205,35 +200,28 @@ def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
                 return H.matrix @ x
 
             # in SA mode ARPACK's Ritz estimate is H's own residual, so
-            # stopping at RESIDUAL_RTOL / 10 leaves a 10x margin on the
-            # check below; its default tol=0 iterates on to machine
-            # precision, a third to a half more products
+            # stopping at EIG_TOL / 10 leaves a 10x margin on the check
+            # below; its default tol=0 iterates on to machine precision, a
+            # third to a half more products
             h_op = LinearOperator((dim, dim), matvec, dtype=float)
-            vals, vecs = eigsh(h_op, k=1, which="SA", v0=v0, tol=RESIDUAL_RTOL / 10)
+            vals, vecs = eigsh(h_op, k=1, which="SA", v0=start_vector(dim), tol=EIG_TOL / 10)
         except ArpackNoConvergence as exc:
             raise SolverError(f"many-body eigensolver did not converge ({exc})") from exc
-        E, psi = float(vals[0]), vecs[:, 0]
+    E, psi = float(vals[0]), vecs[:, 0]
     # ||H|| <= max diag(H) + N 2d/h^2: the kinetic part is at most N times the
     # one-body Gershgorin bound 4d/h^2, the interaction is diagonal and >= 0
     norm_bound = float(H.matrix.diagonal().max()) + H.N * 2.0 * H.d / H.h**2
     res = float(np.linalg.norm(H.matrix @ psi - E * psi))
-    if res > RESIDUAL_RTOL * abs(E) + 64.0 * np.finfo(float).eps * norm_bound:
-        raise SolverError(
-            f"many-body ground state residual {res:.3e} exceeds contract "
-            f"tol*E = {RESIDUAL_RTOL * abs(E):.3e}",
-            residuals=[res],
-        )
+    check_residual("many-body ground state", res, E, 64.0 * np.finfo(float).eps * norm_bound)
     if dim > DENSE_CUTOFF:
         logger.debug("ARPACK ground state on %d states: %d products, residual %.3e",
                      dim, matvecs, res)
-    if psi.sum() < 0:
-        psi = -psi
     return ManyBodyGroundState(
         N=H.N,
         site_count=H.site_count,
         basis_dim=dim,
         E_qm=E,
-        psi=psi,
+        psi=grids.fix_sign(psi),
         hamiltonian=H,
     )
 

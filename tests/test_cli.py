@@ -73,7 +73,7 @@ class TestParseConfig:
 
     def test_ensemble_spec_takes_every_section_key(self, tmp_path):
         given = {
-            "solver": {"el_tol": 3e-7, "eig_tol": 2e-10, "max_iter": 77},
+            "solver": {"el_tol": 3e-7, "eig_tol": 2e-10},
             "ensemble": {"seeds": [5, 9], "master_seed": 11, "N_values": [8, 16, 32],
                          "eta": 0.2, "sigma_ref": 1.5, "workers": 3},
         }
@@ -234,6 +234,7 @@ class TestSubcommands:
         ["ensemble", "--set", "potential.kind=null"],
         ["ensemble", "--set", "potential.kappa=null"],
         ["ensemble", "--set", "potential.table=[[0,1]]"],
+        ["ensemble", "--set", "solver.max_iter=5"],
         ["ensemble", "--set", "disorder.N=1"],
         ["ensemble", "--set", 'ensemble.seeds="30"'],
         ["ensemble", "--set", "ensemble.seeds=true"],
@@ -248,7 +249,7 @@ class TestSubcommands:
         ["sample", "--set", "log_level=10"],
     ], ids=["sweep_default", "N_values_decrease", "no_seeds", "workers_string",
             "eig_tol_string", "whole_section", "unknown_potential_kind", "potential_kind_list",
-            "potential_kind_null", "potential_kappa_null", "potential_table", "N_below_two",
+            "potential_kind_null", "potential_kappa_null", "potential_table", "solver_max_iter", "N_below_two",
             "seeds_string", "seeds_bool", "seeds_empty", "seeds_float",
             "master_seed_string", "N_values_scalar", "seeds_float_entry",
             "master_seed_negative", "N_values_float_entry", "log_level_unknown",
@@ -267,9 +268,11 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.strip() == "error: empty vacancy set"
 
-    def test_solver_failure_exit_3(self, tmp_path):
-        path = write_config(tmp_path, potential={"kappa": 1.0},
-                            solver={"max_iter": 1, "el_tol": 1e-14})
+    def test_solver_failure_exit_3(self, tmp_path, monkeypatch):
+        from kaclab import hartree
+
+        monkeypatch.setattr(hartree, "MAX_ITER", 1)
+        path = write_config(tmp_path, potential={"kappa": 1.0}, solver={"el_tol": 1e-14})
         out = tmp_path / "run"
         assert main(["hartree", "-c", str(path), "-o", str(out)]) == EXIT_SOLVER
 

@@ -1,5 +1,6 @@
 """Ensemble driver: records, frequencies, sweeps, reproducibility."""
 
+import inspect
 import json
 import math
 
@@ -69,9 +70,12 @@ class TestRunRealization:
             "el_residual",
         }
 
-    def test_solver_failure_captured_not_raised(self):
+    def test_solver_failure_captured_not_raised(self, monkeypatch):
+        from kaclab import hartree
+
+        monkeypatch.setattr(hartree, "MAX_ITER", 1)
         config = DisorderConfig(seed=3, **BASE)
-        rec = run_realization(config, POT, max_iter=1)
+        rec = run_realization(config, POT)
         assert rec["error"] is not None
         assert rec["error"]["stage"] == "hartree"
         assert rec["certificate"] is None
@@ -112,6 +116,32 @@ class TestRunRealization:
         (failed,) = [r for r in records if r["error"] is not None]
         assert failed["seed"] == failing
         assert failed["error"] == {"stage": "spectrum", "message": "fill does not fit"}
+
+
+def test_every_tolerance_default_is_the_one_constant():
+    """laplace.EIG_TOL is the eigensolver contract and hartree.EL_TOL the flow's."""
+    from kaclab import hartree, laplace, manybody
+
+    eig, el = laplace.EIG_TOL, hartree.EL_TOL
+    expected = {
+        EnsembleSpec: {"eig_tol": eig, "el_tol": el},
+        run_pipeline: {"eig_tol": eig, "el_tol": el},
+        run_realization: {"eig_tol": eig, "el_tol": el},
+        hartree.minimize_hartree: {"tol": el, "eig_tol": eig},
+        laplace.lowest_eigenpairs: {"tol": eig},
+        hartree.effective_spectrum: {"tol": eig},
+        hartree.laplacian_factor_spectrum: {"tol": eig},
+        hartree.component_ground_state: {"eig_tol": eig},
+    }
+    for fn, defaults in expected.items():
+        params = inspect.signature(fn).parameters
+        found = {name: p.default for name, p in params.items() if name.endswith("tol")}
+        assert found.keys() == defaults.keys(), fn.__name__
+        for name, default in found.items():
+            assert default is defaults[name], (fn.__name__, name)
+    # the many-body ground state is held to the same contract, not to its own
+    assert manybody.EIG_TOL is eig
+    assert not hasattr(manybody, "RESIDUAL_RTOL")
 
 
 class TestEnsemble:
@@ -168,18 +198,21 @@ class TestPotentialOncePerEnsemble:
         scaling_sweep(spec_with(seeds=2, N_values=[16, 64, 256]))
         assert calls == [16, 64, 256]
 
-    @pytest.mark.parametrize("potential, base", [
-        ({"kind": "foo"}, BASE),
-        (POT, {**BASE, "N": 1, "rho": 1.0 / 16}),
-    ], ids=["unknown_kind", "N_below_two"])
-    def test_bad_spec_fails_before_any_realization(self, monkeypatch, potential, base):
+    @pytest.mark.parametrize("potential, base, message", [
+        ({"kind": "foo", "kappa": 0.1}, BASE, "unknown potential kind"),
+        (POT, {**BASE, "N": 1, "rho": 1.0 / 16}, "N=1"),
+        ({"kappa": 0.2}, BASE, "no 'kind'"),
+        ({"kind": "gaussian"}, BASE, "no 'kappa'"),
+    ], ids=["unknown_kind", "N_below_two", "missing_kind", "missing_kappa"])
+    def test_bad_spec_fails_before_any_realization(self, monkeypatch, potential, base,
+                                                   message):
         import kaclab.ensemble as ensemble_mod
 
         def no_realization(config):
             raise AssertionError("a realization was built")
 
         monkeypatch.setattr(ensemble_mod, "build_realization", no_realization)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=message):
             run_ensemble(spec_with(base=base, potential=potential, seeds=3))
 
 

@@ -177,10 +177,11 @@ class TestMinimizer:
             upper = lam1 + 0.5 * (N - 1) * interaction_double_sum(phi, v, real)
             assert lam1 - 1e-10 <= hs.energy <= upper + 1e-10
 
-    def test_nonconvergence_raises_with_trace(self, corner_blocked_6):
+    def test_nonconvergence_raises_with_trace(self, corner_blocked_6, monkeypatch):
+        monkeypatch.setattr(hartree, "MAX_ITER", 2)
         v = potential_for(corner_blocked_6, kappa=5.0)
         with pytest.raises(SolverError) as err:
-            minimize_hartree(corner_blocked_6, 1, v, 2, tol=1e-14, max_iter=2)
+            minimize_hartree(corner_blocked_6, 1, v, 2, tol=1e-14)
         assert err.value.trace is not None
 
     def test_one_stencil_product_per_energy_evaluation(self, monkeypatch):

@@ -98,20 +98,21 @@ class TestBuild:
         assert symbol.min() < -1e-3 * symbol.max()
 
     def test_custom_table(self, tmp_path):
-        table = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
-        v = build_interaction("custom_table", 1.0, 10, 2, 0.25, {"table": table})
-        assert v.v_at_zero == pytest.approx(1.0 / (10 * math.log(10)))
         path = tmp_path / "profile.txt"
         path.write_text("0.0 1.0\n0.5 0.5\n1.0 0.0\n")
-        v2 = build_interaction(
-            "custom_table", 1.0, 10, 2, 0.25, {"table_path": str(path)}
-        )
-        assert np.array_equal(v.values, v2.values)
+        v = build_interaction("custom_table", 1.0, 10, 2, 0.25, {"table_path": str(path)})
+        scale = 1.0 / (10 * math.log(10))
+        assert v.v_at_zero == pytest.approx(scale)
+        # radial linear interpolation between the rows, zero from the last radius on
+        assert v.value_at_offset((1, 0)) == pytest.approx(0.75 * scale)
+        assert v.value_at_offset((2, 0)) == pytest.approx(0.5 * scale)
+        assert v.value_at_offset((4, 0)) == 0.0
 
-    def test_negative_table_rejected(self):
-        table = np.array([[0.0, 1.0], [1.0, -0.2]])
+    def test_negative_table_rejected(self, tmp_path):
+        path = tmp_path / "profile.txt"
+        path.write_text("0.0 1.0\n1.0 -0.2\n")
         with pytest.raises(ConfigError, match="nonnegative"):
-            build_interaction("custom_table", 1.0, 10, 2, 0.25, {"table": table})
+            build_interaction("custom_table", 1.0, 10, 2, 0.25, {"table_path": str(path)})
 
     def test_N_below_two_rejected(self):
         with pytest.raises(ConfigError):
@@ -122,6 +123,9 @@ class TestBuild:
             build_interaction("yukawa", 1.0, 10, 2, 0.25)
         with pytest.raises(ConfigError):
             gaussian(bogus=1.0)
+        # a table comes only from table_path
+        with pytest.raises(ConfigError, match=r"\['table'\]"):
+            build_interaction("custom_table", 1.0, 10, 2, 0.25, {"table": [[0.0, 1.0]]})
 
 
 class TestAssumptionReport:

@@ -365,7 +365,7 @@ class TestGroundStateResidual:
 
 
 class TestArpackStopping:
-    """ARPACK's SA run stops at RESIDUAL_RTOL / 10, not at machine precision."""
+    """ARPACK's SA run stops at EIG_TOL / 10, not at machine precision."""
 
     # the first three connected 22-24-site d=2 sets of derive_seeds(2024, ...)
     # at L=2.4: N=3 bases of 2,024-2,300 states

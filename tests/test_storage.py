@@ -38,7 +38,7 @@ def test_realization_sidecar_contents(tmp_path):
 def test_magic_bytes(tmp_path):
     real = build_realization(tiny_box_config())
     path = save_realization(real, tmp_path / "real.klvac")
-    assert open(path, "rb").read(6) == b"KLVAC1"
+    assert path.read_bytes()[:6] == b"KLVAC1"
 
 
 def test_field_roundtrip(tmp_path):
@@ -50,7 +50,7 @@ def test_field_roundtrip(tmp_path):
     assert h == 0.25
     assert meta["format"] == "KLEIG1"
     assert meta["eigenvalues"] == [1.5, 2.5]
-    assert open(path, "rb").read(6) == b"KLEIG1"
+    assert path.read_bytes()[:6] == b"KLEIG1"
 
 
 def test_wrong_magic_rejected(tmp_path):
