@@ -8,7 +8,7 @@ far beyond desk scale.
 """
 
 from kaclab import EnsembleSpec
-from kaclab.ensemble import estimate_event_probabilities, scaling_sweep
+from kaclab.ensemble import estimate_event_probabilities, run_ensemble, scaling_sweep
 
 spec = EnsembleSpec(
     base={"d": 2, "rho": 1.0, "N": 64, "nu": 0.15, "r": 0.5, "h": 0.4},
@@ -17,7 +17,7 @@ spec = EnsembleSpec(
     master_seed=5,
     sigma_ref=0.5,
 )
-summary = estimate_event_probabilities(spec)
+summary = estimate_event_probabilities(run_ensemble(spec))
 print(f"{summary['n_ok']} clean records, {summary['n_failed']} failures")
 for event in ("volume_event", "gap_event", "gap_above_reference"):
     stats = summary[event]

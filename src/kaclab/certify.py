@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .constants import supnorm_constant, unit_ball_volume
-from .disorder import volume_fraction
+from .disorder import ETA, volume_fraction
 from .interaction import InteractionPotential
 from .laplace import supnorm_bound_check
 
@@ -90,7 +90,7 @@ def build_certificate(
     pair,
     v: InteractionPotential,
     hs,
-    eta: float = 0.1,
+    eta: float = ETA,
     sigma_ref: Optional[float] = None,
     oracle: Optional[dict] = None,
 ) -> Certificate:

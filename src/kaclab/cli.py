@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import numbers
 import sys
 from pathlib import Path
 
@@ -33,7 +34,8 @@ from .ensemble import (
 from .errors import BasisSizeError, ConfigError, KacLabError, SolverError
 from .interaction import POTENTIAL_PARAMS, potential_from_spec, potential_params
 from .laplace import assemble_laplacian, ground_state_component, lowest_eigenpairs
-from .manybody import build_manybody_hamiltonian, condensate_occupation, ground_state, one_body_density_matrix
+from .manybody import (BASIS_CAP, build_manybody_hamiltonian, condensate_occupation, ground_state,
+                       one_body_density_matrix)
 
 EXIT_OK = 0
 EXIT_CERT = 1
@@ -55,7 +57,7 @@ _DEFAULTS = {
     "solver": {key: _SPEC[key] for key in ("el_tol", "eig_tol")},
     "ensemble": {key: _SPEC[key] for key in
                  ("seeds", "master_seed", "N_values", "eta", "sigma_ref", "workers")},
-    "oracle": {"N": 2, "basis_cap": 2_000_000},
+    "oracle": {"N": 2, "basis_cap": BASIS_CAP},
     "output_dir": "runs/out",
     "log_level": "INFO",
 }
@@ -75,6 +77,10 @@ class RunConfig:
         chosen = potential_params(pot["kind"], {k: v for k, v in pot.items()
                                                 if k not in ("kind", "kappa") and v is not None})
         pot.update((key, val) for key, val in chosen.items() if key in pot)
+        for key, low in (("N", 2), ("basis_cap", 1)):
+            value = data["oracle"][key]
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigError(f"oracle.{key}={value!r} must be an integer >= {low}")
         # building both specs validates every numeric precondition
         self.disorder_config()
         self.ensemble_spec()
@@ -263,12 +269,11 @@ def cmd_oracle(cfg: RunConfig, out: Path, realization=None, dump_state=False) ->
 
 
 def cmd_ensemble(cfg: RunConfig, out: Path) -> int:
-    spec = cfg.ensemble_spec()
-    records = run_ensemble(spec)
+    records = run_ensemble(cfg.ensemble_spec())
     with open(out / "records.jsonl", "w") as f:
         for rec in records:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
-    summary = estimate_event_probabilities(spec, records=records)
+    summary = estimate_event_probabilities(records)
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
@@ -276,15 +281,11 @@ def cmd_ensemble(cfg: RunConfig, out: Path) -> int:
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     result = scaling_sweep(cfg.ensemble_spec())
-    # strict JSON has no NaN: a missing median is null, and an empty CSV field
-    rows = result["rows"] = [
-        {key: None if isinstance(val, float) and np.isnan(val) else val
-         for key, val in row.items()} for row in result["rows"]]
     (out / "sweep.json").write_text(json.dumps(result, sort_keys=True, indent=1))
     cols = ["N", "n_ok", "n_failed", "median_lambda1", "median_gap", "n_with_bound",
             "median_depletion_bound"]
     lines = [",".join(cols)]
-    for row in rows:
+    for row in result["rows"]:
         lines.append(",".join("" if row[c] is None else str(row[c]) for c in cols))
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     print(json.dumps(result["fits"], sort_keys=True))

@@ -20,6 +20,9 @@ from scipy.spatial import cKDTree
 from .constants import unit_ball_volume
 from .errors import ConfigError
 
+# the volume event's default tolerance on |fraction - exp(-nu omega_d r^d)|
+ETA = 0.1
+
 
 @dataclass(frozen=True)
 class DisorderConfig:
@@ -51,7 +54,7 @@ class DisorderConfig:
             raise ConfigError(f"rho={self.rho} must be positive")
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
             raise ConfigError(f"N={self.N} must be an integer >= 1")
-        if self.nu < 0:
+        if not self.nu >= 0:
             raise ConfigError(f"nu={self.nu} must be nonnegative")
         if not self.r > 0:
             raise ConfigError(f"r={self.r} must be positive")
@@ -202,7 +205,7 @@ def component_volumes(labels, K, h, d) -> list:
     return [float(c) * h**d for c in counts]
 
 
-def volume_fraction(real: DisorderRealization, eta: float = 0.1):
+def volume_fraction(real: DisorderRealization, eta: float = ETA):
     """Vacant volume fraction and the typical-volume event.
 
     The fraction is measured with the node quadrature on both sides (vacant

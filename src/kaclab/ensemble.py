@@ -6,7 +6,8 @@ as a record, and the CLI runs it too.
 Seeds derive from a master seed through a splittable counter scheme, so
 ensembles are reproducible and order-free: records are aggregated sorted by
 seed and per-stage failures are counted and reported rather than silently
-dropped (silent exclusion would bias the frequencies).
+dropped (silent exclusion would bias the frequencies).  The summaries read
+their records alone, and a statistic with no data is None.
 
 Everything here estimates finite-N empirical frequencies and trends; the
 limiting statements these frequencies shadow are out of reach at desk scale
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .certify import build_certificate
-from .disorder import DisorderConfig, DisorderRealization, build_realization, volume_fraction
+from .disorder import ETA, DisorderConfig, DisorderRealization, build_realization, volume_fraction
 from .errors import ConfigError, KacLabError
 from .hartree import EL_TOL, HartreeSolution, minimize_hartree, reuses_laplacian_factor
 from .interaction import InteractionPotential, potential_from_spec
@@ -48,7 +49,7 @@ class EnsembleSpec:
     seeds: object = 30              # count or explicit list
     master_seed: int = 0
     N_values: list = field(default_factory=list)
-    eta: float = 0.1
+    eta: float = ETA
     sigma_ref: Optional[float] = None
     eig_tol: float = EIG_TOL
     el_tol: float = EL_TOL
@@ -162,7 +163,7 @@ def hartree_record(hs: HartreeSolution) -> dict:
 def run_realization(
     config: DisorderConfig,
     potential,
-    eta: float = 0.1,
+    eta: float = ETA,
     sigma_ref: Optional[float] = None,
     eig_tol: float = EIG_TOL,
     el_tol: float = EL_TOL,
@@ -241,10 +242,10 @@ def run_ensemble(spec: EnsembleSpec, N: Optional[int] = None) -> list:
 
 
 def wilson_interval(successes: int, n: int):
-    """Wilson 95% score interval for a binomial proportion."""
+    """Wilson 95% score interval for a binomial proportion; Nones when n is 0."""
     z = WILSON_Z
     if n == 0:
-        return 0.0, 0.0, 1.0
+        return None, None, None
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -255,47 +256,31 @@ def wilson_interval(successes: int, n: int):
     return p, lo, hi
 
 
-def estimate_event_probabilities(spec: EnsembleSpec, records: Optional[list] = None) -> dict:
+def estimate_event_probabilities(records: list) -> dict:
     """Empirical frequencies of the certificate events with Wilson intervals.
 
-    Estimates P(volume event), P(gap event) and P(gap >= sigma_ref scale).
-    Failed realizations are excluded from the frequencies but counted.
-    records, when given, are run_ensemble(spec)'s, so their certificates
-    carry spec's sigma_ref scale.
+    A function of the records alone.  Estimates P(volume event), P(gap event)
+    and, when every successful certificate carries a reference gap scale,
+    P(gap >= that scale).  Failed realizations are excluded from the
+    frequencies but counted; with no successful record the frequencies and
+    intervals are None.
     """
-    if records is None:
-        if len(spec.seed_list()) < 30:
-            raise ValueError("need >= 30 seeds for frequency estimates")
-        records = run_ensemble(spec)
-
-    ok_records = [r for r in records if r["error"] is None]
-    n = len(ok_records)
-    n_failed = len(records) - n
-
-    vol = sum(1 for r in ok_records if r["certificate"]["volume_event"]["ok"])
-    gap_ev = sum(1 for r in ok_records if r["certificate"]["gap_event"]["ok"])
-
-    gap_ref_hits = None
-    if spec.sigma_ref is not None and n:
-        # each certificate carries its gap lambda2 - lambda1 and its scale
-        certs = [r["certificate"] for r in ok_records]
-        gap_ref_hits = sum(
-            1 for c in certs if c["gap_event"]["lhs"] >= c["scaling"]["gap_scale_ref"]
-        )
-
-    def pack(hits):
-        p, lo, hi = wilson_interval(hits, n)
-        return {"frequency": p, "lo": lo, "hi": hi, "hits": hits, "n": n}
-
-    out = {
-        "n_records": len(records),
-        "n_ok": n,
-        "n_failed": n_failed,
-        "volume_event": pack(vol),
-        "gap_event": pack(gap_ev),
+    certs = [r["certificate"] for r in records if r["error"] is None]
+    n = len(certs)
+    events = {
+        "volume_event": lambda c: c["volume_event"]["ok"],
+        "gap_event": lambda c: c["gap_event"]["ok"],
     }
-    if gap_ref_hits is not None:
-        out["gap_above_reference"] = pack(gap_ref_hits)
+    if certs and all(c["scaling"]["gap_scale_ref"] is not None for c in certs):
+        # each certificate carries its gap lambda2 - lambda1 and its scale
+        events["gap_above_reference"] = (
+            lambda c: c["gap_event"]["lhs"] >= c["scaling"]["gap_scale_ref"])
+
+    out = {"n_records": len(records), "n_ok": n, "n_failed": len(records) - n}
+    for name, hit in events.items():
+        hits = sum(1 for c in certs if hit(c))
+        p, lo, hi = wilson_interval(hits, n)
+        out[name] = {"frequency": p, "lo": lo, "hi": hi, "hits": hits, "n": n}
     return out
 
 
@@ -311,13 +296,19 @@ def _fit_loglog(x, y):
     return float(coef[0]), float(coef[1]), r2
 
 
+def _median(values):
+    return float(np.median(values)) if values else None
+
+
 def scaling_sweep(spec: EnsembleSpec) -> dict:
     """Medians of lambda1, gap and depletion bound across an N sweep.
 
-    n_with_bound counts a row's records with a depletion bound (e2 > e1);
-    with none, the median bound is NaN, since no bound is not a zero one.
-    Fits log(median lambda1) both against log N and against
-    log((ln N)^(-2/d)); the asymptotic (ln N) regime is not reachable at desk
+    A median with no data is None: n_with_bound counts a row's records with a
+    depletion bound (e2 > e1), and with none the median bound is None, since
+    no bound is not a zero one.  Fits log(median lambda1) against log N and
+    against log((ln N)^(-2/d)), and log(median gap) against
+    log((ln N)^-(1+2/d)); a fit needs three rows with its median and is left
+    out otherwise.  The asymptotic (ln N) regime is not reachable at desk
     scale, so the disordered fits are trend data only.
     """
     if len(spec.N_values) < 3:
@@ -327,8 +318,6 @@ def scaling_sweep(spec: EnsembleSpec) -> dict:
     for N in spec.N_values:
         records = run_ensemble(spec, N=N)
         ok = [r for r in records if r["error"] is None]
-        lam1 = [r["lambda1"] for r in ok]
-        gaps = [r["lambda2"] - r["lambda1"] for r in ok if r["lambda2"] is not None]
         depl = [
             r["certificate"]["depletion_bound"]
             for r in ok
@@ -339,25 +328,24 @@ def scaling_sweep(spec: EnsembleSpec) -> dict:
                 "N": N,
                 "n_ok": len(ok),
                 "n_failed": len(records) - len(ok),
-                "median_lambda1": float(np.median(lam1)) if lam1 else None,
-                "median_gap": float(np.median(gaps)) if gaps else None,
+                "median_lambda1": _median([r["lambda1"] for r in ok]),
+                "median_gap": _median([r["lambda2"] - r["lambda1"]
+                                       for r in ok if r["lambda2"] is not None]),
                 "n_with_bound": len(depl),
-                "median_depletion_bound": float(np.median(depl)) if depl else math.nan,
+                "median_depletion_bound": _median(depl),
             }
         )
 
-    Ns = [row["N"] for row in rows if row["median_lambda1"]]
-    lams = [row["median_lambda1"] for row in rows if row["median_lambda1"]]
-    slope_N, _, r2_N = _fit_loglog(Ns, lams)
-    log_scale = [math.log(N) ** (-2.0 / d) for N in Ns]
-    slope_log, _, r2_log = _fit_loglog(log_scale, lams)
-    fits = {
-        "lambda1_vs_N": {"slope": slope_N, "r2": r2_N},
-        "lambda1_vs_logN_scale": {"slope": slope_log, "r2": r2_log},
-    }
-    gap_rows = [r for r in rows if r["median_gap"]]
-    if len(gap_rows) >= 3:
-        gap_scale = [math.log(r["N"]) ** -(1.0 + 2.0 / d) for r in gap_rows]
-        slope_gap, _, r2_gap = _fit_loglog(gap_scale, [r["median_gap"] for r in gap_rows])
-        fits["gap_vs_gap_scale"] = {"slope": slope_gap, "r2": r2_gap}
+    fits = {}
+    for name, key, scale in (
+        ("lambda1_vs_N", "median_lambda1", lambda N: N),
+        ("lambda1_vs_logN_scale", "median_lambda1", lambda N: math.log(N) ** (-2.0 / d)),
+        ("gap_vs_gap_scale", "median_gap", lambda N: math.log(N) ** -(1.0 + 2.0 / d)),
+    ):
+        # a log-log fit needs a positive median
+        fit_rows = [row for row in rows if row[key]]
+        if len(fit_rows) >= 3:
+            slope, _, r2 = _fit_loglog([scale(row["N"]) for row in fit_rows],
+                                       [row[key] for row in fit_rows])
+            fits[name] = {"slope": slope, "r2": r2}
     return {"rows": rows, "fits": fits}

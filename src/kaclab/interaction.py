@@ -105,11 +105,11 @@ def build_interaction(
     params = potential_params(kind, base_params)
     if N < 2:
         raise ConfigError(f"N={N} must be >= 2 (the scaling divides by ln N)")
-    if not isinstance(kappa, numbers.Real) or kappa < 0:
+    if not isinstance(kappa, numbers.Real) or not kappa >= 0:
         raise ConfigError(f"kappa={kappa!r} must be a nonnegative number")
     if d not in (2, 3):
         raise ConfigError(f"d={d} unsupported")
-    if h <= 0:
+    if not h > 0:
         raise ConfigError(f"h={h} must be positive")
 
     scale = kappa / (N * math.log(N) ** (2.0 / d))
@@ -117,7 +117,7 @@ def build_interaction(
     if kind == "gaussian":
         width = float(params["width"])
         truncation = float(params["truncation"])
-        if width <= 0 or truncation <= 0:
+        if not (width > 0 and truncation > 0):
             raise ConfigError("gaussian width and truncation must be positive")
         R = max(int(math.ceil(truncation * width / h)), 1)
         rr = _offset_radii(R, d, h)
@@ -130,7 +130,7 @@ def build_interaction(
                 "top_hat is not positive definite; pass "
                 "allow_non_posdef=True to build it for stress tests"
             )
-        if radius <= 0:
+        if not radius > 0:
             raise ConfigError("top_hat radius must be positive")
         R = max(int(math.ceil(radius / h)), 1)
         rr = _offset_radii(R, d, h)
@@ -142,9 +142,9 @@ def build_interaction(
         if table.ndim != 2 or table.shape[1] != 2:
             raise ConfigError("table must have rows of (radius, value)")
         radii, vals = table[:, 0], table[:, 1]
-        if np.any(np.diff(radii) <= 0) or radii[0] < 0:
+        if not (np.all(np.diff(radii) > 0) and radii[0] >= 0):
             raise ConfigError("table radii must be nonnegative and increasing")
-        if np.any(vals < 0):
+        if not np.all(vals >= 0):
             raise ConfigError("profile values must be nonnegative")
         R = max(int(math.ceil(radii[-1] / h)), 1)
         rr = _offset_radii(R, d, h)

@@ -12,7 +12,7 @@ from kaclab import EnsembleSpec, ensemble
 from kaclab.cli import (
     EXIT_CERT, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main, parse_config,
 )
-from kaclab.errors import ConfigError
+from kaclab.errors import ConfigError, KacLabError
 from kaclab.interaction import potential_from_spec
 from kaclab.storage import load_field
 
@@ -198,8 +198,6 @@ class TestSubcommands:
         path = write_config(tmp_path, disorder={"nu": 0.3},
                             ensemble={"seeds": 10, "eta": 0.1})
         out = tmp_path / "run"
-        # estimate_event_probabilities needs >= 30 seeds only via the module
-        # API guard; the CLI reuses the already-computed records
         assert main(["ensemble", "-c", str(path), "-o", str(out)]) == EXIT_OK
         lines = (out / "records.jsonl").read_text().strip().splitlines()
         assert len(lines) == 10
@@ -247,13 +245,19 @@ class TestSubcommands:
         ["ensemble", "--set", "ensemble.N_values=[16,64.0,256]"],
         ["sample", "--set", "log_level=LOUD"],
         ["sample", "--set", "log_level=10"],
+        ["oracle", "--set", "oracle.basis_cap=abc"],
+        ["oracle", "--set", "oracle.N=abc"],
+        ["ensemble", "--set", "disorder.nu=NaN"],
+        ["ensemble", "--set", "potential.kappa=NaN"],
+        ["ensemble", "--set", "potential.width=NaN"],
     ], ids=["sweep_default", "N_values_decrease", "no_seeds", "workers_string",
             "eig_tol_string", "whole_section", "unknown_potential_kind", "potential_kind_list",
             "potential_kind_null", "potential_kappa_null", "potential_table", "solver_max_iter", "N_below_two",
             "seeds_string", "seeds_bool", "seeds_empty", "seeds_float",
             "master_seed_string", "N_values_scalar", "seeds_float_entry",
             "master_seed_negative", "N_values_float_entry", "log_level_unknown",
-            "log_level_number"])
+            "log_level_number", "oracle_basis_cap_string", "oracle_N_string",
+            "disorder_nu_nan", "potential_kappa_nan", "potential_width_nan"])
     def test_config_error_is_one_error_line(self, tmp_path, capsys, argv):
         assert main(argv + ["-o", str(tmp_path / "run")]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
@@ -396,3 +400,20 @@ class TestStrictJsonOutputs:
         header, *lines = (out / "sweep.csv").read_text().splitlines()
         assert header.endswith(",median_depletion_bound")
         assert lines[0].endswith(",0,") and lines[2] == "256,0,1,,,0,"
+
+    def test_ensemble_with_every_record_failed_writes_null_frequencies(
+            self, tmp_path, monkeypatch):
+        def no_hartree(*args, **kwargs):
+            raise KacLabError("forced failure")
+
+        monkeypatch.setattr(ensemble, "minimize_hartree", no_hartree)
+        path = write_config(tmp_path, ensemble={"seeds": 3})
+        out = tmp_path / "run"
+        assert main(["ensemble", "-c", str(path), "-o", str(out)]) == EXIT_OK
+        parsed = parse_json_outputs(out)
+        assert [rec["error"]["stage"] for rec in parsed["records.jsonl"]] == ["hartree"] * 3
+        summary = parsed["summary.json"]
+        assert (summary["n_ok"], summary["n_failed"]) == (0, 3)
+        for event in ("volume_event", "gap_event"):
+            assert summary[event]["frequency"] is None
+            assert summary[event]["lo"] is summary[event]["hi"] is None

@@ -144,6 +144,14 @@ def test_every_tolerance_default_is_the_one_constant():
     assert not hasattr(manybody, "RESIDUAL_RTOL")
 
 
+def test_every_eta_default_is_the_one_constant():
+    """disorder.ETA, next to the volume event it bounds, is every eta default."""
+    from kaclab import disorder
+
+    for fn in (EnsembleSpec, run_realization, build_certificate, volume_fraction):
+        assert inspect.signature(fn).parameters["eta"].default is disorder.ETA, fn.__name__
+
+
 class TestEnsemble:
     def test_batch_count_and_validity(self):
         records = run_ensemble(spec_with(seeds=100))
@@ -224,7 +232,7 @@ class TestEventProbabilities:
             seeds=30,
             sigma_ref=1e-6,
         )
-        summary = estimate_event_probabilities(spec)
+        summary = estimate_event_probabilities(run_ensemble(spec))
         assert summary["n_ok"] == 30
         assert summary["volume_event"]["frequency"] == 1.0
         # kappa = 0: gap event reduces to lambda2 > lambda1, never degenerate here
@@ -232,36 +240,45 @@ class TestEventProbabilities:
         assert summary["gap_above_reference"]["frequency"] == 1.0
 
     def test_frequencies_and_intervals_well_formed(self):
-        spec = spec_with(seeds=40)
-        summary = estimate_event_probabilities(spec)
+        summary = estimate_event_probabilities(run_ensemble(spec_with(seeds=40)))
         for key in ("volume_event", "gap_event"):
             stats = summary[key]
             assert 0.0 <= stats["lo"] <= stats["frequency"] <= stats["hi"] <= 1.0
 
     def test_gap_above_reference_recounts_from_lambdas(self, criterion_56_records):
+        # the records alone carry the reference scale: no spec is read
         spec, records = criterion_56_records
-        summary = estimate_event_probabilities(spec, records=records)
+        summary = estimate_event_probabilities(records)
         scale = spec.sigma_ref * math.log(spec.base["N"]) ** -(1.0 + 2.0 / spec.base["d"])
         ok = [r for r in records if r["error"] is None]
         hits = sum(r["lambda2"] - r["lambda1"] >= scale for r in ok)
         assert 0 < hits < len(ok) == summary["n_ok"]
         assert summary["gap_above_reference"]["hits"] == hits
 
-    def test_too_few_seeds_rejected(self, monkeypatch):
-        import kaclab.ensemble as ensemble_mod
+    def test_reference_event_needs_every_certificate_to_carry_its_scale(
+            self, criterion_56_records):
+        _, records = criterion_56_records
+        records = json.loads(json.dumps(records))
+        next(r for r in records if r["error"] is None)["certificate"]["scaling"][
+            "gap_scale_ref"] = None
+        summary = estimate_event_probabilities(records)
+        assert "gap_above_reference" not in summary
+        assert summary["gap_event"]["n"] == summary["n_ok"] > 0
 
-        def no_ensemble(spec, N=None):
-            raise AssertionError("the ensemble ran")
-
-        monkeypatch.setattr(ensemble_mod, "run_ensemble", no_ensemble)
-        for seeds in (5, [1, 2, 3]):
-            with pytest.raises(ValueError, match="30"):
-                estimate_event_probabilities(spec_with(seeds=seeds))
+    def test_failed_records_give_no_frequency(self):
+        failed = {"error": {"stage": "hartree", "message": "forced"}, "certificate": None}
+        summary = estimate_event_probabilities([failed, failed])
+        assert (summary["n_records"], summary["n_ok"], summary["n_failed"]) == (2, 0, 2)
+        for event in ("volume_event", "gap_event"):
+            assert summary[event] == {"frequency": None, "lo": None, "hi": None,
+                                      "hits": 0, "n": 0}
+        assert "gap_above_reference" not in summary
 
     def test_wilson_interval_contains_estimate(self):
         for hits, n in [(0, 10), (5, 10), (10, 10), (37, 100)]:
             p, lo, hi = wilson_interval(hits, n)
             assert 0.0 <= lo <= p <= hi <= 1.0
+        assert wilson_interval(0, 0) == (None, None, None)
 
 
 class TestGoldenSchema:
@@ -378,7 +395,7 @@ class TestScalingSweep:
         for row in result["rows"]:
             assert row["median_depletion_bound"] == 0.0
 
-    def test_missing_depletion_bound_reads_nan(self, monkeypatch):
+    def test_missing_depletion_bound_reads_none(self, monkeypatch):
         # a row where no record has a bound must not claim a zero one
         def records(spec, N):
             rec = {"error": None, "lambda1": 1.0 / N, "lambda2": 2.0 / N,
@@ -389,9 +406,35 @@ class TestScalingSweep:
         monkeypatch.setattr(ensemble, "run_ensemble", records)
         rows = scaling_sweep(spec_with(N_values=[16, 64, 256]))["rows"]
         assert [row["n_with_bound"] for row in rows] == [0, 1, 0]
-        assert math.isnan(rows[0]["median_depletion_bound"])
-        assert rows[1]["median_depletion_bound"] == 0.25
-        assert math.isnan(rows[2]["median_depletion_bound"])
+        assert [row["median_depletion_bound"] for row in rows] == [None, 0.25, None]
+
+    def test_all_failed_records_give_no_fit(self, monkeypatch):
+        # no row has a median: no fit is made from no data
+        def records(spec, N):
+            return [{"error": {"stage": "disorder", "message": "empty vacancy set"},
+                     "lambda1": None, "lambda2": None, "certificate": None}] * 2
+
+        monkeypatch.setattr(ensemble, "run_ensemble", records)
+        result = scaling_sweep(spec_with(N_values=[16, 32, 64]))
+        assert result["fits"] == {}
+        for row in result["rows"]:
+            assert (row["n_ok"], row["n_failed"], row["n_with_bound"]) == (0, 2, 0)
+            assert row["median_lambda1"] is row["median_gap"] is None
+            assert row["median_depletion_bound"] is None
+
+    def test_fit_needs_three_rows_with_its_median(self, monkeypatch):
+        # one failed row leaves two medians: every fit is left out, not made
+        # from two points
+        def records(spec, N):
+            rec = {"error": None, "lambda1": 1.0 / N, "lambda2": 2.0 / N,
+                   "certificate": {"depletion_bound": None}}
+            return [dict(rec, error="failed")] if N == 64 else [rec]
+
+        monkeypatch.setattr(ensemble, "run_ensemble", records)
+        assert scaling_sweep(spec_with(N_values=[16, 32, 64]))["fits"] == {}
+        fits = scaling_sweep(spec_with(N_values=[16, 32, 48, 64]))["fits"]
+        assert set(fits) == {"lambda1_vs_N", "lambda1_vs_logN_scale", "gap_vs_gap_scale"}
+        assert fits["lambda1_vs_N"]["slope"] == pytest.approx(-1.0)
 
     def test_requires_three_N_values(self):
         with pytest.raises(ValueError):

@@ -114,6 +114,16 @@ class TestBuild:
         with pytest.raises(ConfigError, match="nonnegative"):
             build_interaction("custom_table", 1.0, 10, 2, 0.25, {"table_path": str(path)})
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0.0 1.0\n1.0 nan\n", "values must be nonnegative"),
+        ("0.0 1.0\nnan 0.5\n", "radii must be nonnegative and increasing"),
+    ], ids=["nan_value", "nan_radius"])
+    def test_nan_table_rejected(self, tmp_path, rows, message):
+        path = tmp_path / "profile.txt"
+        path.write_text(rows)
+        with pytest.raises(ConfigError, match=message):
+            build_interaction("custom_table", 1.0, 10, 2, 0.25, {"table_path": str(path)})
+
     def test_N_below_two_rejected(self):
         with pytest.raises(ConfigError):
             gaussian(N=1)
