@@ -2,9 +2,13 @@
 
 build_parser is the one command table: each subcommand's parser carries its
 handler, and a command's own flags reach that handler as keyword arguments.
-Runs are driven by a JSON config file with dotted --set overrides; every run
-directory receives the fully resolved config echo and a version stamp so
-results stay auditable.  The config's log_level sets the level of the
+Runs are driven by a JSON config file with dotted --set overrides, and
+parse_config checks every value, each number by the one rule
+errors.check_number, before the run directory exists.  What depends on the
+subcommand is checked when it runs: a sweep's three N values, and a built
+potential's N >= 2 and top_hat's allow_non_posdef=true.  Every run directory
+receives the fully resolved config echo and a version stamp so results stay
+auditable.  The config's log_level sets the level of the
 "kaclab" logger, whose records go to stderr.  Exit codes: 0 success, 1
 asserted-certificate failure, 2 usage error, 3 solver failure.
 """
@@ -13,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import numbers
 import sys
 from pathlib import Path
 
@@ -31,7 +34,7 @@ from .ensemble import (
     run_pipeline,
     scaling_sweep,
 )
-from .errors import BasisSizeError, ConfigError, KacLabError, SolverError
+from .errors import BasisSizeError, ConfigError, KacLabError, SolverError, check_number
 from .interaction import POTENTIAL_PARAMS, potential_from_spec, potential_params
 from .laplace import assemble_laplacian, ground_state_component, lowest_eigenpairs
 from .manybody import (BASIS_CAP, build_manybody_hamiltonian, condensate_occupation, ground_state,
@@ -64,39 +67,28 @@ _DEFAULTS = {
 
 
 class RunConfig:
-    """Validated, fully resolved run configuration."""
+    """Validated, fully resolved run configuration; the commands read the
+    disorder, solver, ensemble and potential sections through disorder and spec."""
 
     def __init__(self, data: dict):
         self.data = data
         if data["log_level"] not in LOG_LEVELS:
             raise ConfigError(f"log_level={data['log_level']!r} must be one of "
                               f"{', '.join(LOG_LEVELS)}")
-        # a bad kind or parameter fails every subcommand; the echo shows the
+        # a bad kind or value fails every subcommand; the echo shows the
         # chosen kind's parameters, defaults filled in
         pot = data["potential"]
-        chosen = potential_params(pot["kind"], {k: v for k, v in pot.items()
-                                                if k not in ("kind", "kappa") and v is not None})
+        chosen = potential_params(pot["kind"], pot["kappa"],
+                                  {k: v for k, v in pot.items()
+                                   if k not in ("kind", "kappa") and v is not None})
         pot.update((key, val) for key, val in chosen.items() if key in pot)
         for key, low in (("N", 2), ("basis_cap", 1)):
-            value = data["oracle"][key]
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ConfigError(f"oracle.{key}={value!r} must be an integer >= {low}")
-        # building both specs validates every numeric precondition
-        self.disorder_config()
-        self.ensemble_spec()
-
-    def disorder_config(self) -> DisorderConfig:
-        return DisorderConfig(**self.data["disorder"])
-
-    def potential_spec(self) -> dict:
-        return dict(self.data["potential"])
-
-    def ensemble_spec(self) -> EnsembleSpec:
+            check_number(f"oracle.{key}", data["oracle"][key], low, integer=True)
+        self.disorder = DisorderConfig(**data["disorder"])
         # the solver and ensemble sections hold EnsembleSpec fields by name
-        data = self.to_dict()
-        del data["disorder"]["seed"]
-        return EnsembleSpec(base=data["disorder"], potential=data["potential"],
-                            **data["solver"], **data["ensemble"])
+        base = {key: val for key, val in data["disorder"].items() if key != "seed"}
+        self.spec = EnsembleSpec(base=base, potential=dict(pot),
+                                 **data["solver"], **data["ensemble"])
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(self.data))
@@ -168,10 +160,9 @@ def _prepare_run_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_sample(cfg: RunConfig, out: Path) -> int:
-    config = cfg.disorder_config()
-    real = build_realization(config)
+    real = build_realization(cfg.disorder)
     storage.save_realization(real, out / "realization.klvac")
-    eta = cfg.data["ensemble"]["eta"]
+    eta = cfg.spec.eta
     fraction, in_event, _ = volume_fraction(real, eta)
     print(f"K={real.K} vacant={real.n_vacant} fraction={fraction:.6f} "
           f"volume_event={in_event} (eta={eta})")
@@ -179,9 +170,8 @@ def cmd_sample(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
-    real = build_realization(cfg.disorder_config())
-    pair = lowest_eigenpairs(assemble_laplacian(real), count=2,
-                             tol=cfg.data["solver"]["eig_tol"])
+    real = build_realization(cfg.disorder)
+    pair = lowest_eigenpairs(assemble_laplacian(real), count=2, tol=cfg.spec.eig_tol)
     sel = ground_state_component(real, pair)
     component = "multiple" if sel.multiple else sel.component
     meta = {
@@ -198,8 +188,8 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_hartree(cfg: RunConfig, out: Path, dump_state=False) -> int:
-    res = run_pipeline(PipelineResult(cfg.disorder_config()), cfg.potential_spec(),
-                       **cfg.data["solver"])
+    res = run_pipeline(PipelineResult(cfg.disorder), cfg.spec.potential,
+                       eig_tol=cfg.spec.eig_tol, el_tol=cfg.spec.el_tol)
     hs = res.hartree
     rec = hartree_record(hs)
     with open(out / "hartree.jsonl", "a") as f:
@@ -219,8 +209,8 @@ def _exact_oracle(cfg: RunConfig, real, v, N: int):
 
 
 def cmd_certify(cfg: RunConfig, out: Path, with_oracle=False) -> int:
-    res = run_pipeline(PipelineResult(cfg.disorder_config()), cfg.potential_spec(),
-                       **cfg.data["solver"])
+    res = run_pipeline(PipelineResult(cfg.disorder), cfg.spec.potential,
+                       eig_tol=cfg.spec.eig_tol, el_tol=cfg.spec.el_tol)
     config, real, pair, v, hs = res.config, res.real, res.pair, res.v, res.hartree
     oracle = None
     if with_oracle:
@@ -230,11 +220,9 @@ def cmd_certify(cfg: RunConfig, out: Path, with_oracle=False) -> int:
         n_cond = condensate_occupation(rho1, hs.u, real, config.N)
         oracle = {"E_qm": gs.E_qm, "n_condensate": n_cond}
     cert = build_certificate(real, pair, v, hs,
-                             eta=cfg.data["ensemble"]["eta"],
-                             sigma_ref=cfg.data["ensemble"]["sigma_ref"],
-                             oracle=oracle)
+                             eta=cfg.spec.eta, sigma_ref=cfg.spec.sigma_ref, oracle=oracle)
     (out / "certificate.json").write_text(cert.to_json())
-    budget = cfg.data["solver"]["eig_tol"] * max(abs(pair.lambda2 or pair.lambda1), 1.0)
+    budget = cfg.spec.eig_tol * max(abs(pair.lambda2 or pair.lambda1), 1.0)
     checks = certificate_assertions(cert, eig_tol_abs=budget)
     for name, ok, margin in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name} margin={margin:.3e}")
@@ -245,13 +233,14 @@ def cmd_certify(cfg: RunConfig, out: Path, with_oracle=False) -> int:
 
 def cmd_oracle(cfg: RunConfig, out: Path, realization=None, dump_state=False) -> int:
     if realization is not None:
-        real = storage.load_realization(realization)
-        config = real.config
+        try:
+            real = storage.load_realization(realization)
+        except (OSError, ValueError) as exc:  # the dump path is user input
+            raise ConfigError(f"cannot load realization {realization}: {exc}")
     else:
-        config = cfg.disorder_config()
-        real = build_realization(config)
+        real = build_realization(cfg.disorder)
     N = cfg.data["oracle"]["N"]
-    v = potential_from_spec(cfg.potential_spec(), N, config.d, real.h)
+    v = potential_from_spec(cfg.spec.potential, N, real.d, real.h)
     gs, rho1 = _exact_oracle(cfg, real, v, N)
     summary = {
         "N": N,
@@ -269,7 +258,7 @@ def cmd_oracle(cfg: RunConfig, out: Path, realization=None, dump_state=False) ->
 
 
 def cmd_ensemble(cfg: RunConfig, out: Path) -> int:
-    records = run_ensemble(cfg.ensemble_spec())
+    records = run_ensemble(cfg.spec)
     with open(out / "records.jsonl", "w") as f:
         for rec in records:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -280,7 +269,7 @@ def cmd_ensemble(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
-    result = scaling_sweep(cfg.ensemble_spec())
+    result = scaling_sweep(cfg.spec)
     (out / "sweep.json").write_text(json.dumps(result, sort_keys=True, indent=1))
     cols = ["N", "n_ok", "n_failed", "median_lambda1", "median_gap", "n_with_bound",
             "median_depletion_bound"]

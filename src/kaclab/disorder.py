@@ -18,7 +18,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .constants import unit_ball_volume
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 
 # the volume event's default tolerance on |fraction - exp(-nu omega_d r^d)|
 ETA = 0.1
@@ -28,7 +28,7 @@ ETA = 0.1
 class DisorderConfig:
     """Parameters of one disorder realization.
 
-    d     : spatial dimension, 2 or 3
+    d     : spatial dimension, the integer 2 or 3
     rho   : particle density > 0 (fixes the box side together with N)
     N     : particle number >= 1
     nu    : Poisson intensity >= 0 (obstacle centers per unit volume)
@@ -36,7 +36,7 @@ class DisorderConfig:
     h     : requested grid spacing, must satisfy h < r so an obstacle spans
             at least one grid cell; the actual spacing snaps to L / round(L/h)
             because L is in general irrational
-    seed  : 64-bit RNG seed
+    seed  : 64-bit RNG seed, an integer >= 0
     """
 
     d: int
@@ -48,18 +48,14 @@ class DisorderConfig:
     seed: int
 
     def __post_init__(self):
-        if self.d not in (2, 3):
+        if check_number("d", self.d, 2, integer=True) > 3:
             raise ConfigError(f"d={self.d} unsupported, need d in {{2, 3}}")
-        if not self.rho > 0:
-            raise ConfigError(f"rho={self.rho} must be positive")
-        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
-            raise ConfigError(f"N={self.N} must be an integer >= 1")
-        if not self.nu >= 0:
-            raise ConfigError(f"nu={self.nu} must be nonnegative")
-        if not self.r > 0:
-            raise ConfigError(f"r={self.r} must be positive")
-        if not self.h > 0:
-            raise ConfigError(f"h={self.h} must be positive")
+        check_number("rho", self.rho, 0, above=True)
+        check_number("N", self.N, 1, integer=True)
+        check_number("nu", self.nu, 0)
+        check_number("r", self.r, 0, above=True)
+        check_number("h", self.h, 0, above=True)
+        check_number("seed", self.seed, 0, integer=True)
         if self.h >= self.r:
             raise ConfigError(
                 f"grid spacing h={self.h} must be smaller than the obstacle "

@@ -15,7 +15,6 @@ and all sweeps are labeled exploratory.
 """
 
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -24,7 +23,7 @@ import numpy as np
 
 from .certify import build_certificate
 from .disorder import ETA, DisorderConfig, DisorderRealization, build_realization, volume_fraction
-from .errors import ConfigError, KacLabError
+from .errors import ConfigError, KacLabError, check_number
 from .hartree import EL_TOL, HartreeSolution, minimize_hartree, reuses_laplacian_factor
 from .interaction import InteractionPotential, potential_from_spec
 from .laplace import (
@@ -56,28 +55,24 @@ class EnsembleSpec:
     workers: int = 1
 
     def __post_init__(self):
-        def is_int(x):
-            return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-        if not ((is_int(self.seeds) and self.seeds >= 1) or (
-                isinstance(self.seeds, list) and self.seeds and all(map(is_int, self.seeds)))):
-            raise ConfigError(f"seeds={self.seeds!r} must be a positive integer "
-                              "or a non-empty list of integers")
-        if not (is_int(self.master_seed) and self.master_seed >= 0):
-            raise ConfigError(f"master_seed={self.master_seed!r} must be a nonnegative integer")
-        if not (isinstance(self.N_values, list) and all(map(is_int, self.N_values))):
+        if not isinstance(self.seeds, list):
+            check_number("seeds", self.seeds, 1, integer=True)
+        elif not self.seeds:
+            raise ConfigError("seeds=[] must be a positive integer or a non-empty list")
+        else:
+            for i, seed in enumerate(self.seeds):
+                check_number(f"seeds[{i}]", seed, 0, integer=True)
+        check_number("master_seed", self.master_seed, 0, integer=True)
+        if not isinstance(self.N_values, list):
             raise ConfigError(f"N_values={self.N_values!r} must be a list of integers")
+        for i, N in enumerate(self.N_values):
+            check_number(f"N_values[{i}]", N, 2, integer=True)
         if any(b <= a for a, b in zip(self.N_values, self.N_values[1:])):
             raise ConfigError("N_values must be strictly increasing")
-        for name in ("eig_tol", "el_tol", "eta", "sigma_ref", "workers"):
-            value = getattr(self, name)
-            integer = name == "workers"
-            kind = numbers.Integral if integer else numbers.Real
-            if value is None and name == "sigma_ref":
-                continue
-            if isinstance(value, bool) or not isinstance(value, kind) or not value > 0:
-                raise ConfigError(f"{name}={value!r} must be a positive "
-                                  f"{'integer' if integer else 'number'}")
+        for name in ("eig_tol", "el_tol", "eta", "sigma_ref"):
+            if name != "sigma_ref" or self.sigma_ref is not None:  # sigma_ref may be None
+                check_number(name, getattr(self, name), 0, above=True)
+        check_number("workers", self.workers, 1, integer=True)
 
     def seed_list(self) -> list:
         if isinstance(self.seeds, list):

@@ -1,4 +1,7 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the one rule every config number passes."""
+
+import math
+import numbers
 
 
 class KacLabError(Exception):
@@ -7,6 +10,17 @@ class KacLabError(Exception):
 
 class ConfigError(KacLabError, ValueError):
     """Invalid configuration value; message names the offending fields."""
+
+
+def check_number(name, value, low, above=False, integer=False):
+    """value, if it is a finite number above low (above=True) or at least low,
+    and an integer where integer=True; else a ConfigError naming name.  A
+    bool, a string and NaN always fail."""
+    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a finite number")
+    if not (isinstance(value, kind) and not isinstance(value, bool)
+            and (value > low if above else value >= low) and value < math.inf):
+        raise ConfigError(f"{name}={value!r} must be {what} {'>' if above else '>='} {low}")
+    return value
 
 
 class SolverError(KacLabError, RuntimeError):

@@ -14,14 +14,13 @@ Quadrature conventions: integrals carry h^d per integration variable, so
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 
 
 @dataclass
@@ -73,15 +72,28 @@ POTENTIAL_PARAMS = {
 }
 
 
-def potential_params(kind, params: Optional[dict] = None) -> dict:
-    """kind's defaults in POTENTIAL_PARAMS overridden by params; an unknown
-    kind, or a parameter of another kind or of none, is a ConfigError."""
+def potential_params(kind, kappa, params: Optional[dict] = None) -> dict:
+    """kind's defaults in POTENTIAL_PARAMS overridden by params, with kappa
+    and every value checked: kappa >= 0; width, truncation and radius
+    positive numbers; allow_non_posdef a bool; table_path a string.  An
+    unknown kind, a parameter of another kind or of none, or a bad value is a
+    ConfigError."""
     if not isinstance(kind, str) or kind not in POTENTIAL_PARAMS:
         raise ConfigError(f"unknown potential kind {kind!r}")
     foreign = sorted(set(params or {}) - set(POTENTIAL_PARAMS[kind]))
     if foreign:
         raise ConfigError(f"potential parameters {foreign} do not apply to kind {kind!r}")
-    return {**POTENTIAL_PARAMS[kind], **(params or {})}
+    check_number("kappa", kappa, 0)
+    out = {**POTENTIAL_PARAMS[kind], **(params or {})}
+    for key in ("width", "truncation", "radius"):
+        if key in out:
+            check_number(key, out[key], 0, above=True)
+    if "allow_non_posdef" in out and not isinstance(out["allow_non_posdef"], bool):
+        raise ConfigError(f"allow_non_posdef={out['allow_non_posdef']!r} must be true or false")
+    if kind == "custom_table" and not isinstance(out["table_path"], str):
+        raise ConfigError(f"custom_table needs 'table_path', a string, not "
+                          f"{out['table_path']!r}")
+    return out
 
 
 def build_interaction(
@@ -94,7 +106,7 @@ def build_interaction(
 ) -> InteractionPotential:
     """Sample v = kappa V / (N (ln N)^(2/d)) on its grid stencil.
 
-    base_params by kind, resolved by potential_params:
+    base_params by kind, resolved and checked by potential_params:
       gaussian     : width (default 1.0), truncation in widths (default 8.0)
       top_hat      : radius (default 1.0), allow_non_posdef (must be True;
                      the profile is not positive definite)
@@ -102,43 +114,35 @@ def build_interaction(
                      per line; radial linear interpolation, zero beyond the
                      last radius
     """
-    params = potential_params(kind, base_params)
-    if N < 2:
-        raise ConfigError(f"N={N} must be >= 2 (the scaling divides by ln N)")
-    if not isinstance(kappa, numbers.Real) or not kappa >= 0:
-        raise ConfigError(f"kappa={kappa!r} must be a nonnegative number")
+    params = potential_params(kind, kappa, base_params)
+    check_number("N", N, 2, integer=True)  # the scaling divides by ln N
     if d not in (2, 3):
         raise ConfigError(f"d={d} unsupported")
-    if not h > 0:
-        raise ConfigError(f"h={h} must be positive")
+    check_number("h", h, 0, above=True)
 
     scale = kappa / (N * math.log(N) ** (2.0 / d))
 
     if kind == "gaussian":
-        width = float(params["width"])
-        truncation = float(params["truncation"])
-        if not (width > 0 and truncation > 0):
-            raise ConfigError("gaussian width and truncation must be positive")
+        width, truncation = params["width"], params["truncation"]
         R = max(int(math.ceil(truncation * width / h)), 1)
         rr = _offset_radii(R, d, h)
         base = np.exp(-(rr**2) / (2.0 * width**2))
         base[rr > truncation * width] = 0.0
     elif kind == "top_hat":
-        radius = float(params["radius"])
         if not params["allow_non_posdef"]:
             raise ConfigError(
                 "top_hat is not positive definite; pass "
                 "allow_non_posdef=True to build it for stress tests"
             )
-        if not radius > 0:
-            raise ConfigError("top_hat radius must be positive")
+        radius = params["radius"]
         R = max(int(math.ceil(radius / h)), 1)
         rr = _offset_radii(R, d, h)
         base = (rr <= radius).astype(float)
     elif kind == "custom_table":
-        if params["table_path"] is None:
-            raise ConfigError("custom_table needs 'table_path'")
-        table = np.loadtxt(params["table_path"], ndmin=2)
+        try:
+            table = np.loadtxt(params["table_path"], ndmin=2)
+        except (OSError, ValueError) as exc:  # the path is user input
+            raise ConfigError(f"cannot read table_path {params['table_path']!r}: {exc}")
         if table.ndim != 2 or table.shape[1] != 2:
             raise ConfigError("table must have rows of (radius, value)")
         radii, vals = table[:, 0], table[:, 1]

@@ -40,7 +40,7 @@ class TestParseConfig:
         cfg = parse_config(write_config(tmp_path))
         assert cfg.data["solver"]["el_tol"] == 1e-8
         assert cfg.data["ensemble"]["eta"] == 0.1
-        assert cfg.disorder_config().N == 16
+        assert cfg.disorder.N == 16
 
     def test_round_trip_through_echo(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -66,7 +66,7 @@ class TestParseConfig:
     def test_overrides_apply_and_validate(self, tmp_path):
         path = write_config(tmp_path)
         cfg = parse_config(path, overrides=["disorder.seed=99", "potential.kappa=0.25"])
-        assert cfg.disorder_config().seed == 99
+        assert cfg.disorder.seed == 99
         assert cfg.data["potential"]["kappa"] == 0.25
         with pytest.raises(ConfigError):
             parse_config(path, overrides=["disorder.bogus=1"])
@@ -78,7 +78,7 @@ class TestParseConfig:
                          "eta": 0.2, "sigma_ref": 1.5, "workers": 3},
         }
         cfg = parse_config(write_config(tmp_path, **given))
-        spec = cfg.ensemble_spec()
+        spec = cfg.spec
         defaults = EnsembleSpec(base={}, potential={})
         for section, values in given.items():
             assert set(values) == set(cfg.data[section])
@@ -175,6 +175,23 @@ class TestSubcommands:
         assert summary["basis_dim"] == 49 * 50 // 2
         assert summary["rho1_trace"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("damage", ["missing", "bad_magic"])
+    def test_unreadable_realization_is_one_error_line(self, tmp_path, capsys, damage):
+        path = write_config(tmp_path)
+        out = tmp_path / "run"
+        dump = out / "realization.klvac"
+        assert main(["sample", "-c", str(path), "-o", str(out)]) == EXIT_OK
+        if damage == "missing":
+            dump.unlink()
+        else:
+            dump.write_bytes(b"XXXXXX" + dump.read_bytes()[6:])
+        capsys.readouterr()
+        code = main(["oracle", "-c", str(path), "-o", str(out), "--realization", str(dump)])
+        assert code == EXIT_USAGE
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: cannot load realization {dump}: ")
+        assert ("bad magic b'XXXXXX'" in err) == (damage == "bad_magic")
+
     def test_oracle_dump_state_writes_psi(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "run"
@@ -250,6 +267,17 @@ class TestSubcommands:
         ["ensemble", "--set", "disorder.nu=NaN"],
         ["ensemble", "--set", "potential.kappa=NaN"],
         ["ensemble", "--set", "potential.width=NaN"],
+        ["hartree", "--set", "disorder.seed=-1"],
+        ["hartree", "--set", "disorder.seed=1.5"],
+        ["hartree", "--set", "disorder.d=2.0"],
+        ["hartree", "--set", "disorder.rho=true"],
+        ["hartree", "--set", "disorder.nu=abc"],
+        ["hartree", "--set", "potential.width=abc"],
+        ["hartree", "--set", "potential.truncation=true"],
+        ["hartree", "--set", "potential.kind=top_hat", "--set", "potential.kappa=1",
+         "--set", "potential.allow_non_posdef=no"],
+        ["hartree", "--set", "potential.kind=custom_table", "--set", "potential.table_path=5"],
+        ["ensemble", "--set", "ensemble.N_values=[1,2,3]"],
     ], ids=["sweep_default", "N_values_decrease", "no_seeds", "workers_string",
             "eig_tol_string", "whole_section", "unknown_potential_kind", "potential_kind_list",
             "potential_kind_null", "potential_kappa_null", "potential_table", "solver_max_iter", "N_below_two",
@@ -257,12 +285,19 @@ class TestSubcommands:
             "master_seed_string", "N_values_scalar", "seeds_float_entry",
             "master_seed_negative", "N_values_float_entry", "log_level_unknown",
             "log_level_number", "oracle_basis_cap_string", "oracle_N_string",
-            "disorder_nu_nan", "potential_kappa_nan", "potential_width_nan"])
-    def test_config_error_is_one_error_line(self, tmp_path, capsys, argv):
+            "disorder_nu_nan", "potential_kappa_nan", "potential_width_nan",
+            "seed_negative", "seed_float", "d_float", "rho_bool", "nu_string",
+            "width_string", "truncation_bool", "allow_non_posdef_string",
+            "table_path_number", "N_values_below_two"])
+    def test_config_error_is_one_error_line(self, tmp_path, capsys, request, argv):
         assert main(argv + ["-o", str(tmp_path / "run")]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "run" / "records.jsonl").exists()
+        # every value is checked before the run directory is written, less what
+        # depends on the subcommand: a sweep's three N values, a built potential's N
+        if request.node.callspec.id not in ("sweep_default", "N_below_two"):
+            assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["spectrum", "oracle"])
     def test_empty_vacancy_set_is_an_error_line(self, tmp_path, capsys, command):
@@ -303,7 +338,7 @@ class TestPotentialKindsViaConfig:
                        "allow_non_posdef": True, "width": None},
         )
         cfg = parse_config(path)
-        v = potential_from_spec(cfg.potential_spec(), 4, 2, 0.5)
+        v = potential_from_spec(cfg.spec.potential, 4, 2, 0.5)
         assert v.kind == "top_hat" and not positive_definite(v)
 
     def test_custom_table_spec(self, tmp_path):
@@ -315,7 +350,7 @@ class TestPotentialKindsViaConfig:
                        "table_path": str(table), "width": None},
         )
         cfg = parse_config(path)
-        v = potential_from_spec(cfg.potential_spec(), 4, 2, 0.5)
+        v = potential_from_spec(cfg.spec.potential, 4, 2, 0.5)
         assert v.kind == "custom_table" and v.v_at_zero > 0.0
 
     def test_echo_holds_the_kind_parameters(self, tmp_path):

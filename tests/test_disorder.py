@@ -30,7 +30,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("bad", [dict(d=1), dict(d=4), dict(rho=0.0),
                                      dict(N=0), dict(nu=-1.0), dict(r=-1.0),
-                                     dict(h=-0.1)])
+                                     dict(h=-0.1), dict(d=2.0), dict(N=True),
+                                     dict(rho=True), dict(nu="abc"), dict(nu=math.nan),
+                                     dict(seed=-1), dict(seed=1.5)])
     def test_bad_fields_rejected(self, bad):
         fields = dict(d=2, rho=1.0, N=16, nu=0.1, r=0.5, h=0.25, seed=0)
         fields.update(bad)

@@ -124,6 +124,14 @@ class TestBuild:
         with pytest.raises(ConfigError, match=message):
             build_interaction("custom_table", 1.0, 10, 2, 0.25, {"table_path": str(path)})
 
+    @pytest.mark.parametrize("rows", [None, "radius value\n"], ids=["missing", "not_numbers"])
+    def test_unreadable_table_rejected(self, tmp_path, rows):
+        path = tmp_path / "profile.txt"
+        if rows is not None:
+            path.write_text(rows)
+        with pytest.raises(ConfigError, match="cannot read table_path"):
+            build_interaction("custom_table", 1.0, 10, 2, 0.25, {"table_path": str(path)})
+
     def test_N_below_two_rejected(self):
         with pytest.raises(ConfigError):
             gaussian(N=1)
