@@ -4,7 +4,8 @@ build_parser is the one command table: each subcommand's parser carries its
 handler, and a command's own flags reach that handler as keyword arguments.
 Runs are driven by a JSON config file with dotted --set overrides, and
 parse_config checks every value, each number by the one rule
-errors.check_number, before the run directory exists.  What depends on the
+errors.check_number, before the run directory exists, and main loads an
+oracle --realization dump before it too.  What depends on the
 subcommand is checked when it runs: a sweep's three N values, and a built
 potential's N >= 2 and top_hat's allow_non_posdef=true.  Every run directory
 receives the fully resolved config echo and a version stamp so results stay
@@ -231,14 +232,17 @@ def cmd_certify(cfg: RunConfig, out: Path, with_oracle=False) -> int:
     return EXIT_OK
 
 
+def _load_realization(path):
+    """The KLVAC1 dump at path; one that is missing or does not load is a ConfigError."""
+    try:
+        return storage.load_realization(path)
+    except (OSError, ValueError) as exc:  # the dump path is user input
+        raise ConfigError(f"cannot load realization {path}: {exc}")
+
+
 def cmd_oracle(cfg: RunConfig, out: Path, realization=None, dump_state=False) -> int:
-    if realization is not None:
-        try:
-            real = storage.load_realization(realization)
-        except (OSError, ValueError) as exc:  # the dump path is user input
-            raise ConfigError(f"cannot load realization {realization}: {exc}")
-    else:
-        real = build_realization(cfg.disorder)
+    """realization is the loaded --realization dump, if given; else the config samples one."""
+    real = realization if realization is not None else build_realization(cfg.disorder)
     N = cfg.data["oracle"]["N"]
     v = potential_from_spec(cfg.spec.potential, N, real.d, real.h)
     gs, rho1 = _exact_oracle(cfg, real, v, N)
@@ -327,6 +331,8 @@ def main(argv=None) -> int:
             cfg.data["output_dir"] = args.output_dir
         logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
         logging.getLogger("kaclab").setLevel(cfg.data["log_level"])
+        if flags.get("realization") is not None:  # a dump is input, checked like the config
+            flags["realization"] = _load_realization(flags["realization"])
         return args.handler(cfg, _prepare_run_dir(cfg), **flags)
     except (ConfigError, BasisSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,10 @@ this module the truth source for the certificates.
 Sites are numbered as laplace.MaskedOperator numbers the vacant nodes (in
 row-major order) and particles hop along its face pairs; basis states are the
 lexicographically ordered multisets of N site indices, and a state's row is
-its rank in the combinatorial number system.  Intended for desk-scale
-instances (the basis dimension C(M+N-1, N) is capped).
+its rank in the combinatorial number system.  One creation table, the row of
+c + a for every (N-1)-particle state c and site a, gives every hop and rho1
+by lookup.  Intended for desk-scale instances (the basis dimension
+C(M+N-1, N) is capped).
 """
 
 import logging
@@ -67,12 +69,38 @@ def _lex_basis(M: int, N: int):
     return states, lambda s: top - w[np.arange(N), s].sum(axis=1)
 
 
-def _occupations(states: np.ndarray):
-    """Per slot: whether it holds the first copy of its site, and that site's n."""
+def _index_dtype(dim: int, nnz: int):
+    """int32 sparse indices where the basis and the stored entries fit, else int64."""
+    return np.int32 if max(dim, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
+def _diagonal_and_table(states, pair, v_at_zero, M, idx):
+    """Each state's interaction, and the creation table (create, count).
+
+    The interaction adds its terms over occupied sites in ascending order,
+    each site's v(0) term before its pairs with later sites.  Entry (c, a) of
+    the table comes from the slot holding the first copy of a in the one
+    state c + a, so it is filled by assignment.
+    """
+    N = states.shape[1]
     first = np.ones(states.shape, dtype=bool)
     first[:, 1:] = states[:, 1:] != states[:, :-1]
     occ = (states[:, :, None] == states[:, None, :]).sum(axis=2)
-    return first, occ
+    reduced = basis_dimension(M, N - 1)
+    create, count = np.empty((reduced, M), dtype=idx), np.empty((reduced, M))
+    rank = _lex_basis(M, N - 1)[1]
+    inter = np.zeros(states.shape[0])
+    for p in range(N):
+        lead, na = first[:, p], occ[:, p]
+        inter += np.where(lead & (na > 1), 0.5 * na * (na - 1) * v_at_zero, 0.0)
+        for q in range(p + 1, N):
+            w = pair[states[:, p], states[:, q]]
+            inter += np.where(lead & first[:, q] & (w != 0.0), na * occ[:, q] * w, 0.0)
+        i = np.flatnonzero(lead)
+        c = rank(np.delete(states[i], p, axis=1))
+        create[c, states[i, p]] = i
+        count[c, states[i, p]] = na[i]
+    return inter, create, count
 
 
 @dataclass
@@ -83,6 +111,8 @@ class ManyBodyHamiltonian:
     N: int
     sites: np.ndarray       # row-major flat indices of vacant nodes
     states: np.ndarray      # (D, N) sorted site tuples, lex order; row = rank
+    create: np.ndarray      # (D', M) row of c + a per (N-1)-particle state c, site a
+    count: np.ndarray       # (D', M) n_a in that state, as float; products stay exact
     h: float
     d: int
 
@@ -112,9 +142,10 @@ def build_manybody_hamiltonian(
 ) -> ManyBodyHamiltonian:
     """Assemble the bosonic Hamiltonian on the realization's vacant sites.
 
-    Each hop is applied to all basis states at once and its targets ranked.
-    No two hops share a matrix entry and each diagonal entry adds its terms in
-    one fixed order, so the matrix equals a per-state loop's bit for bit.
+    A hop a -> b is read off the creation table for all c at once, from row
+    c + a to row c + b.  No two hops share a matrix entry and each diagonal
+    entry adds its terms in one fixed order, so the matrix equals a per-state
+    loop's bit for bit.  Indices are int32 unless the basis or nnz needs int64.
     """
     if N < 1:
         raise ValueError(f"N={N} must be >= 1")
@@ -127,12 +158,6 @@ def build_manybody_hamiltonian(
     positions = np.stack(np.unravel_index(sites, op.dims), axis=1)
     h2 = h * h
 
-    # face-adjacency among vacant sites, padded with -1 to 2d per site
-    neighbors = np.full((M, 2 * d), -1, dtype=np.int64)
-    for ax, (a, b) in enumerate(op.face_pairs()):
-        neighbors[a, 2 * ax] = b
-        neighbors[b, 2 * ax + 1] = a
-
     # literal pair values v(x_a - x_b), zero outside the stencil
     R = v.stencil_radius
     offsets = positions[:, None, :] - positions[None, :, :]
@@ -140,41 +165,33 @@ def build_manybody_hamiltonian(
     pair = np.zeros((M, M))
     pair[inside] = v.values[tuple((offsets[inside] + R).T)]
 
-    states, rank = _lex_basis(M, N)
-    first, occ = _occupations(states)
+    states = _lex_basis(M, N)[0]
+    # face pairs (a, b) of all axes: each gives every (N-1)-particle state c
+    # two hop entries, c + a -> c + b and back, besides the dim diagonal ones
+    a, b = (np.concatenate(ends) for ends in zip(*op.face_pairs()))
+    hop = basis_dimension(M, N - 1) * a.size
+    nnz = dim + 2 * hop
+    idx = _index_dtype(dim, nnz)
+    inter, create, count = _diagonal_and_table(states, pair, v.v_at_zero, M, idx)
 
-    # interaction summed over occupied sites in ascending order, each site's
-    # v(0) term before its pairs with later sites; hops as (row, col, value)
-    inter = np.zeros(dim)
-    hops = []
-    for p in range(N):
-        lead, na = first[:, p], occ[:, p]
-        inter += np.where(lead & (na > 1), 0.5 * na * (na - 1) * v.v_at_zero, 0.0)
-        for q in range(p + 1, N):
-            w = pair[states[:, p], states[:, q]]
-            inter += np.where(lead & first[:, q] & (w != 0.0), na * occ[:, q] * w, 0.0)
-        # hopping: move one particle from a = states[:, p] to a vacant neighbor b
-        src = np.flatnonzero(lead)
-        for b in neighbors[states[src, p]].T:
-            i, b = src[b >= 0], b[b >= 0]
-            new = states[i]
-            nb = (new == b[:, None]).sum(axis=1)
-            new[:, p] = b
-            new.sort(axis=1)
-            hops.append((rank(new), i, -np.sqrt(occ[i, p] * (nb + 1)) / h2))
-    each = np.arange(dim)
-    hops.append((each, each, N * 2.0 * d / h2 + inter))
-
-    # one conversion: no hop lands on the diagonal or on another hop's entry
-    rows, cols, vals = map(np.concatenate, zip(*hops))
-    return ManyBodyHamiltonian(
-        matrix=sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr(),
-        N=N,
-        sites=sites,
-        states=states,
-        h=h,
-        d=d,
-    )
+    # triplets written in place: hops by table lookup, then their mirrors, then
+    # the diagonal; no two share an entry, so one CSR conversion sums nothing
+    rows, cols, vals = np.empty(nnz, idx), np.empty(nnz, idx), np.empty(nnz)
+    fwd = vals[:hop].reshape(create.shape[0], a.size)
+    # every index is in range; mode="clip" writes into out, "raise" buffers a copy
+    np.take(create, b, axis=1, out=rows[:hop].reshape(fwd.shape), mode="clip")
+    np.take(create, a, axis=1, out=cols[:hop].reshape(fwd.shape), mode="clip")
+    np.take(count, a, axis=1, out=fwd, mode="clip")
+    fwd *= count[:, b]
+    np.sqrt(fwd, out=fwd)
+    fwd /= -h2
+    rows[hop:2 * hop], cols[hop:2 * hop], vals[hop:2 * hop] = cols[:hop], rows[:hop], vals[:hop]
+    rows[2 * hop:] = cols[2 * hop:] = np.arange(dim)
+    np.add(N * 2.0 * d / h2, inter, out=vals[2 * hop:])
+    logger.debug("many-body build on %d states: %d stored entries, creation table %d x %d",
+                 dim, nnz, *create.shape)
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    return ManyBodyHamiltonian(matrix, N, sites, states, create, count, h, d)
 
 
 def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
@@ -231,19 +248,11 @@ def one_body_density_matrix(gs: ManyBodyGroundState) -> np.ndarray:
 
     Built as B^T B / N where B maps (N-1)-particle reduced states c and sites
     a to sqrt(n_a(c) + 1) psi_{c + a}; positive semidefiniteness and the unit
-    trace are then automatic.  Each pair (c, a) comes from exactly one basis
-    state, so B is filled by assignment.
+    trace are then automatic.  B is read off the build's creation table.
     """
     H = gs.hamiltonian
-    M, N = H.site_count, H.N
-    rank = _lex_basis(M, N - 1)[1]
-    first, occ = _occupations(H.states)
-    B = np.zeros((basis_dimension(M, N - 1), M))
-    for p in range(N):
-        i = np.flatnonzero(first[:, p])
-        rest = np.delete(H.states[i], p, axis=1)
-        B[rank(rest), H.states[i, p]] = np.sqrt(occ[i, p]) * gs.psi[i]
-    return B.T @ B / N
+    B = np.sqrt(H.count) * gs.psi[H.create]
+    return B.T @ B / H.N
 
 
 def condensate_occupation(rho1: np.ndarray, u: np.ndarray, real, N: int) -> float:

@@ -13,12 +13,13 @@ Each dump gets a sidecar <path>.json carrying the config and summary stats
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .disorder import DisorderConfig, DisorderRealization, component_volumes, volume_fraction
+from .errors import check_number
 
 MAGIC_VAC = b"KLVAC1"
 MAGIC_EIG = b"KLEIG1"
@@ -75,16 +76,30 @@ def save_realization(real: DisorderRealization, path) -> Path:
     return path
 
 
+def _sidecar_config(sidecar) -> DisorderConfig:
+    """The DisorderConfig a KLVAC1 sidecar carries; ValueError names its fault."""
+    config = sidecar.get("config") if isinstance(sidecar, dict) else None
+    if not isinstance(config, dict):
+        raise ValueError("sidecar is not an object with a 'config' object")
+    names = {f.name for f in fields(DisorderConfig)}
+    if set(config) != names:
+        raise ValueError(f"sidecar config has unknown keys {sorted(set(config) - names)} "
+                         f"and lacks {sorted(names - set(config))}")
+    return DisorderConfig(**config)  # a bad value is a ConfigError, a ValueError
+
+
 def load_realization(path) -> DisorderRealization:
     """Load a KLVAC1 dump, checked against its sidecar and against itself.
 
-    Raises ValueError naming the fault: wrong magic or file length, a header
-    d, dims or h that differ from the sidecar config, labels other than 0 on
-    a blocked node, or labels outside 1..K (K from the sidecar) on a vacant one.
+    Raises ValueError naming the fault: a sidecar that is not an object with
+    a config of exactly DisorderConfig's fields and an integer summary.K >= 0,
+    wrong magic or file length, a header d, dims or h that differ from the
+    sidecar config, labels other than 0 on a blocked node, or labels outside
+    1..K on a vacant one.
     """
     path = Path(path)
     sidecar = json.loads(Path(str(path) + ".json").read_text())
-    config = DisorderConfig(**sidecar["config"])
+    config = _sidecar_config(sidecar)
     data = path.read_bytes()
     d, dims, h, start = _parse_header(data, MAGIC_VAC, lambda n: (n + 7) // 8 + 4 * n, config.d)
     if dims != config.grid_dims:
@@ -96,7 +111,9 @@ def load_realization(path) -> DisorderRealization:
     bits = np.frombuffer(data, np.uint8, count=(n + 7) // 8, offset=start)
     mask = np.unpackbits(bits)[:n].astype(bool).reshape(dims)
     labels = np.frombuffer(data, "<i4", offset=start + (n + 7) // 8).reshape(dims).copy()
-    K = int(sidecar["summary"]["K"])
+    summary = sidecar.get("summary")
+    K = check_number("sidecar summary.K", summary.get("K") if isinstance(summary, dict) else None,
+                     0, integer=True)
     if np.any(labels[~mask] != 0):
         raise ValueError("dump labels a blocked node (labels must be 0 exactly there)")
     if np.any((labels[mask] < 1) | (labels[mask] > K)):

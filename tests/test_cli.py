@@ -175,22 +175,44 @@ class TestSubcommands:
         assert summary["basis_dim"] == 49 * 50 // 2
         assert summary["rho1_trace"] == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("damage", ["missing", "bad_magic"])
-    def test_unreadable_realization_is_one_error_line(self, tmp_path, capsys, damage):
+    @pytest.mark.parametrize("damage, fault", [
+        pytest.param("missing", "No such file", id="missing"),
+        pytest.param("bad_magic", "bad magic b'XXXXXX'", id="bad_magic"),
+        pytest.param("sidecar_without_config", "sidecar is not an object with a 'config' object",
+                     id="sidecar_without_config"),
+        pytest.param("sidecar_not_an_object", "sidecar is not an object with a 'config' object",
+                     id="sidecar_not_an_object"),
+        pytest.param("config_unknown_key", "unknown keys ['colour'] and lacks []",
+                     id="config_unknown_key"),
+        pytest.param("summary_without_K", "sidecar summary.K=None must be an integer >= 0",
+                     id="summary_without_K"),
+    ])
+    def test_unreadable_realization_is_one_error_line(self, tmp_path, capsys, damage, fault):
         path = write_config(tmp_path)
-        out = tmp_path / "run"
-        dump = out / "realization.klvac"
-        assert main(["sample", "-c", str(path), "-o", str(out)]) == EXIT_OK
+        dump = tmp_path / "dump" / "realization.klvac"
+        sidecar_path = tmp_path / "dump" / "realization.klvac.json"
+        assert main(["sample", "-c", str(path), "-o", str(dump.parent)]) == EXIT_OK
+        sidecar = json.loads(sidecar_path.read_text())
         if damage == "missing":
             dump.unlink()
-        else:
+        elif damage == "bad_magic":
             dump.write_bytes(b"XXXXXX" + dump.read_bytes()[6:])
+        elif damage == "config_unknown_key":
+            sidecar["config"]["colour"] = 1
+        elif damage == "summary_without_K":
+            del sidecar["summary"]["K"]
+        else:
+            sidecar = {"format": "KLVAC1"} if damage == "sidecar_without_config" else [1, 2]
+        sidecar_path.write_text(json.dumps(sidecar))
         capsys.readouterr()
+        out = tmp_path / "run"
         code = main(["oracle", "-c", str(path), "-o", str(out), "--realization", str(dump)])
         assert code == EXIT_USAGE
         (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith(f"error: cannot load realization {dump}: ")
-        assert ("bad magic b'XXXXXX'" in err) == (damage == "bad_magic")
+        assert fault in err
+        # the dump is checked before the run directory is written
+        assert not out.exists()
 
     def test_oracle_dump_state_writes_psi(self, tmp_path):
         path = write_config(tmp_path)

@@ -1,6 +1,7 @@
 """Exact few-boson diagonalization against independent first-quantized oracles."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,60 @@ class TestBasisRanking:
         assert np.array_equal(rank(states), np.arange(861))
 
 
+class TestCreationTable:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @pytest.mark.parametrize("fixture", ["free_3x3", "two_strip_5", "small_3d_set"])
+    def test_every_entry_is_c_plus_a(self, request, fixture, N):
+        if fixture == "small_3d_set":
+            real = small_3d_set()
+        else:
+            real = request.getfixturevalue(fixture)
+        H = build_manybody_hamiltonian(real, potential_for(real, 1.0, 2), N)
+        M = H.site_count
+        reduced = list(combinations_with_replacement(range(M), N - 1))
+        assert H.create.shape == H.count.shape == (len(reduced), M)
+        for c, rest in enumerate(reduced):
+            for a in range(M):
+                state = tuple(sorted(rest + (a,)))
+                assert tuple(H.states[H.create[c, a]]) == state
+                assert H.count[c, a] == state.count(a)
+
+    def test_index_dtype_switches_above_int32(self):
+        top = np.iinfo(np.int32).max
+        assert top == 2**31 - 1
+        assert manybody._index_dtype(top, top) is np.int32
+        assert manybody._index_dtype(top + 1, top) is np.int64
+        assert manybody._index_dtype(top, top + 1) is np.int64
+
+    def test_small_build_stores_int32_indices(self, free_3x3):
+        H = build_manybody_hamiltonian(free_3x3, potential_for(free_3x3, 1.0, 3), 3)
+        assert H.create.dtype == H.matrix.indices.dtype == H.matrix.indptr.dtype == np.int32
+
+    def test_build_peak_traced_bytes_per_entry(self):
+        # numpy's allocations are traced deterministically: the build that
+        # copied, sorted and ranked the basis per hop peaked at 78 bytes per
+        # stored entry here, the creation table's in-place triplets at 36
+        real = disordered_2d_set(N=4, L=2.4, seed=7)
+        assert real.n_vacant == 22 and real.K == 1
+        v = potential_for(real, 1.0, 4)
+        tracemalloc.start()
+        try:
+            H = build_manybody_hamiltonian(real, v, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert H.basis_dim == 12650
+        assert peak / H.matrix.nnz < 48
+
+    def test_build_logs_one_debug_line(self, caplog, free_3x3):
+        caplog.set_level(logging.DEBUG, logger="kaclab.manybody")
+        H = build_manybody_hamiltonian(free_3x3, potential_for(free_3x3, 1.0, 3), 3)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG and record.name == "kaclab.manybody"
+        assert record.getMessage() == (f"many-body build on 165 states: {H.matrix.nnz} "
+                                       f"stored entries, creation table 45 x 9")
+
+
 def assert_matches_loop_oracle(real, kappa, N, seed=0):
     """Matrix, basis and rho1 bit-identical to the per-state loop oracle."""
     v = potential_for(real, kappa, max(N, 2))  # the kappa scaling needs N >= 2
@@ -401,7 +456,9 @@ class TestArpackStopping:
             assert record.levelno == logging.DEBUG
             message = record.getMessage()
             assert f"on {H.basis_dim} states: {counts[-1]} products" in message
-        assert len(counts) == len(caplog.records) == 3
+        # one ARPACK line per solve, besides each build's own line
+        arpack = [r for r in caplog.records if r.getMessage().startswith("ARPACK")]
+        assert len(counts) == len(arpack) == 3
 
 
 class TestDisorderedCertificates:
