@@ -4,13 +4,13 @@ build_parser is the one command table: each subcommand's parser carries its
 handler, and a command's own flags reach that handler as keyword arguments.
 Runs are driven by a JSON config file with dotted --set overrides, and
 parse_config checks every value, each number by the one rule
-errors.check_number, before the run directory exists, and main loads an
-oracle --realization dump before it too.  What depends on the
-subcommand is checked when it runs: a sweep's three N values, and a built
-potential's N >= 2 and top_hat's allow_non_posdef=true.  Every run directory
-receives the fully resolved config echo and a version stamp so results stay
-auditable.  The config's log_level sets the level of the
-"kaclab" logger, whose records go to stderr.  Exit codes: 0 success, 1
+errors.check_number and a custom_table by reading it, before the run
+directory exists, and main loads an oracle --realization dump before it too.
+What depends on the subcommand is checked when it runs: a sweep's three N
+values, and a built potential's N >= 2 and top_hat's allow_non_posdef=true.
+Every run directory receives the fully resolved config echo and a version
+stamp so results stay auditable.  The config's log_level sets the level of
+the "kaclab" logger, whose records go to stderr.  Exit codes: 0 success, 1
 asserted-certificate failure, 2 usage error, 3 solver failure.
 """
 

@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-# the flow solves with MaskedOperator.factor; perfbench/tracer.py still reads
-# this name (its SPLU_HOLDERS) when it installs, so it stays bound here
+# unused here (MaskedOperator.solve factorizes); only perfbench/tracer.py
+# keeps this name alive, reading it (its SPLU_HOLDERS) when it installs
 from scipy.sparse.linalg import splu  # noqa: F401
 
 from . import grids
@@ -181,7 +181,6 @@ class FactorSpectrum:
     e2: float
     phi1: np.ndarray
     iterations: int
-    solves: int
     margin: float
     reason: Optional[str]
 
@@ -232,13 +231,9 @@ def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np
     shifted = _shifted_modes(pair, 3)[1]
     modes = np.stack([lap.restrict(phi) * scale for phi, _ in shifted], axis=1)
     coef = np.array([c for _, c in shifted])[:, None]
-    lu_solve = lap.factor.solve
-    solves = 0
 
     def precondition(R):
-        nonlocal solves
-        solves += R.shape[1]
-        return lu_solve(R) + modes @ (coef * (modes.T @ R))
+        return lap.solve(R) + modes @ (coef * (modes.T @ R))
 
     def rayleigh_ritz(S):
         # S starts with X, so Q[:, 2:] is orthogonal to it and the new Ritz
@@ -275,7 +270,7 @@ def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np
     return FactorSpectrum(
         e1=float(theta[0] - shift), e2=float(theta[1] - shift),
         phi1=grids.fix_sign(hop.embed(X[:, 0]) / scale), iterations=iterations,
-        solves=solves, margin=float(margin), reason=reason,
+        margin=float(margin), reason=reason,
     )
 
 
@@ -297,12 +292,13 @@ def effective_spectrum(hop: MaskedOperator, tol: float = EIG_TOL,
     elif not _spans_set(pair, hop.n_vacant):
         note = "pair off the vacancy set"
     else:
+        before = pair.operator.solves
         found = laplacian_factor_spectrum(hop, pair, np.abs(pair.phi1) if start is None else start,
                                           tol)
-        note = (f"{found.iterations} LOBPCG iterations, {found.solves} LU solves, "
-                f"certificate margin {found.margin:.3e}")
+        note = (f"{found.iterations} LOBPCG iterations, {pair.operator.solves - before} LU "
+                f"solves, certificate margin {found.margin:.3e}")
     if pair is not None:
-        vars(pair.operator).pop("factor", None)
+        pair.operator.release()
     if found is not None and found.certified:
         spectrum_logger.debug("effective spectrum on %d nodes: Laplacian's factor, %s",
                               hop.n_vacant, note)
@@ -416,7 +412,7 @@ def minimize_hartree(
     modes = _shifted_modes(pair, 2)[1]
 
     def precondition(r):
-        z = lap.embed(lap.factor.solve(lap.restrict(r)))
+        z = lap.embed(lap.solve(lap.restrict(r)))
         for phi, coef in modes:
             z += (coef * grids.inner(phi, r, h)) * phi
         return np.where(comp_mask, z, 0.0)
@@ -431,6 +427,7 @@ def minimize_hartree(
 
     energy, W, shift, Lu = energy_and_potential(u)
     trace = [energy]
+    before = lap.solves
 
     tau = 1.0
     tau_max = 1.0
@@ -487,8 +484,8 @@ def minimize_hartree(
             residuals=[residual],
             trace=trace,
         )
-    logger.debug("Hartree flow converged: %d iterations, %d backtracks, residual %.3e",
-                 iterations, backtracks, residual)
+    logger.debug("Hartree flow converged: %d iterations, %d backtracks, %d LU solves, "
+                 "residual %.3e", iterations, backtracks, lap.solves - before, residual)
     return _finalize(u, real, component, W, shift, iterations, residual, trace,
                      energy, eig_tol, pair)
 

@@ -4,7 +4,7 @@ The pair potential is kappa * V(x) / (N (ln N)^(2/d)) sampled on a centered
 stencil of integer offsets; the (ln N)-weakened mean-field scaling keeps the
 potential energy per particle comparable to the spectral gap of the disordered
 Laplacian.  Admissible profiles are nonnegative, even and positive definite
-(nonnegative lattice Fourier transform); a build checks the first two only.
+(nonnegative lattice Fourier transform); only the first two are checked.
 The built-in Gaussian satisfies all three, the top-hat deliberately fails
 positive definiteness and is only available behind an override flag for
 stress tests.
@@ -75,9 +75,10 @@ POTENTIAL_PARAMS = {
 def potential_params(kind, kappa, params: Optional[dict] = None) -> dict:
     """kind's defaults in POTENTIAL_PARAMS overridden by params, with kappa
     and every value checked: kappa >= 0; width, truncation and radius
-    positive numbers; allow_non_posdef a bool; table_path a string.  An
-    unknown kind, a parameter of another kind or of none, or a bad value is a
-    ConfigError."""
+    positive numbers; allow_non_posdef a bool; table_path a string naming a
+    text file of (radius, value) rows, radii nonnegative and increasing and
+    values nonnegative, returned read as "table".  An unknown kind, a
+    parameter of another kind or of none, or a bad value is a ConfigError."""
     if not isinstance(kind, str) or kind not in POTENTIAL_PARAMS:
         raise ConfigError(f"unknown potential kind {kind!r}")
     foreign = sorted(set(params or {}) - set(POTENTIAL_PARAMS[kind]))
@@ -90,9 +91,21 @@ def potential_params(kind, kappa, params: Optional[dict] = None) -> dict:
             check_number(key, out[key], 0, above=True)
     if "allow_non_posdef" in out and not isinstance(out["allow_non_posdef"], bool):
         raise ConfigError(f"allow_non_posdef={out['allow_non_posdef']!r} must be true or false")
-    if kind == "custom_table" and not isinstance(out["table_path"], str):
-        raise ConfigError(f"custom_table needs 'table_path', a string, not "
-                          f"{out['table_path']!r}")
+    if kind == "custom_table":
+        path = out["table_path"]
+        if not isinstance(path, str):
+            raise ConfigError(f"custom_table needs 'table_path', a string, not {path!r}")
+        try:
+            table = np.loadtxt(path, ndmin=2)
+        except (OSError, ValueError) as exc:  # the path is user input
+            raise ConfigError(f"cannot read table_path {path!r}: {exc}")
+        if table.shape[1] != 2:
+            raise ConfigError("table must have rows of (radius, value)")
+        radii, vals = out["table"] = table.T
+        if not (np.all(np.diff(radii) > 0) and radii[0] >= 0):
+            raise ConfigError("table radii must be nonnegative and increasing")
+        if not np.all(vals >= 0):
+            raise ConfigError("profile values must be nonnegative")
     return out
 
 
@@ -139,23 +152,11 @@ def build_interaction(
         rr = _offset_radii(R, d, h)
         base = (rr <= radius).astype(float)
     elif kind == "custom_table":
-        try:
-            table = np.loadtxt(params["table_path"], ndmin=2)
-        except (OSError, ValueError) as exc:  # the path is user input
-            raise ConfigError(f"cannot read table_path {params['table_path']!r}: {exc}")
-        if table.ndim != 2 or table.shape[1] != 2:
-            raise ConfigError("table must have rows of (radius, value)")
-        radii, vals = table[:, 0], table[:, 1]
-        if not (np.all(np.diff(radii) > 0) and radii[0] >= 0):
-            raise ConfigError("table radii must be nonnegative and increasing")
-        if not np.all(vals >= 0):
-            raise ConfigError("profile values must be nonnegative")
+        radii, vals = params["table"]
         R = max(int(math.ceil(radii[-1] / h)), 1)
         rr = _offset_radii(R, d, h)
         base = np.interp(rr, radii, vals, left=vals[0], right=0.0)
 
-    if np.any(base < 0):
-        raise ConfigError("profile is not nonnegative")
     if not np.allclose(base, base[tuple(slice(None, None, -1) for _ in range(d))]):
         raise ConfigError("profile is not even")
 

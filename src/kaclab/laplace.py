@@ -6,19 +6,18 @@ zeros on blocked and boundary nodes.  An optional one-body potential, with
 -Lap + potential positive definite, and a constant diagonal shift turn the
 same machinery into the effective mean-field operator.  An operator has two
 forms: apply_grid, the matrix-free product, and matrix(), the sparse matrix
-of its unshifted SPD part, which the dense eigensolver reads and
-MaskedOperator.factor factorizes once, on first use (SuperLU in symmetric
-mode, minimum degree ordering of A + A^T, diagonal pivots).  Above
-DENSE_CUTOFF nodes the eigensolver runs shift-invert ARPACK on that factor,
-and the Hartree flow preconditions with the Laplacian's factor, the same
-object.  On large sets the pipeline asks for a third eigenpair: lambda3
-bounds the rest of the spectrum from below, which lets hartree take h_u's
-spectrum from this same factor, certified, instead of factorizing h_u.
+of its unshifted SPD part, which the dense eigensolver reads and every
+linear solve inverts: MaskedOperator.solve factorizes it on first use
+(SuperLU in symmetric mode, minimum degree ordering of A + A^T, diagonal
+pivots), counts its solves and holds the factor until release().  ARPACK's
+shift-invert above DENSE_CUTOFF nodes and the Hartree flow's preconditioner
+solve on the Laplacian's, one factor.  On large sets the pipeline asks for a
+third eigenpair: lambda3 bounds the rest of the spectrum from below, which
+lets hartree solve h_u on this same factor, certified, not on its own.
 """
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -42,7 +41,7 @@ EIG_TOL = 1e-9
 
 logger = logging.getLogger(__name__)
 
-# SuperLU options of MaskedOperator.factor, the only place kaclab factorizes.
+# SuperLU options of MaskedOperator.solve, the only place kaclab factorizes.
 # The matrix is -Lap_Dirichlet, or for the effective operator h_u
 # -Lap + W - sigma: W >= 0 (kappa >= 0 and profiles that interaction.py
 # validates nonnegative) and sigma is 0.9 lambda1 of the whole vacancy set,
@@ -62,8 +61,10 @@ SPD_LU_OPTIONS = {
 class MaskedOperator:
     """-Laplacian + potential - shift, acting on vacant nodes only.
 
-    apply_grid applies all of it; matrix() and factor hold the unshifted
-    SPD part, -Laplacian + potential.
+    apply_grid applies all of it; matrix() holds the unshifted SPD part,
+    -Laplacian + potential, and solve inverts it on its factor, held from
+    the first solve until release().  solves counts the LU solves, one per
+    right-hand side column.
     """
 
     mask: np.ndarray
@@ -81,6 +82,7 @@ class MaskedOperator:
             raise KacLabError("empty vacancy set")
         # row-major flat grid index of each vacant node: node i is sites[i]
         self.sites = np.flatnonzero(self.mask.ravel())
+        self._lu, self.solves = None, 0
 
     @property
     def d(self) -> int:
@@ -158,10 +160,16 @@ class MaskedOperator:
             shape=(n, n),
         )
 
-    @cached_property
-    def factor(self):
-        """SuperLU factor of matrix(), the unshifted operator, built on first use."""
-        return splu(self.matrix(), **SPD_LU_OPTIONS)
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """matrix()^(-1) rhs for a compressed vector or a block of columns."""
+        if self._lu is None:
+            self._lu = splu(self.matrix(), **SPD_LU_OPTIONS)
+        self.solves += 1 if rhs.ndim == 1 else rhs.shape[1]
+        return self._lu.solve(rhs)
+
+    def release(self):
+        """Drop the factor; the next solve factorizes again."""
+        self._lu = None
 
 
 @dataclass
@@ -174,7 +182,7 @@ class SpectralPair:
     the single eigenvalue exists and degenerate_size is set.  The third
     pair is filled only when asked for (count=3): it bounds the rest of the
     spectrum from below, which certifies h_u's e1, e2 (hartree).  operator
-    is the one solved, with its factor when ARPACK built one, so a later
+    is the one solved, holding its factor when ARPACK built one, so a later
     solve with the same matrix (the Hartree flow's) reuses it.
     """
 
@@ -242,17 +250,11 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = EIG_TOL) 
     else:
         try:
             v0 = start_vector(n)
-            # factorize before ARPACK allocates its workspace: a factor built
-            # inside the first solve raised sparse_2d peak RSS 162 -> 177 MB
-            lu_solve = op.factor.solve
-            solves = 0
-
-            def solve(rhs):
-                nonlocal solves
-                solves += 1
-                return lu_solve(rhs)
-
-            opinv = LinearOperator((n, n), solve, dtype=float)
+            # a solve of no columns factorizes before ARPACK allocates its workspace:
+            # a factor built inside its first solve raised sparse_2d peak RSS 162 -> 177 MB
+            op.solve(np.empty((n, 0)))
+            before = op.solves
+            opinv = LinearOperator((n, n), op.solve, dtype=float)
             # shift-invert mode applies only OPinv; A gives shape and dtype.
             # ARPACK stops at a tenth of the contract checked below.  Its Ritz
             # estimates bound the residual of the inverse, not of op, so the
@@ -282,7 +284,7 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = EIG_TOL) 
         residuals.append(res)
     if n > DENSE_CUTOFF:
         logger.debug("ARPACK shift-invert on %d nodes: %d LU solves, residuals %s",
-                     n, solves, ", ".join(f"{r:.3e}" for r in residuals))
+                     n, op.solves - before, ", ".join(f"{r:.3e}" for r in residuals))
 
     def nth(values, i):
         return values[i] if i < k else None

@@ -189,6 +189,17 @@ def positive_definite(v):
     return bool(symbol.min() >= -1e-10 * max(symbol.max(), 0.0))
 
 
+class CountingLU:
+    """A SuperLU factor that counts its solves, one per right-hand side column."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, rhs):
+        self.solves += 1 if rhs.ndim == 1 else rhs.shape[1]
+        return self.lu.solve(rhs)
+
+
 def box_eigenvalue(modes, h, L):
     """Closed-form eigenvalue of the discrete Dirichlet box, (4/h^2) sum sin^2."""
     return (4.0 / h**2) * sum(np.sin(np.pi * p * h / (2.0 * L)) ** 2 for p in modes)

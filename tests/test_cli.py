@@ -3,6 +3,7 @@
 import argparse
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from kaclab.interaction import potential_from_spec
 from kaclab.storage import load_field
 
 from conftest import positive_definite
+
+# a custom_table profile with a negative value
+NEGATIVE_TABLE = Path(__file__).parent / "data" / "table_negative.txt"
 
 
 def write_config(tmp_path, **sections):
@@ -299,6 +303,10 @@ class TestSubcommands:
         ["hartree", "--set", "potential.kind=top_hat", "--set", "potential.kappa=1",
          "--set", "potential.allow_non_posdef=no"],
         ["hartree", "--set", "potential.kind=custom_table", "--set", "potential.table_path=5"],
+        ["hartree", "--set", "potential.kind=custom_table",
+         "--set", "potential.table_path=no/such/table.txt"],
+        ["sample", "--set", "potential.kind=custom_table",
+         "--set", f"potential.table_path={NEGATIVE_TABLE}"],
         ["ensemble", "--set", "ensemble.N_values=[1,2,3]"],
     ], ids=["sweep_default", "N_values_decrease", "no_seeds", "workers_string",
             "eig_tol_string", "whole_section", "unknown_potential_kind", "potential_kind_list",
@@ -310,7 +318,8 @@ class TestSubcommands:
             "disorder_nu_nan", "potential_kappa_nan", "potential_width_nan",
             "seed_negative", "seed_float", "d_float", "rho_bool", "nu_string",
             "width_string", "truncation_bool", "allow_non_posdef_string",
-            "table_path_number", "N_values_below_two"])
+            "table_path_number", "table_path_missing", "table_negative",
+            "N_values_below_two"])
     def test_config_error_is_one_error_line(self, tmp_path, capsys, request, argv):
         assert main(argv + ["-o", str(tmp_path / "run")]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()

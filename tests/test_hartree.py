@@ -34,7 +34,7 @@ from kaclab.hartree import (
 )
 from kaclab.laplace import DENSE_CUTOFF
 
-from conftest import dense_laplacian, tiny_box_config
+from conftest import CountingLU, dense_laplacian, tiny_box_config
 
 
 def potential_for(real, kappa, width=0.5, truncation=8.0):
@@ -464,6 +464,8 @@ class TestSpectrumSteeredFlow:
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
         assert f"{hs.iterations} iterations" in message and "backtracks" in message
+        # one preconditioner solve per step taken
+        assert f"{hs.iterations} LU solves" in message
         assert f"residual {hs.el_residual:.3e}" in message
 
 
@@ -518,6 +520,26 @@ class TestLaplacianFactorSpectrum:
         if kappa == 0.0:
             assert (hs.e1, hs.e2) == pytest.approx((pair.lambda1, pair.lambda2), rel=1e-12)
 
+    def test_the_operator_counts_every_lu_solve(self, monkeypatch, caplog):
+        # one factor serves ARPACK, the flow and LOBPCG on this set: the
+        # Laplacian's count is the factor's, and its three DEBUG lines split it
+        caplog.set_level(logging.DEBUG, logger="kaclab")
+        factors = []
+
+        def recording_splu(mat, **kwargs):
+            factors.append(CountingLU(splu(mat, **kwargs)))
+            return factors[-1]
+
+        monkeypatch.setattr(laplace, "splu", recording_splu)
+        res = run_pipeline(PipelineResult(D3_ABOVE_CROSSOVER), gaussian(10.0))
+        (lu,) = factors
+        assert res.pair.operator.solves == lu.solves > 0
+        lines = [(r.name, int(m.group(1))) for r in caplog.records
+                 for m in [re.search(r"(\d+) LU solves", r.getMessage())] if m]
+        assert [name for name, _ in lines] == ["kaclab.laplace", "kaclab.hartree",
+                                               "kaclab.hartree.spectrum"]
+        assert sum(count for _, count in lines) == lu.solves
+
     def test_crossover_depends_on_dimension_and_size_only(self):
         # the benchmark sizes: ensemble_small (~320 nodes, d=2) and the
         # sparse_3d warm-up below 2D's 4,000-node crossover keep h_u's factor
@@ -535,9 +557,10 @@ class TestLaplacianFactorSpectrum:
         real, pair, hs, hop = fallback_setup(THIRD_COMPONENT_76, 10.0)
         assert (real.n_vacant, hs.component) == (76, 10)
         assert hs.e2 == pytest.approx(8.78822, abs=5e-6)
+        before = pair.operator.solves
         found = laplacian_factor_spectrum(hop, pair, hs.u)
         assert found.reason == "start block's theta2 above the bound"
-        assert (found.iterations, found.solves) == (0, 0)
+        assert (found.iterations, pair.operator.solves - before) == (0, 0)
         assert found.margin < 0.0
         assert found.e2 == pytest.approx(9.41561, abs=5e-6)
 
@@ -545,8 +568,10 @@ class TestLaplacianFactorSpectrum:
         # this set is certified at kappa = 10 (test_one_factorization_matches_dense)
         _, pair, hs, hop = fallback_setup(D3_ABOVE_CROSSOVER, 10.0)
         monkeypatch.setattr(hartree, "LOBPCG_MAX_ITER", 0)
+        before = pair.operator.solves
         capped = laplacian_factor_spectrum(hop, pair, hs.u)
-        assert capped.reason == "no convergence in 0 iterations" and capped.solves == 0
+        assert capped.reason == "no convergence in 0 iterations"
+        assert pair.operator.solves == before
 
     def test_sparse_e2_on_a_third_component_falls_back(self):
         # above DENSE_CUTOFF (1,278 nodes, K=318): the host is component 269,
@@ -613,7 +638,7 @@ class TestLaplacianFactorSpectrum:
         spectrum_lines(caplog)
         hs = minimize_hartree(real, sel.component, v, config.N, pair=pair)
         assert (hs.e1, hs.e2) == pytest.approx((plain.e1, plain.e2), rel=1e-12)
-        assert "factor" not in vars(pair.operator)
+        assert pair.operator._lu is None
         (line,) = spectrum_lines(caplog)
         assert line.getMessage() == ("effective spectrum on 1111 nodes: "
                                      "own eigensolve (pair off the vacancy set)")
@@ -627,7 +652,7 @@ class TestLaplacianFactorSpectrum:
         e1, e2, gvec = effective_spectrum(hop, pair=pair)
         (line,) = spectrum_lines(caplog)
         assert "Laplacian's factor" in line.getMessage()
-        assert "factor" not in vars(pair.operator)
+        assert pair.operator._lu is None
         own = effective_spectrum(hop)
         assert (e1, e2) == pytest.approx(own[:2], rel=1e-12)
         assert (e1, e2) == pytest.approx((hs.e1, hs.e2), rel=1e-12)

@@ -1,8 +1,11 @@
 """Masked Dirichlet Laplacian: stencil, eigenpairs, component selection."""
 
+import ast
 import logging
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from kaclab.ensemble import derive_seeds
 from kaclab.constants import supnorm_constant
 from kaclab.laplace import DENSE_CUTOFF, SPD_LU_OPTIONS
 
-from conftest import box_eigenvalue, dense_laplacian, tiny_box_config
+from conftest import CountingLU, box_eigenvalue, dense_laplacian, tiny_box_config
 
 
 def free_box_realization(n_cells, L=1.0, d=2):
@@ -260,17 +263,6 @@ class TestEigenpairs:
         assert pair.lambda1 == pytest.approx(min(per_component), rel=1e-11)
 
 
-class CountingLU:
-    """A SuperLU factor that counts its solves."""
-
-    def __init__(self, lu):
-        self.lu, self.solves = lu, 0
-
-    def solve(self, rhs):
-        self.solves += 1
-        return self.lu.solve(rhs)
-
-
 class TestSparseFactorization:
     def test_every_factorization_is_symmetric_mode(self, monkeypatch):
         # the Laplacian's factor (spectrum and flow preconditioner) and the
@@ -309,7 +301,7 @@ class TestSparseFactorization:
 
         def recording_splu(mat, **kwargs):
             if factors:
-                flow["held_at_second"] = "factor" in vars(flow["lap"])
+                flow["held_at_second"] = flow["lap"]._lu is not None
             factors.append(CountingLU(splu(mat, **kwargs)))
             return factors[-1]
 
@@ -318,7 +310,7 @@ class TestSparseFactorization:
         def spy_minimize_hartree(*args, pair, **kwargs):
             lap = pair.operator
             flow["lap"], flow["before"] = lap, factors[0].solves
-            flow["shared"] = lap.factor is factors[0]
+            flow["shared"] = lap._lu is factors[0]
             hs = minimize_hartree(*args, pair=pair, **kwargs)
             flow["after"] = factors[0].solves
             return hs
@@ -352,12 +344,36 @@ class TestSparseFactorization:
         rhs = np.where(host, rng.uniform(-1.0, 1.0, mask.shape), 0.0)
 
         lap = assemble_laplacian(real)
-        full = lap.embed(lap.factor.solve(lap.restrict(rhs)))
+        full = lap.embed(lap.solve(lap.restrict(rhs)))
         assert np.all(full[~host] == 0.0)
         host_op = MaskedOperator(mask=host, h=real.h)
-        own = host_op.embed(host_op.factor.solve(host_op.restrict(rhs)))
+        own = host_op.embed(host_op.solve(host_op.restrict(rhs)))
         assert np.max(np.abs(full - own)) <= 1e-13 * np.max(np.abs(own))
         assert np.allclose(lap.apply_grid(full), rhs, rtol=0.0, atol=1e-10)
+
+    def test_release_drops_the_factor_and_the_next_solve_rebuilds_it(self, monkeypatch):
+        factors = []
+
+        def recording_splu(mat, **kwargs):
+            factors.append(CountingLU(splu(mat, **kwargs)))
+            return factors[-1]
+
+        monkeypatch.setattr(laplace, "splu", recording_splu)
+        op = assemble_laplacian(build_realization(
+            DisorderConfig(d=2, rho=1.0, N=64, nu=0.15, r=0.5, h=0.4, seed=3)))
+        rhs = np.random.default_rng(5).uniform(-1.0, 1.0, op.n_vacant)
+        first = op.solve(rhs)
+        assert len(factors) == 1 and op.solves == 1
+        op.release()
+        assert op._lu is None
+        second = op.solve(rhs)
+        assert len(factors) == 2 and np.array_equal(first, second)
+        # a block counts one solve per column, a block of none factorizes only
+        op.solve(np.stack([rhs, rhs, rhs], axis=1))
+        op.release()
+        op.solve(np.empty((op.n_vacant, 0)))
+        assert len(factors) == 3 and op._lu is factors[2]
+        assert op.solves == 5 == sum(f.solves for f in factors)
 
     def test_symmetric_mode_factorizes_faster_than_default(self):
         # the fill cannot show a dropped SymmetricMode: the minimum-degree
@@ -372,6 +388,25 @@ class TestSparseFactorization:
                 splu(mat, **kwargs)
                 best[name] = min(best[name], time.perf_counter() - start)
         assert best["spd"] < best["default"]
+
+
+def test_masked_operator_owns_every_linear_solve():
+    # MaskedOperator alone factorizes, solves, counts and releases: nowhere
+    # else in kaclab is a factor read, splu called, or a solve count kept
+    for path in sorted(Path(laplace.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert not re.search(r"nonlocal solves|\.pop\(\s*[\"']factor", text), path.name
+        tree = ast.parse(text)
+        owner = {id(node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) and cls.name == "MaskedOperator"
+                 for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if id(node) in owner:
+                continue
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            assert not (isinstance(node, ast.Attribute) and node.attr in ("factor", "_lu")), where
+            assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "splu"), where
 
 
 class TestArpackStopping:
@@ -444,7 +479,7 @@ class TestArpackStopping:
         # solve h_u on the Laplacian's factor (measured: Laplacian solves 235
         # and 185 for count=3, LOBPCG solves per item at most 19 and 16, every
         # residual at most 0.01 tol * lambda, lambda3's included)
-        factors, lap_solves, pairs, found = [], [], [], []
+        factors, lap_solves, pairs, found, lobpcg_solves = [], [], [], [], []
 
         def recording_splu(mat, **kwargs):
             factors.append(CountingLU(splu(mat, **kwargs)))
@@ -458,8 +493,10 @@ class TestArpackStopping:
             pairs.append((lowest_eigenpairs(op, **kwargs), kwargs["tol"]))
             return pairs[-1][0]
 
-        def recording_factor_spectrum(*args, **kwargs):
-            found.append(factor_spectrum(*args, **kwargs))
+        def recording_factor_spectrum(hop, pair, *args, **kwargs):
+            before = pair.operator.solves
+            found.append(factor_spectrum(hop, pair, *args, **kwargs))
+            lobpcg_solves.append(pair.operator.solves - before)
             return found[-1]
 
         minimize_hartree = ensemble.minimize_hartree
@@ -476,7 +513,7 @@ class TestArpackStopping:
         assert len(factors) == count  # the Laplacian's, one per item
         assert all(f.certified for f in found) and len(found) == count
         assert sum(lap_solves) <= max_lap
-        assert max(f.solves for f in found) <= max_lobpcg
+        assert max(lobpcg_solves) <= max_lobpcg
         # a breach of lambda3's contract raises SolverError like the others
         assert len(pairs) == count
         for pair, tol in pairs:
