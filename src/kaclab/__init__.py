@@ -52,6 +52,7 @@ from .manybody import (
     condensate_occupation,
     ground_state,
     one_body_density_matrix,
+    product_state,
 )
 from .ensemble import (
     EnsembleSpec,

@@ -10,6 +10,9 @@ and serialized deterministically:
   energy bound    |E_qm / N - e1| <= v(0)/2            (oracle runs only)
   depletion bound 1 - n/N <= v(0) / (2 (e2 - e1))      (oracle runs only)
 
+An oracle run also records, never asserts, the squared overlap
+<u^(x N), psi>^2 of the exact ground state with the Hartree product state.
+
 Strict inequalities between computed eigenvalues are meaningless without a
 numerical budget, so every asserted check carries one derived from the solver
 residuals.  The continuum constants are used verbatim; when the discrete
@@ -76,9 +79,15 @@ class Certificate:
     minimizer_consistency: dict
     scaling: dict
     constants: dict = field(default_factory=dict)
+    product_overlap: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a dict; product_overlap only where an oracle ran, so
+        ensemble records (no oracle) keep their schema."""
+        out = asdict(self)
+        if self.energy_gap_observed is None:
+            del out["product_overlap"]
+        return out
 
     def to_json(self) -> str:
         """Deterministic serialization: identical inputs, identical bytes."""
@@ -97,8 +106,9 @@ def build_certificate(
     """Evaluate every certificate ingredient on one computed realization.
 
     oracle, when given, is a dict with E_qm and n_condensate from the exact
-    diagonalization.  The depletion bound needs a positive effective gap and
-    is recorded as not applicable (None) otherwise.
+    diagonalization, and optionally product_overlap, <u^(x N), psi>^2 (None
+    when absent).  The depletion bound needs a positive effective gap and is
+    recorded as not applicable (None) otherwise.
     """
     fraction, in_vol, target = volume_fraction(real, eta)
     vol = {
@@ -143,6 +153,7 @@ def build_certificate(
             "eta": eta,
             "sigma_ref": sigma_ref,
         },
+        product_overlap=None if oracle is None else oracle.get("product_overlap"),
     )
 
 

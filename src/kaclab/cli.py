@@ -39,7 +39,7 @@ from .errors import BasisSizeError, ConfigError, KacLabError, SolverError, check
 from .interaction import POTENTIAL_PARAMS, potential_from_spec, potential_params
 from .laplace import assemble_laplacian, ground_state_component, lowest_eigenpairs
 from .manybody import (BASIS_CAP, build_manybody_hamiltonian, condensate_occupation, ground_state,
-                       one_body_density_matrix)
+                       one_body_density_matrix, product_state)
 
 EXIT_OK = 0
 EXIT_CERT = 1
@@ -219,7 +219,8 @@ def cmd_certify(cfg: RunConfig, out: Path, with_oracle=False) -> int:
         # so the config N must be small enough for the basis cap
         gs, rho1 = _exact_oracle(cfg, real, v, config.N)
         n_cond = condensate_occupation(rho1, hs.u, real, config.N)
-        oracle = {"E_qm": gs.E_qm, "n_condensate": n_cond}
+        overlap = float(product_state(gs.hamiltonian, hs.u[real.mask]) @ gs.psi) ** 2
+        oracle = {"E_qm": gs.E_qm, "n_condensate": n_cond, "product_overlap": overlap}
     cert = build_certificate(real, pair, v, hs,
                              eta=cfg.spec.eta, sigma_ref=cfg.spec.sigma_ref, oracle=oracle)
     (out / "certificate.json").write_text(cert.to_json())

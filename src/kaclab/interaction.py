@@ -14,6 +14,7 @@ Quadrature conventions: integrals carry h^d per integration variable, so
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -96,9 +97,14 @@ def potential_params(kind, kappa, params: Optional[dict] = None) -> dict:
         if not isinstance(path, str):
             raise ConfigError(f"custom_table needs 'table_path', a string, not {path!r}")
         try:
-            table = np.loadtxt(path, ndmin=2)
+            with warnings.catch_warnings():
+                # numpy warns on a file with no rows; the check below says so in one line
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(path, ndmin=2)
         except (OSError, ValueError) as exc:  # the path is user input
             raise ConfigError(f"cannot read table_path {path!r}: {exc}")
+        if table.size == 0:
+            raise ConfigError(f"table_path {path!r} holds no rows")
         if table.shape[1] != 2:
             raise ConfigError("table must have rows of (radius, value)")
         radii, vals = out["table"] = table.T

@@ -20,6 +20,13 @@ its rank in the combinatorial number system.  One creation table, the row of
 c + a for every (N-1)-particle state c and site a, gives every hop and rho1
 by lookup.  Intended for desk-scale instances (the basis dimension
 C(M+N-1, N) is capped).
+
+The ground state condenses: it overlaps the product state phi1^(x N) of the
+one-body ground state by 0.999 and more on the benchmark's oracle sets.  So
+ARPACK starts from the product of the build's orbital, phi1 with a positive
+floor that reaches every particle-number sector of a disconnected set, and
+product_state serves that start and the certificate's overlap with the
+Hartree product state alike.
 """
 
 import logging
@@ -34,13 +41,18 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from . import grids
 from .errors import BasisSizeError, GridMismatchError, SolverError
 from .interaction import InteractionPotential
-from .laplace import EIG_TOL, MaskedOperator, check_residual, start_vector
+from .laplace import EIG_TOL, MaskedOperator, check_residual, lowest_eigenpairs
 
 BASIS_CAP = 2_000_000
 # measured crossover (one BLAS thread, N=2, medians of 30 calls): with eigsh
 # at tol=0 eigh won up to D=231 and eigsh from D=253; stopping at
 # EIG_TOL / 10, eigsh wins from D=210, one row lower (README), so it stays
 DENSE_CUTOFF = 240
+# ARPACK's Lanczos basis (its default is 20).  Measured on the benchmark's six
+# oracle instances from the product start (one BLAS thread, medians of 9
+# interleaved passes): 10 and 12 tie at 111 ms, 8 takes 115, 15 118, 20 137
+# and 6 145; 10 also holds half of the default's D x ncv workspace
+NCV = 10
 
 logger = logging.getLogger(__name__)
 
@@ -113,6 +125,7 @@ class ManyBodyHamiltonian:
     states: np.ndarray      # (D, N) sorted site tuples, lex order; row = rank
     create: np.ndarray      # (D', M) row of c + a per (N-1)-particle state c, site a
     count: np.ndarray       # (D', M) n_a in that state, as float; products stay exact
+    orbital: np.ndarray     # (M,) unit, > 0 on every site: ARPACK's start is its product
     h: float
     d: int
 
@@ -191,7 +204,42 @@ def build_manybody_hamiltonian(
     logger.debug("many-body build on %d states: %d stored entries, creation table %d x %d",
                  dim, nnz, *create.shape)
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    return ManyBodyHamiltonian(matrix, N, sites, states, create, count, h, d)
+    # ARPACK's orbital.  H keeps the boson number of each connected component,
+    # and each such sector has its own positive (Perron) ground state, which a
+    # start with no weight there never reaches.  phi1 vanishes off its
+    # component (|phi1|: a degenerate one may mix components with either
+    # sign), so it gets a floor of a hundredth of its maximum.  Measured on
+    # boxes of 8 and 9 sites at N=3 (969 states): with no floor ARPACK
+    # returned another sector's energy, 3.5% high at kappa=5 and 47% at
+    # kappa=50; with the floor it matched dense eigh to 2e-15 at kappa 1, 5
+    # and 50.  On the benchmark's connected oracle sets the floored start
+    # took 51-76 products, the unfloored 56-76.
+    phi = np.abs(op.restrict(lowest_eigenpairs(op, count=1).phi1))
+    orbital = phi + 0.01 * phi.max()
+    orbital /= np.linalg.norm(orbital)
+    return ManyBodyHamiltonian(matrix, N, sites, states, create, count, orbital, h, d)
+
+
+def product_state(H: ManyBodyHamiltonian, w: np.ndarray) -> np.ndarray:
+    """Unit vector of the symmetrised product state w^(x N) in H's basis.
+
+    w is a one-body function on H's sites in their order.  State s gets
+    sqrt(N! / prod_a n_a!) prod_j w(s_j), accumulated one slot at a time: in
+    a sorted tuple the slot j that holds the r-th copy of its site brings the
+    factor w(s_j) sqrt((j + 1) / r).
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape != (H.site_count,):
+        raise GridMismatchError(f"orbital of shape {w.shape} does not match "
+                                f"the {H.site_count} sites of the basis")
+    states = H.states
+    coef = w[states[:, 0]]
+    repeat = np.ones(H.basis_dim)
+    for j in range(1, H.N):
+        same = states[:, j] == states[:, j - 1]
+        repeat = np.where(same, repeat + 1.0, 1.0)
+        coef *= w[states[:, j]] * np.sqrt((j + 1) / repeat)
+    return coef / np.linalg.norm(coef)
 
 
 def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
@@ -199,10 +247,13 @@ def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
 
     The residual ||H psi - E psi|| of the unit vector psi is held to the
     one-body solvers' contract, laplace.check_residual at EIG_TOL with a
-    machine-precision floor proportional to a bound on ||H||.  ARPACK starts
-    from laplace.start_vector and stops when its Ritz estimate, which in SA
-    mode is H's own residual, reaches EIG_TOL / 10 |E|; each ARPACK run logs
-    one DEBUG line with the basis size, the products with H and the residual.
+    machine-precision floor proportional to a bound on ||H||.  ARPACK keeps
+    NCV Lanczos vectors, starts from product_state(H, H.orbital), which is
+    positive on every basis state and so reaches the ground state of every
+    sector, and stops when its Ritz estimate, which in SA mode is H's own
+    residual, reaches EIG_TOL / 10 |E|.  Each ARPACK run logs one DEBUG line
+    with the basis size, the products with H, the residual and the start's
+    overlap |<v0, psi>|.
     """
     dim = H.basis_dim
     if dim <= DENSE_CUTOFF:
@@ -221,7 +272,8 @@ def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
             # below; its default tol=0 iterates on to machine precision, a
             # third to a half more products
             h_op = LinearOperator((dim, dim), matvec, dtype=float)
-            vals, vecs = eigsh(h_op, k=1, which="SA", v0=start_vector(dim), tol=EIG_TOL / 10)
+            v0 = product_state(H, H.orbital)
+            vals, vecs = eigsh(h_op, k=1, which="SA", v0=v0, ncv=NCV, tol=EIG_TOL / 10)
         except ArpackNoConvergence as exc:
             raise SolverError(f"many-body eigensolver did not converge ({exc})") from exc
     E, psi = float(vals[0]), vecs[:, 0]
@@ -231,8 +283,8 @@ def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
     res = float(np.linalg.norm(H.matrix @ psi - E * psi))
     check_residual("many-body ground state", res, E, 64.0 * np.finfo(float).eps * norm_bound)
     if dim > DENSE_CUTOFF:
-        logger.debug("ARPACK ground state on %d states: %d products, residual %.3e",
-                     dim, matvecs, res)
+        logger.debug("ARPACK ground state on %d states: %d products, residual %.3e, "
+                     "start overlap %.4f", dim, matvecs, res, abs(v0 @ psi))
     return ManyBodyGroundState(
         N=H.N,
         site_count=H.site_count,

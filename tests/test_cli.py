@@ -19,8 +19,9 @@ from kaclab.storage import load_field
 
 from conftest import positive_definite
 
-# a custom_table profile with a negative value
+# a custom_table profile with a negative value, and an empty file
 NEGATIVE_TABLE = Path(__file__).parent / "data" / "table_negative.txt"
+EMPTY_TABLE = Path(__file__).parent / "data" / "table_empty.txt"
 
 
 def write_config(tmp_path, **sections):
@@ -139,6 +140,23 @@ class TestSubcommands:
         assert cert["gap_event"]["ok"]
         assert cert["energy_bound"] == 0.0
         assert "PASS" in capsys.readouterr().out
+
+    def test_certify_records_product_overlap(self, tmp_path):
+        # <u^(x N), psi>^2 beside the observed depletion; 1 when v = 0, where
+        # psi is the product of u itself; no oracle, no field
+        for kappa, low, high in ((0.0, 1.0 - 1e-12, 1.0 + 1e-12), (0.3, 0.999, 1.0)):
+            path = write_config(tmp_path, disorder={"N": 2, "rho": 0.125},
+                                potential={"kappa": kappa})
+            out = tmp_path / f"run{kappa}"
+            assert main(["certify", "-c", str(path), "-o", str(out),
+                         "--with-oracle"]) == EXIT_OK
+            cert = json.loads((out / "certificate.json").read_text())
+            assert isinstance(cert["product_overlap"], float)
+            assert low <= cert["product_overlap"] <= high
+            assert 1.0 - cert["product_overlap"] >= cert["depletion_observed"] - 1e-12
+        assert main(["certify", "-c", str(path), "-o", str(tmp_path / "plain")]) == EXIT_OK
+        cert = json.loads((tmp_path / "plain" / "certificate.json").read_text())
+        assert "product_overlap" not in cert and cert["depletion_observed"] is None
 
     def test_hartree_appends_record(self, tmp_path):
         path = write_config(tmp_path, potential={"kappa": 0.3})
@@ -307,6 +325,8 @@ class TestSubcommands:
          "--set", "potential.table_path=no/such/table.txt"],
         ["sample", "--set", "potential.kind=custom_table",
          "--set", f"potential.table_path={NEGATIVE_TABLE}"],
+        ["sample", "--set", "potential.kind=custom_table",
+         "--set", f"potential.table_path={EMPTY_TABLE}"],
         ["ensemble", "--set", "ensemble.N_values=[1,2,3]"],
     ], ids=["sweep_default", "N_values_decrease", "no_seeds", "workers_string",
             "eig_tol_string", "whole_section", "unknown_potential_kind", "potential_kind_list",
@@ -319,7 +339,7 @@ class TestSubcommands:
             "seed_negative", "seed_float", "d_float", "rho_bool", "nu_string",
             "width_string", "truncation_bool", "allow_non_posdef_string",
             "table_path_number", "table_path_missing", "table_negative",
-            "N_values_below_two"])
+            "table_empty", "N_values_below_two"])
     def test_config_error_is_one_error_line(self, tmp_path, capsys, request, argv):
         assert main(argv + ["-o", str(tmp_path / "run")]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()

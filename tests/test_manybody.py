@@ -1,6 +1,7 @@
 """Exact few-boson diagonalization against independent first-quantized oracles."""
 
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from kaclab import (
     lowest_eigenpairs,
     minimize_hartree,
     one_body_density_matrix,
+    product_state,
 )
 from kaclab import manybody
 from kaclab.manybody import (
@@ -61,6 +63,17 @@ def small_3d_set():
     for node in [(0, 0, 0), (1, 1, 1), (2, 0, 1), (0, 2, 2), (2, 2, 0)]:
         mask[node] = False
     return DisorderRealization.from_mask(tiny_box_config(d=3), mask)
+
+
+def two_box_set():
+    """Two disjoint boxes of 2x4 and 3x3 sites (M=17, K=2): N=3 gives 969 states."""
+    config = tiny_box_config(N=3, L=4.0)
+    mask = np.zeros(config.grid_dims, dtype=bool)
+    mask[0:2, 0:4] = True
+    mask[3:6, 0:3] = True
+    real = DisorderRealization.from_mask(config, mask)
+    assert real.n_vacant == 17 and real.K == 2
+    return real
 
 
 def disordered_2d_set(N=3, L=2.4, seed=7):
@@ -378,20 +391,45 @@ class TestReach:
         assert gs.E_qm == pytest.approx(N * lam1, rel=1e-12)
         assert np.trace(one_body_density_matrix(gs)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_arpack_ground_state_independent_of_call_history(self):
-        # A, then B, then A again on the ARPACK path: the start vector is
-        # fixed, so A's energy and state repeat byte for byte
+    def test_arpack_ground_state_independent_of_call_history(self, caplog):
+        # A, then B, then A again on the ARPACK path: the start is a function
+        # of H alone, so A's energy and state repeat byte for byte.  At
+        # kappa=0 psi is phi1^(x N) and the floored start overlaps it by 0.9999
+        caplog.set_level(logging.DEBUG, logger="kaclab.manybody")
         real_a = build_realization(tiny_box_config(N=2, L=3.0), centers=np.zeros((0, 2)))
         real_b = build_realization(tiny_box_config(N=2, L=3.0),
                                    centers=np.array([[-1.0, -1.0]]))
-        H_a = build_manybody_hamiltonian(real_a, potential_for(real_a, 1.0, 3), 3)
-        H_b = build_manybody_hamiltonian(real_b, potential_for(real_b, 1.0, 3), 3)
-        assert H_a.basis_dim > DENSE_CUTOFF and H_b.basis_dim > DENSE_CUTOFF
-        first = ground_state(H_a)
-        ground_state(H_b)
-        again = ground_state(H_a)
-        assert np.float64(first.E_qm).tobytes() == np.float64(again.E_qm).tobytes()
-        assert first.psi.tobytes() == again.psi.tobytes()
+        for kappa, products in ((1.0, 36), (0.0, 16)):
+            caplog.clear()
+            H_a = build_manybody_hamiltonian(real_a, potential_for(real_a, kappa, 3), 3)
+            H_b = build_manybody_hamiltonian(real_b, potential_for(real_b, kappa, 3), 3)
+            assert H_a.basis_dim > DENSE_CUTOFF and H_b.basis_dim > DENSE_CUTOFF
+            first = ground_state(H_a)
+            ground_state(H_b)
+            again = ground_state(H_a)
+            assert np.float64(first.E_qm).tobytes() == np.float64(again.E_qm).tobytes()
+            assert first.psi.tobytes() == again.psi.tobytes()
+            lines = [r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith("ARPACK")]
+            assert len(lines) == 3 and lines[0] == lines[2]
+            assert f"on {H_a.basis_dim} states: {products} products" in lines[0]
+
+    def test_exact_eigenvector_start_breaks_down_at_once(self, caplog):
+        # the unfloored phi1^(x N) is H's ground state at kappa=0: ARPACK
+        # finds an invariant subspace on its first step and stops there
+        caplog.set_level(logging.DEBUG, logger="kaclab.manybody")
+        real = build_realization(tiny_box_config(N=2, L=3.0), centers=np.zeros((0, 2)))
+        H = build_manybody_hamiltonian(real, potential_for(real, 0.0, 3), 3)
+        pair = lowest_eigenpairs(assemble_laplacian(real), count=1)
+        phi = pair.phi1[real.mask]
+        H.orbital = phi / np.linalg.norm(phi)
+        for _ in range(2):
+            assert ground_state(H).E_qm == pytest.approx(3 * pair.lambda1, rel=1e-13)
+        first, again = (r.getMessage() for r in caplog.records
+                        if r.getMessage().startswith("ARPACK"))
+        assert first == again
+        assert f"on {H.basis_dim} states: 11 products" in first
+        assert first.endswith("start overlap 1.0000")
 
 
 class TestGroundStateResidual:
@@ -417,6 +455,54 @@ class TestGroundStateResidual:
         with pytest.raises(SolverError, match="residual") as err:
             ground_state(H)
         assert err.value.residuals[0] > 1e-7
+
+
+class TestProductStart:
+    """ARPACK starts from the product of a floored, positive one-body orbital."""
+
+    @pytest.mark.parametrize("kappa", [1.0, 5.0, 50.0])
+    def test_two_components_reach_the_ground_sector(self, kappa):
+        # H keeps each box's boson number.  phi1 lives on the 3x3 box, so
+        # without the floor the start has no weight on the sectors with bosons
+        # in the 2x4 box, and at kappa 5 and 50 ARPACK returned the all-in-3x3
+        # sector's energy, 3.5% and 47% high
+        real = two_box_set()
+        H = build_manybody_hamiltonian(real, potential_for(real, kappa, 3), 3)
+        assert H.basis_dim == 969 > DENSE_CUTOFF
+        exact = scipy.linalg.eigh(H.matrix.toarray(), eigvals_only=True,
+                                  subset_by_index=(0, 0))[0]
+        assert ground_state(H).E_qm == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("make", [two_box_set, disordered_2d_set, small_3d_set])
+    def test_start_positive_on_every_state(self, make):
+        real = make()
+        H = build_manybody_hamiltonian(real, potential_for(real, 1.0, 3), 3)
+        assert H.orbital.shape == (real.n_vacant,) and np.all(H.orbital > 0)
+        assert np.linalg.norm(H.orbital) == pytest.approx(1.0, rel=1e-14)
+        start = product_state(H, H.orbital)
+        assert np.all(start > 0)
+        assert np.linalg.norm(start) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_coefficients_match_the_multinomial_formula(self, corner_blocked_6, N):
+        real = corner_blocked_6
+        H = build_manybody_hamiltonian(real, potential_for(real, 1.0, 2), N)
+        w = np.random.default_rng(N).uniform(-1.0, 1.0, H.site_count)
+        expected = np.empty(H.basis_dim)
+        for row, state in enumerate(H.states):
+            n = np.bincount(state, minlength=H.site_count)
+            weight = math.factorial(N) / np.prod([math.factorial(k) for k in n])
+            expected[row] = math.sqrt(weight) * np.prod(w[state])
+        got = product_state(H, w)
+        np.testing.assert_allclose(got, expected / np.linalg.norm(expected),
+                                   rtol=1e-13, atol=1e-15)
+
+    def test_noninteracting_ground_state_is_the_phi1_product(self, free_3x3):
+        H = build_manybody_hamiltonian(free_3x3, potential_for(free_3x3, 0.0, 3), 3)
+        phi = lowest_eigenpairs(assemble_laplacian(free_3x3), count=1).phi1[free_3x3.mask]
+        assert abs(product_state(H, phi) @ ground_state(H).psi) == pytest.approx(1.0, abs=1e-13)
+        with pytest.raises(GridMismatchError):
+            product_state(H, phi[:-1])
 
 
 class TestArpackStopping:
@@ -450,12 +536,17 @@ class TestArpackStopping:
             exact = scipy.linalg.eigh(H.matrix.toarray(), eigvals_only=True,
                                       subset_by_index=(0, 0))[0]
             assert gs.E_qm == pytest.approx(exact, rel=1e-13)
-            # 61 products each; ARPACK's default tol=0 took 81-91
-            assert counts[-1] <= 70
+            # 46 products each from the product start with 10 Lanczos
+            # vectors; from a random start with 20, 61, and at ARPACK's
+            # default tol=0, 81-91
+            assert counts[-1] <= 50
             record = caplog.records[-1]
             assert record.levelno == logging.DEBUG
             message = record.getMessage()
             assert f"on {H.basis_dim} states: {counts[-1]} products" in message
+            overlap = float(message.rsplit("start overlap ", 1)[1])
+            assert overlap == pytest.approx(abs(product_state(H, H.orbital) @ gs.psi),
+                                            abs=5e-5)
         # one ARPACK line per solve, besides each build's own line
         arpack = [r for r in caplog.records if r.getMessage().startswith("ARPACK")]
         assert len(counts) == len(arpack) == 3
