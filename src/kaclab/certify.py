@@ -24,7 +24,7 @@ stationary in u (hartree.HartreeSolution).
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .constants import supnorm_constant, unit_ball_volume
@@ -83,8 +83,10 @@ class Certificate:
 
     def to_dict(self) -> dict:
         """The fields as a dict; product_overlap only where an oracle ran, so
-        ensemble records (no oracle) keep their schema."""
-        out = asdict(self)
+        ensemble records (no oracle) keep their schema.  The field dicts are
+        shared, not copied: dataclasses.asdict's deep copy took 45 us of a
+        ~4 ms realization."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.energy_gap_observed is None:
             del out["product_overlap"]
         return out

@@ -7,16 +7,20 @@ zeros on blocked and boundary nodes.  An optional one-body potential, with
 same machinery into the effective mean-field operator.  An operator has two
 forms: apply_grid, the matrix-free product, and matrix(), the sparse matrix
 of its unshifted SPD part, which the dense eigensolver reads and every
-linear solve inverts: MaskedOperator.solve factorizes it on first use
-(SuperLU in symmetric mode, minimum degree ordering of A + A^T, diagonal
-pivots), counts its solves and holds the factor until release().  ARPACK's
-shift-invert above DENSE_CUTOFF nodes and the Hartree flow's preconditioner
-solve on the Laplacian's, one factor.  On large sets the pipeline asks for a
-third eigenpair: lambda3 bounds the rest of the spectrum from below, which
-lets hartree solve h_u on this same factor, certified, not on its own.
+linear solve inverts: MaskedOperator.solve factorizes it on first use,
+counts its solves and holds the factor until release().  A narrow band
+(band_factorizes: d, the node count and a bound on the bandwidth) gets
+LAPACK's banded Cholesky, assembled from the face pairs with no sparse
+matrix; a wide one SuperLU in symmetric mode (minimum degree ordering of
+A + A^T, diagonal pivots).  ARPACK's shift-invert above DENSE_CUTOFF nodes
+and the Hartree flow's preconditioner solve on the Laplacian's, one factor.
+On large sets the pipeline asks for a third eigenpair: lambda3 bounds the
+rest of the spectrum from below, which lets hartree solve h_u on this same
+factor, certified, not on its own.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,10 +34,10 @@ from .constants import supnorm_constant
 from .errors import KacLabError, SolverError
 
 # measured crossover on d=2 masks (one BLAS thread, medians of 30 calls),
-# the Laplacian and h_u together: ~190 nodes with ARPACK at tol=0, where
-# this was set; ~150 with ARPACK stopping at tol / 10, one row of the
-# README sweep (Spectral solver), so it stays
-DENSE_CUTOFF = 200
+# the Laplacian and h_u together: ~190 nodes with ARPACK at tol=0 and
+# SuperLU, ~150 at tol / 10, ~100 once h_u's factor is a banded Cholesky;
+# ARPACK won every set of 108-378 nodes (README sweep, Spectral solver)
+DENSE_CUTOFF = 100
 DEGENERACY_RTOL = 1e-10  # lambda2 - lambda1 below this (relative) is reported degenerate
 # the solver contract: an eigenpair's residual is at most EIG_TOL |eigenvalue|
 # plus a machine-precision floor (check_residual); every eig_tol defaults to it
@@ -41,20 +45,38 @@ EIG_TOL = 1e-9
 
 logger = logging.getLogger(__name__)
 
-# SuperLU options of MaskedOperator.solve, the only place kaclab factorizes.
-# The matrix is -Lap_Dirichlet, or for the effective operator h_u
-# -Lap + W - sigma: W >= 0 (kappa >= 0 and profiles that interaction.py
-# validates nonnegative) and sigma is 0.9 lambda1 of the whole vacancy set,
-# or 0 (hartree._spans_set states the rule), so by Weyl's inequality its least
+# SuperLU options of MaskedOperator.solve, the only place kaclab factorizes,
+# for the bands too wide for a Cholesky (BAND_MAX_WORK).  The matrix is
+# -Lap_Dirichlet, or for the effective operator h_u -Lap + W - sigma:
+# W >= 0 (kappa >= 0 and profiles that interaction.py validates
+# nonnegative) and sigma is 0.9 lambda1 of the whole vacancy set, or 0
+# (hartree._spans_set states the rule), so by Weyl's inequality its least
 # eigenvalue is at least lambda1 - sigma > 0.  It is symmetric positive
-# definite and diagonal pivots are safe.  In symmetric mode SuperLU can then
-# order A + A^T by minimum degree, which halves the fill of its default
-# COLAMD ordering in 2D and cuts it ~2.2x in 3D.
+# definite: a Cholesky factor exists, and diagonal pivots are safe.  In
+# symmetric mode SuperLU can then order A + A^T by minimum degree, which
+# halves the fill of its default COLAMD ordering in 2D and cuts it ~2.2x
+# in 3D.  SuperLU does not check the pivots' sign; the banded Cholesky
+# raises SolverError on a pivot that is not positive.
 SPD_LU_OPTIONS = {
     "permc_spec": "MMD_AT_PLUS_A",
     "diag_pivot_thresh": 0.0,
     "options": {"SymmetricMode": True},
 }
+# MaskedOperator factorizes n nodes of bandwidth bound w with LAPACK's
+# banded Cholesky (dpbtrf: ~n (w+1)^2 flops, n (w+1) doubles) where
+# n (w+1)^2 is at most this, per dimension, else with SuperLU.  Measured
+# per realization (README, Spectral solver): in 2D the band wins up to
+# ~4k nodes (d=2 N=768, 2e7) and loses from ~5.5k (3.6e7); in 3D it wins
+# in time to ~10k nodes, but holds ~1.3x SuperLU's fill, so 1e9 (d=3
+# N=512, 6.7k nodes) keeps sparse_3d (13.5k nodes, 4.5e9) on SuperLU.
+BAND_MAX_WORK = {1: 2e7, 2: 2e7, 3: 1e9}
+
+
+def band_factorizes(d: int, n_vacant: int, bandwidth: int) -> bool:
+    """Whether MaskedOperator factorizes n_vacant nodes of bandwidth at most
+    bandwidth with the banded Cholesky; it depends on nothing else, so records
+    stay deterministic."""
+    return n_vacant * (bandwidth + 1) ** 2 <= BAND_MAX_WORK.get(d, 0)
 
 
 @dataclass
@@ -62,9 +84,10 @@ class MaskedOperator:
     """-Laplacian + potential - shift, acting on vacant nodes only.
 
     apply_grid applies all of it; matrix() holds the unshifted SPD part,
-    -Laplacian + potential, and solve inverts it on its factor, held from
-    the first solve until release().  solves counts the LU solves, one per
-    right-hand side column.
+    -Laplacian + potential, and solve inverts it on its factor (_factorize:
+    banded Cholesky or SuperLU), held from the first solve until release().
+    solves counts the LU solves, Cholesky ones included, one per right-hand
+    side column.
     """
 
     mask: np.ndarray
@@ -82,7 +105,7 @@ class MaskedOperator:
             raise KacLabError("empty vacancy set")
         # row-major flat grid index of each vacant node: node i is sites[i]
         self.sites = np.flatnonzero(self.mask.ravel())
-        self._lu, self.solves = None, 0
+        self._factor, self.solves = None, 0
 
     @property
     def d(self) -> int:
@@ -138,6 +161,12 @@ class MaskedOperator:
         return 64.0 * np.finfo(float).eps * (4.0 * self.d / self.h**2 + pot_max
                                              + abs(self.diagonal_shift))
 
+    def _diagonal(self) -> np.ndarray:
+        diag = np.full(self.n_vacant, 2.0 * self.d / self.h**2)
+        if self.potential is not None:
+            diag = diag + self.potential.ravel()[self.sites]
+        return diag
+
     def matrix(self) -> sp.csc_matrix:
         """Sparse symmetric -Lap + potential, no shift, in row-major vacant order."""
         # built on each call, not cached: an operator holding its matrix
@@ -146,10 +175,7 @@ class MaskedOperator:
         # threshold pinned)
         n = self.n_vacant
         nodes = np.arange(n)
-        diag = np.full(n, 2.0 * self.d / self.h**2)
-        if self.potential is not None:
-            diag = diag + self.potential.ravel()[self.sites]
-        rows, cols, vals = [nodes], [nodes], [diag]
+        rows, cols, vals = [nodes], [nodes], [self._diagonal()]
         off = -1.0 / (self.h * self.h)
         for a, b in self.face_pairs():
             rows += [a, b]
@@ -160,16 +186,53 @@ class MaskedOperator:
             shape=(n, n),
         )
 
+    @property
+    def bandwidth_bound(self) -> int:
+        """An upper bound on matrix()'s bandwidth: a face neighbour is at most one
+        grid row stride (the product of all axes but the first) further on."""
+        return min(math.prod(self.dims[1:]), self.n_vacant - 1)
+
+    # LAPACK's banded Cholesky factorization and solve
+    _pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=float)
+
+    def _factorize(self):
+        """Factorize matrix() and return its solve, rhs -> matrix()^(-1) rhs.
+
+        A narrow band (band_factorizes on bandwidth_bound, decided before
+        any pair is built) gets LAPACK's banded Cholesky, assembled straight
+        from face_pairs() in upper band storage, ab[w + i - j, j] = A[i, j]
+        (its solves took ~half the time of lower storage's); a wide one
+        SuperLU with SPD_LU_OPTIONS.  A pivot that is not positive means the
+        matrix is not SPD, against Weyl's inequality (SPD_LU_OPTIONS), and
+        raises SolverError.  dpbtrf is blocked BLAS from a bandwidth of 32,
+        so, like eigh's, its bits may depend on the BLAS thread count.
+        """
+        if not band_factorizes(self.d, self.n_vacant, self.bandwidth_bound):
+            return splu(self.matrix(), **SPD_LU_OPTIONS).solve
+        pairs = list(self.face_pairs())
+        width = max((int(np.max(b - a)) for a, b in pairs if a.size), default=0)
+        ab = np.zeros((width + 1, self.n_vacant))
+        ab[width] = self._diagonal()
+        off = -1.0 / (self.h * self.h)
+        for a, b in pairs:
+            ab[width + a - b, b] = off
+        chol, info = self._pbtrf(ab, overwrite_ab=1)
+        if info != 0:
+            raise SolverError(f"banded Cholesky of {self.n_vacant} nodes failed at pivot "
+                              f"{info}: the matrix is not positive definite")
+        pbtrs = self._pbtrs  # a closure over self would keep the operator in a cycle
+        return lambda rhs: pbtrs(chol, rhs)[0]
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """matrix()^(-1) rhs for a compressed vector or a block of columns."""
-        if self._lu is None:
-            self._lu = splu(self.matrix(), **SPD_LU_OPTIONS)
+        if self._factor is None:
+            self._factor = self._factorize()
         self.solves += 1 if rhs.ndim == 1 else rhs.shape[1]
-        return self._lu.solve(rhs)
+        return self._factor(rhs)
 
     def release(self):
         """Drop the factor; the next solve factorizes again."""
-        self._lu = None
+        self._factor = None
 
 
 @dataclass

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 from scipy.fft import next_fast_len
 
 from kaclab import DisorderConfig, DisorderRealization, EnsembleSpec, build_realization, run_ensemble
+from kaclab import laplace
 
 
 def brute_force_mask(config, centers):
@@ -189,15 +190,31 @@ def positive_definite(v):
     return bool(symbol.min() >= -1e-10 * max(symbol.max(), 0.0))
 
 
-class CountingLU:
-    """A SuperLU factor that counts its solves, one per right-hand side column."""
+class CountingFactor:
+    """A factor's solve, as MaskedOperator holds it, that counts its solves, one
+    per right-hand side column; op is the operator it factorizes."""
 
-    def __init__(self, lu):
-        self.lu, self.solves = lu, 0
+    def __init__(self, op, solve):
+        self.op, self._solve, self.solves = op, solve, 0
 
-    def solve(self, rhs):
+    def __call__(self, rhs):
         self.solves += 1 if rhs.ndim == 1 else rhs.shape[1]
-        return self.lu.solve(rhs)
+        return self._solve(rhs)
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """Every factorization MaskedOperator makes, banded Cholesky or SuperLU, in
+    order: each a CountingFactor, which the operator then holds."""
+    made = []
+    factorize = laplace.MaskedOperator._factorize
+
+    def recording(op):
+        made.append(CountingFactor(op, factorize(op)))
+        return made[-1]
+
+    monkeypatch.setattr(laplace.MaskedOperator, "_factorize", recording)
+    return made
 
 
 def box_eigenvalue(modes, h, L):

@@ -1,5 +1,7 @@
 """Certificate evaluation: events, transferred gap bound, mean-field bounds."""
 
+import dataclasses
+import json
 import math
 from types import SimpleNamespace
 
@@ -137,6 +139,20 @@ class TestCertificate:
         cert_a = build_certificate(corner_blocked_6, a[0], a[1], a[2], oracle=a[3])
         cert_b = build_certificate(corner_blocked_6, b[0], b[1], b[2], oracle=b[3])
         assert cert_a.to_json().encode() == cert_b.to_json().encode()
+
+    @pytest.mark.parametrize("with_oracle", [False, True])
+    def test_json_bytes_equal_the_asdict_serialization(self, corner_blocked_6, with_oracle):
+        # to_dict builds the dict from fields() without asdict's deep copy;
+        # an ensemble certificate (no oracle, no product_overlap key) and an
+        # oracle one serialize to the same bytes as through asdict
+        pair, v, hs, oracle = pipeline(corner_blocked_6, kappa=0.7, solve_oracle=with_oracle)
+        cert = build_certificate(corner_blocked_6, pair, v, hs, oracle=oracle)
+        reference = dataclasses.asdict(cert)
+        if not with_oracle:
+            del reference["product_overlap"]
+        assert ("product_overlap" in cert.to_dict()) == with_oracle
+        assert cert.to_json().encode() == json.dumps(
+            reference, sort_keys=True, separators=(",", ":")).encode()
 
     def test_minimizer_consistency_fields(self, corner_blocked_6):
         pair, v, hs, _ = pipeline(corner_blocked_6, kappa=0.9)

@@ -5,7 +5,6 @@ import re
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
 from kaclab import (
     DisorderConfig,
@@ -24,7 +23,7 @@ from kaclab import (
     minimize_hartree_scf,
     run_pipeline,
 )
-from kaclab import PipelineResult, grids, hartree, laplace
+from kaclab import PipelineResult, grids, hartree
 from kaclab.constants import supnorm_constant
 from kaclab.hartree import (
     component_ground_state,
@@ -34,7 +33,7 @@ from kaclab.hartree import (
 )
 from kaclab.laplace import DENSE_CUTOFF
 
-from conftest import CountingLU, dense_laplacian, tiny_box_config
+from conftest import dense_laplacian, tiny_box_config
 
 
 def potential_for(real, kappa, width=0.5, truncation=8.0):
@@ -418,16 +417,9 @@ class TestSpectrumSteeredFlow:
             with pytest.raises(ValueError, match=f"component {real.K + 1} is empty"):
                 solver(real, real.K + 1, v, 2)
 
-    def test_pair_brings_its_factor(self, monkeypatch):
+    def test_pair_brings_its_factor(self, factors):
         # 2,834 nodes, below 2D's crossover: the spectrum's factor serves the
         # flow, so the only other factorization is h_u's
-        factors = []
-
-        def counting_splu(mat, **kwargs):
-            factors.append(mat)
-            return splu(mat, **kwargs)
-
-        monkeypatch.setattr(laplace, "splu", counting_splu)
         config = DisorderConfig(d=2, rho=1.0, N=512, nu=0.15, r=0.5, h=0.4, seed=3)
         real = build_realization(config)
         pair = lowest_eigenpairs(assemble_laplacian(real))
@@ -438,7 +430,8 @@ class TestSpectrumSteeredFlow:
         # the second is h_u's SPD part -Lap + W - sigma
         W = assemble_effective_operator(hs.u, real, v, config.N).potential
         sigma = hartree.SHIFT_FRACTION * pair.lambda1
-        assert (factors[1] != MaskedOperator(real.mask, real.h, W - sigma).matrix()).nnz == 0
+        expected = MaskedOperator(real.mask, real.h, W - sigma).matrix()
+        assert (factors[1].op.matrix() != expected).nnz == 0
 
     @pytest.mark.parametrize("kappa", [0.5, 10.0])
     def test_energy_trace_steps_within_roundoff_allowance(self, kappa, corner_blocked_6):
@@ -501,18 +494,12 @@ def spectrum_lines(caplog):
 
 class TestLaplacianFactorSpectrum:
     @pytest.mark.parametrize("kappa", [0.0, 10.0])
-    def test_one_factorization_matches_dense(self, monkeypatch, kappa):
-        factors = []
-
-        def counting_splu(mat, **kwargs):
-            factors.append(mat.shape)
-            return splu(mat, **kwargs)
-
-        monkeypatch.setattr(laplace, "splu", counting_splu)
+    def test_one_factorization_matches_dense(self, factors, kappa):
         res = run_pipeline(PipelineResult(D3_ABOVE_CROSSOVER), gaussian(kappa))
         real, pair, hs = res.real, res.pair, res.hartree
         assert reuses_laplacian_factor(3, real.n_vacant) and pair.lambda3 is not None
-        assert factors == [(real.n_vacant, real.n_vacant)]  # the Laplacian's, only
+        (factor,) = factors
+        assert factor.op is pair.operator  # the Laplacian's, only
         hop = assemble_effective_operator(hs.u, real, res.v, D3_ABOVE_CROSSOVER.N)
         A, _ = dense_laplacian(real.mask, real.h)
         vals = np.linalg.eigvalsh(A + np.diag(hop.potential[real.mask])) - hs.shift
@@ -520,17 +507,10 @@ class TestLaplacianFactorSpectrum:
         if kappa == 0.0:
             assert (hs.e1, hs.e2) == pytest.approx((pair.lambda1, pair.lambda2), rel=1e-12)
 
-    def test_the_operator_counts_every_lu_solve(self, monkeypatch, caplog):
+    def test_the_operator_counts_every_lu_solve(self, caplog, factors):
         # one factor serves ARPACK, the flow and LOBPCG on this set: the
         # Laplacian's count is the factor's, and its three DEBUG lines split it
         caplog.set_level(logging.DEBUG, logger="kaclab")
-        factors = []
-
-        def recording_splu(mat, **kwargs):
-            factors.append(CountingLU(splu(mat, **kwargs)))
-            return factors[-1]
-
-        monkeypatch.setattr(laplace, "splu", recording_splu)
         res = run_pipeline(PipelineResult(D3_ABOVE_CROSSOVER), gaussian(10.0))
         (lu,) = factors
         assert res.pair.operator.solves == lu.solves > 0
@@ -638,7 +618,7 @@ class TestLaplacianFactorSpectrum:
         spectrum_lines(caplog)
         hs = minimize_hartree(real, sel.component, v, config.N, pair=pair)
         assert (hs.e1, hs.e2) == pytest.approx((plain.e1, plain.e2), rel=1e-12)
-        assert pair.operator._lu is None
+        assert pair.operator._factor is None
         (line,) = spectrum_lines(caplog)
         assert line.getMessage() == ("effective spectrum on 1111 nodes: "
                                      "own eigensolve (pair off the vacancy set)")
@@ -652,7 +632,7 @@ class TestLaplacianFactorSpectrum:
         e1, e2, gvec = effective_spectrum(hop, pair=pair)
         (line,) = spectrum_lines(caplog)
         assert "Laplacian's factor" in line.getMessage()
-        assert pair.operator._lu is None
+        assert pair.operator._factor is None
         own = effective_spectrum(hop)
         assert (e1, e2) == pytest.approx(own[:2], rel=1e-12)
         assert (e1, e2) == pytest.approx((hs.e1, hs.e2), rel=1e-12)

@@ -1,6 +1,7 @@
 """Masked Dirichlet Laplacian: stencil, eigenpairs, component selection."""
 
 import ast
+import json
 import logging
 import math
 import re
@@ -18,6 +19,7 @@ from kaclab import (
     KacLabError,
     MaskedOperator,
     PipelineResult,
+    SolverError,
     assemble_laplacian,
     build_interaction,
     build_manybody_hamiltonian,
@@ -25,14 +27,15 @@ from kaclab import (
     ground_state_component,
     lowest_eigenpairs,
     run_pipeline,
+    run_realization,
     supnorm_bound_check,
 )
 from kaclab import ensemble, grids, hartree, laplace
 from kaclab.ensemble import derive_seeds
 from kaclab.constants import supnorm_constant
-from kaclab.laplace import DENSE_CUTOFF, SPD_LU_OPTIONS
+from kaclab.laplace import DENSE_CUTOFF, SPD_LU_OPTIONS, band_factorizes
 
-from conftest import CountingLU, box_eigenvalue, dense_laplacian, tiny_box_config
+from conftest import box_eigenvalue, dense_laplacian, tiny_box_config
 
 
 def free_box_realization(n_cells, L=1.0, d=2):
@@ -268,9 +271,11 @@ class TestSparseFactorization:
         # the Laplacian's factor (spectrum and flow preconditioner) and the
         # effective spectrum's of one ARPACK-size d=3 realization (1,678
         # nodes), on the path that factorizes h_u (pinned: this size reuses
-        # the Laplacian's factor); a factorization without the minimum-degree
-        # ordering (SuperLU's default COLAMD) fills ~2x more
+        # the Laplacian's factor) and on SuperLU (pinned: this band is narrow
+        # enough for the banded Cholesky); a factorization without the
+        # minimum-degree ordering (SuperLU's default COLAMD) fills ~2x more
         monkeypatch.setattr(hartree, "FACTOR_REUSE_MIN_NODES", {})
+        monkeypatch.setattr(laplace, "BAND_MAX_WORK", {})
         factors = []
 
         def recording_splu(mat, **kwargs):
@@ -290,32 +295,31 @@ class TestSparseFactorization:
             fill = lu.L.nnz + lu.U.nnz
             assert fill <= 0.6 * (default.L.nnz + default.U.nnz)
 
-    def test_flow_solves_with_the_spectrum_factor(self, monkeypatch):
+    def test_flow_solves_with_the_spectrum_factor(self, monkeypatch, factors):
         # d=2 N=1024 (about 5,500 nodes, ARPACK path): the factor built for
         # the spectrum is the one the Hartree flow solves with, and on the
         # path that factorizes h_u (pinned: this size reuses the Laplacian's
         # factor) it is dropped before the effective operator is factorized
         monkeypatch.setattr(hartree, "FACTOR_REUSE_MIN_NODES", {})
-        factors = []
         flow = {}
+        factorize = laplace.MaskedOperator._factorize
 
-        def recording_splu(mat, **kwargs):
+        def checking_factorize(op):
             if factors:
-                flow["held_at_second"] = flow["lap"]._lu is not None
-            factors.append(CountingLU(splu(mat, **kwargs)))
-            return factors[-1]
+                flow["held_at_second"] = flow["lap"]._factor is not None
+            return factorize(op)
 
         minimize_hartree = ensemble.minimize_hartree
 
         def spy_minimize_hartree(*args, pair, **kwargs):
             lap = pair.operator
             flow["lap"], flow["before"] = lap, factors[0].solves
-            flow["shared"] = lap._lu is factors[0]
+            flow["shared"] = lap._factor is factors[0]
             hs = minimize_hartree(*args, pair=pair, **kwargs)
             flow["after"] = factors[0].solves
             return hs
 
-        monkeypatch.setattr(laplace, "splu", recording_splu)
+        monkeypatch.setattr(laplace.MaskedOperator, "_factorize", checking_factorize)
         monkeypatch.setattr(ensemble, "minimize_hartree", spy_minimize_hartree)
         config = DisorderConfig(d=2, rho=1.0, N=1024, nu=0.15, r=0.5, h=0.4, seed=1)
         res = run_pipeline(
@@ -351,28 +355,21 @@ class TestSparseFactorization:
         assert np.max(np.abs(full - own)) <= 1e-13 * np.max(np.abs(own))
         assert np.allclose(lap.apply_grid(full), rhs, rtol=0.0, atol=1e-10)
 
-    def test_release_drops_the_factor_and_the_next_solve_rebuilds_it(self, monkeypatch):
-        factors = []
-
-        def recording_splu(mat, **kwargs):
-            factors.append(CountingLU(splu(mat, **kwargs)))
-            return factors[-1]
-
-        monkeypatch.setattr(laplace, "splu", recording_splu)
+    def test_release_drops_the_factor_and_the_next_solve_rebuilds_it(self, factors):
         op = assemble_laplacian(build_realization(
             DisorderConfig(d=2, rho=1.0, N=64, nu=0.15, r=0.5, h=0.4, seed=3)))
         rhs = np.random.default_rng(5).uniform(-1.0, 1.0, op.n_vacant)
         first = op.solve(rhs)
         assert len(factors) == 1 and op.solves == 1
         op.release()
-        assert op._lu is None
+        assert op._factor is None
         second = op.solve(rhs)
         assert len(factors) == 2 and np.array_equal(first, second)
         # a block counts one solve per column, a block of none factorizes only
         op.solve(np.stack([rhs, rhs, rhs], axis=1))
         op.release()
         op.solve(np.empty((op.n_vacant, 0)))
-        assert len(factors) == 3 and op._lu is factors[2]
+        assert len(factors) == 3 and op._factor is factors[2]
         assert op.solves == 5 == sum(f.solves for f in factors)
 
     def test_symmetric_mode_factorizes_faster_than_default(self):
@@ -390,9 +387,77 @@ class TestSparseFactorization:
         assert best["spd"] < best["default"]
 
 
+class TestBandCholesky:
+    @pytest.mark.parametrize("dims", [(300,), (17, 23), (9, 8, 11)])
+    @pytest.mark.parametrize("with_potential", [False, True])
+    def test_solves_equal_superlu(self, monkeypatch, dims, with_potential):
+        rng = np.random.default_rng(len(dims))
+        mask = rng.uniform(size=dims) < 0.8
+        potential = rng.uniform(0.0, 5.0, dims) if with_potential else None
+        band = MaskedOperator(mask=mask, h=0.4, potential=potential)
+        n = band.n_vacant
+        assert band_factorizes(band.d, n, band.bandwidth_bound)
+        rhs = [rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, 3)), np.empty((n, 0))]
+
+        def no_splu(*args, **kwargs):
+            raise AssertionError("SuperLU called on the band path")
+
+        monkeypatch.setattr(laplace, "splu", no_splu)
+        got = [band.solve(b) for b in rhs]
+        monkeypatch.setattr(laplace, "splu", splu)
+        monkeypatch.setattr(laplace, "BAND_MAX_WORK", {})
+        lu = MaskedOperator(mask=mask, h=0.4, potential=potential)
+        for b, x in zip(rhs, got):
+            want = lu.solve(b)
+            assert x.shape == want.shape
+            assert np.max(np.abs(x - want), initial=0.0) <= 1e-12 * np.max(np.abs(want),
+                                                                          initial=0.0)
+        assert band.solves == lu.solves == 4
+
+    def test_indefinite_operator_raises_solver_error(self):
+        # a potential below -lambda1 makes -Lap + potential indefinite:
+        # the band factor meets a nonpositive pivot and fails closed
+        mask = np.ones((12, 12), dtype=bool)
+        lam1 = np.linalg.eigvalsh(MaskedOperator(mask=mask, h=0.4).matrix().toarray())[0]
+        op = MaskedOperator(mask=mask, h=0.4, potential=np.full(mask.shape, -1.5 * lam1))
+        assert band_factorizes(op.d, op.n_vacant, op.bandwidth_bound)
+        with pytest.raises(SolverError, match="not positive definite"):
+            op.solve(np.ones(op.n_vacant))
+        assert op._factor is None and op.solves == 0
+
+    def test_rule_sends_small_sets_to_the_band_and_sparse_benchmark_sets_to_superlu(self):
+        # the rule is monotone in the node count: every d=2 N=64 h=0.4 set
+        # has at most the grid's 19 x 19 nodes and bandwidth bound 19
+        config = DisorderConfig(d=2, rho=1.0, N=64, nu=0.15, r=0.5, h=0.4, seed=0)
+        assert config.grid_dims == (19, 19) and band_factorizes(2, 19 * 19, 19)
+        # the sparse_2d and sparse_3d items (~90k and ~13.4k nodes), decided
+        # on the bound alone, with no pair built and nothing factorized
+        for base in ({"d": 2, "N": 16384, "nu": 0.15}, {"d": 3, "N": 1024, "nu": 0.05}):
+            for seed in derive_seeds(2024, 2):
+                op = assemble_laplacian(build_realization(
+                    DisorderConfig(rho=1.0, r=0.5, h=0.4, seed=seed, **base)))
+                assert op.bandwidth_bound == math.prod(op.dims[1:])
+                assert not band_factorizes(op.d, op.n_vacant, op.bandwidth_bound)
+
+    def test_band_path_records_repeat_bytewise(self, factors):
+        # A, B, A: the second record of A has the first one's bytes
+        potential = {"kind": "gaussian", "kappa": 0.05, "width": 0.5}
+        a, b = (DisorderConfig(d=2, rho=1.0, N=64, nu=0.15, r=0.5, h=0.4, seed=s)
+                for s in (11, 12))
+        first = json.dumps(run_realization(a, potential), sort_keys=True)
+        run_realization(b, potential)
+        assert json.dumps(run_realization(a, potential), sort_keys=True) == first
+        assert len(factors) == 6  # the Laplacian and h_u of each, all banded
+        assert all(band_factorizes(f.op.d, f.op.n_vacant, f.op.bandwidth_bound)
+                   for f in factors)
+
+
 def test_masked_operator_owns_every_linear_solve():
     # MaskedOperator alone factorizes, solves, counts and releases: nowhere
-    # else in kaclab is a factor read, splu called, or a solve count kept
+    # else in kaclab is a factor read, splu or a banded Cholesky routine of
+    # LAPACK (pbtrf, pbtrs, scipy's *_banded wrappers) named or called, or a
+    # solve count kept
+    band = re.compile(r"pbtr|get_lapack_funcs|cholesky_banded|cho_solve_banded")
     for path in sorted(Path(laplace.__file__).parent.glob("*.py")):
         text = path.read_text()
         assert not re.search(r"nonlocal solves|\.pop\(\s*[\"']factor", text), path.name
@@ -404,7 +469,10 @@ def test_masked_operator_owns_every_linear_solve():
             if id(node) in owner:
                 continue
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
-            assert not (isinstance(node, ast.Attribute) and node.attr in ("factor", "_lu")), where
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else "")
+            assert name not in ("factor", "_factor", "_factorize", "_lu"), where
+            assert not band.search(name), where
             assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                         and node.func.id == "splu"), where
 
@@ -427,12 +495,9 @@ class TestArpackStopping:
         (2, 1024, 5, 240, 130),
         (3, 128, 5, 200, 110),
     ])
-    def test_solves_and_residual_margin(self, monkeypatch, d, N, count, max_lap, max_hu):
-        factors, lap_solves, pairs = [], [], []
-
-        def recording_splu(mat, **kwargs):
-            factors.append(CountingLU(splu(mat, **kwargs)))
-            return factors[-1]
+    def test_solves_and_residual_margin(self, monkeypatch, factors, d, N, count, max_lap,
+                                        max_hu):
+        lap_solves, pairs = [], []
 
         def spy_minimize_hartree(*args, **kwargs):
             lap_solves.append(factors[-1].solves)  # the spectrum's ARPACK run
@@ -446,7 +511,6 @@ class TestArpackStopping:
         # h_u's own ARPACK run: pinned to the path that factorizes h_u, which
         # the pipeline leaves for the Laplacian's factor at these sizes
         monkeypatch.setattr(hartree, "FACTOR_REUSE_MIN_NODES", {})
-        monkeypatch.setattr(laplace, "splu", recording_splu)
         monkeypatch.setattr(ensemble, "minimize_hartree", spy_minimize_hartree)
         monkeypatch.setattr(ensemble, "lowest_eigenpairs", recording_eigenpairs)
         monkeypatch.setattr(hartree, "lowest_eigenpairs", recording_eigenpairs)
@@ -473,17 +537,13 @@ class TestArpackStopping:
         (2, 1024, 5, 250, 25),
         (3, 128, 5, 200, 20),
     ])
-    def test_factor_reuse_solves_and_residual_margin(self, monkeypatch, d, N, count,
+    def test_factor_reuse_solves_and_residual_margin(self, monkeypatch, factors, d, N, count,
                                                       max_lap, max_lobpcg):
         # the unpinned pipeline at the sizes above, which ask for lambda3 and
         # solve h_u on the Laplacian's factor (measured: Laplacian solves 235
         # and 185 for count=3, LOBPCG solves per item at most 19 and 16, every
         # residual at most 0.01 tol * lambda, lambda3's included)
-        factors, lap_solves, pairs, found, lobpcg_solves = [], [], [], [], []
-
-        def recording_splu(mat, **kwargs):
-            factors.append(CountingLU(splu(mat, **kwargs)))
-            return factors[-1]
+        lap_solves, pairs, found, lobpcg_solves = [], [], [], []
 
         def spy_minimize_hartree(*args, **kwargs):
             lap_solves.append(factors[-1].solves)  # the spectrum's ARPACK run
@@ -501,7 +561,6 @@ class TestArpackStopping:
 
         minimize_hartree = ensemble.minimize_hartree
         factor_spectrum = hartree.laplacian_factor_spectrum
-        monkeypatch.setattr(laplace, "splu", recording_splu)
         monkeypatch.setattr(ensemble, "minimize_hartree", spy_minimize_hartree)
         monkeypatch.setattr(ensemble, "lowest_eigenpairs", recording_eigenpairs)
         monkeypatch.setattr(hartree, "laplacian_factor_spectrum", recording_factor_spectrum)
@@ -521,15 +580,8 @@ class TestArpackStopping:
                              (pair.lambda3, pair.residual3)):
                 assert res <= 0.2 * tol * abs(lam)
 
-    def test_one_debug_line_per_arpack_run(self, monkeypatch, caplog):
+    def test_one_debug_line_per_arpack_run(self, caplog, factors):
         caplog.set_level(logging.DEBUG, logger="kaclab.laplace")
-        factors = []
-
-        def recording_splu(mat, **kwargs):
-            factors.append(CountingLU(splu(mat, **kwargs)))
-            return factors[-1]
-
-        monkeypatch.setattr(laplace, "splu", recording_splu)
         lowest_eigenpairs(MaskedOperator(mask=np.ones((8, 8), dtype=bool), h=0.5))
         assert not caplog.records  # 64 nodes: dense eigh, no ARPACK run
         real = build_realization(DisorderConfig(d=2, rho=1.0, N=64, nu=0.15, r=0.5,
