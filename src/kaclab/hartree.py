@@ -5,13 +5,14 @@ The energy of a unit-norm state u supported on one vacancy component is
     E[u] = <u, -Lap u> + (N-1)/2 * double-sum v(x-y) u(x)^2 u(y)^2,
 
 with h^d quadrature throughout.  Its minimizer is found by projected gradient
-descent on the unit sphere, preconditioned with the factor of a Laplacian
-(the vacancy set's from the pipeline, else the component's) shifted on its
-two lowest modes, with energy backtracking: a step is accepted only when
-the new energy is at most old + 8 eps max(1, |old|), so the energy trace
-never rises by more than that roundoff allowance; a damped self-consistent
-field solver is kept alongside as an independent cross-check of the (unique)
-minimizer.  Linearizing at u gives the effective operator
+descent on the unit sphere with energy backtracking: a step is accepted only
+when the new energy is at most old + 8 eps max(1, |old|), so the energy trace
+never rises by more than that roundoff allowance, and the flow's one exit
+that returns is an Euler-Lagrange residual below tol.  One preconditioner T
+(_shifted_inverse: (-Lap - sigma)^(-1) on a Laplacian's lowest modes,
+(-Lap)^(-1) off them) serves the flow and h_u's block LOBPCG; a damped
+self-consistent field solver is kept alongside as an independent cross-check
+of the (unique) minimizer.  Linearizing at u gives the effective operator
 
     h_u = -Lap + (N-1)(u^2 * v) - shift,   shift = (N-1)/2 * double-sum,
 
@@ -43,8 +44,8 @@ SUPPORT_TOL = 1e-12
 # EL_TOL (every el_tol defaults to it), reached within MAX_ITER steps
 EL_TOL = 1e-8
 MAX_ITER = 5000
-# the preconditioners and h_u's shift-invert point (see _shifted_modes) sit
-# at sigma = 0.9 lambda1: below lambda1, so all stay positive definite,
+# the preconditioner T and h_u's shift-invert point (see _shifted_inverse)
+# sit at sigma = 0.9 lambda1: below lambda1, so all stay positive definite,
 # with a 10% margin for FFT roundoff in W (and for kappa = 0, where W = 0).
 # 0.99 lambda1 slowed the flow under strong interaction: mean iterations
 # 31.5 -> 87.3 on 200 seeds at d=2, N=64, kappa=10.
@@ -84,19 +85,32 @@ def _spans_set(pair: Optional[SpectralPair], n_vacant: int) -> bool:
     return pair is not None and pair.operator.n_vacant == n_vacant
 
 
-def _shifted_modes(pair: SpectralPair, count: int = 0):
-    """sigma = SHIFT_FRACTION lambda1 of pair, and its count lowest modes.
+def _shifted_inverse(pair: SpectralPair, count: int):
+    """sigma = SHIFT_FRACTION lambda1 of pair, and T on pair's count lowest modes.
 
-    Each mode comes as (phi_k, 1/(lambda_k - sigma) - 1/lambda_k): added to
-    (-Lap)^(-1), these make (-Lap - sigma)^(-1) on the modes' span.  Each
-    coefficient is positive, since sigma < lambda1 <= lambda_k, so the sum
-    stays positive definite.  The flow takes two modes, LOBPCG three.
+    T maps compressed columns of lap = pair.operator, a vector or a block,
+
+        T r = (-Lap)^(-1) r + sum_k (1/(lambda_k - sigma) - 1/lambda_k) <phi_k, r> phi_k:
+
+    (-Lap - sigma)^(-1) on the modes' span and (-Lap)^(-1) off it, positive
+    definite since sigma < lambda1 <= lambda_k.  It solves on lap's factor.
+    The flow's P is T on two modes and LOBPCG's preconditioner T on three,
+    so another approximate inverse of -Lap plugs in here alone.
     """
+    lap = pair.operator
     sigma = SHIFT_FRACTION * pair.lambda1
-    modes = list(zip((pair.phi1, pair.phi2, pair.phi3),
-                     (pair.lambda1, pair.lambda2, pair.lambda3)))[:count]
-    return sigma, [(phi, 1.0 / (lam - sigma) - 1.0 / lam) for phi, lam in modes
-                   if phi is not None]
+    modes = [(phi, lam) for phi, lam in zip((pair.phi1, pair.phi2, pair.phi3)[:count],
+                                            (pair.lambda1, pair.lambda2, pair.lambda3))
+             if phi is not None]
+    coef = np.array([1.0 / (lam - sigma) - 1.0 / lam for _, lam in modes])
+    # one row per mode, scaled from unit discrete norm to unit 2-norm
+    rows = np.array([lap.restrict(phi) for phi, _ in modes]) * lap.h ** (lap.d / 2.0)
+
+    def apply(R):
+        weight = coef if R.ndim == 1 else coef[:, None]
+        return lap.solve(R) + rows.T @ (weight * (rows @ R))
+
+    return sigma, apply
 
 
 @dataclass
@@ -197,13 +211,9 @@ def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np
     pair.operator and hop is -Lap + potential - shift on lap's vacancy set.
     The start block is [start, phi2]; each step runs Rayleigh-Ritz on an
     orthonormal basis of [X, T R, P] (Knyazev, SIAM J. Sci. Comput. 23,
-    2001) with the flow's preconditioner form on all three _shifted_modes,
-
-        T r = (-Lap)^(-1) r + sum_{k=1,2,3} (1/(lambda_k - sigma) - 1/lambda_k)
-              <phi_k, r> phi_k,
-
-    not zeroed off any component, and stops when each residual is below
-    tol/2 * |e|, half the contract lowest_eigenpairs checks.
+    2001), preconditioned by the flow's T of _shifted_inverse on all three
+    modes, not zeroed off any component, and stops when each residual is
+    below tol/2 * |e|, half the contract lowest_eigenpairs checks.
 
     The block never leaves the components of start and phi2, since hop and
     T are block-diagonal over components, so convergence alone does not make
@@ -228,12 +238,7 @@ def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np
     lap = pair.operator
     scale = hop.h ** (hop.d / 2.0)  # unit discrete norm <-> unit vector
     B = hop.matrix()
-    shifted = _shifted_modes(pair, 3)[1]
-    modes = np.stack([lap.restrict(phi) * scale for phi, _ in shifted], axis=1)
-    coef = np.array([c for _, c in shifted])[:, None]
-
-    def precondition(R):
-        return lap.solve(R) + modes @ (coef * (modes.T @ R))
+    precondition = _shifted_inverse(pair, 3)[1]
 
     def rayleigh_ritz(S):
         # S starts with X, so Q[:, 2:] is orthogonal to it and the new Ritz
@@ -247,7 +252,7 @@ def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np
     shift, floor = hop.diagonal_shift, hop.residual_floor
     min_potential = float(hop.restrict(hop.potential).min()) if hop.potential is not None else 0.0
     third_bound = pair.lambda3 - pair.residual3 + min_potential
-    theta, X, BX, P = rayleigh_ritz(np.stack([lap.restrict(start), modes[:, 1]], axis=1))
+    theta, X, BX, P = rayleigh_ritz(np.stack([lap.restrict(start), lap.restrict(pair.phi2)], 1))
     refused = not third_bound - theta[1] > floor
     for iterations in range(LOBPCG_MAX_ITER + 1):
         R = BX - X * theta
@@ -343,7 +348,7 @@ def _finalize(u, real, component, W, shift, iterations, residual, trace, energy,
     and u is a unit trial state on the host, so e1 <= e1_host <= <u, h_u u>
     = energy, and |energy - e1| bounds a host-restricted solve's distance.
     """
-    sigma = _shifted_modes(pair)[0] if _spans_set(pair, real.n_vacant) else 0.0
+    sigma = _shifted_inverse(pair, 0)[0] if _spans_set(pair, real.n_vacant) else 0.0
     hop = MaskedOperator(mask=real.mask, h=real.h, potential=W - sigma,
                          diagonal_shift=shift - sigma)
     e1, e2, gvec = effective_spectrum(hop, tol=eig_tol, pair=pair, start=u)
@@ -377,9 +382,10 @@ def minimize_hartree(
     gap/||A|| per step, hopeless on fine grids, so it is preconditioned by a
     positive definite P built on (-Lap)^(-1): the projected direction still
     descends, the rate is grid-independent, and tau = 1 is a good first step
-    while the interaction is small against lambda1.  Convergence is declared
-    when the Euler-Lagrange residual || h_u u - <u, h_u u> u || is below tol;
-    a flow that has not converged in MAX_ITER steps raises SolverError.
+    while the interaction is small against lambda1.  The one success exit is
+    an Euler-Lagrange residual || h_u u - <u, h_u u> u || below tol; a step
+    that no 40 halvings of tau make acceptable, or MAX_ITER steps without
+    that exit, raise SolverError with the trace and the last residual.
 
     pair is the spectrum of lap = pair.operator, the Dirichlet Laplacian of
     the whole vacancy set (run_pipeline's) or, when pair is None, of the
@@ -391,10 +397,10 @@ def minimize_hartree(
     either pair's |phi1| is the default init.
 
     With P = (-Lap)^(-1) the phi2 mode contracts only like lambda1/lambda2
-    per step, slow on the clustered low spectra of vacancy sets.  So P adds
-    the two lowest _shifted_modes, (-Lap - sigma)^(-1) on span{phi1, phi2},
-    and is then zeroed off the component, where it stays positive definite,
-    so the projected direction still descends.  The restriction is needed: on a
+    per step, slow on the clustered low spectra of vacancy sets.  So P is
+    _shifted_inverse's T on two modes, (-Lap - sigma)^(-1) on span{phi1,
+    phi2}, zeroed off the component, where it stays positive definite, so
+    the projected direction still descends.  The restriction is needed: on a
     fragmented set phi1 and phi2 may live on other components, and without
     it the correction moved mass off the host (at d=2, N=1024, nu=2,
     kappa=10, 3 of 40 flows ended with up to 45% of the mass off the host
@@ -409,13 +415,7 @@ def minimize_hartree(
     h = real.h
     # the spectrum's operator, and so its factor, serves the flow
     lap = pair.operator
-    modes = _shifted_modes(pair, 2)[1]
-
-    def precondition(r):
-        z = lap.embed(lap.solve(lap.restrict(r)))
-        for phi, coef in modes:
-            z += (coef * grids.inner(phi, r, h)) * phi
-        return np.where(comp_mask, z, 0.0)
+    precondition = _shifted_inverse(pair, 2)[1]
 
     def energy_and_potential(w):
         # the stencil product and the mean field are returned too: the
@@ -445,10 +445,9 @@ def minimize_hartree(
             iterations = it - 1
             break
 
-        z = precondition(resid)
+        z = np.where(comp_mask, lap.embed(precondition(lap.restrict(resid))), 0.0)
         direction = z - grids.inner(u, z, h) * u
 
-        accepted = False
         for _ in range(40):
             w = np.clip(u - tau * direction, 0.0, None)
             nw = grids.norm(w, h)
@@ -462,15 +461,10 @@ def minimize_hartree(
                 u, energy, W, shift, Lu = w, new_energy, new_W, new_shift, new_Lw
                 trace.append(energy)
                 tau = min(tau * 1.3, tau_max)
-                accepted = True
                 break
             tau *= 0.5
             backtracks += 1
-        if not accepted:
-            if residual < 100.0 * tol:
-                # stuck in float noise near the minimum but residual is tiny
-                iterations = it
-                break
+        else:
             raise SolverError(
                 f"backtracking stalled at iteration {it} "
                 f"(residual {residual:.3e})",
@@ -486,6 +480,9 @@ def minimize_hartree(
         )
     logger.debug("Hartree flow converged: %d iterations, %d backtracks, %d LU solves, "
                  "residual %.3e", iterations, backtracks, lap.solves - before, residual)
+    # T's mode rows would live on through _finalize's LOBPCG (sparse_2d peak
+    # RSS 160.2 -> 162.1 MB); rebuilt on each call, they cost ensemble_small 1.4%
+    del precondition
     return _finalize(u, real, component, W, shift, iterations, residual, trace,
                      energy, eig_tol, pair)
 

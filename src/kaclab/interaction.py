@@ -4,10 +4,10 @@ The pair potential is kappa * V(x) / (N (ln N)^(2/d)) sampled on a centered
 stencil of integer offsets; the (ln N)-weakened mean-field scaling keeps the
 potential energy per particle comparable to the spectral gap of the disordered
 Laplacian.  Admissible profiles are nonnegative, even and positive definite
-(nonnegative lattice Fourier transform); only the first two are checked.
-The built-in Gaussian satisfies all three, the top-hat deliberately fails
-positive definiteness and is only available behind an override flag for
-stress tests.
+(nonnegative lattice Fourier transform).  Nonnegativity is checked; every
+kind is a function of the offset radius, so bitwise even.  The Gaussian
+satisfies all three; the top-hat deliberately fails positive definiteness
+and is only available behind an override flag for stress tests.
 
 Quadrature conventions: integrals carry h^d per integration variable, so
 ||v||_1 = sum(values) h^d and (f * v)(x) = sum_y f(y) v(x-y) h^d.
@@ -162,9 +162,6 @@ def build_interaction(
         R = max(int(math.ceil(radii[-1] / h)), 1)
         rr = _offset_radii(R, d, h)
         base = np.interp(rr, radii, vals, left=vals[0], right=0.0)
-
-    if not np.allclose(base, base[tuple(slice(None, None, -1) for _ in range(d))]):
-        raise ConfigError("profile is not even")
 
     values = scale * base
     l1 = float(values.sum() * h**d)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .disorder import DisorderConfig, DisorderRealization, component_volumes, volume_fraction
+from .disorder import DisorderConfig, DisorderRealization, volume_fraction
 from .errors import check_number
 
 MAGIC_VAC = b"KLVAC1"
@@ -94,14 +94,15 @@ def load_realization(path) -> DisorderRealization:
     Raises ValueError naming the fault: a sidecar that is not an object with
     a config of exactly DisorderConfig's fields and an integer summary.K >= 0,
     wrong magic or file length, a header d, dims or h that differ from the
-    sidecar config, labels other than 0 on a blocked node, or labels outside
-    1..K on a vacant one.
+    sidecar config, labels other than 0 on a blocked node, labels outside
+    1..K on a vacant one, or a K or labels other than those of the mask's
+    face-connected components.  The realization returned is from_mask's.
     """
     path = Path(path)
     sidecar = json.loads(Path(str(path) + ".json").read_text())
     config = _sidecar_config(sidecar)
     data = path.read_bytes()
-    d, dims, h, start = _parse_header(data, MAGIC_VAC, lambda n: (n + 7) // 8 + 4 * n, config.d)
+    _, dims, h, start = _parse_header(data, MAGIC_VAC, lambda n: (n + 7) // 8 + 4 * n, config.d)
     if dims != config.grid_dims:
         raise ValueError("dump dims do not match the sidecar config")
     if h != config.grid_spacing:
@@ -110,7 +111,7 @@ def load_realization(path) -> DisorderRealization:
     n = math.prod(dims)
     bits = np.frombuffer(data, np.uint8, count=(n + 7) // 8, offset=start)
     mask = np.unpackbits(bits)[:n].astype(bool).reshape(dims)
-    labels = np.frombuffer(data, "<i4", offset=start + (n + 7) // 8).reshape(dims).copy()
+    labels = np.frombuffer(data, "<i4", offset=start + (n + 7) // 8).reshape(dims)
     summary = sidecar.get("summary")
     K = check_number("sidecar summary.K", summary.get("K") if isinstance(summary, dict) else None,
                      0, integer=True)
@@ -118,8 +119,12 @@ def load_realization(path) -> DisorderRealization:
         raise ValueError("dump labels a blocked node (labels must be 0 exactly there)")
     if np.any((labels[mask] < 1) | (labels[mask] > K)):
         raise ValueError(f"dump labels a vacant node outside 1..K = 1..{K}")
-    volumes = component_volumes(labels, K, h, d)
-    return DisorderRealization(config, np.zeros((0, d)), mask, labels, K, volumes)
+    real = DisorderRealization.from_mask(config, mask)
+    if K != real.K:
+        raise ValueError(f"sidecar summary.K = {K}, but the mask has {real.K} components")
+    if not np.array_equal(labels, real.labels):
+        raise ValueError("dump labels are not the mask's face-connected components")
+    return real
 
 
 def save_field(grid: np.ndarray, h: float, path, meta: dict | None = None) -> Path:

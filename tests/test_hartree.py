@@ -1,7 +1,9 @@
 """Hartree minimization, effective operator, and cross-solver agreement."""
 
+import ast
 import logging
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,12 @@ def potential_for(real, kappa, width=0.5, truncation=8.0):
         "gaussian", kappa, cfg.N, cfg.d, real.h,
         {"width": width, "truncation": truncation},
     )
+
+
+def within_roundoff_allowance(trace):
+    """The flow's promise: no step rises by more than 8 eps max(1, |old|)."""
+    eps = np.finfo(float).eps
+    return all(new <= old + 8.0 * eps * max(1.0, abs(old)) for old, new in zip(trace, trace[1:]))
 
 
 def host_effective_ground_energy(hs, real, v, N):
@@ -160,7 +168,7 @@ class TestMinimizer:
         assert grids.norm(hs.u, h) == pytest.approx(1.0, abs=1e-12)
         assert np.all(hs.u >= 0.0)
         assert np.all(hs.u[real.labels != sel.component] == 0.0)
-        assert np.all(np.diff(hs.energy_trace) <= 1e-12 * max(1.0, abs(hs.energy)))
+        assert within_roundoff_allowance(hs.energy_trace)
         assert hs.el_residual < 1e-8
         # ground energy of the component operator equals the minimum energy
         e1_host = host_effective_ground_energy(hs, real, v, real.config.N)
@@ -179,9 +187,33 @@ class TestMinimizer:
     def test_nonconvergence_raises_with_trace(self, corner_blocked_6, monkeypatch):
         monkeypatch.setattr(hartree, "MAX_ITER", 2)
         v = potential_for(corner_blocked_6, kappa=5.0)
-        with pytest.raises(SolverError) as err:
+        with pytest.raises(SolverError, match="did not reach residual") as err:
             minimize_hartree(corner_blocked_6, 1, v, 2, tol=1e-14)
-        assert err.value.trace is not None
+        # the start energy and one per step, and the last residual
+        assert len(err.value.trace) == 3 and within_roundoff_allowance(err.value.trace)
+        assert len(err.value.residuals) == 1 and err.value.residuals[0] >= 1e-14
+
+    def test_stalled_backtracking_raises_even_near_tol(self, corner_blocked_6, monkeypatch):
+        # every trial state's energy is made one unit higher, so no step is
+        # accepted; a stall raises with the start energy and the residual,
+        # also when that residual is within 100 tol (there is no second exit)
+        mean_field, calls = hartree._mean_field, []
+
+        def rising(u, v, N, h):
+            W, shift = mean_field(u, v, N, h)
+            calls.append(None)
+            return W, shift + (len(calls) > 1)
+
+        monkeypatch.setattr(hartree, "_mean_field", rising)
+        real, v = corner_blocked_6, potential_for(corner_blocked_6, kappa=5.0)
+        with pytest.raises(SolverError, match="backtracking stalled at iteration 1") as err:
+            minimize_hartree(real, 1, v, real.config.N, tol=0.0)
+        (residual,) = err.value.residuals
+        assert residual > 0.0 and len(err.value.trace) == 1
+        calls.clear()
+        with pytest.raises(SolverError, match="backtracking stalled at iteration 1") as err:
+            minimize_hartree(real, 1, v, real.config.N, tol=residual / 10.0)
+        assert err.value.residuals == [residual]
 
     def test_one_stencil_product_per_energy_evaluation(self, monkeypatch):
         # the gradient at an accepted state reuses the stencil product of its
@@ -382,7 +414,7 @@ class TestSpectrumSteeredFlow:
         assert real.n_vacant > DENSE_CUTOFF and real.K > 1
         v = potential_for(real, kappa)
         hs = minimize_hartree(real, sel.component, v, config.N, pair=pair)
-        assert np.all(np.diff(hs.energy_trace) <= 0.0)
+        assert within_roundoff_allowance(hs.energy_trace)
         hop = assemble_effective_operator(hs.u, real, v, config.N)
         A, _ = dense_laplacian(real.mask, real.h)
         vals = np.linalg.eigvalsh(A + np.diag(hop.potential[real.mask])) - hs.shift
@@ -437,7 +469,6 @@ class TestSpectrumSteeredFlow:
     def test_energy_trace_steps_within_roundoff_allowance(self, kappa, corner_blocked_6):
         # a step is accepted when new <= old + 8 eps max(1, |old|), the rule
         # the docstrings state; with and without the spectrum's pair
-        eps = np.finfo(float).eps
         traces = [minimize_hartree(corner_blocked_6, 1, potential_for(corner_blocked_6, kappa),
                                    corner_blocked_6.config.N).energy_trace]
         for seed in (0, 1):
@@ -445,9 +476,7 @@ class TestSpectrumSteeredFlow:
             res = run_pipeline(PipelineResult(config), gaussian(kappa))
             traces.append(res.hartree.energy_trace)
         for trace in traces:
-            assert len(trace) > 2
-            for old, new in zip(trace, trace[1:]):
-                assert new <= old + 8.0 * eps * max(1.0, abs(old))
+            assert len(trace) > 2 and within_roundoff_allowance(trace)
 
     def test_one_debug_line_per_converged_flow(self, caplog, corner_blocked_6):
         caplog.set_level(logging.DEBUG, logger="kaclab.hartree")
@@ -637,3 +666,51 @@ class TestLaplacianFactorSpectrum:
         assert (e1, e2) == pytest.approx(own[:2], rel=1e-12)
         assert (e1, e2) == pytest.approx((hs.e1, hs.e2), rel=1e-12)
         assert grids.inner(gvec, own[2], real.h) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestShiftedInverse:
+    def test_shift_inverts_the_laplacian_on_its_modes_only(self):
+        # 286 nodes on 3 components: T (A - sigma) v = v on the count lowest
+        # eigenvectors of A = -Lap, T A v = v on the next ones, for a column
+        # and a block alike
+        config = DisorderConfig(d=2, rho=1.0, N=64, nu=0.3, r=0.5, h=0.4, seed=0)
+        pair = lowest_eigenpairs(assemble_laplacian(build_realization(config)), count=3)
+        A = pair.operator.matrix().toarray()
+        vals, vecs = np.linalg.eigh(A)
+        before = pair.operator.solves
+        for count in (2, 3):
+            sigma, precondition = hartree._shifted_inverse(pair, count)
+            assert sigma == hartree.SHIFT_FRACTION * pair.lambda1
+            shifted = np.where(np.arange(count + 3) < count, vals[:count + 3] - sigma,
+                               vals[:count + 3])
+            V = vecs[:, :count + 3]
+            block = precondition(V * shifted)
+            assert np.abs(block - V).max() < 1e-12
+            for j in range(count + 3):
+                assert np.allclose(precondition(V[:, j] * shifted[j]), block[:, j],
+                                   rtol=0, atol=1e-14)
+        # one LU solve per column, on the pair's factor
+        assert pair.operator.solves - before == 2 * (5 + 6)
+
+    def test_one_owner_of_the_shifted_inverse(self):
+        # in hartree only _shifted_inverse solves, computes 1/(lambda - sigma)
+        # or reads SHIFT_FRACTION: the flow's P and LOBPCG's preconditioner
+        # are both its T, and sigma everywhere is its sigma
+        text = Path(hartree.__file__).read_text()
+        assert "_shifted_modes" not in text
+        tree = ast.parse(text)
+        owner = {id(node) for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_shifted_inverse"
+                 for node in ast.walk(fn)}
+        assert owner
+        for node in ast.walk(tree):
+            if id(node) in owner:
+                continue
+            where = f"hartree.py:{getattr(node, 'lineno', '?')}"
+            assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "solve"), where
+            assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                        and isinstance(node.right, ast.BinOp)
+                        and isinstance(node.right.op, ast.Sub)), where
+            assert not (isinstance(node, ast.Name) and node.id == "SHIFT_FRACTION"
+                        and isinstance(node.ctx, ast.Load)), where

@@ -75,6 +75,27 @@ class TestBuild:
         assert np.array_equal(v.values, rev)
         assert np.all(v.values >= 0.0)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["gaussian", "top_hat", "custom_table"])
+    def test_every_kind_is_bitwise_even(self, tmp_path, kind, d):
+        # each kind samples a function of the offset radii, which are bitwise
+        # the same under every axis reflection, so the sampled profile is too
+        rng = np.random.default_rng(d)
+        for trial in range(10):
+            h = rng.uniform(0.2, 0.6)
+            if kind == "gaussian":
+                params = {"width": rng.uniform(0.3, 1.5), "truncation": rng.uniform(1.0, 4.0)}
+            elif kind == "top_hat":
+                params = {"radius": rng.uniform(0.3, 2.0), "allow_non_posdef": True}
+            else:
+                radii = np.cumsum(rng.uniform(0.1, 0.8, 4)) - 0.1
+                path = tmp_path / f"table_{trial}.txt"
+                np.savetxt(path, np.column_stack([radii, rng.uniform(0.0, 2.0, 4)]))
+                params = {"table_path": str(path)}
+            v = build_interaction(kind, rng.uniform(0.1, 5.0), 64, d, h, params)
+            for axis in range(d):
+                assert np.array_equal(v.values, np.flip(v.values, axis)), (trial, axis)
+
     def test_gaussian_positive_definite(self):
         assert positive_definite(gaussian())
         assert positive_definite(gaussian(d=3, h=0.4, width=0.5))

@@ -109,6 +109,28 @@ def test_vacant_label_outside_components_rejected(tmp_path, bad_label):
         load_realization(path)
 
 
+def test_labels_other_than_the_masks_components_rejected(tmp_path):
+    # both components relabelled 1: every label is in 1..K, but the dump
+    # would load with K = 2 and an empty second component
+    real, path, data = saved_dump(tmp_path)
+    assert real.K == 2
+    labels = real.mask.astype("<i4")
+    data[len(data) - labels.size * 4:] = labels.tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="not the mask's face-connected components"):
+        load_realization(path)
+
+
+def test_summary_K_other_than_the_masks_rejected(tmp_path):
+    real, path, _ = saved_dump(tmp_path)
+    sidecar_path = tmp_path / "real.klvac.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar["summary"]["K"] = real.K + 1
+    sidecar_path.write_text(json.dumps(sidecar))
+    with pytest.raises(ValueError, match=f"summary.K = 3, but the mask has {real.K} components"):
+        load_realization(path)
+
+
 masks = st.integers(2, 5).flatmap(
     lambda side: arrays(bool, (side - 1, side - 1), elements=st.booleans())
 )
