@@ -29,6 +29,7 @@ from .disorder import DisorderConfig, build_realization, volume_fraction
 from .ensemble import (
     EnsembleSpec,
     PipelineResult,
+    dirichlet_spectrum,
     estimate_event_probabilities,
     hartree_record,
     run_ensemble,
@@ -37,7 +38,7 @@ from .ensemble import (
 )
 from .errors import BasisSizeError, ConfigError, KacLabError, SolverError, check_number
 from .interaction import POTENTIAL_PARAMS, potential_from_spec, potential_params
-from .laplace import assemble_laplacian, ground_state_component, lowest_eigenpairs
+from .laplace import ground_state_component
 from .manybody import (BASIS_CAP, build_manybody_hamiltonian, condensate_occupation, ground_state,
                        one_body_density_matrix, product_state)
 
@@ -76,6 +77,8 @@ class RunConfig:
         if data["log_level"] not in LOG_LEVELS:
             raise ConfigError(f"log_level={data['log_level']!r} must be one of "
                               f"{', '.join(LOG_LEVELS)}")
+        if not isinstance(data["output_dir"], str):
+            raise ConfigError(f"output_dir={data['output_dir']!r} must be a path string")
         # a bad kind or value fails every subcommand; the echo shows the
         # chosen kind's parameters, defaults filled in
         pot = data["potential"]
@@ -172,7 +175,7 @@ def cmd_sample(cfg: RunConfig, out: Path) -> int:
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     real = build_realization(cfg.disorder)
-    pair = lowest_eigenpairs(assemble_laplacian(real), count=2, tol=cfg.spec.eig_tol)
+    pair = dirichlet_spectrum(real, cfg.spec.eig_tol)
     sel = ground_state_component(real, pair)
     component = "multiple" if sel.multiple else sel.component
     meta = {

@@ -62,6 +62,8 @@ class EnsembleSpec:
         else:
             for i, seed in enumerate(self.seeds):
                 check_number(f"seeds[{i}]", seed, 0, integer=True)
+                if seed in self.seeds[:i]:  # one realization would count as several
+                    raise ConfigError(f"seeds[{i}]={seed} repeats an earlier seed")
         check_number("master_seed", self.master_seed, 0, integer=True)
         if not isinstance(self.N_values, list):
             raise ConfigError(f"N_values={self.N_values!r} must be a list of integers")
@@ -103,6 +105,12 @@ class PipelineResult:
     hartree: Optional[HartreeSolution] = None
 
 
+def dirichlet_spectrum(real, eig_tol: float = EIG_TOL) -> SpectralPair:
+    """The Laplacian's pair as the pipeline and the CLI solve it: lambda3 only where asked for."""
+    count = 3 if reuses_laplacian_factor(real.d, real.n_vacant) else 2
+    return lowest_eigenpairs(assemble_laplacian(real), count=count, tol=eig_tol)
+
+
 def run_pipeline(
     result: PipelineResult,
     potential,
@@ -131,8 +139,7 @@ def run_pipeline(
     result.stage = "spectrum"
     # the pair carries its operator, so one factor serves the spectrum and
     # the flow, and on the sets where lambda3 is asked for, h_u's spectrum too
-    count = 3 if reuses_laplacian_factor(real.d, real.n_vacant) else 2
-    pair = result.pair = lowest_eigenpairs(assemble_laplacian(real), count=count, tol=eig_tol)
+    pair = result.pair = dirichlet_spectrum(real, eig_tol)
     if pair.degenerate_size:
         raise KacLabError("one-node domain")
 

@@ -19,13 +19,13 @@ of the (unique) minimizer.  Linearizing at u gives the effective operator
 whose ground energy on the host component equals E[u]; the shift is stored
 separately so componentwise gaps are unaffected by it.  Its two lowest
 eigenvalues e1, e2 on the whole vacancy set come from the Laplacian's factor
-(block LOBPCG, certified with lambda3) or from h_u's own; one rule,
-_spans_set, picks the path and h_u's shift-invert point.
+(block LOBPCG, certified with lambda3) or from h_u's own eigensolve, the one
+place that shift-inverts h_u at sigma (effective_spectrum).
 """
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -44,7 +44,7 @@ SUPPORT_TOL = 1e-12
 # EL_TOL (every el_tol defaults to it), reached within MAX_ITER steps
 EL_TOL = 1e-8
 MAX_ITER = 5000
-# the preconditioner T and h_u's shift-invert point (see _shifted_inverse)
+# the preconditioner T and h_u's own shift-invert point (see _shifted_inverse)
 # sit at sigma = 0.9 lambda1: below lambda1, so all stay positive definite,
 # with a 10% margin for FFT roundoff in W (and for kappa = 0, where W = 0).
 # 0.99 lambda1 slowed the flow under strong interaction: mean iterations
@@ -69,20 +69,6 @@ spectrum_logger = logger.getChild("spectrum")
 def reuses_laplacian_factor(d: int, n_vacant: int) -> bool:
     """Whether the pipeline asks the Laplacian for lambda3, which selects the LOBPCG path."""
     return n_vacant >= FACTOR_REUSE_MIN_NODES.get(d, math.inf)
-
-
-def _spans_set(pair: Optional[SpectralPair], n_vacant: int) -> bool:
-    """The rule that steers h_u: pair's operator spans the vacancy set of n_vacant nodes.
-
-    h_u is solved on the whole set.  Only a spanning pair's lambda1 bounds
-    its SPD part -Lap + W - sigma from below (W >= 0, Weyl's inequality; a
-    component's bounds only that component), and only a spanning pair's
-    factor has h_u's size.  So h_u is shift-inverted at a spanning pair's
-    sigma, else at 0, and solved on its factor when lambda3 can certify it
-    (the path run_pipeline takes on the sets reuses_laplacian_factor
-    selects), else on h_u's own factor.
-    """
-    return pair is not None and pair.operator.n_vacant == n_vacant
 
 
 def _shifted_inverse(pair: SpectralPair, count: int):
@@ -208,12 +194,13 @@ def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np
     """Block-2 LOBPCG for hop's two lowest eigenpairs, preconditioned by pair's factor.
 
     pair holds the three lowest eigenpairs of the Laplacian lap =
-    pair.operator and hop is -Lap + potential - shift on lap's vacancy set.
-    The start block is [start, phi2]; each step runs Rayleigh-Ritz on an
-    orthonormal basis of [X, T R, P] (Knyazev, SIAM J. Sci. Comput. 23,
-    2001), preconditioned by the flow's T of _shifted_inverse on all three
-    modes, not zeroed off any component, and stops when each residual is
-    below tol/2 * |e|, half the contract lowest_eigenpairs checks.
+    pair.operator and hop is -Lap + potential - shift on lap's vacancy set,
+    as given: Rayleigh-Ritz does not depend on a shift.  The start block is
+    [start, phi2]; each step runs Rayleigh-Ritz on an orthonormal basis of
+    [X, T R, P] (Knyazev, SIAM J. Sci. Comput. 23, 2001), preconditioned by
+    the flow's T of _shifted_inverse on all three modes, not zeroed off any
+    component, and stops when each residual is below tol/2 * |e|, half the
+    contract lowest_eigenpairs checks.
 
     The block never leaves the components of start and phi2, since hop and
     T are block-diagonal over components, so convergence alone does not make
@@ -284,17 +271,22 @@ def effective_spectrum(hop: MaskedOperator, tol: float = EIG_TOL,
                        start: Optional[np.ndarray] = None):
     """Two lowest eigenvalues of the effective operator and its ground vector.
 
-    pair is a Laplacian's spectrum, whose factor the flow solved with.  By
-    _spans_set, laplacian_factor_spectrum may solve on that factor from
-    [start, phi2] (start |phi1| by default), and its certified answer is
-    taken.  Otherwise lowest_eigenpairs solves hop itself (on its own factor
-    above DENSE_CUTOFF).  pair.operator's factor is released in between,
-    after its last use: at most one factor is held at any time.
+    hop is -Lap + potential - shift, potential >= 0 or None (h_u as
+    assemble_effective_operator builds it).  pair is a Laplacian's spectrum,
+    whose factor the flow solved with.  If pair's operator spans hop's set
+    and pair has lambda3, laplacian_factor_spectrum solves hop on that
+    factor from [start, phi2] (start |phi1| by default), and its certified
+    answer is taken.  Otherwise lowest_eigenpairs solves hop itself (on its
+    own factor above DENSE_CUTOFF), shift-inverted at a spanning pair's sigma
+    (only its lambda1 bounds -Lap + potential below, by Weyl), else at 0;
+    only this solve sees sigma.  pair.operator's factor is released in
+    between, after its last use: at most one factor is held at any time.
     """
+    spans = pair is not None and pair.operator.n_vacant == hop.n_vacant
     found = None
     if pair is None or pair.lambda3 is None:
         note = "no lambda3"
-    elif not _spans_set(pair, hop.n_vacant):
+    elif not spans:
         note = "pair off the vacancy set"
     else:
         before = pair.operator.solves
@@ -310,6 +302,10 @@ def effective_spectrum(hop: MaskedOperator, tol: float = EIG_TOL,
         return found.e1, found.e2, found.phi1
     if found is not None:
         note = f"fallback after {note}: {found.reason}"
+    if spans:
+        sigma = _shifted_inverse(pair, 0)[0]
+        potential = np.zeros(hop.dims) if hop.potential is None else hop.potential
+        hop = replace(hop, potential=potential - sigma, diagonal_shift=hop.diagonal_shift - sigma)
     own = lowest_eigenpairs(hop, count=2, tol=tol)
     spectrum_logger.debug("effective spectrum on %d nodes: own eigensolve (%s)",
                           hop.n_vacant, note)
@@ -343,14 +339,12 @@ def _finalize(u, real, component, W, shift, iterations, residual, trace, energy,
     """Spectrum of the effective operator h_u = -Lap + W - shift at the converged u.
 
     The caller passes the mean field W and shift it already holds, so nothing
-    here convolves; pair sets the shift-invert point by _spans_set.  Only the
+    here convolves; h_u is assemble_effective_operator's, unshifted.  Only the
     full-set spectrum is solved: h_u is block-diagonal over the components
     and u is a unit trial state on the host, so e1 <= e1_host <= <u, h_u u>
     = energy, and |energy - e1| bounds a host-restricted solve's distance.
     """
-    sigma = _shifted_inverse(pair, 0)[0] if _spans_set(pair, real.n_vacant) else 0.0
-    hop = MaskedOperator(mask=real.mask, h=real.h, potential=W - sigma,
-                         diagonal_shift=shift - sigma)
+    hop = MaskedOperator(mask=real.mask, h=real.h, potential=W, diagonal_shift=shift)
     e1, e2, gvec = effective_spectrum(hop, tol=eig_tol, pair=pair, start=u)
     comp_mask = real.labels == component
     gmass = float(np.sum(np.where(comp_mask, gvec, 0.0) ** 2)) * real.h**real.d
@@ -430,7 +424,6 @@ def minimize_hartree(
     before = lap.solves
 
     tau = 1.0
-    tau_max = 1.0
     residual = np.inf
     backtracks = 0
 
@@ -451,17 +444,14 @@ def minimize_hartree(
         for _ in range(40):
             w = np.clip(u - tau * direction, 0.0, None)
             nw = grids.norm(w, h)
-            if nw == 0.0:
-                tau *= 0.5
-                backtracks += 1
-                continue
-            w /= nw
-            new_energy, new_W, new_shift, new_Lw = energy_and_potential(w)
-            if new_energy <= energy + 8.0 * eps * max(1.0, abs(energy)):
-                u, energy, W, shift, Lu = w, new_energy, new_W, new_shift, new_Lw
-                trace.append(energy)
-                tau = min(tau * 1.3, tau_max)
-                break
+            if nw > 0.0:
+                w /= nw
+                new_energy, new_W, new_shift, new_Lw = energy_and_potential(w)
+                if new_energy <= energy + 8.0 * eps * max(1.0, abs(energy)):
+                    u, energy, W, shift, Lu = w, new_energy, new_W, new_shift, new_Lw
+                    trace.append(energy)
+                    tau = min(tau * 1.3, 1.0)
+                    break
             tau *= 0.5
             backtracks += 1
         else:

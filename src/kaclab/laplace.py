@@ -47,10 +47,10 @@ logger = logging.getLogger(__name__)
 
 # SuperLU options of MaskedOperator.solve, the only place kaclab factorizes,
 # for the bands too wide for a Cholesky (BAND_MAX_WORK).  The matrix is
-# -Lap_Dirichlet, or for the effective operator h_u -Lap + W - sigma:
-# W >= 0 (kappa >= 0 and profiles that interaction.py validates
-# nonnegative) and sigma is 0.9 lambda1 of the whole vacancy set, or 0
-# (hartree._spans_set states the rule), so by Weyl's inequality its least
+# -Lap_Dirichlet, or for h_u's own eigensolve -Lap + W - sigma: W >= 0
+# (kappa >= 0 and profiles that interaction.py validates nonnegative) and
+# sigma is 0.9 lambda1 of the whole vacancy set, or 0 (the rule is
+# hartree.effective_spectrum's), so by Weyl's inequality its least
 # eigenvalue is at least lambda1 - sigma > 0.  It is symmetric positive
 # definite: a Cholesky factor exists, and diagonal pivots are safe.  In
 # symmetric mode SuperLU can then order A + A^T by minimum degree, which
@@ -295,8 +295,8 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = EIG_TOL) 
     shift-invert mode at sigma=0, which is safe because the unshifted
     operator -Laplacian + potential is positive definite (a caller that
     wants another shift-invert point folds it into the potential and the
-    shift, as hartree does for h_u).  The constant diagonal shift is
-    reapplied to the eigenvalues afterwards.
+    shift, as hartree.effective_spectrum does for h_u's own eigensolve).
+    The constant diagonal shift is reapplied to the eigenvalues afterwards.
     Residuals are checked by check_residual against tol * lambda plus a
     machine-precision floor proportional to the operator norm.  ARPACK
     stops when its Ritz estimates reach tol / 10, not at machine precision,

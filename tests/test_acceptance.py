@@ -30,10 +30,9 @@ from kaclab import grids
 from kaclab.constants import unit_ball_volume
 from kaclab.ensemble import run_ensemble, scaling_sweep
 from kaclab.hartree import component_ground_state
+from kaclab.laplace import EIG_TOL
 
 from conftest import dense_laplacian, tiny_box_config
-
-EIG_TOL = 1e-9
 
 
 def report(criterion, ok, detail):

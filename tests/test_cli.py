@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import kaclab.cli as cli_mod
-from kaclab import EnsembleSpec, ensemble
+from kaclab import DisorderConfig, EnsembleSpec, ensemble
 from kaclab.cli import (
     EXIT_CERT, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main, parse_config,
 )
@@ -129,6 +129,21 @@ class TestSubcommands:
         assert grid.shape == (7, 7)
         assert meta["index"] == 1
         assert len(meta["eigenvalues"]) == 2
+
+    def test_spectrum_is_the_pipeline_spectrum(self, tmp_path):
+        # d=3 N=128, 1,664 nodes: above the crossover the pipeline asks ARPACK
+        # for lambda3, which moves lambda1, lambda2 in the last bits, so the
+        # command solves with the pipeline's count and prints the record's
+        disorder = {"d": 3, "rho": 1.0, "N": 128, "nu": 0.05, "r": 0.5, "h": 0.4,
+                    "seed": 7778828159576237216}
+        out = tmp_path / "run"
+        path = write_config(tmp_path, disorder=disorder)
+        assert main(["spectrum", "-c", str(path), "-o", str(out)]) == EXIT_OK
+        record = ensemble.run_realization(DisorderConfig(**disorder),
+                                          {"kind": "gaussian", "kappa": 0.0, "width": 0.5})
+        assert record["n_vacant"] == 1664
+        meta = load_field(out / "phi1.kleig")[2]
+        assert meta["eigenvalues"] == [record["lambda1"], record["lambda2"]]
 
     def test_certify_noninteracting_golden_fixture(self, tmp_path, capsys):
         # N=2 keeps the exact-diagonalization basis small (same L via rho)
@@ -328,6 +343,9 @@ class TestSubcommands:
         ["sample", "--set", "potential.kind=custom_table",
          "--set", f"potential.table_path={EMPTY_TABLE}"],
         ["ensemble", "--set", "ensemble.N_values=[1,2,3]"],
+        ["sample", "--set", "output_dir=123"],
+        ["sample", "--set", "output_dir=null"],
+        ["ensemble", "--set", "ensemble.seeds=[3,3,3,4]"],
     ], ids=["sweep_default", "N_values_decrease", "no_seeds", "workers_string",
             "eig_tol_string", "whole_section", "unknown_potential_kind", "potential_kind_list",
             "potential_kind_null", "potential_kappa_null", "potential_table", "solver_max_iter", "N_below_two",
@@ -339,7 +357,8 @@ class TestSubcommands:
             "seed_negative", "seed_float", "d_float", "rho_bool", "nu_string",
             "width_string", "truncation_bool", "allow_non_posdef_string",
             "table_path_number", "table_path_missing", "table_negative",
-            "table_empty", "N_values_below_two"])
+            "table_empty", "N_values_below_two", "output_dir_number", "output_dir_null",
+            "seeds_repeated"])
     def test_config_error_is_one_error_line(self, tmp_path, capsys, request, argv):
         assert main(argv + ["-o", str(tmp_path / "run")]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()

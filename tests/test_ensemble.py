@@ -1,8 +1,10 @@
 """Ensemble driver: records, frequencies, sweeps, reproducibility."""
 
+import ast
 import inspect
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +129,7 @@ def test_every_tolerance_default_is_the_one_constant():
         EnsembleSpec: {"eig_tol": eig, "el_tol": el},
         run_pipeline: {"eig_tol": eig, "el_tol": el},
         run_realization: {"eig_tol": eig, "el_tol": el},
+        ensemble.dirichlet_spectrum: {"eig_tol": eig},
         hartree.minimize_hartree: {"tol": el, "eig_tol": eig},
         laplace.lowest_eigenpairs: {"tol": eig},
         hartree.effective_spectrum: {"tol": eig},
@@ -142,6 +145,19 @@ def test_every_tolerance_default_is_the_one_constant():
     # the many-body ground state is held to the same contract, not to its own
     assert manybody.EIG_TOL is eig
     assert not hasattr(manybody, "RESIDUAL_RTOL")
+
+
+def test_no_test_restates_a_tolerance_default():
+    """A test reads EIG_TOL and EL_TOL from kaclab; none assigns its own number."""
+    tests = Path(__file__).parent
+    for path in sorted(tests.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                       else [])
+            names = {t.id for target in targets for t in ast.walk(target)
+                     if isinstance(t, ast.Name)}
+            assert not names & {"EIG_TOL", "EL_TOL"}, f"{path.name}:{node.lineno}"
 
 
 def test_every_eta_default_is_the_one_constant():
@@ -172,6 +188,11 @@ class TestEnsemble:
         rev = run_ensemble(spec_with(base=ARPACK_BASE, seeds=seeds[::-1]))
         assert all(r["error"] is None for r in fwd)
         assert json.dumps(fwd, sort_keys=True) == json.dumps(rev, sort_keys=True)
+
+    def test_repeated_seed_is_a_config_error(self):
+        # a seed run twice would count as two independent realizations
+        with pytest.raises(ConfigError, match=r"seeds\[1\]=3 repeats an earlier seed"):
+            spec_with(seeds=[3, 3, 3, 4])
 
     def test_derived_seeds_deterministic_distinct(self):
         a = derive_seeds(123, 50)

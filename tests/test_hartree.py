@@ -315,6 +315,9 @@ class TestEffectiveOperator:
         e1, e2, _ = effective_spectrum(hop)
         assert e1 == pytest.approx(pair.lambda1, rel=1e-11)
         assert e2 == pytest.approx(pair.lambda2, rel=1e-11)
+        # a spanning pair's sigma is folded into a copy of an operator with no potential too
+        bare = effective_spectrum(assemble_laplacian(two_strip_5), pair=pair)
+        assert bare[:2] == pytest.approx((pair.lambda1, pair.lambda2), rel=1e-11)
 
     def test_single_component_restriction_is_identity(self, corner_blocked_6):
         real = corner_blocked_6
@@ -496,6 +499,9 @@ class TestSpectrumSteeredFlow:
 # factor; certified at kappa 0 (no iteration) and at kappa 10 (20 iterations)
 D3_ABOVE_CROSSOVER = DisorderConfig(d=3, rho=1.0, N=128, nu=0.05, r=0.5, h=0.4,
                                     seed=7778828159576237216)
+# d=2, N=64: 324 nodes, below the crossover and above DENSE_CUTOFF, so h_u's
+# own ARPACK eigensolve, shift-inverted at the pipeline pair's sigma
+OWN_PATH_324 = DisorderConfig(d=2, rho=1.0, N=64, nu=0.15, r=0.5, h=0.4, seed=1)
 # the dense-path instance of test_e2_is_global_when_it_sits_on_a_third_component
 THIRD_COMPONENT_76 = DisorderConfig(d=2, rho=1.0, N=64, nu=2.0, r=0.5, h=0.4, seed=5)
 
@@ -667,6 +673,17 @@ class TestLaplacianFactorSpectrum:
         assert (e1, e2) == pytest.approx((hs.e1, hs.e2), rel=1e-12)
         assert grids.inner(gvec, own[2], real.h) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("config", [OWN_PATH_324, D3_ABOVE_CROSSOVER], ids=["own", "lobpcg"])
+    def test_public_operator_reproduces_the_pipeline(self, config):
+        # the pipeline solves the unshifted operator assemble_effective_operator
+        # builds, so the public API gives its e1, e2 bit for bit on either path
+        res = run_pipeline(PipelineResult(config), gaussian(10.0))
+        hs = res.hartree
+        assert res.real.n_vacant > DENSE_CUTOFF
+        assert (res.pair.lambda3 is None) == (config is OWN_PATH_324)
+        hop = assemble_effective_operator(hs.u, res.real, res.v, config.N)
+        assert effective_spectrum(hop, pair=res.pair, start=hs.u)[:2] == (hs.e1, hs.e2)
+
 
 class TestShiftedInverse:
     def test_shift_inverts_the_laplacian_on_its_modes_only(self):
@@ -697,8 +714,14 @@ class TestShiftedInverse:
         # or reads SHIFT_FRACTION: the flow's P and LOBPCG's preconditioner
         # are both its T, and sigma everywhere is its sigma
         text = Path(hartree.__file__).read_text()
-        assert "_shifted_modes" not in text
+        assert "_shifted_modes" not in text and "_spans_set" not in text
         tree = ast.parse(text)
+        # h_u is built once, unshifted: sigma is folded into an operator only
+        # in effective_spectrum's own eigensolve
+        (finalize,) = [fn for fn in tree.body
+                       if isinstance(fn, ast.FunctionDef) and fn.name == "_finalize"]
+        assert not any(isinstance(node, ast.Name) and node.id == "_shifted_inverse"
+                       for node in ast.walk(finalize))
         owner = {id(node) for fn in tree.body
                  if isinstance(fn, ast.FunctionDef) and fn.name == "_shifted_inverse"
                  for node in ast.walk(fn)}
