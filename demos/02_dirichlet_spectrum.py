@@ -32,8 +32,8 @@ print(f"\nground state lives on component {sel.component} "
 
 # the sup-norm diagnostic backs the gap event's constant
 check = supnorm_bound_check(pair, real.d)
-print(f"sup-norm diagnostic: max|phi1|^2 = {check.lhs:.4f} "
-      f"<= C^2 lambda1^(d/2) = {check.rhs:.4f} -> {check.ok}")
+print(f"sup-norm diagnostic: max|phi1|^2 = {check['lhs']:.4f} "
+      f"<= C^2 lambda1^(d/2) = {check['rhs']:.4f} -> {check['ok']}")
 
 # with the (ln N)-weakened mean-field interaction, does the gap dominate?
 for kappa in (0.05, 0.5, 5.0):

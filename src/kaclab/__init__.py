@@ -22,7 +22,6 @@ from .laplace import (
     assemble_laplacian,
     ground_state_component,
     lowest_eigenpairs,
-    supnorm_bound_check,
 )
 from .interaction import (
     InteractionPotential,
@@ -39,11 +38,11 @@ from .hartree import (
     minimize_hartree_scf,
 )
 from .certify import (
-    Certificate,
     build_certificate,
     certificate_assertions,
     check_gap_event,
     scaling_diagnostics,
+    supnorm_bound_check,
 )
 from .manybody import (
     ManyBodyGroundState,

@@ -1,9 +1,11 @@
 """Quantitative certificates evaluated on a computed realization.
 
-Every inequality the pipeline can check is evaluated with explicit margins
-and serialized deterministically:
+This module owns the paper's constants and inequalities.  Each one is
+evaluated with explicit margins and built as the JSON block the certificate
+stores:
 
   volume event    |fraction - exp(-nu omega_d r^d)| < eta
+  sup-norm premise ||phi1||_inf^2 <= C^2 lambda1^(d/2)
   gap event       lambda2 - lambda1 > C^2 N ||v||_1 lambda1^(d/2),
                   with C = 2 (4 pi)^(-d/4) e recomputed from d
   gap transfer    e2 - e1 >= (lambda2 - lambda1) - C^2 N ||v||_1 lambda1^(d/2)
@@ -14,23 +16,46 @@ An oracle run also records, never asserts, the squared overlap
 <u^(x N), psi>^2 of the exact ground state with the Hartree product state.
 
 Strict inequalities between computed eigenvalues are meaningless without a
-numerical budget, so every asserted check carries one derived from the solver
-residuals.  The continuum constants are used verbatim; when the discrete
-sup-norm diagnostic fails, the gap transfer is recorded but not asserted.
-The effective gap e2 - e1, and so the depletion bound, is accurate only to
-about the Hartree flow's el_tol, not to the eig_tol contract: e2 is not
-stationary in u (hartree.HartreeSolution).
+numerical budget, so every asserted check carries one: certificate_assertions
+takes the run's absolute eigenvalue tolerance, which kaclab certify derives as
+eig_tol max(|lambda2|, 1), and gives a gap statement twice it.  The continuum constants are used
+verbatim; when the sup-norm premise fails on the lattice, the gap transfer is
+recorded but not asserted.  The effective gap e2 - e1, and so the depletion
+bound, is accurate only to about the Hartree flow's el_tol, not to the
+eig_tol contract: e2 is not stationary in u (hartree.HartreeSolution).
 """
 
-import json
 import math
-from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .constants import supnorm_constant, unit_ball_volume
-from .disorder import ETA, volume_fraction
+import numpy as np
+
+from .disorder import ETA, unit_ball_volume, volume_fraction
 from .interaction import InteractionPotential
-from .laplace import supnorm_bound_check
+
+
+def supnorm_constant(d: int) -> float:
+    """Constant 2 (4 pi)^(-d/4) e of the ground-state sup-norm bound.
+
+    The bound reads ||phi||_inf^2 <= C^2 * lambda1^(d/2) for the normalized
+    Dirichlet ground state at energy lambda1; always recomputed from d.
+    """
+    return 2.0 * (4.0 * math.pi) ** (-d / 4.0) * math.e
+
+
+def supnorm_bound_check(pair, d: int) -> dict:
+    """The sup-norm premise as the certificate's supnorm_diag block.
+
+    Returns {lhs, rhs, ok, skipped} with lhs = max phi1^2 and
+    rhs = C^2 lambda1^(d/2).  The constant is the continuum one; at fixed
+    grid spacing the bound is a diagnostic, not a theorem, so the gap
+    transfer is asserted only where it holds.  A one-node set is skipped.
+    """
+    if pair.degenerate_size:
+        return {"lhs": 0.0, "rhs": 0.0, "ok": False, "skipped": True}
+    lhs = float(np.max(pair.phi1**2))
+    rhs = supnorm_constant(d) ** 2 * pair.lambda1 ** (d / 2.0)
+    return {"lhs": lhs, "rhs": rhs, "ok": bool(lhs <= rhs), "skipped": False}
 
 
 def check_gap_event(pair, v: InteractionPotential):
@@ -63,39 +88,6 @@ def scaling_diagnostics(v: InteractionPotential, sigma_ref: Optional[float] = No
     }
 
 
-@dataclass
-class Certificate:
-    """All evaluated inequalities for one realization, with margins."""
-
-    volume_event: dict
-    gap_event: dict
-    gap_lower_bound: float
-    gap_actual: Optional[float]
-    energy_bound: float
-    energy_gap_observed: Optional[float]
-    depletion_bound: Optional[float]
-    depletion_observed: Optional[float]
-    supnorm_diag: dict
-    minimizer_consistency: dict
-    scaling: dict
-    constants: dict = field(default_factory=dict)
-    product_overlap: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        """The fields as a dict; product_overlap only where an oracle ran, so
-        ensemble records (no oracle) keep their schema.  The field dicts are
-        shared, not copied: dataclasses.asdict's deep copy took 45 us of a
-        ~4 ms realization."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        if self.energy_gap_observed is None:
-            del out["product_overlap"]
-        return out
-
-    def to_json(self) -> str:
-        """Deterministic serialization: identical inputs, identical bytes."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
 def build_certificate(
     real,
     pair,
@@ -104,63 +96,49 @@ def build_certificate(
     eta: float = ETA,
     sigma_ref: Optional[float] = None,
     oracle: Optional[dict] = None,
-) -> Certificate:
+) -> dict:
     """Evaluate every certificate ingredient on one computed realization.
 
-    oracle, when given, is a dict with E_qm and n_condensate from the exact
-    diagonalization, and optionally product_overlap, <u^(x N), psi>^2 (None
-    when absent).  The depletion bound needs a positive effective gap and is
+    Returns the certificate as the JSON-able dict that records and
+    certificate.json store.  oracle, when given, is a dict with E_qm and
+    n_condensate from the exact diagonalization, and optionally
+    product_overlap, <u^(x N), psi>^2 (None when absent); only then does the
+    certificate carry a product_overlap key, so ensemble records keep their
+    schema.  The depletion bound needs a positive effective gap and is
     recorded as not applicable (None) otherwise.
     """
     fraction, in_vol, target = volume_fraction(real, eta)
-    vol = {
-        "ok": in_vol,
-        "fraction": fraction,
-        "target": target,
-        "margin": eta - abs(fraction - target),
-        "eta": eta,
-    }
-
     ok, margin, lhs, rhs = check_gap_event(pair, v)
-    gap_ev = {"ok": ok, "margin": margin, "lhs": lhs, "rhs": rhs}
-
-    supnorm = supnorm_bound_check(pair, real.d)
-    sup = {"lhs": supnorm.lhs, "rhs": supnorm.rhs, "ok": supnorm.ok,
-           "skipped": supnorm.skipped}
-
     v0 = v.v_at_zero
     gap = None if hs.e2 is None else hs.e2 - hs.e1
-
-    mini = {
-        "energy_vs_quadratic_form": abs(hs.energy - hs.quadratic_form),
-        "energy_vs_e1_full": abs(hs.energy - hs.e1),
-        "el_residual": hs.el_residual,
-    }
-
-    return Certificate(
-        volume_event=vol,
-        gap_event=gap_ev,
-        gap_lower_bound=margin,
-        gap_actual=gap,
-        energy_bound=0.5 * v0,
-        energy_gap_observed=None if oracle is None else abs(oracle["E_qm"] / v.N - hs.e1),
-        depletion_bound=(0.5 * v0 / gap) if gap is not None and gap > 0 else None,
-        depletion_observed=None if oracle is None else 1.0 - oracle["n_condensate"] / v.N,
-        supnorm_diag=sup,
-        minimizer_consistency=mini,
-        scaling=scaling_diagnostics(v, sigma_ref),
-        constants={
-            "supnorm_constant": supnorm_constant(real.d),
-            "unit_ball_volume": unit_ball_volume(real.d),
-            "eta": eta,
-            "sigma_ref": sigma_ref,
+    cert = {
+        "volume_event": {"ok": in_vol, "fraction": fraction, "target": target,
+                         "margin": eta - abs(fraction - target), "eta": eta},
+        "gap_event": {"ok": ok, "margin": margin, "lhs": lhs, "rhs": rhs},
+        "gap_lower_bound": margin,
+        "gap_actual": gap,
+        "energy_bound": 0.5 * v0,
+        "energy_gap_observed": None if oracle is None else abs(oracle["E_qm"] / v.N - hs.e1),
+        "depletion_bound": (0.5 * v0 / gap) if gap is not None and gap > 0 else None,
+        "depletion_observed": None if oracle is None else 1.0 - oracle["n_condensate"] / v.N,
+        "supnorm_diag": supnorm_bound_check(pair, real.d),
+        "minimizer_consistency": {
+            "energy_vs_quadratic_form": abs(hs.energy - hs.quadratic_form),
+            "energy_vs_e1_full": abs(hs.energy - hs.e1),
+            "el_residual": hs.el_residual,
         },
-        product_overlap=None if oracle is None else oracle.get("product_overlap"),
-    )
+        "scaling": scaling_diagnostics(v, sigma_ref),
+        "constants": {"supnorm_constant": supnorm_constant(real.d),
+                      "unit_ball_volume": unit_ball_volume(real.d),
+                      "eta": eta, "sigma_ref": sigma_ref},
+    }
+    if oracle is not None:
+        cert["product_overlap"] = oracle.get("product_overlap")
+    return cert
 
 
-def certificate_assertions(cert: Certificate, eig_tol_abs: float = 0.0) -> list:
-    """Asserted inequalities as (name, ok, margin) triples.
+def certificate_assertions(cert: dict, eig_tol_abs: float = 0.0) -> list:
+    """Asserted inequalities of a certificate dict as (name, ok, margin) triples.
 
     eig_tol_abs is the absolute eigenvalue tolerance budget of the run; gap
     statements get twice that (they subtract two eigenvalues).  Diagnostics
@@ -169,18 +147,17 @@ def certificate_assertions(cert: Certificate, eig_tol_abs: float = 0.0) -> list:
     """
     checks = []
     budget = 2.0 * eig_tol_abs
+    gap = cert["gap_actual"]
 
-    if cert.gap_event["ok"] and cert.gap_actual is not None:
-        checks.append(
-            ("positive_gap_under_gap_event", cert.gap_actual > -budget, cert.gap_actual)
-        )
-    if cert.supnorm_diag["ok"] and cert.gap_actual is not None:
-        slack = cert.gap_actual - cert.gap_lower_bound + budget
+    if cert["gap_event"]["ok"] and gap is not None:
+        checks.append(("positive_gap_under_gap_event", gap > -budget, gap))
+    if cert["supnorm_diag"]["ok"] and gap is not None:
+        slack = gap - cert["gap_lower_bound"] + budget
         checks.append(("gap_transfer", slack >= 0.0, slack))
-    if cert.energy_gap_observed is not None:
-        slack = cert.energy_bound + 1e-7 + budget - cert.energy_gap_observed
+    if cert["energy_gap_observed"] is not None:
+        slack = cert["energy_bound"] + 1e-7 + budget - cert["energy_gap_observed"]
         checks.append(("energy_certificate", slack >= 0.0, slack))
-    if cert.depletion_observed is not None and cert.depletion_bound is not None:
-        slack = cert.depletion_bound + 1e-7 + budget - cert.depletion_observed
+    if cert["depletion_observed"] is not None and cert["depletion_bound"] is not None:
+        slack = cert["depletion_bound"] + 1e-7 + budget - cert["depletion_observed"]
         checks.append(("depletion_certificate", slack >= 0.0, slack))
     return checks

@@ -68,6 +68,11 @@ _DEFAULTS = {
 }
 
 
+def _check_output_dir(value):
+    if not isinstance(value, str) or not value:  # "" would be the working directory
+        raise ConfigError(f"output_dir={value!r} must be a non-empty path string")
+
+
 class RunConfig:
     """Validated, fully resolved run configuration; the commands read the
     disorder, solver, ensemble and potential sections through disorder and spec."""
@@ -77,10 +82,9 @@ class RunConfig:
         if data["log_level"] not in LOG_LEVELS:
             raise ConfigError(f"log_level={data['log_level']!r} must be one of "
                               f"{', '.join(LOG_LEVELS)}")
-        if not isinstance(data["output_dir"], str):
-            raise ConfigError(f"output_dir={data['output_dir']!r} must be a path string")
-        # a bad kind or value fails every subcommand; the echo shows the
-        # chosen kind's parameters, defaults filled in
+        _check_output_dir(data["output_dir"])
+        # a bad kind or value fails every subcommand; the echo shows the chosen
+        # kind's parameters, defaults filled in, and the spec takes the read table too
         pot = data["potential"]
         chosen = potential_params(pot["kind"], pot["kappa"],
                                   {k: v for k, v in pot.items()
@@ -91,7 +95,7 @@ class RunConfig:
         self.disorder = DisorderConfig(**data["disorder"])
         # the solver and ensemble sections hold EnsembleSpec fields by name
         base = {key: val for key, val in data["disorder"].items() if key != "seed"}
-        self.spec = EnsembleSpec(base=base, potential=dict(pot),
+        self.spec = EnsembleSpec(base=base, potential={**pot, **chosen},
                                  **data["solver"], **data["ensemble"])
 
     def to_dict(self) -> dict:
@@ -226,7 +230,7 @@ def cmd_certify(cfg: RunConfig, out: Path, with_oracle=False) -> int:
         oracle = {"E_qm": gs.E_qm, "n_condensate": n_cond, "product_overlap": overlap}
     cert = build_certificate(real, pair, v, hs,
                              eta=cfg.spec.eta, sigma_ref=cfg.spec.sigma_ref, oracle=oracle)
-    (out / "certificate.json").write_text(cert.to_json())
+    (out / "certificate.json").write_text(json.dumps(cert, sort_keys=True, separators=(",", ":")))
     budget = cfg.spec.eig_tol * max(abs(pair.lambda2 or pair.lambda1), 1.0)
     checks = certificate_assertions(cert, eig_tol_abs=budget)
     for name, ok, margin in checks:
@@ -332,6 +336,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, args.overrides)
         if args.output_dir is not None:
+            _check_output_dir(args.output_dir)
             cfg.data["output_dir"] = args.output_dir
         logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
         logging.getLogger("kaclab").setLevel(cfg.data["log_level"])

@@ -17,7 +17,6 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .constants import unit_ball_volume
 from .errors import ConfigError, check_number
 
 # the volume event's default tolerance on |fraction - exp(-nu omega_d r^d)|
@@ -199,6 +198,11 @@ def component_volumes(labels, K, h, d) -> list:
     """Cell count * h^d of each component 1..K of a label grid."""
     counts = np.bincount(labels.ravel(), minlength=K + 1)[1:]
     return [float(c) * h**d for c in counts]
+
+
+def unit_ball_volume(d: int) -> float:
+    """Volume of the unit ball in d dimensions, pi^(d/2) / Gamma(d/2 + 1)."""
+    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
 def volume_fraction(real: DisorderRealization, eta: float = ETA):

@@ -181,10 +181,8 @@ def run_realization(
     try:
         run_pipeline(result, potential, eig_tol=eig_tol, el_tol=el_tol)
         result.stage = "certificate"
-        certificate = build_certificate(
-            result.real, result.pair, result.v, result.hartree,
-            eta=eta, sigma_ref=sigma_ref,
-        ).to_dict()
+        certificate = build_certificate(result.real, result.pair, result.v, result.hartree,
+                                        eta=eta, sigma_ref=sigma_ref)
     except (KacLabError, ValueError, FloatingPointError, RuntimeError, MemoryError) as exc:
         # RuntimeError covers SuperLU's singular-matrix error and ArpackError;
         # SuperLU raises MemoryError when its fill does not fit

@@ -44,6 +44,9 @@ SUPPORT_TOL = 1e-12
 # EL_TOL (every el_tol defaults to it), reached within MAX_ITER steps
 EL_TOL = 1e-8
 MAX_ITER = 5000
+# no new energy minimum in this many steps: the flow sits at its roundoff
+# floor, above tol.  Converged flows went at most 531 steps without one (README)
+STALL_STEPS = 1000
 # the preconditioner T and h_u's own shift-invert point (see _shifted_inverse)
 # sit at sigma = 0.9 lambda1: below lambda1, so all stay positive definite,
 # with a 10% margin for FFT roundoff in W (and for kappa = 0, where W = 0).
@@ -378,8 +381,9 @@ def minimize_hartree(
     descends, the rate is grid-independent, and tau = 1 is a good first step
     while the interaction is small against lambda1.  The one success exit is
     an Euler-Lagrange residual || h_u u - <u, h_u u> u || below tol; a step
-    that no 40 halvings of tau make acceptable, or MAX_ITER steps without
-    that exit, raise SolverError with the trace and the last residual.
+    that no 40 halvings of tau make acceptable, STALL_STEPS steps without a
+    new energy minimum, or MAX_ITER steps without that exit, raise
+    SolverError with the trace and the last residual.
 
     pair is the spectrum of lap = pair.operator, the Dirichlet Laplacian of
     the whole vacancy set (run_pipeline's) or, when pair is None, of the
@@ -426,6 +430,7 @@ def minimize_hartree(
     tau = 1.0
     residual = np.inf
     backtracks = 0
+    lowest, stalled = energy, 0
 
     for it in range(1, MAX_ITER + 1):
         g = Lu + W * u
@@ -437,6 +442,9 @@ def minimize_hartree(
         if residual < tol:
             iterations = it - 1
             break
+        if stalled >= STALL_STEPS:
+            raise SolverError(f"Hartree flow stalled: no new energy minimum in {STALL_STEPS} "
+                              f"steps (residual {residual:.3e})", residuals=[residual], trace=trace)
 
         z = np.where(comp_mask, lap.embed(precondition(lap.restrict(resid))), 0.0)
         direction = z - grids.inner(u, z, h) * u
@@ -450,6 +458,7 @@ def minimize_hartree(
                 if new_energy <= energy + 8.0 * eps * max(1.0, abs(energy)):
                     u, energy, W, shift, Lu = w, new_energy, new_W, new_shift, new_Lw
                     trace.append(energy)
+                    stalled, lowest = (0, energy) if energy < lowest else (stalled + 1, lowest)
                     tau = min(tau * 1.3, 1.0)
                     break
             tau *= 0.5

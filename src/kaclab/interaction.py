@@ -78,15 +78,20 @@ def potential_params(kind, kappa, params: Optional[dict] = None) -> dict:
     and every value checked: kappa >= 0; width, truncation and radius
     positive numbers; allow_non_posdef a bool; table_path a string naming a
     text file of (radius, value) rows, radii nonnegative and increasing and
-    values nonnegative, returned read as "table".  An unknown kind, a
-    parameter of another kind or of none, or a bad value is a ConfigError."""
+    values nonnegative, returned read as "table".  Given that "table" beside
+    its table_path, the file is not read again; the table is checked all the
+    same.  An unknown kind, a parameter of another kind or of none, or a bad
+    value is a ConfigError."""
     if not isinstance(kind, str) or kind not in POTENTIAL_PARAMS:
         raise ConfigError(f"unknown potential kind {kind!r}")
-    foreign = sorted(set(params or {}) - set(POTENTIAL_PARAMS[kind]))
+    params = params or {}
+    # "table" is a table_path's rows as an earlier call read them, never alone
+    read = {"table"} if "table_path" in params else set()
+    foreign = sorted(set(params) - set(POTENTIAL_PARAMS[kind]) - read)
     if foreign:
         raise ConfigError(f"potential parameters {foreign} do not apply to kind {kind!r}")
     check_number("kappa", kappa, 0)
-    out = {**POTENTIAL_PARAMS[kind], **(params or {})}
+    out = {**POTENTIAL_PARAMS[kind], **params}
     for key in ("width", "truncation", "radius"):
         if key in out:
             check_number(key, out[key], 0, above=True)
@@ -96,18 +101,20 @@ def potential_params(kind, kappa, params: Optional[dict] = None) -> dict:
         path = out["table_path"]
         if not isinstance(path, str):
             raise ConfigError(f"custom_table needs 'table_path', a string, not {path!r}")
-        try:
-            with warnings.catch_warnings():
-                # numpy warns on a file with no rows; the check below says so in one line
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(path, ndmin=2)
-        except (OSError, ValueError) as exc:  # the path is user input
-            raise ConfigError(f"cannot read table_path {path!r}: {exc}")
+        table = out.get("table")
+        if table is None:
+            try:
+                with warnings.catch_warnings():
+                    # numpy warns on a file with no rows; the check below says so in one line
+                    warnings.simplefilter("ignore", UserWarning)
+                    table = out["table"] = np.loadtxt(path, ndmin=2)
+            except (OSError, ValueError) as exc:  # the path is user input
+                raise ConfigError(f"cannot read table_path {path!r}: {exc}")
         if table.size == 0:
             raise ConfigError(f"table_path {path!r} holds no rows")
         if table.shape[1] != 2:
             raise ConfigError("table must have rows of (radius, value)")
-        radii, vals = out["table"] = table.T
+        radii, vals = table.T
         if not (np.all(np.diff(radii) > 0) and radii[0] >= 0):
             raise ConfigError("table radii must be nonnegative and increasing")
         if not np.all(vals >= 0):
@@ -158,7 +165,7 @@ def build_interaction(
         rr = _offset_radii(R, d, h)
         base = (rr <= radius).astype(float)
     elif kind == "custom_table":
-        radii, vals = params["table"]
+        radii, vals = params["table"].T
         R = max(int(math.ceil(radii[-1] / h)), 1)
         rr = _offset_radii(R, d, h)
         base = np.interp(rr, radii, vals, left=vals[0], right=0.0)

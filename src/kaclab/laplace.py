@@ -30,7 +30,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from . import grids
-from .constants import supnorm_constant
 from .errors import KacLabError, SolverError
 
 # measured crossover on d=2 masks (one BLAS thread, medians of 30 calls),
@@ -384,26 +383,3 @@ def ground_state_component(real, pair: SpectralPair) -> ComponentSelection:
     mass_outside = max(total - float(masses[component - 1]), 0.0)
     multiple = mass_outside > 0.01 or pair.numerically_degenerate
     return ComponentSelection(component, mass_outside, multiple)
-
-
-@dataclass
-class SupnormCheck:
-    """Diagnostic sup-norm bound ||phi1||_inf^2 <= C^2 lambda1^(d/2).
-
-    The constant is the continuum one; at fixed grid spacing the bound is a
-    diagnostic, not a theorem, so downstream certificates flag rather than
-    fail when it does not hold.
-    """
-
-    lhs: float
-    rhs: float
-    ok: bool
-    skipped: bool = False
-
-
-def supnorm_bound_check(pair: SpectralPair, d: int) -> SupnormCheck:
-    if pair.degenerate_size:
-        return SupnormCheck(lhs=0.0, rhs=0.0, ok=False, skipped=True)
-    lhs = float(np.max(pair.phi1**2))
-    rhs = supnorm_constant(d) ** 2 * pair.lambda1 ** (d / 2.0)
-    return SupnormCheck(lhs=lhs, rhs=rhs, ok=bool(lhs <= rhs))

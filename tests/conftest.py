@@ -228,6 +228,13 @@ def tiny_box_config(N=2, L=2.0, h=0.5, d=2, seed=0, nu=0.0, r=0.7):
     return DisorderConfig(d=d, rho=rho, N=N, nu=nu, r=r, h=h, seed=seed)
 
 
+def free_box_realization(n_cells, L=1.0, d=2):
+    """Obstacle-free box of side exactly L (rho adjusts) with h = L / n_cells."""
+    N = 4
+    config = DisorderConfig(d=d, rho=N / L**d, N=N, nu=0.0, r=2.0 * L, h=L / n_cells, seed=0)
+    return build_realization(config, centers=np.zeros((0, d)))
+
+
 @pytest.fixture
 def free_3x3():
     """Obstacle-free 3x3-node fixture (L=2, h=0.5), the smallest workhorse."""

@@ -27,7 +27,7 @@ from kaclab import (
     one_body_density_matrix,
 )
 from kaclab import grids
-from kaclab.constants import unit_ball_volume
+from kaclab.disorder import unit_ball_volume
 from kaclab.ensemble import run_ensemble, scaling_sweep
 from kaclab.hartree import component_ground_state
 from kaclab.laplace import EIG_TOL

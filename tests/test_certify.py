@@ -1,8 +1,10 @@
 """Certificate evaluation: events, transferred gap bound, mean-field bounds."""
 
-import dataclasses
+import ast
+import importlib.util
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from kaclab import (
     DisorderConfig,
+    DisorderRealization,
     assemble_laplacian,
     build_certificate,
     build_interaction,
@@ -27,7 +30,15 @@ from kaclab import (
     supnorm_bound_check,
     volume_fraction,
 )
-from kaclab.constants import supnorm_constant
+from kaclab import certify
+from kaclab.certify import supnorm_constant
+
+from conftest import free_box_realization, tiny_box_config
+
+
+def compact(cert):
+    """The bytes certificate.json holds: sorted keys, no spaces."""
+    return json.dumps(cert, sort_keys=True, separators=(",", ":"))
 
 
 def fake_pair(lam1, lam2):
@@ -94,7 +105,7 @@ class TestGapLowerBound:
     def test_transfer_holds_on_fixture(self, corner_blocked_6):
         real = corner_blocked_6
         pair, v, hs, _ = pipeline(real, kappa=0.5)
-        assert supnorm_bound_check(pair, 2).ok
+        assert supnorm_bound_check(pair, 2)["ok"]
         bound = check_gap_event(pair, v)[1]
         assert hs.e2 - hs.e1 >= bound - 1e-9
 
@@ -107,13 +118,13 @@ class TestCertificate:
     def test_zero_coupling_certificate(self, free_3x3):
         pair, v, hs, oracle = pipeline(free_3x3, 0.0, solve_oracle=True)
         cert = build_certificate(free_3x3, pair, v, hs, oracle=oracle)
-        assert cert.volume_event["ok"]
-        assert cert.gap_event["ok"]
-        assert cert.energy_bound == 0.0
-        assert cert.depletion_bound == 0.0
-        assert cert.energy_gap_observed <= 1e-11
-        assert cert.depletion_observed <= 1e-10
-        assert cert.gap_actual > 0.0
+        assert cert["volume_event"]["ok"]
+        assert cert["gap_event"]["ok"]
+        assert cert["energy_bound"] == 0.0
+        assert cert["depletion_bound"] == 0.0
+        assert cert["energy_gap_observed"] <= 1e-11
+        assert cert["depletion_observed"] <= 1e-10
+        assert cert["gap_actual"] > 0.0
         checks = certificate_assertions(cert, eig_tol_abs=1e-9)
         assert checks and all(ok for _, ok, _ in checks)
 
@@ -121,50 +132,49 @@ class TestCertificate:
         real = corner_blocked_6
         pair, v, hs, oracle = pipeline(real, kappa=1.0, solve_oracle=True)
         cert = build_certificate(real, pair, v, hs, oracle=oracle)
-        assert cert.energy_gap_observed <= cert.energy_bound + 1e-9
-        assert cert.depletion_observed <= cert.depletion_bound + 1e-9
+        assert cert["energy_gap_observed"] <= cert["energy_bound"] + 1e-9
+        assert cert["depletion_observed"] <= cert["depletion_bound"] + 1e-9
         assert all(ok for _, ok, _ in certificate_assertions(cert, 1e-9))
 
     def test_constants_recomputed_per_dimension(self, free_3x3):
         pair, v, hs, _ = pipeline(free_3x3, 0.0)
         cert = build_certificate(free_3x3, pair, v, hs)
-        assert cert.constants["supnorm_constant"] == pytest.approx(
+        assert cert["constants"]["supnorm_constant"] == pytest.approx(
             2.0 * (4.0 * math.pi) ** -0.5 * math.e, rel=1e-14
         )
-        assert cert.constants["unit_ball_volume"] == pytest.approx(math.pi, rel=1e-14)
+        assert cert["constants"]["unit_ball_volume"] == pytest.approx(math.pi, rel=1e-14)
 
     def test_deterministic_bytes(self, corner_blocked_6):
         a = pipeline(corner_blocked_6, kappa=0.7, solve_oracle=True)
         b = pipeline(corner_blocked_6, kappa=0.7, solve_oracle=True)
         cert_a = build_certificate(corner_blocked_6, a[0], a[1], a[2], oracle=a[3])
         cert_b = build_certificate(corner_blocked_6, b[0], b[1], b[2], oracle=b[3])
-        assert cert_a.to_json().encode() == cert_b.to_json().encode()
+        assert compact(cert_a).encode() == compact(cert_b).encode()
 
     @pytest.mark.parametrize("with_oracle", [False, True])
-    def test_json_bytes_equal_the_asdict_serialization(self, corner_blocked_6, with_oracle):
-        # to_dict builds the dict from fields() without asdict's deep copy;
-        # an ensemble certificate (no oracle, no product_overlap key) and an
-        # oracle one serialize to the same bytes as through asdict
+    def test_product_overlap_only_with_an_oracle(self, corner_blocked_6, with_oracle):
+        # an ensemble certificate (no oracle) carries exactly the golden
+        # schema's keys, an oracle one product_overlap besides; every value
+        # is plain JSON, so the dict serializes as stored
         pair, v, hs, oracle = pipeline(corner_blocked_6, kappa=0.7, solve_oracle=with_oracle)
         cert = build_certificate(corner_blocked_6, pair, v, hs, oracle=oracle)
-        reference = dataclasses.asdict(cert)
-        if not with_oracle:
-            del reference["product_overlap"]
-        assert ("product_overlap" in cert.to_dict()) == with_oracle
-        assert cert.to_json().encode() == json.dumps(
-            reference, sort_keys=True, separators=(",", ":")).encode()
+        golden = json.loads((Path(__file__).parent / "data" / "golden_record_schema.json")
+                            .read_text())["certificate"]
+        assert ("product_overlap" in cert) == with_oracle
+        assert set(cert) - {"product_overlap"} == set(golden)
+        assert json.loads(compact(cert)) == cert
 
     def test_minimizer_consistency_fields(self, corner_blocked_6):
         pair, v, hs, _ = pipeline(corner_blocked_6, kappa=0.9)
         cert = build_certificate(corner_blocked_6, pair, v, hs)
-        assert cert.minimizer_consistency["energy_vs_quadratic_form"] < 1e-12
-        assert cert.minimizer_consistency["energy_vs_e1_full"] < 1e-7
-        assert cert.minimizer_consistency["el_residual"] < 1e-8
+        assert cert["minimizer_consistency"]["energy_vs_quadratic_form"] < 1e-12
+        assert cert["minimizer_consistency"]["energy_vs_e1_full"] < 1e-7
+        assert cert["minimizer_consistency"]["el_residual"] < 1e-8
 
     def test_violated_inequality_detected(self, free_3x3):
         pair, v, hs, oracle = pipeline(free_3x3, 0.0, solve_oracle=True)
         cert = build_certificate(free_3x3, pair, v, hs, oracle=oracle)
-        cert.energy_gap_observed = cert.energy_bound + 1.0  # corrupt on purpose
+        cert["energy_gap_observed"] = cert["energy_bound"] + 1.0  # corrupt on purpose
         checks = certificate_assertions(cert, 1e-12)
         failed = [name for name, ok, _ in checks if not ok]
         assert failed == ["energy_certificate"]
@@ -198,3 +208,55 @@ def test_volume_event_records_volume_fractions_target(criterion_56_records):
         fraction, in_event, target = volume_fraction(real, spec.eta)
         assert (vol["fraction"], vol["ok"]) == (fraction, in_event)
         assert np.float64(vol["target"]).tobytes() == np.float64(target).tobytes()
+
+
+class TestSupnormCheck:
+    def test_constant_value_d2(self):
+        # 2 e (4 pi)^(-1/2) evaluated from the formula
+        assert supnorm_constant(2) == pytest.approx(
+            2.0 * math.e / math.sqrt(4.0 * math.pi), rel=1e-14
+        )
+        assert supnorm_constant(2) == pytest.approx(1.5336, abs=5e-5)
+
+    def test_free_unit_box(self):
+        real = free_box_realization(n_cells=32, L=1.0)
+        pair = lowest_eigenpairs(assemble_laplacian(real))
+        check = supnorm_bound_check(pair, 2)
+        # continuum phi = 2 sin(pi x) sin(pi y): sup |phi|^2 = 4
+        assert check["lhs"] == pytest.approx(4.0, rel=0.02)
+        expected_rhs = supnorm_constant(2) ** 2 * pair.lambda1
+        assert check["rhs"] == pytest.approx(expected_rhs, rel=1e-12)
+        assert check["ok"] and not check["skipped"]
+
+    def test_one_node_skipped(self):
+        config = tiny_box_config()
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[1, 1] = True
+        real = DisorderRealization.from_mask(config, mask)
+        pair = lowest_eigenpairs(assemble_laplacian(real))
+        check = supnorm_bound_check(pair, 2)
+        assert check["skipped"]
+
+
+def imported_names(tree):
+    """Every module an import statement names, and each name it imports from one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (f"{node.module or ''}.{alias.name}" for alias in node.names)
+
+
+def test_certify_owns_the_papers_constants():
+    # the numerics modules know nothing of the certificates, and the sup-norm
+    # constant is named in certify alone; kaclab.constants is gone
+    for path in sorted(Path(certify.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem in ("laplace", "hartree", "manybody", "interaction"):
+            assert not any("certify" in name.split(".") for name in imported_names(tree)), path
+        if path.stem != "certify":
+            names = {getattr(node, attr, None) for node in ast.walk(tree)
+                     for attr in ("id", "attr", "name")}
+            assert "supnorm_constant" not in names, path
+    assert importlib.util.find_spec("kaclab.constants") is None

@@ -173,6 +173,22 @@ class TestSubcommands:
         cert = json.loads((tmp_path / "plain" / "certificate.json").read_text())
         assert "product_overlap" not in cert and cert["depletion_observed"] is None
 
+    def test_certify_writes_the_records_certificate(self, tmp_path):
+        # the CLI and the records build one certificate: certificate.json is
+        # the compact JSON of run_realization's certificate for the same config
+        path = write_config(tmp_path, disorder={"nu": 0.2}, potential={"kappa": 0.3},
+                            ensemble={"sigma_ref": 0.5})
+        out = tmp_path / "run"
+        assert main(["certify", "-c", str(path), "-o", str(out)]) == EXIT_OK
+        cfg = parse_config(path)
+        spec = cfg.spec
+        rec = ensemble.run_realization(cfg.disorder, spec.potential, eta=spec.eta,
+                                       sigma_ref=spec.sigma_ref, eig_tol=spec.eig_tol,
+                                       el_tol=spec.el_tol)
+        assert rec["error"] is None
+        assert (out / "certificate.json").read_bytes() == json.dumps(
+            rec["certificate"], sort_keys=True, separators=(",", ":")).encode()
+
     def test_hartree_appends_record(self, tmp_path):
         path = write_config(tmp_path, potential={"kappa": 0.3})
         out = tmp_path / "run"
@@ -345,6 +361,7 @@ class TestSubcommands:
         ["ensemble", "--set", "ensemble.N_values=[1,2,3]"],
         ["sample", "--set", "output_dir=123"],
         ["sample", "--set", "output_dir=null"],
+        ["sample", "--set", 'output_dir=""'],
         ["ensemble", "--set", "ensemble.seeds=[3,3,3,4]"],
     ], ids=["sweep_default", "N_values_decrease", "no_seeds", "workers_string",
             "eig_tol_string", "whole_section", "unknown_potential_kind", "potential_kind_list",
@@ -358,7 +375,7 @@ class TestSubcommands:
             "width_string", "truncation_bool", "allow_non_posdef_string",
             "table_path_number", "table_path_missing", "table_negative",
             "table_empty", "N_values_below_two", "output_dir_number", "output_dir_null",
-            "seeds_repeated"])
+            "output_dir_empty", "seeds_repeated"])
     def test_config_error_is_one_error_line(self, tmp_path, capsys, request, argv):
         assert main(argv + ["-o", str(tmp_path / "run")]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
@@ -368,6 +385,14 @@ class TestSubcommands:
         # depends on the subcommand: a sweep's three N values, a built potential's N
         if request.node.callspec.id not in ("sweep_default", "N_below_two"):
             assert not (tmp_path / "run").exists()
+
+    def test_empty_output_dir_flag_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # -o "" would name the working directory, as output_dir="" would
+        monkeypatch.chdir(tmp_path)
+        assert main(["sample", "-o", ""]) == EXIT_USAGE
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: output_dir=''")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["spectrum", "oracle"])
     def test_empty_vacancy_set_is_an_error_line(self, tmp_path, capsys, command):
@@ -422,6 +447,28 @@ class TestPotentialKindsViaConfig:
         cfg = parse_config(path)
         v = potential_from_spec(cfg.spec.potential, 4, 2, 0.5)
         assert v.kind == "custom_table" and v.v_at_zero > 0.0
+
+    @pytest.mark.parametrize("command", ["hartree", "ensemble"])
+    def test_custom_table_is_read_once(self, tmp_path, monkeypatch, command):
+        # parse_config reads the table; the potential build samples that table
+        table = tmp_path / "profile.txt"
+        table.write_text("0.0 1.0\n1.0 0.0\n")
+        path = write_config(
+            tmp_path,
+            potential={"kind": "custom_table", "kappa": 0.2,
+                       "table_path": str(table), "width": None},
+            ensemble={"seeds": 2},
+        )
+        reads = []
+        loadtxt = np.loadtxt
+
+        def counting_loadtxt(fname, *args, **kwargs):
+            reads.append(fname)
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        assert main([command, "-c", str(path), "-o", str(tmp_path / "run")]) == EXIT_OK
+        assert reads == [str(table)]
 
     def test_echo_holds_the_kind_parameters(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, potential={"kind": "top_hat", "width": None}))

@@ -13,7 +13,7 @@ from kaclab import (
     sample_centers,
     volume_fraction,
 )
-from kaclab.constants import unit_ball_volume
+from kaclab.disorder import unit_ball_volume
 
 from conftest import brute_force_mask, flood_fill_components, tiny_box_config
 

@@ -370,7 +370,7 @@ class TestVolumeFractionOncePerRecord:
         rec = run_realization(config, POT, eta=0.2, sigma_ref=1.0)
         assert calls == [0.2]
         assert json.dumps(rec["certificate"], sort_keys=True) == json.dumps(
-            expected.to_dict(), sort_keys=True)
+            expected, sort_keys=True)
         assert rec["volume_fraction"] == rec["certificate"]["volume_event"]["fraction"]
 
 

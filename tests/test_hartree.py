@@ -26,7 +26,7 @@ from kaclab import (
     run_pipeline,
 )
 from kaclab import PipelineResult, grids, hartree
-from kaclab.constants import supnorm_constant
+from kaclab.certify import supnorm_constant
 from kaclab.hartree import (
     component_ground_state,
     interaction_double_sum,
@@ -214,6 +214,21 @@ class TestMinimizer:
         with pytest.raises(SolverError, match="backtracking stalled at iteration 1") as err:
             minimize_hartree(real, 1, v, real.config.N, tol=residual / 10.0)
         assert err.value.residuals == [residual]
+
+    def test_tol_below_the_roundoff_floor_stalls(self):
+        # the residual's roundoff floor on this set is about 3e-15: tol=1e-14
+        # converges, tol=1e-15 cannot, and the flow stops STALL_STEPS accepted
+        # steps after its last new energy minimum, long before MAX_ITER
+        config = DisorderConfig(d=2, rho=1.0, N=64, nu=0.3, r=0.5, h=0.4, seed=1)
+        real = build_realization(config)
+        v = potential_for(real, kappa=1.0)
+        assert minimize_hartree(real, 1, v, 64, tol=1e-14).iterations < 100
+        with pytest.raises(SolverError, match="stalled: no new energy minimum in "
+                                              f"{hartree.STALL_STEPS} steps") as err:
+            minimize_hartree(real, 1, v, 64, tol=1e-15)
+        trace = err.value.trace
+        assert len(trace) - 1 - int(np.argmin(trace)) == hartree.STALL_STEPS
+        assert within_roundoff_allowance(trace) and err.value.residuals[0] >= 1e-15
 
     def test_one_stencil_product_per_energy_evaluation(self, monkeypatch):
         # the gradient at an accepted state reuses the stencil product of its

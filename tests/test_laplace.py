@@ -28,24 +28,12 @@ from kaclab import (
     lowest_eigenpairs,
     run_pipeline,
     run_realization,
-    supnorm_bound_check,
 )
 from kaclab import ensemble, grids, hartree, laplace
 from kaclab.ensemble import derive_seeds
-from kaclab.constants import supnorm_constant
 from kaclab.laplace import DENSE_CUTOFF, SPD_LU_OPTIONS, band_factorizes
 
-from conftest import box_eigenvalue, dense_laplacian, tiny_box_config
-
-
-def free_box_realization(n_cells, L=1.0, d=2):
-    # rho adjusts so the box side is exactly L; h = L / n_cells
-    N = 4
-    rho = N / L**d
-    from kaclab import DisorderConfig
-
-    config = DisorderConfig(d=d, rho=rho, N=N, nu=0.0, r=2.0 * L, h=L / n_cells, seed=0)
-    return build_realization(config, centers=np.zeros((0, d)))
+from conftest import box_eigenvalue, dense_laplacian, free_box_realization, tiny_box_config
 
 
 class TestOperator:
@@ -661,31 +649,3 @@ class TestGroundStateComponent:
         sel = ground_state_component(real, pair)
         assert sel.multiple
         assert ("multiple" if sel.multiple else sel.component) == "multiple"
-
-
-class TestSupnormCheck:
-    def test_constant_value_d2(self):
-        # 2 e (4 pi)^(-1/2) evaluated from the formula
-        assert supnorm_constant(2) == pytest.approx(
-            2.0 * math.e / math.sqrt(4.0 * math.pi), rel=1e-14
-        )
-        assert supnorm_constant(2) == pytest.approx(1.5336, abs=5e-5)
-
-    def test_free_unit_box(self):
-        real = free_box_realization(n_cells=32, L=1.0)
-        pair = lowest_eigenpairs(assemble_laplacian(real))
-        check = supnorm_bound_check(pair, 2)
-        # continuum phi = 2 sin(pi x) sin(pi y): sup |phi|^2 = 4
-        assert check.lhs == pytest.approx(4.0, rel=0.02)
-        expected_rhs = supnorm_constant(2) ** 2 * pair.lambda1
-        assert check.rhs == pytest.approx(expected_rhs, rel=1e-12)
-        assert check.ok and not check.skipped
-
-    def test_one_node_skipped(self):
-        config = tiny_box_config()
-        mask = np.zeros((3, 3), dtype=bool)
-        mask[1, 1] = True
-        real = DisorderRealization.from_mask(config, mask)
-        pair = lowest_eigenpairs(assemble_laplacian(real))
-        check = supnorm_bound_check(pair, 2)
-        assert check.skipped
