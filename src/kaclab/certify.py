@@ -46,16 +46,14 @@ def supnorm_constant(d: int) -> float:
 def supnorm_bound_check(pair, d: int) -> dict:
     """The sup-norm premise as the certificate's supnorm_diag block.
 
-    Returns {lhs, rhs, ok, skipped} with lhs = max phi1^2 and
-    rhs = C^2 lambda1^(d/2).  The constant is the continuum one; at fixed
-    grid spacing the bound is a diagnostic, not a theorem, so the gap
-    transfer is asserted only where it holds.  A one-node set is skipped.
+    Returns {lhs, rhs, ok} with lhs = max phi1^2 and rhs = C^2 lambda1^(d/2).
+    The constant is the continuum one; at fixed grid spacing the bound is a
+    diagnostic, not a theorem, so the gap transfer is asserted only where it
+    holds.
     """
-    if pair.degenerate_size:
-        return {"lhs": 0.0, "rhs": 0.0, "ok": False, "skipped": True}
     lhs = float(np.max(pair.phi1**2))
     rhs = supnorm_constant(d) ** 2 * pair.lambda1 ** (d / 2.0)
-    return {"lhs": lhs, "rhs": rhs, "ok": bool(lhs <= rhs), "skipped": False}
+    return {"lhs": lhs, "rhs": rhs, "ok": bool(lhs <= rhs)}
 
 
 def check_gap_event(pair, v: InteractionPotential):
@@ -114,8 +112,8 @@ def build_certificate(
     cert = {
         "volume_event": {"ok": in_vol, "fraction": fraction, "target": target,
                          "margin": eta - abs(fraction - target), "eta": eta},
+        # the margin is also the lower bound on e2 - e1 that the gap transfer asserts
         "gap_event": {"ok": ok, "margin": margin, "lhs": lhs, "rhs": rhs},
-        "gap_lower_bound": margin,
         "gap_actual": gap,
         "energy_bound": 0.5 * v0,
         "energy_gap_observed": None if oracle is None else abs(oracle["E_qm"] / v.N - hs.e1),
@@ -129,8 +127,7 @@ def build_certificate(
         },
         "scaling": scaling_diagnostics(v, sigma_ref),
         "constants": {"supnorm_constant": supnorm_constant(real.d),
-                      "unit_ball_volume": unit_ball_volume(real.d),
-                      "eta": eta, "sigma_ref": sigma_ref},
+                      "unit_ball_volume": unit_ball_volume(real.d), "sigma_ref": sigma_ref},
     }
     if oracle is not None:
         cert["product_overlap"] = oracle.get("product_overlap")
@@ -152,7 +149,7 @@ def certificate_assertions(cert: dict, eig_tol_abs: float = 0.0) -> list:
     if cert["gap_event"]["ok"] and gap is not None:
         checks.append(("positive_gap_under_gap_event", gap > -budget, gap))
     if cert["supnorm_diag"]["ok"] and gap is not None:
-        slack = gap - cert["gap_lower_bound"] + budget
+        slack = gap - cert["gap_event"]["margin"] + budget
         checks.append(("gap_transfer", slack >= 0.0, slack))
     if cert["energy_gap_observed"] is not None:
         slack = cert["energy_bound"] + 1e-7 + budget - cert["energy_gap_observed"]

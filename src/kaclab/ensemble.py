@@ -35,7 +35,7 @@ from .laplace import (
     lowest_eigenpairs,
 )
 
-RECORD_SCHEMA_VERSION = 2
+RECORD_SCHEMA_VERSION = 3
 WILSON_Z = 1.959963984540054  # the standard normal's 97.5% quantile: a 95% interval
 
 
@@ -140,7 +140,8 @@ def run_pipeline(
     # the pair carries its operator, so one factor serves the spectrum and
     # the flow, and on the sets where lambda3 is asked for, h_u's spectrum too
     pair = result.pair = dirichlet_spectrum(real, eig_tol)
-    if pair.degenerate_size:
+    # dirichlet_spectrum asks for 2 or 3 pairs: only a one-node set has no lambda2
+    if pair.lambda2 is None:
         raise KacLabError("one-node domain")
 
     result.stage = "component"
@@ -205,7 +206,6 @@ def run_realization(
         "volume_fraction": fraction,
         "lambda1": None if pair is None else pair.lambda1,
         "lambda2": None if pair is None else pair.lambda2,
-        "degenerate_size": pair is not None and pair.degenerate_size,
         "host_component": None if sel is None else sel.component,
         "mass_outside": None if sel is None else sel.mass_outside,
         "multiple_support": sel is not None and sel.multiple,

@@ -24,7 +24,7 @@ def check_number(name, value, low, above=False, integer=False):
 
 
 class SolverError(KacLabError, RuntimeError):
-    """Iterative solver failed to converge.
+    """A solver failed: no convergence, or a factorization that failed.
 
     Carries the last residuals / energy trace so failed runs stay auditable.
     """

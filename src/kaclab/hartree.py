@@ -147,12 +147,6 @@ def _mean_field(u: np.ndarray, v: InteractionPotential, N: int, h: float):
     return W, 0.5 * grids.inner(dens, W, h)
 
 
-def interaction_double_sum(u: np.ndarray, v: InteractionPotential, real) -> float:
-    """double-sum v(x-y) u(x)^2 u(y)^2 with h^d per integration variable."""
-    # at N = 2 the mean field's energy is half of it, exactly
-    return 2.0 * _mean_field(u, v, 2, real.h)[1]
-
-
 def hartree_energy(u: np.ndarray, real, component: int, v: InteractionPotential, N: int) -> float:
     """Energy functional at a unit-norm state supported on one component."""
     _check_support(u, real, component)

@@ -203,11 +203,18 @@ class MaskedOperator:
         (its solves took ~half the time of lower storage's); a wide one
         SuperLU with SPD_LU_OPTIONS.  A pivot that is not positive means the
         matrix is not SPD, against Weyl's inequality (SPD_LU_OPTIONS), and
-        raises SolverError.  dpbtrf is blocked BLAS from a bandwidth of 32,
-        so, like eigh's, its bits may depend on the BLAS thread count.
+        raises SolverError, as does a SuperLU factorization that fails (a
+        singular matrix, or fill that does not fit in memory).  dpbtrf is
+        blocked BLAS from a bandwidth of 32, so, like eigh's, its bits may
+        depend on the BLAS thread count.
         """
         if not band_factorizes(self.d, self.n_vacant, self.bandwidth_bound):
-            return splu(self.matrix(), **SPD_LU_OPTIONS).solve
+            matrix = self.matrix()
+            try:
+                return splu(matrix, **SPD_LU_OPTIONS).solve
+            except (RuntimeError, MemoryError) as exc:
+                raise SolverError(f"SuperLU factorization of {self.n_vacant} nodes "
+                                  f"failed: {exc!r}") from exc
         pairs = list(self.face_pairs())
         width = max((int(np.max(b - a)) for a, b in pairs if a.size), default=0)
         ab = np.zeros((width + 1, self.n_vacant))
@@ -240,8 +247,8 @@ class SpectralPair:
 
     Eigenvectors are full-grid functions with unit discrete L2 norm
     (sum phi^2 h^d = 1) and nonnegative grid sum.  residual_i is the
-    discrete norm of A phi_i - lambda_i phi_i.  On a one-node domain only
-    the single eigenvalue exists and degenerate_size is set.  The third
+    discrete norm of A phi_i - lambda_i phi_i.  lambda2 is None when only
+    one pair was asked for or the domain has one node.  The third
     pair is filled only when asked for (count=3): it bounds the rest of the
     spectrum from below, which certifies h_u's e1, e2 (hartree).  operator
     is the one solved, holding its factor when ARPACK built one, so a later
@@ -254,7 +261,6 @@ class SpectralPair:
     phi2: Optional[np.ndarray]
     residual1: float
     residual2: Optional[float]
-    degenerate_size: bool = False
     lambda3: Optional[float] = None
     phi3: Optional[np.ndarray] = None
     residual3: Optional[float] = None
@@ -352,8 +358,8 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = EIG_TOL) 
         return values[i] if i < k else None
 
     return SpectralPair(lams[0], nth(lams, 1), phis[0], nth(phis, 1), residuals[0],
-                        nth(residuals, 1), degenerate_size=n == 1, lambda3=nth(lams, 2),
-                        phi3=nth(phis, 2), residual3=nth(residuals, 2), operator=op)
+                        nth(residuals, 1), lambda3=nth(lams, 2), phi3=nth(phis, 2),
+                        residual3=nth(residuals, 2), operator=op)
 
 
 @dataclass

@@ -226,16 +226,21 @@ class TestSupnormCheck:
         assert check["lhs"] == pytest.approx(4.0, rel=0.02)
         expected_rhs = supnorm_constant(2) ** 2 * pair.lambda1
         assert check["rhs"] == pytest.approx(expected_rhs, rel=1e-12)
-        assert check["ok"] and not check["skipped"]
+        assert check["ok"]
 
-    def test_one_node_skipped(self):
+    def test_one_node_premise_is_computed(self):
+        # one node: phi1^2 h^2 = 1 and lambda1 = 4 / h^2, as anywhere else
         config = tiny_box_config()
         mask = np.zeros((3, 3), dtype=bool)
         mask[1, 1] = True
         real = DisorderRealization.from_mask(config, mask)
         pair = lowest_eigenpairs(assemble_laplacian(real))
         check = supnorm_bound_check(pair, 2)
-        assert check["skipped"]
+        assert set(check) == {"lhs", "rhs", "ok"}
+        assert check["lhs"] == pytest.approx(1.0 / real.h**2, rel=1e-14)
+        assert check["rhs"] == pytest.approx(supnorm_constant(2) ** 2 * 4.0 / real.h**2,
+                                             rel=1e-14)
+        assert check["ok"]
 
 
 def imported_names(tree):

@@ -19,9 +19,10 @@ from kaclab.storage import load_field
 
 from conftest import positive_definite
 
+DATA = Path(__file__).parent / "data"
 # a custom_table profile with a negative value, and an empty file
-NEGATIVE_TABLE = Path(__file__).parent / "data" / "table_negative.txt"
-EMPTY_TABLE = Path(__file__).parent / "data" / "table_empty.txt"
+NEGATIVE_TABLE = DATA / "table_negative.txt"
+EMPTY_TABLE = DATA / "table_empty.txt"
 
 
 def write_config(tmp_path, **sections):
@@ -363,6 +364,11 @@ class TestSubcommands:
         ["sample", "--set", "output_dir=null"],
         ["sample", "--set", 'output_dir=""'],
         ["ensemble", "--set", "ensemble.seeds=[3,3,3,4]"],
+        ["sample", "-c", str(DATA / "config_section_not_object.json")],
+        ["sample", "-c", str(DATA / "config_not_json.json")],
+        ["sample", "-c", str(DATA / "config_top_level_array.json")],
+        ["sample", "--set", "disorder.d"],
+        ["sample", "--set", "disorder.d.x=1"],
     ], ids=["sweep_default", "N_values_decrease", "no_seeds", "workers_string",
             "eig_tol_string", "whole_section", "unknown_potential_kind", "potential_kind_list",
             "potential_kind_null", "potential_kappa_null", "potential_table", "solver_max_iter", "N_below_two",
@@ -375,7 +381,8 @@ class TestSubcommands:
             "width_string", "truncation_bool", "allow_non_posdef_string",
             "table_path_number", "table_path_missing", "table_negative",
             "table_empty", "N_values_below_two", "output_dir_number", "output_dir_null",
-            "output_dir_empty", "seeds_repeated"])
+            "output_dir_empty", "seeds_repeated", "section_not_object", "file_not_json",
+            "top_level_array", "override_without_value", "override_below_a_key"])
     def test_config_error_is_one_error_line(self, tmp_path, capsys, request, argv):
         assert main(argv + ["-o", str(tmp_path / "run")]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
@@ -409,6 +416,20 @@ class TestSubcommands:
         path = write_config(tmp_path, potential={"kappa": 1.0}, solver={"el_tol": 1e-14})
         out = tmp_path / "run"
         assert main(["hartree", "-c", str(path), "-o", str(out)]) == EXIT_SOLVER
+
+    def test_failed_factorization_is_one_solver_line(self, tmp_path, capsys, monkeypatch):
+        from kaclab import laplace
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        # 361 nodes: an ARPACK-size spectrum, factorized by SuperLU
+        monkeypatch.setattr(laplace, "BAND_MAX_WORK", {})
+        monkeypatch.setattr(laplace, "splu", out_of_memory)
+        path = write_config(tmp_path, disorder={"N": 64, "h": 0.4})
+        assert main(["hartree", "-c", str(path), "-o", str(tmp_path / "run")]) == EXIT_SOLVER
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == "solver failure: SuperLU factorization of 361 nodes failed: MemoryError()"
 
     def test_failed_assertion_exit_1(self, tmp_path, monkeypatch):
         import kaclab.cli as cli_mod

@@ -6,16 +6,19 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kaclab import (
     ConfigError,
     DisorderConfig,
+    DisorderRealization,
     EnsembleSpec,
     PipelineResult,
     build_certificate,
     certify,
     ensemble,
+    laplace,
     run_ensemble,
     run_pipeline,
     run_realization,
@@ -35,7 +38,7 @@ ARPACK_BASE = {"d": 2, "rho": 1.0, "N": 400, "nu": 0.15, "r": 0.5, "h": 0.4}
 
 RECORD_KEYS = {
     "schema_version", "seed", "config", "L", "K", "n_vacant",
-    "volume_fraction", "lambda1", "lambda2", "degenerate_size",
+    "volume_fraction", "lambda1", "lambda2",
     "host_component", "mass_outside", "multiple_support", "hartree",
     "certificate", "error",
 }
@@ -71,6 +74,37 @@ class TestRunRealization:
             "component", "energy", "e1", "e2", "shift", "iterations",
             "el_residual",
         }
+
+    def test_empty_vacancy_set_fails_at_disorder(self):
+        rec = run_realization(DisorderConfig(seed=0, **{**BASE, "nu": 50, "h": 0.4}), POT)
+        assert rec["error"] == {"stage": "disorder", "message": "empty vacancy set"}
+        assert rec["K"] == 0
+
+    def test_one_node_domain_fails_at_spectrum(self, monkeypatch):
+        def one_node(config):
+            mask = np.zeros(config.grid_dims, dtype=bool)
+            mask[0, 0] = True
+            return DisorderRealization.from_mask(config, mask)
+
+        monkeypatch.setattr(ensemble, "build_realization", one_node)
+        rec = run_realization(DisorderConfig(seed=0, **BASE), POT)
+        assert rec["error"] == {"stage": "spectrum", "message": "one-node domain"}
+        assert rec["lambda2"] is None and rec["n_vacant"] == 1
+
+    def test_bad_potential_spec_fails_before_the_disorder(self):
+        rec = run_realization(DisorderConfig(seed=0, **BASE), {"kind": "nope", "kappa": 1.0})
+        assert rec["error"]["stage"] == "potential"
+        assert rec["K"] is None and rec["n_vacant"] is None and rec["volume_fraction"] is None
+
+    def test_failed_factorization_fails_at_spectrum(self, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(laplace, "BAND_MAX_WORK", {})
+        monkeypatch.setattr(laplace, "splu", out_of_memory)
+        rec = run_realization(DisorderConfig(seed=0, **ARPACK_BASE), POT)
+        assert rec["error"] == {"stage": "spectrum", "message": (
+            f"SuperLU factorization of {rec['n_vacant']} nodes failed: MemoryError()")}
 
     def test_solver_failure_captured_not_raised(self, monkeypatch):
         from kaclab import hartree
@@ -385,7 +419,7 @@ class TestThreeDimensional:
         cert = rec["certificate"]
         assert cert["gap_actual"] is not None
         if cert["supnorm_diag"]["ok"]:
-            assert cert["gap_actual"] >= cert["gap_lower_bound"] - 1e-8
+            assert cert["gap_actual"] >= cert["gap_event"]["margin"] - 1e-8
         # d=3 constants recomputed from the dimension
         assert cert["constants"]["unit_ball_volume"] == pytest.approx(
             4.0 * math.pi / 3.0

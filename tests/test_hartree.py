@@ -29,7 +29,6 @@ from kaclab import PipelineResult, grids, hartree
 from kaclab.certify import supnorm_constant
 from kaclab.hartree import (
     component_ground_state,
-    interaction_double_sum,
     laplacian_factor_spectrum,
     reuses_laplacian_factor,
 )
@@ -121,7 +120,7 @@ class TestMinimizer:
         N = 5
         phi, lam1 = component_ground_state(real, 1)
         v_unit = build_interaction("gaussian", 1.0, N, 2, real.h, {"width": 0.5})
-        c1 = 0.5 * (N - 1) * interaction_double_sum(phi, v_unit, real)
+        c1 = 0.5 * (N - 1) * brute_double_sum(phi, v_unit)
 
         def slope(kappa):
             v = build_interaction("gaussian", kappa, N, 2, real.h, {"width": 0.5})
@@ -181,7 +180,7 @@ class TestMinimizer:
         for kappa in (0.0, 0.5, 3.0):
             v = potential_for(real, kappa)
             hs = minimize_hartree(real, 1, v, N)
-            upper = lam1 + 0.5 * (N - 1) * interaction_double_sum(phi, v, real)
+            upper = lam1 + 0.5 * (N - 1) * brute_double_sum(phi, v)
             assert lam1 - 1e-10 <= hs.energy <= upper + 1e-10
 
     def test_nonconvergence_raises_with_trace(self, corner_blocked_6, monkeypatch):

@@ -216,14 +216,13 @@ class TestEigenpairs:
         assert pair.lambda2 == pytest.approx(pair.lambda1, rel=1e-12)
         assert pair.numerically_degenerate
 
-    def test_one_node_degenerate_size(self):
+    def test_one_node_has_no_lambda2(self):
         config = tiny_box_config()
         mask = np.zeros((3, 3), dtype=bool)
         mask[0, 2] = True
         real = DisorderRealization.from_mask(config, mask)
         pair = lowest_eigenpairs(assemble_laplacian(real))
-        assert pair.degenerate_size
-        assert pair.lambda2 is None
+        assert pair.lambda2 is None and pair.phi2 is None
         assert pair.lambda1 == pytest.approx(4.0 / real.h**2)
 
     def test_domain_monotonicity(self):
@@ -282,6 +281,21 @@ class TestSparseFactorization:
             default = splu(mat)
             fill = lu.L.nnz + lu.U.nnz
             assert fill <= 0.6 * (default.L.nnz + default.U.nnz)
+
+    @pytest.mark.parametrize("fault", [RuntimeError("Factor is exactly singular"),
+                                       MemoryError()], ids=["singular", "out_of_memory"])
+    def test_failed_superlu_is_a_solver_error(self, monkeypatch, fault):
+        # a singular matrix or a fill that does not fit fails closed, naming the size
+        def failing_splu(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(laplace, "BAND_MAX_WORK", {})
+        monkeypatch.setattr(laplace, "splu", failing_splu)
+        op = MaskedOperator(mask=np.ones((12, 12), dtype=bool), h=0.4)
+        with pytest.raises(SolverError, match="SuperLU factorization of 144 nodes failed") as err:
+            op.solve(np.ones(op.n_vacant))
+        assert err.value.__cause__ is fault
+        assert op._factor is None and op.solves == 0
 
     def test_flow_solves_with_the_spectrum_factor(self, monkeypatch, factors):
         # d=2 N=1024 (about 5,500 nodes, ARPACK path): the factor built for
