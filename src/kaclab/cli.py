@@ -242,7 +242,7 @@ def cmd_certify(cfg: RunConfig, out: Path, with_oracle=False) -> int:
 
 
 def _load_realization(path):
-    """The KLVAC1 dump at path; one that is missing or does not load is a ConfigError."""
+    """The KLVAC2 dump at path; one that is missing or does not load is a ConfigError."""
     try:
         return storage.load_realization(path)
     except (OSError, ValueError) as exc:  # the dump path is user input
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-oracle", action="store_true",
                    help="also run the exact diagonalization checks")
     p = command("oracle", cmd_oracle, "exact few-boson diagonalization on a small realization")
-    p.add_argument("--realization", default=None, help="path to a KLVAC1 dump to reuse")
+    p.add_argument("--realization", default=None, help="path to a KLVAC2 dump to reuse")
     p.add_argument("--dump-state", action="store_true")
     command("ensemble", cmd_ensemble, "Monte Carlo over seeds with event frequencies")
     command("sweep", cmd_sweep, "N sweep with medians and scaling fits")

@@ -15,6 +15,7 @@ and all sweeps are labeled exploratory.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -120,7 +121,8 @@ def run_pipeline(
     """potential -> disorder -> spectrum -> host component -> Hartree.
 
     potential is a spec dict, built first so that a bad spec fails before any
-    solve, or an InteractionPotential built for config's N, d and spacing.
+    solve, or an InteractionPotential built for config's N, d and spacing; one
+    built for another N, d or spacing is a ConfigError at stage "potential".
     Fills result in place and returns it.  An empty vacancy set and a one-node
     domain (no second eigenvalue) stop the pipeline with a KacLabError;
     solver failures propagate as raised.
@@ -129,6 +131,11 @@ def run_pipeline(
     result.stage = "potential"
     if not isinstance(potential, InteractionPotential):
         potential = potential_from_spec(potential, config.N, config.d, config.grid_spacing)
+    for name, built, wanted in (("N", potential.N, config.N), ("d", potential.d, config.d),
+                                ("grid spacing", potential.h, config.grid_spacing)):
+        if built != wanted:
+            raise ConfigError(f"potential built for {name}={built!r}, "
+                              f"the config's {name} is {wanted!r}")
     v = result.v = potential
 
     result.stage = "disorder"
@@ -224,6 +231,7 @@ def run_ensemble(spec: EnsembleSpec, N: Optional[int] = None) -> list:
     """Run the pipeline over all seeds; records come back sorted by seed.
 
     The one potential is built before any realization: a bad spec raises here.
+    The pool has at most one worker per job and per CPU.
     """
     base = dict(spec.base)
     if N is not None:
@@ -233,8 +241,9 @@ def run_ensemble(spec: EnsembleSpec, N: Optional[int] = None) -> list:
     first = configs[0]
     v = potential_from_spec(spec.potential, first.N, first.d, first.grid_spacing)
     jobs = [(config, v, kwargs) for config in configs]
-    if spec.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    workers = min(spec.workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_job, jobs))
     else:
         records = [_job(j) for j in jobs]

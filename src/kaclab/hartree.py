@@ -147,11 +147,15 @@ def _mean_field(u: np.ndarray, v: InteractionPotential, N: int, h: float):
     return W, 0.5 * grids.inner(dens, W, h)
 
 
+def _kinetic(u: np.ndarray, real) -> float:
+    """<u, -Lap u>, the energy functional's kinetic term."""
+    return grids.inner(u, MaskedOperator(mask=real.mask, h=real.h).apply_grid(u), real.h)
+
+
 def hartree_energy(u: np.ndarray, real, component: int, v: InteractionPotential, N: int) -> float:
     """Energy functional at a unit-norm state supported on one component."""
     _check_support(u, real, component)
-    kinetic = grids.inner(u, MaskedOperator(mask=real.mask, h=real.h).apply_grid(u), real.h)
-    return kinetic + _mean_field(u, v, N, real.h)[1]
+    return _kinetic(u, real) + _mean_field(u, v, N, real.h)[1]
 
 
 def assemble_effective_operator(u: np.ndarray, real, v: InteractionPotential, N: int) -> MaskedOperator:
@@ -508,10 +512,11 @@ def minimize_hartree_scf(real, component: int, v: InteractionPotential, N: int) 
         residual = grids.norm(g - rayleigh * u, real.h)
         trace.append(rayleigh)
         if residual < EL_TOL:
-            energy = hartree_energy(u, real, component, v, N)
+            # u lives on the component by construction: one convolution
+            # gives h_u's W and the energy's interaction term, its shift
             W, shift = _mean_field(u, v, N, real.h)
             return _finalize(u, real, component, W, shift, it, residual, trace,
-                             energy, _SCF_EIG_TOL)
+                             _kinetic(u, real) + shift, _SCF_EIG_TOL)
 
         dens = (1.0 - _SCF_MIXING) * dens + _SCF_MIXING * phi * phi
         dens /= float(np.sum(dens)) * real.h**real.d

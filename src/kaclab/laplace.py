@@ -332,11 +332,8 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = EIG_TOL) 
             # on to machine precision, a third more solves.
             vals, vecs = eigsh(opinv, k=k, sigma=0.0, which="LM", v0=v0, OPinv=opinv,
                                tol=tol / 10)
-        except ArpackNoConvergence as exc:
-            raise SolverError(
-                f"eigensolver did not converge ({exc})",
-                residuals=getattr(exc, "eigenvalues", None),
-            ) from exc
+        except ArpackNoConvergence as exc:  # ARPACK reports no residuals
+            raise SolverError(f"eigensolver did not converge ({exc})") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
 

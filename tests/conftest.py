@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.fft import next_fast_len
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from kaclab import DisorderConfig, DisorderRealization, EnsembleSpec, build_realization, run_ensemble
 from kaclab import laplace
@@ -215,6 +216,12 @@ def factors(monkeypatch):
 
     monkeypatch.setattr(laplace.MaskedOperator, "_factorize", recording)
     return made
+
+
+def arpack_no_convergence(*args, **kwargs):
+    """Stands in for eigsh: ARPACK gives up, reporting two Ritz values."""
+    raise ArpackNoConvergence("ARPACK error -1: No convergence", np.array([1.5, 2.5]),
+                              np.zeros((1, 2)))
 
 
 def box_eigenvalue(modes, h, L):

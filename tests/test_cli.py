@@ -15,9 +15,9 @@ from kaclab.cli import (
 )
 from kaclab.errors import ConfigError, KacLabError
 from kaclab.interaction import potential_from_spec
-from kaclab.storage import load_field
+from kaclab.storage import load_field, load_realization
 
-from conftest import positive_definite
+from conftest import arpack_no_convergence, positive_definite
 
 DATA = Path(__file__).parent / "data"
 # a custom_table profile with a negative value, and an empty file
@@ -238,8 +238,8 @@ class TestSubcommands:
                      id="sidecar_not_an_object"),
         pytest.param("config_unknown_key", "unknown keys ['colour'] and lacks []",
                      id="config_unknown_key"),
-        pytest.param("summary_without_K", "sidecar summary.K=None must be an integer >= 0",
-                     id="summary_without_K"),
+        pytest.param("sidecar_without_sha256", "the sidecar's None", id="sidecar_without_sha256"),
+        pytest.param("klvac1", "bad magic b'KLVAC1', expected b'KLVAC2'", id="klvac1"),
     ])
     def test_unreadable_realization_is_one_error_line(self, tmp_path, capsys, damage, fault):
         path = write_config(tmp_path)
@@ -253,10 +253,16 @@ class TestSubcommands:
             dump.write_bytes(b"XXXXXX" + dump.read_bytes()[6:])
         elif damage == "config_unknown_key":
             sidecar["config"]["colour"] = 1
-        elif damage == "summary_without_K":
-            del sidecar["summary"]["K"]
+        elif damage == "sidecar_without_sha256":
+            del sidecar["sha256"]
+        elif damage == "klvac1":
+            # the earlier format: int32 labels after the mask, no sha256 in the sidecar
+            labels = load_realization(dump).labels.astype("<i4").tobytes()
+            dump.write_bytes(b"KLVAC1" + dump.read_bytes()[6:] + labels)
+            sidecar["format"] = "KLVAC1"
+            del sidecar["sha256"]
         else:
-            sidecar = {"format": "KLVAC1"} if damage == "sidecar_without_config" else [1, 2]
+            sidecar = {"format": "KLVAC2"} if damage == "sidecar_without_config" else [1, 2]
         sidecar_path.write_text(json.dumps(sidecar))
         capsys.readouterr()
         out = tmp_path / "run"
@@ -430,6 +436,22 @@ class TestSubcommands:
         assert main(["hartree", "-c", str(path), "-o", str(tmp_path / "run")]) == EXIT_SOLVER
         (err,) = capsys.readouterr().err.splitlines()
         assert err == "solver failure: SuperLU factorization of 361 nodes failed: MemoryError()"
+
+    @pytest.mark.parametrize("command, disorder", [
+        ("spectrum", {"N": 64, "h": 0.4}),  # 361 nodes: an ARPACK-size spectrum
+        ("oracle", {}),                     # 49 sites, N=2: an ARPACK-size basis
+    ])
+    def test_arpack_no_convergence_is_one_solver_line(self, tmp_path, capsys, monkeypatch,
+                                                       command, disorder):
+        from kaclab import laplace, manybody
+
+        monkeypatch.setattr(laplace if command == "spectrum" else manybody, "eigsh",
+                            arpack_no_convergence)
+        path = write_config(tmp_path, disorder=disorder)
+        assert main([command, "-c", str(path), "-o", str(tmp_path / "run")]) == EXIT_SOLVER
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("solver failure: ")
+        assert "eigensolver did not converge" in err
 
     def test_failed_assertion_exit_1(self, tmp_path, monkeypatch):
         import kaclab.cli as cli_mod

@@ -30,6 +30,9 @@ from kaclab.ensemble import (
     scaling_sweep,
     wilson_interval,
 )
+from kaclab.interaction import potential_from_spec
+
+from conftest import arpack_no_convergence
 
 BASE = {"d": 2, "rho": 1.0, "N": 16, "nu": 0.3, "r": 0.6, "h": 0.5}
 POT = {"kind": "gaussian", "kappa": 0.1, "width": 0.5}
@@ -95,6 +98,24 @@ class TestRunRealization:
         rec = run_realization(DisorderConfig(seed=0, **BASE), {"kind": "nope", "kappa": 1.0})
         assert rec["error"]["stage"] == "potential"
         assert rec["K"] is None and rec["n_vacant"] is None and rec["volume_fraction"] is None
+
+    @pytest.mark.parametrize("field, N, d, h", [
+        ("N", 128, 2, 0.4), ("d", 64, 3, 0.4), ("grid spacing", 64, 2, 0.2),
+    ])
+    def test_potential_for_another_grid_fails_at_potential(self, field, N, d, h):
+        config = DisorderConfig(seed=3, d=2, rho=1.0, N=64, nu=0.15, r=0.5, h=0.4)
+        assert config.grid_spacing == 0.4
+        v = potential_from_spec({"kind": "gaussian", "kappa": 5.0, "width": 0.5}, N, d, h)
+        rec = run_realization(config, v)
+        assert rec["error"]["stage"] == "potential"
+        assert rec["error"]["message"].startswith(f"potential built for {field}=")
+        assert rec["K"] is None
+
+    def test_arpack_no_convergence_fails_at_spectrum(self, monkeypatch):
+        monkeypatch.setattr(laplace, "eigsh", arpack_no_convergence)
+        rec = run_realization(DisorderConfig(seed=0, **ARPACK_BASE), POT)
+        assert rec["error"]["stage"] == "spectrum"
+        assert rec["error"]["message"].startswith("eigensolver did not converge")
 
     def test_failed_factorization_fails_at_spectrum(self, monkeypatch):
         def out_of_memory(*args, **kwargs):
@@ -385,6 +406,43 @@ class TestParallelExecution:
             assert json.dumps(parallel, sort_keys=True) == json.dumps(
                 serial, sort_keys=True
             )
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("workers, seeds, cpus, size", [
+        (5000, 2, 8, 2),      # one worker per job
+        (5000, 3, 2, 2),      # one worker per CPU
+        (2, 3, 8, 2),
+        (5000, 3, None, None),  # an unknown CPU count runs serially
+        (5000, 1, 8, None),
+    ])
+    def test_pool_is_capped_at_jobs_and_cpus(self, monkeypatch, workers, seeds, cpus, size):
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: cpus)
+        seed_list = derive_seeds(5, seeds)
+        records = run_ensemble(spec_with(seeds=seed_list, workers=workers))
+        assert RecordingPool.sizes == ([] if size is None else [size])
+        serial = run_ensemble(spec_with(seeds=seed_list, workers=1))
+        assert json.dumps(records, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
 
 class TestVolumeFractionOncePerRecord:

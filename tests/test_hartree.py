@@ -266,6 +266,25 @@ class TestMinimizer:
         assert at_finalize["apply_grid"] == at_finalize["convolve_density"]
         assert counts["convolve_density"] == at_finalize["convolve_density"]
 
+    def test_scf_convolves_once_per_iteration(self, monkeypatch):
+        # the converged density's W serves h_u and the energy's interaction term
+        real = build_realization(
+            tiny_box_config(N=16, L=4.0, h=0.25, nu=0.4, r=0.4, seed=21)
+        )
+        component = ground_state_component(real, lowest_eigenpairs(assemble_laplacian(real)))
+        v, N = potential_for(real, kappa=0.8), real.config.N
+        calls = []
+        convolve = hartree.convolve_density
+
+        def counting_convolve(dens, pot):
+            calls.append(1)
+            return convolve(dens, pot)
+
+        monkeypatch.setattr(hartree, "convolve_density", counting_convolve)
+        hs = minimize_hartree_scf(real, component.component, v, N)
+        assert len(calls) == hs.iterations + 1
+        assert hs.energy == hartree_energy(hs.u, real, component.component, v, N)
+
 
 class TestEffectiveOperator:
     def test_zero_coupling_is_pure_laplacian(self, free_3x3):

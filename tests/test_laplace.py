@@ -33,7 +33,9 @@ from kaclab import ensemble, grids, hartree, laplace
 from kaclab.ensemble import derive_seeds
 from kaclab.laplace import DENSE_CUTOFF, SPD_LU_OPTIONS, band_factorizes
 
-from conftest import box_eigenvalue, dense_laplacian, free_box_realization, tiny_box_config
+from conftest import (
+    arpack_no_convergence, box_eigenvalue, dense_laplacian, free_box_realization, tiny_box_config,
+)
 
 
 class TestOperator:
@@ -477,6 +479,16 @@ def test_masked_operator_owns_every_linear_solve():
             assert not band.search(name), where
             assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                         and node.func.id == "splu"), where
+
+
+def test_arpack_no_convergence_is_a_solver_error(monkeypatch):
+    # ARPACK reports Ritz values, not residuals: the error carries none
+    monkeypatch.setattr(laplace, "eigsh", arpack_no_convergence)
+    op = assemble_laplacian(free_box_realization(12))
+    assert op.n_vacant > DENSE_CUTOFF
+    with pytest.raises(SolverError, match="eigensolver did not converge") as info:
+        lowest_eigenpairs(op)
+    assert info.value.residuals is None
 
 
 class TestArpackStopping:

@@ -38,7 +38,9 @@ from kaclab.manybody import (
 )
 
 from conftest import (
+    arpack_no_convergence,
     dense_laplacian,
+    free_box_realization,
     loop_density_matrix,
     loop_manybody_hamiltonian,
     tiny_box_config,
@@ -550,6 +552,15 @@ class TestArpackStopping:
         # one ARPACK line per solve, besides each build's own line
         arpack = [r for r in caplog.records if r.getMessage().startswith("ARPACK")]
         assert len(counts) == len(arpack) == 3
+
+
+def test_arpack_no_convergence_is_a_solver_error(monkeypatch):
+    monkeypatch.setattr(manybody, "eigsh", arpack_no_convergence)
+    real = free_box_realization(8)
+    H = build_manybody_hamiltonian(real, potential_for(real, 1.0, 2), 2)
+    assert H.basis_dim > DENSE_CUTOFF
+    with pytest.raises(SolverError, match="many-body eigensolver did not converge"):
+        ground_state(H)
 
 
 class TestDisorderedCertificates:
