@@ -2,7 +2,8 @@
 
 build_parser is the one command table: each subcommand's parser carries its
 handler, and a command's own flags reach that handler as keyword arguments.
-Runs are driven by a JSON config file with dotted --set overrides, and
+Runs are driven by a JSON config file with dotted --set overrides, each
+merged after the file by the one rule the file is merged by, and
 parse_config checks every value, each number by the one rule
 errors.check_number and a custom_table by reading it, before the run
 directory exists, and main loads an oracle --realization dump before it too.
@@ -103,19 +104,24 @@ class RunConfig:
         return json.loads(json.dumps(self.data))
 
 
-def _merge_section(defaults, given, path):
+def _merge(defaults, given, prefix=""):
+    """Fresh sections (RunConfig edits them) of defaults, given merged in key
+    by key; prefix is defaults' dotted path: "" at the top, "disorder." below."""
     if not isinstance(given, dict):
-        raise ConfigError(f"section '{path}' must be an object")
-    out = dict(defaults)
-    for key, value in given.items():
+        raise ConfigError(f"section '{prefix[:-1]}' must be an object" if prefix
+                          else "top-level config must be an object")
+    for key in given:
         if key not in defaults:
-            raise ConfigError(f"unknown config key '{path}.{key}'")
-        out[key] = value
-    return out
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
+    return {key: _merge(default, given.get(key, {}), f"{prefix}{key}.")
+            if isinstance(default, dict) else given.get(key, default)
+            for key, default in defaults.items()}
 
 
 def parse_config(path=None, overrides=()) -> RunConfig:
-    """Load, default-fill and validate a run config; flags override the file."""
+    """Load, default-fill and validate a run config.  The file is merged into
+    the defaults, then each --set a.b=v, in flag order, as the one-key file
+    {"a": {"b": v}}; v is JSON, or else a bare string."""
     data = {}
     if path is not None:
         try:
@@ -124,39 +130,18 @@ def parse_config(path=None, overrides=()) -> RunConfig:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError("top-level config must be an object")
-
-    merged = {}
-    for section, defaults in _DEFAULTS.items():
-        if isinstance(defaults, dict):
-            merged[section] = _merge_section(defaults, data.get(section, {}), section)
-        else:
-            merged[section] = data.get(section, defaults)
-    for key in data:
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown config key '{key}'")
-
+    merged = _merge(_DEFAULTS, data)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override '{item}' is not of the form key.path=value")
         dotted, raw = item.split("=", 1)
-        parts = dotted.split(".")
-        node = merged
-        for p in parts[:-1]:
-            if p not in node or not isinstance(node[p], dict):
-                raise ConfigError(f"unknown config key '{dotted}'")
-            node = node[p]
-        leaf = parts[-1]
-        if leaf not in node:
-            raise ConfigError(f"unknown config key '{dotted}'")
-        if isinstance(node[leaf], dict):
-            raise ConfigError(f"override '{dotted}' names a section, not a key")
         try:
-            node[leaf] = json.loads(raw)
+            value = json.loads(raw)
         except json.JSONDecodeError:
-            node[leaf] = raw  # bare strings allowed unquoted
-
+            value = raw
+        for key in reversed(dotted.split(".")):
+            value = {key: value}
+        merged = _merge(merged, value)
     return RunConfig(merged)
 
 

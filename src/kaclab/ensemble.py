@@ -61,10 +61,12 @@ class EnsembleSpec:
         elif not self.seeds:
             raise ConfigError("seeds=[] must be a positive integer or a non-empty list")
         else:
+            first = {}  # each seed's first index: one realization would count as several
             for i, seed in enumerate(self.seeds):
                 check_number(f"seeds[{i}]", seed, 0, integer=True)
-                if seed in self.seeds[:i]:  # one realization would count as several
-                    raise ConfigError(f"seeds[{i}]={seed} repeats an earlier seed")
+                if first.setdefault(seed, i) != i:
+                    raise ConfigError(f"seeds[{i}]={seed} repeats an earlier seed, "
+                                      f"seeds[{first[seed]}]")
         check_number("master_seed", self.master_seed, 0, integer=True)
         if not isinstance(self.N_values, list):
             raise ConfigError(f"N_values={self.N_values!r} must be a list of integers")

@@ -7,10 +7,10 @@ Two little-endian containers:
   KLEIG1  grid field:  magic, uint32 d, uint32 dims[d], float64 h,
           float64 values, row-major
 
-Each dump gets a sidecar <path>.json.  A realization's carries its config,
-the sha256 of the dump and summary stats for people; the labels are not
-stored, since the loader rebuilds the components from the mask.  A field's
-carries eigenvalues/residuals/component id.
+Each dump gets a sidecar <path>.json with the dump's sha256, checked on load
+after the header.  A realization's also carries its config and summary stats
+for people; the labels are not stored, since the loader rebuilds the
+components from the mask.  A field's carries eigenvalues/residuals/component id.
 """
 
 import hashlib
@@ -52,6 +52,15 @@ def _parse_header(data: bytes, magic: bytes, payload, d_expected=None):
     if len(data) != size:
         raise ValueError(f"dump is {len(data)} bytes, its header's grid {dims} needs {size}")
     return dims, float(np.frombuffer(data, "<f8", count=1, offset=start - 8)[0]), start
+
+
+def _check_sha256(data: bytes, sidecar) -> None:
+    """ValueError unless sidecar is an object holding data's sha256."""
+    if not isinstance(sidecar, dict):
+        raise ValueError("sidecar is not an object")
+    digest = hashlib.sha256(data).hexdigest()
+    if sidecar.get("sha256") != digest:
+        raise ValueError(f"dump sha256 is {digest}, the sidecar's {sidecar.get('sha256')!r}")
 
 
 def save_realization(real: DisorderRealization, path) -> Path:
@@ -107,28 +116,27 @@ def load_realization(path) -> DisorderRealization:
     if h != config.grid_spacing:
         raise ValueError(f"dump header has h={h!r}, the sidecar grid spacing "
                          f"{config.grid_spacing!r}")
-    digest = hashlib.sha256(data).hexdigest()
-    if sidecar.get("sha256") != digest:
-        raise ValueError(f"dump sha256 is {digest}, the sidecar's {sidecar.get('sha256')!r}")
+    _check_sha256(data, sidecar)
     mask = np.unpackbits(np.frombuffer(data, np.uint8, offset=start))[:math.prod(dims)]
     return DisorderRealization.from_mask(config, mask.astype(bool).reshape(dims))
 
 
 def save_field(grid: np.ndarray, h: float, path, meta: dict | None = None) -> Path:
     path = Path(path)
-    path.write_bytes(_header(MAGIC_EIG, grid.ndim, grid.shape, h)
-                     + np.asarray(grid, dtype="<f8").tobytes())
-    sidecar = {"format": "KLEIG1"}
-    sidecar.update(meta or {})
+    data = _header(MAGIC_EIG, grid.ndim, grid.shape, h) + np.asarray(grid, dtype="<f8").tobytes()
+    path.write_bytes(data)
+    # format and sha256 come after meta, which cannot overwrite them
+    sidecar = {**(meta or {}), "format": "KLEIG1", "sha256": hashlib.sha256(data).hexdigest()}
     Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=1))
     return path
 
 
 def load_field(path):
-    """Load a KLEIG1 dump: (grid, h, sidecar); ValueError names a fault."""
+    """Load a KLEIG1 dump: (grid, h, sidecar).  ValueError names a fault: wrong
+    magic or length, then a sidecar that is not an object with the dump's sha256."""
     path = Path(path)
     data = path.read_bytes()
     dims, h, start = _parse_header(data, MAGIC_EIG, lambda n: 8 * n)
-    grid = np.frombuffer(data, "<f8", offset=start)
     meta = json.loads(Path(str(path) + ".json").read_text())
-    return grid.reshape(dims).copy(), h, meta
+    _check_sha256(data, meta)
+    return np.frombuffer(data, "<f8", offset=start).reshape(dims).copy(), h, meta

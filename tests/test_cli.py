@@ -1,6 +1,7 @@
 """CLI: config parsing, the command table, exit codes."""
 
 import argparse
+import dataclasses
 import json
 import logging
 from pathlib import Path
@@ -95,6 +96,98 @@ class TestParseConfig:
         del disorder["seed"]
         assert spec.base == disorder
         assert spec.potential == cfg.data["potential"]
+
+    def test_last_set_wins_and_beats_the_file(self, tmp_path):
+        path = write_config(tmp_path)  # disorder.seed=1
+        assert parse_config(path, ["disorder.seed=5"]).disorder.seed == 5
+        assert parse_config(path, ["disorder.seed=5", "disorder.seed=9"]).disorder.seed == 9
+        # an object on a section merges key by key, like the file's section
+        cfg = parse_config(path, ['disorder={"N": 32, "seed": 4}'])
+        assert (cfg.disorder.N, cfg.disorder.seed, cfg.disorder.h) == (32, 4, 0.5)
+
+
+# one valid and one invalid value for every leaf key, and the sections the
+# key needs beside it (a top_hat or custom_table parameter needs its kind)
+TOP_HAT = {"potential": {"kind": "top_hat"}}
+MERGE_CASES = {
+    "disorder.d": ({}, 3, 2.5),
+    "disorder.rho": ({}, 2.0, -1.0),
+    "disorder.N": ({}, 32, "16"),
+    "disorder.nu": ({}, 0.2, "abc"),
+    "disorder.r": ({}, 0.7, 0.2),  # h=0.25 must stay below r
+    "disorder.h": ({}, 0.125, 0.0),
+    "disorder.seed": ({}, 7, -1),
+    "potential.kind": ({}, "top_hat", "foo"),
+    "potential.kappa": ({}, 0.5, -1),
+    "potential.width": ({}, 0.7, 0),
+    "potential.truncation": ({}, 4.0, "x"),
+    "potential.radius": (TOP_HAT, 2.0, -1),
+    "potential.allow_non_posdef": (TOP_HAT, True, "no"),
+    "potential.table_path": ({"potential": {"kind": "custom_table"}}, "TABLE",
+                             str(NEGATIVE_TABLE)),
+    "solver.el_tol": ({}, 1e-7, 0),
+    "solver.eig_tol": ({}, 1e-9, "x"),
+    "ensemble.seeds": ({}, [1, 2], [3, 3]),
+    "ensemble.master_seed": ({}, 5, -1),
+    "ensemble.N_values": ({}, [8, 16, 32], [16, 8]),
+    "ensemble.eta": ({}, 0.2, 0),
+    "ensemble.sigma_ref": ({}, 1.5, "x"),
+    "ensemble.workers": ({}, 2, 0),
+    "oracle.N": ({}, 3, 1),
+    "oracle.basis_cap": ({}, 100, 0),
+    "output_dir": ({}, "runs/x", ""),
+    "log_level": ({}, "DEBUG", "LOUD"),
+}
+
+
+def leaf_keys(section, prefix=""):
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def spec_state(cfg):
+    """The spec as plain data: a read custom table as a list."""
+    spec = dataclasses.asdict(cfg.spec)
+    table = spec["potential"].pop("table", None)
+    return spec, None if table is None else table.tolist()
+
+
+class TestSetMergesLikeTheFile:
+    def test_every_leaf_key_has_a_case(self):
+        assert set(MERGE_CASES) == set(leaf_keys(cli_mod._DEFAULTS))
+
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+    @pytest.mark.parametrize("key", sorted(MERGE_CASES))
+    def test_set_equals_the_one_key_file(self, tmp_path, key, valid):
+        base, good, bad = MERGE_CASES[key]
+        value = good if valid else bad
+        if value == "TABLE":
+            table = tmp_path / "table.txt"
+            table.write_text("0 1\n1 0.5\n2 0\n")
+            value = str(table)
+        *section, leaf = key.split(".")
+        data = json.loads(json.dumps(base))
+        (data.setdefault(section[0], {}) if section else data)[leaf] = value
+        via_file = tmp_path / "file.json"
+        via_file.write_text(json.dumps(data))
+        via_set = tmp_path / "base.json"
+        via_set.write_text(json.dumps(base))
+        argv = [f"{key}={json.dumps(value)}"]
+        if valid:
+            a, b = parse_config(via_file), parse_config(via_set, argv)
+            echo = a.to_dict()
+            assert (echo[section[0]] if section else echo)[leaf] == value
+            assert b.to_dict() == echo
+            assert spec_state(b) == spec_state(a)
+        else:
+            with pytest.raises(ConfigError) as from_file:
+                parse_config(via_file)
+            with pytest.raises(ConfigError) as from_set:
+                parse_config(via_set, argv)
+            assert str(from_set.value) == str(from_file.value)
 
 
 class TestCommandTable:

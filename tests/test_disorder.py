@@ -39,6 +39,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             DisorderConfig(**fields)
 
+    def test_fewer_than_two_cells_rejected(self):
+        # L = 0.01: h=0.1 leaves no cell across the box
+        with pytest.raises(ConfigError, match="fewer than 2 cells"):
+            DisorderConfig(d=2, rho=1e4, N=1, nu=0, r=0.5, h=0.1, seed=0)
+
     def test_box_side_recomputed(self):
         cfg = DisorderConfig(d=2, rho=4.0, N=4, nu=0.0, r=0.5, h=0.25, seed=0)
         assert cfg.box_side == pytest.approx(1.0)

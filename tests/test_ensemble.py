@@ -4,6 +4,7 @@ import ast
 import inspect
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,16 @@ class TestEnsemble:
         # a seed run twice would count as two independent realizations
         with pytest.raises(ConfigError, match=r"seeds\[1\]=3 repeats an earlier seed"):
             spec_with(seeds=[3, 3, 3, 4])
+        with pytest.raises(ConfigError, match=r"seeds\[3\]=5 repeats an earlier seed, seeds\[1\]"):
+            spec_with(seeds=[4, 5, 6, 5])
+
+    def test_many_seeds_validate_in_linear_time(self):
+        # a quadratic check took about 31 s on 50,000 seeds
+        seeds = list(range(50_000))
+        start = time.perf_counter()
+        spec = spec_with(seeds=seeds)
+        assert time.perf_counter() - start < 1.0
+        assert spec.seed_list() == seeds
 
     def test_derived_seeds_deterministic_distinct(self):
         a = derive_seeds(123, 50)

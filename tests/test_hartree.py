@@ -214,6 +214,25 @@ class TestMinimizer:
             minimize_hartree(real, 1, v, real.config.N, tol=residual / 10.0)
         assert err.value.residuals == [residual]
 
+    def test_nan_mean_field_raises_with_trace(self, corner_blocked_6, monkeypatch):
+        def nan_field(u, v, N, h):
+            return np.full(u.shape, np.nan), 0.0
+
+        monkeypatch.setattr(hartree, "_mean_field", nan_field)
+        real, v = corner_blocked_6, potential_for(corner_blocked_6, kappa=5.0)
+        with pytest.raises(SolverError, match="NaN in Hartree gradient") as err:
+            minimize_hartree(real, 1, v, real.config.N)
+        assert len(err.value.trace) == 1  # the start energy
+
+    def test_scf_nonconvergence_raises_with_trace(self, corner_blocked_6, monkeypatch):
+        monkeypatch.setattr(hartree, "_SCF_MAX_ITER", 1)
+        real, v = corner_blocked_6, potential_for(corner_blocked_6, kappa=5.0)
+        with pytest.raises(SolverError, match="SCF did not reach residual") as err:
+            minimize_hartree_scf(real, 1, v, real.config.N)
+        assert len(err.value.trace) == 1 and np.isfinite(err.value.trace[0])
+        (residual,) = err.value.residuals
+        assert residual >= hartree.EL_TOL
+
     def test_tol_below_the_roundoff_floor_stalls(self):
         # the residual's roundoff floor on this set is about 3e-15: tol=1e-14
         # converges, tol=1e-15 cannot, and the flow stops STALL_STEPS accepted

@@ -153,6 +153,20 @@ class TestBuild:
         with pytest.raises(ConfigError, match="cannot read table_path"):
             build_interaction("custom_table", 1.0, 10, 2, 0.25, {"table_path": str(path)})
 
+    def test_three_column_table_rejected(self, tmp_path):
+        path = tmp_path / "profile.txt"
+        path.write_text("0.0 1.0 2.0\n1.0 0.5 0.0\n")
+        with pytest.raises(ConfigError, match="rows of \\(radius, value\\)"):
+            build_interaction("custom_table", 1.0, 10, 2, 0.25, {"table_path": str(path)})
+
+    def test_d_other_than_two_or_three_rejected(self):
+        with pytest.raises(ConfigError, match="^d=4 unsupported$"):
+            gaussian(d=4)
+
+    def test_density_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimensionality"):
+            convolve_density(np.ones((3, 3, 3)), gaussian(d=2))
+
     def test_N_below_two_rejected(self):
         with pytest.raises(ConfigError):
             gaussian(N=1)

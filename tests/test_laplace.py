@@ -59,6 +59,15 @@ class TestOperator:
             with pytest.raises(KacLabError, match="^empty vacancy set$"):
                 build()
 
+    def test_potential_of_another_shape_rejected(self):
+        mask = np.ones((3, 3), dtype=bool)
+        with pytest.raises(ValueError, match="potential grid does not match the mask"):
+            MaskedOperator(mask=mask, h=0.5, potential=np.zeros((3, 4)))
+
+    def test_normalizing_the_zero_grid_rejected(self):
+        with pytest.raises(ValueError, match="zero grid"):
+            grids.normalize(np.zeros((3, 3)), 0.5)
+
     def test_matvec_symmetry_random_vectors(self):
         real = build_realization(
             tiny_box_config(N=16, L=4.0, h=0.25, nu=0.5, r=0.4, seed=3)

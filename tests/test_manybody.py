@@ -164,6 +164,11 @@ class TestHamiltonian:
         with pytest.raises(BasisSizeError, match=str(dim)):
             build_manybody_hamiltonian(free_3x3, v, N=3, cap=dim - 1)
 
+    def test_no_particles_rejected(self, free_3x3):
+        v = potential_for(free_3x3, kappa=1.0, N=2)
+        with pytest.raises(ValueError, match="N=0 must be >= 1"):
+            build_manybody_hamiltonian(free_3x3, v, N=0)
+
 
 class TestGroundState:
     @pytest.mark.parametrize("N", [2, 3])

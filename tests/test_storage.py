@@ -139,6 +139,17 @@ def test_golden_dump_reproduced_byte_for_byte(tmp_path):
     assert loaded.component_volumes == real.component_volumes
 
 
+def test_header_dims_other_than_the_configs_rejected(tmp_path):
+    # (1, 49) has the node count of the config's (7, 7), so the length check passes
+    data = bytearray((DATA / "golden_realization.klvac").read_bytes())
+    data[10:18] = np.asarray([1, 49], dtype="<u4").tobytes()
+    path = tmp_path / "real.klvac"
+    path.write_bytes(bytes(data))
+    (tmp_path / "real.klvac.json").write_text((DATA / "golden_realization.klvac.json").read_text())
+    with pytest.raises(ValueError, match="dims do not match"):
+        load_realization(path)
+
+
 masks = st.integers(2, 5).flatmap(
     lambda side: arrays(bool, (side - 1, side - 1), elements=st.booleans())
 )
@@ -181,6 +192,38 @@ def test_field_with_appended_or_cut_bytes_rejected(tmp_path, change):
         load_field(path)
 
 
+def test_every_single_bit_flip_of_a_field_rejected(tmp_path):
+    path = save_field(np.arange(12.0).reshape(3, 4), 0.5, tmp_path / "phi.kleig")
+    data = path.read_bytes()
+    loaded = []
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(flipped))
+        try:
+            load_field(path)
+            loaded.append(bit)
+        except ValueError:
+            pass
+    assert loaded == []
+
+
+@pytest.mark.parametrize("sidecar", [{"format": "KLEIG1"}, ["KLEIG1"]],
+                         ids=["without_sha256", "not_an_object"])
+def test_field_sidecar_without_digest_rejected(tmp_path, sidecar):
+    path = save_field(np.arange(12.0).reshape(3, 4), 0.5, tmp_path / "phi.kleig")
+    (tmp_path / "phi.kleig.json").write_text(json.dumps(sidecar))
+    with pytest.raises(ValueError, match="sidecar"):
+        load_field(path)
+
+
+def test_field_meta_cannot_overwrite_format_or_digest(tmp_path):
+    path = save_field(np.zeros(3), 0.5, tmp_path / "phi.kleig", {"format": "x", "sha256": "y"})
+    meta = load_field(path)[2]
+    assert meta["format"] == "KLEIG1"
+    assert meta["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 fields = st.integers(1, 3).flatmap(
     lambda d: arrays(float, st.tuples(*[st.integers(1, 5)] * d),
                      elements=st.floats(allow_nan=False))
@@ -193,7 +236,8 @@ def test_field_roundtrip_property(tmp_path_factory, grid, h):
     path = save_field(grid, h, tmp_path_factory.mktemp("rt") / "phi.kleig", {"k": 1})
     loaded, h_loaded, meta = load_field(path)
     assert np.array_equal(loaded, grid) and loaded.shape == grid.shape
-    assert h_loaded == h and meta == {"format": "KLEIG1", "k": 1}
+    assert h_loaded == h and meta == {"format": "KLEIG1", "k": 1,
+                                      "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 @settings(max_examples=40, deadline=None)
