@@ -33,9 +33,7 @@ from .hartree import (
     HartreeSolution,
     assemble_effective_operator,
     effective_spectrum,
-    hartree_energy,
     minimize_hartree,
-    minimize_hartree_scf,
 )
 from .certify import (
     build_certificate,

@@ -104,17 +104,22 @@ class RunConfig:
         return json.loads(json.dumps(self.data))
 
 
-def _merge(defaults, given, prefix=""):
-    """Fresh sections (RunConfig edits them) of defaults, given merged in key
-    by key; prefix is defaults' dotted path: "" at the top, "disorder." below."""
-    if not isinstance(given, dict):
-        raise ConfigError(f"section '{prefix[:-1]}' must be an object" if prefix
-                          else "top-level config must be an object")
-    for key in given:
-        if key not in defaults:
-            raise ConfigError(f"unknown config key '{prefix}{key}'")
-    return {key: _merge(default, given.get(key, {}), f"{prefix}{key}.")
-            if isinstance(default, dict) else given.get(key, default)
+def _merge(defaults, layers, prefix=""):
+    """Fresh sections (RunConfig edits them) of defaults, each of layers merged
+    in key by key, a later layer's value winning.  Whether a key is a section
+    or a leaf is the defaults' shape, never an earlier layer's value; prefix
+    is defaults' dotted path: "" at the top, "disorder." below."""
+    for given in layers:
+        if not isinstance(given, dict):
+            raise ConfigError(f"section '{prefix[:-1]}' must be an object" if prefix
+                              else "top-level config must be an object")
+        for key in given:
+            if key not in defaults:
+                raise ConfigError(f"unknown config key '{prefix}{key}'")
+    return {key: _merge(default, [given[key] for given in layers if key in given],
+                        f"{prefix}{key}.")
+            if isinstance(default, dict)
+            else next((given[key] for given in reversed(layers) if key in given), default)
             for key, default in defaults.items()}
 
 
@@ -130,7 +135,7 @@ def parse_config(path=None, overrides=()) -> RunConfig:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
-    merged = _merge(_DEFAULTS, data)
+    layers = [data]
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override '{item}' is not of the form key.path=value")
@@ -141,8 +146,8 @@ def parse_config(path=None, overrides=()) -> RunConfig:
             value = raw
         for key in reversed(dotted.split(".")):
             value = {key: value}
-        merged = _merge(merged, value)
-    return RunConfig(merged)
+        layers.append(value)
+    return RunConfig(_merge(_DEFAULTS, layers))
 
 
 def _prepare_run_dir(cfg: RunConfig) -> Path:

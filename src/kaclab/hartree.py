@@ -10,9 +10,10 @@ when the new energy is at most old + 8 eps max(1, |old|), so the energy trace
 never rises by more than that roundoff allowance, and the flow's one exit
 that returns is an Euler-Lagrange residual below tol.  One preconditioner T
 (_shifted_inverse: (-Lap - sigma)^(-1) on a Laplacian's lowest modes,
-(-Lap)^(-1) off them) serves the flow and h_u's block LOBPCG; a damped
-self-consistent field solver is kept alongside as an independent cross-check
-of the (unique) minimizer.  Linearizing at u gives the effective operator
+(-Lap)^(-1) off them) serves the flow and h_u's block LOBPCG.  The
+independent checks of the (unique) minimizer, a damped self-consistent field
+solver and a loop evaluation of E[u], are test oracles (tests/conftest.py).
+Linearizing at u gives the effective operator
 
     h_u = -Lap + (N-1)(u^2 * v) - shift,   shift = (N-1)/2 * double-sum,
 
@@ -39,7 +40,6 @@ from .errors import SolverError
 from .interaction import InteractionPotential, convolve_density
 from .laplace import EIG_TOL, MaskedOperator, SpectralPair, lowest_eigenpairs
 
-SUPPORT_TOL = 1e-12
 # the flow's contract: the Euler-Lagrange residual of a converged u is below
 # EL_TOL (every el_tol defaults to it), reached within MAX_ITER steps
 EL_TOL = 1e-8
@@ -60,8 +60,6 @@ SHIFT_FRACTION = 0.9
 # on d and the node count, so records stay deterministic.
 FACTOR_REUSE_MIN_NODES = {2: 4000, 3: 1000}
 LOBPCG_MAX_ITER = 40
-# the SCF cross-check's iteration cap, mixing, eigensolve tolerance (it stops at EL_TOL)
-_SCF_MAX_ITER, _SCF_MIXING, _SCF_EIG_TOL = 500, 0.4, 1e-10
 
 logger = logging.getLogger(__name__)
 # one DEBUG line per effective-spectrum solve: its path, iterations, LU
@@ -128,16 +126,6 @@ class HartreeSolution:
     el_residual: float
     energy_trace: list = field(default_factory=list)
     quadratic_form: float = 0.0
-    ground_mass_on_component: float = 0.0
-
-
-def _check_support(u, real, component):
-    off = np.where(real.labels == component, 0.0, u)
-    mass_out = float(np.sum(off * off)) * real.h**real.d
-    if mass_out > SUPPORT_TOL:
-        raise ValueError(
-            f"state carries mass {mass_out:.3e} outside component {component}"
-        )
 
 
 def _mean_field(u: np.ndarray, v: InteractionPotential, N: int, h: float):
@@ -145,17 +133,6 @@ def _mean_field(u: np.ndarray, v: InteractionPotential, N: int, h: float):
     dens = u * u
     W = (N - 1) * convolve_density(dens, v)
     return W, 0.5 * grids.inner(dens, W, h)
-
-
-def _kinetic(u: np.ndarray, real) -> float:
-    """<u, -Lap u>, the energy functional's kinetic term."""
-    return grids.inner(u, MaskedOperator(mask=real.mask, h=real.h).apply_grid(u), real.h)
-
-
-def hartree_energy(u: np.ndarray, real, component: int, v: InteractionPotential, N: int) -> float:
-    """Energy functional at a unit-norm state supported on one component."""
-    _check_support(u, real, component)
-    return _kinetic(u, real) + _mean_field(u, v, N, real.h)[1]
 
 
 def assemble_effective_operator(u: np.ndarray, real, v: InteractionPotential, N: int) -> MaskedOperator:
@@ -314,29 +291,19 @@ def effective_spectrum(hop: MaskedOperator, tol: float = EIG_TOL,
 
 
 def component_ground_state(real, component: int, eig_tol: float = EIG_TOL):
-    """Dirichlet ground state of one component, unit norm, nonnegative."""
+    """Dirichlet ground state of one component, unit norm, nonnegative.
+
+    The pipeline does not call it (the spectrum's |phi1| starts the flow);
+    perfbench/tracer.py traces it by name, and tests read it.
+    """
     sub = MaskedOperator(mask=real.labels == component, h=real.h)
     pair = lowest_eigenpairs(sub, count=1, tol=eig_tol)
     phi = np.clip(pair.phi1, 0.0, None)  # Perron ground state up to solver noise
     return grids.normalize(phi, real.h), pair.lambda1
 
 
-def _component_mask(real, component):
-    """The component's nodes; an empty component is a ValueError, before any solve."""
-    comp_mask = real.labels == component
-    if not np.any(comp_mask):
-        raise ValueError(f"component {component} is empty")
-    return comp_mask
-
-
-def _initial_state(comp_mask, init, h):
-    """Unit start state: init clipped to the component and to nonnegative values."""
-    u = np.clip(np.where(comp_mask, np.asarray(init, dtype=float), 0.0), 0.0, None)
-    return grids.normalize(u, h)
-
-
 def _finalize(u, real, component, W, shift, iterations, residual, trace, energy,
-              eig_tol, pair=None):
+              eig_tol, pair):
     """Spectrum of the effective operator h_u = -Lap + W - shift at the converged u.
 
     The caller passes the mean field W and shift it already holds, so nothing
@@ -346,14 +313,11 @@ def _finalize(u, real, component, W, shift, iterations, residual, trace, energy,
     = energy, and |energy - e1| bounds a host-restricted solve's distance.
     """
     hop = MaskedOperator(mask=real.mask, h=real.h, potential=W, diagonal_shift=shift)
-    e1, e2, gvec = effective_spectrum(hop, tol=eig_tol, pair=pair, start=u)
-    comp_mask = real.labels == component
-    gmass = float(np.sum(np.where(comp_mask, gvec, 0.0) ** 2)) * real.h**real.d
+    e1, e2, _ = effective_spectrum(hop, tol=eig_tol, pair=pair, start=u)
     return HartreeSolution(
         u=u, component=component, energy=energy, e1=e1, e2=e2, shift=shift,
         iterations=iterations, el_residual=residual, energy_trace=trace,
         quadratic_form=grids.inner(u, hop.apply_grid(u), real.h),
-        ground_mass_on_component=gmass,
     )
 
 
@@ -403,10 +367,14 @@ def minimize_hartree(
     and the energy up to 2.3% above the minimum).  _finalize then solves
     h_u's spectrum on the whole vacancy set.
     """
-    comp_mask = _component_mask(real, component)
+    comp_mask = real.labels == component
+    if not np.any(comp_mask):  # before any solve
+        raise ValueError(f"component {component} is empty")
     if pair is None:
         pair = lowest_eigenpairs(MaskedOperator(mask=comp_mask, h=real.h), count=2, tol=eig_tol)
-    u = _initial_state(comp_mask, np.abs(pair.phi1) if init is None else init, real.h)
+    # the start state: init clipped to the component and to nonnegative values
+    init = np.abs(pair.phi1) if init is None else np.asarray(init, dtype=float)
+    u = grids.normalize(np.clip(np.where(comp_mask, init, 0.0), 0.0, None), real.h)
     eps = np.finfo(float).eps
     h = real.h
     # the spectrum's operator, and so its factor, serves the flow
@@ -482,48 +450,3 @@ def minimize_hartree(
     del precondition
     return _finalize(u, real, component, W, shift, iterations, residual, trace,
                      energy, eig_tol, pair)
-
-
-def minimize_hartree_scf(real, component: int, v: InteractionPotential, N: int) -> HartreeSolution:
-    """Damped self-consistent field solver, the independent cross-check.
-
-    From the component's ground state, iterates density -> ground state of
-    (-Lap + (N-1)(density * v)) on the component -> mixed density, until the
-    Euler-Lagrange residual of u = sqrt(density) is below EL_TOL.
-    Algorithmically unrelated to the gradient flow; by uniqueness of the
-    minimizer both must agree.
-    """
-    comp_mask = _component_mask(real, component)
-    u = _initial_state(comp_mask, component_ground_state(real, component, _SCF_EIG_TOL)[0],
-                       real.h)
-    dens = u * u
-
-    residual = np.inf
-    trace = []
-    for it in range(1, _SCF_MAX_ITER + 1):
-        W = (N - 1) * convolve_density(dens, v)
-        sub = MaskedOperator(mask=comp_mask, h=real.h, potential=W)
-        pair = lowest_eigenpairs(sub, count=1, tol=_SCF_EIG_TOL)
-        phi = grids.normalize(np.clip(pair.phi1, 0.0, None), real.h)
-
-        u = grids.normalize(np.sqrt(dens), real.h)
-        g = sub.apply_grid(u)
-        rayleigh = grids.inner(u, g, real.h)
-        residual = grids.norm(g - rayleigh * u, real.h)
-        trace.append(rayleigh)
-        if residual < EL_TOL:
-            # u lives on the component by construction: one convolution
-            # gives h_u's W and the energy's interaction term, its shift
-            W, shift = _mean_field(u, v, N, real.h)
-            return _finalize(u, real, component, W, shift, it, residual, trace,
-                             _kinetic(u, real) + shift, _SCF_EIG_TOL)
-
-        dens = (1.0 - _SCF_MIXING) * dens + _SCF_MIXING * phi * phi
-        dens /= float(np.sum(dens)) * real.h**real.d
-
-    raise SolverError(
-        f"SCF did not reach residual {EL_TOL:.1e} in {_SCF_MAX_ITER} iterations "
-        f"(last residual {residual:.3e})",
-        residuals=[residual],
-        trace=trace,
-    )

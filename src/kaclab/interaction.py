@@ -50,13 +50,6 @@ class InteractionPotential:
     v_at_zero: float
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def value_at_offset(self, offset) -> float:
-        """v at an integer grid offset; zero outside the stencil."""
-        R = self.stencil_radius
-        if any(abs(int(o)) > R for o in offset):
-            return 0.0
-        return float(self.values[tuple(int(o) + R for o in offset)])
-
 
 def _offset_radii(R: int, d: int, h: float) -> np.ndarray:
     axes = np.arange(-R, R + 1) * h

@@ -8,9 +8,10 @@ Two little-endian containers:
           float64 values, row-major
 
 Each dump gets a sidecar <path>.json with the dump's sha256, checked on load
-after the header.  A realization's also carries its config and summary stats
-for people; the labels are not stored, since the loader rebuilds the
-components from the mask.  A field's carries eigenvalues/residuals/component id.
+after the header.  A realization's also carries its config; the labels are
+not stored, since the loader rebuilds the components from the mask, and any
+other sidecar key (the summary that older sidecars hold) is not read.  A
+field's carries eigenvalues/residuals/component id.
 """
 
 import hashlib
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .disorder import DisorderConfig, DisorderRealization, volume_fraction
+from .disorder import DisorderConfig, DisorderRealization
 
 MAGIC_VAC = b"KLVAC2"
 MAGIC_EIG = b"KLEIG1"
@@ -67,19 +68,8 @@ def save_realization(real: DisorderRealization, path) -> Path:
     path = Path(path)
     data = _header(MAGIC_VAC, real.d, real.dims, real.h) + np.packbits(real.mask.ravel()).tobytes()
     path.write_bytes(data)
-    sidecar = {
-        "format": "KLVAC2",
-        "sha256": hashlib.sha256(data).hexdigest(),
-        "config": asdict(real.config),
-        "summary": {
-            "K": real.K,
-            "n_vacant": real.n_vacant,
-            "n_nodes": real.n_nodes,
-            "volume_fraction": volume_fraction(real)[0],
-            "component_volumes": real.component_volumes,
-            "n_centers": int(real.centers.shape[0]),
-        },
-    }
+    sidecar = {"format": "KLVAC2", "sha256": hashlib.sha256(data).hexdigest(),
+               "config": asdict(real.config)}
     Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=1))
     return path
 
@@ -103,7 +93,7 @@ def load_realization(path) -> DisorderRealization:
     that is not an object with a config of exactly DisorderConfig's fields,
     wrong magic or file length, a header d, dims or h that differ from the
     sidecar config, and a dump whose sha256 is not the sidecar's, so any
-    changed byte fails.  The sidecar summary is not read.  The realization
+    changed byte fails.  No other sidecar key is read.  The realization
     returned is from_mask's: the labels are the mask's components.
     """
     path = Path(path)

@@ -2,7 +2,9 @@
 
 Oracles here are deliberately written from scratch (plain loops, BFS, dense
 linear algebra) so they share no code path with the package implementations
-they check.
+they check.  The one exception is scf_minimizer, the Hartree flow's check:
+it runs another algorithm (damped self-consistent field iteration) on the
+package's eigensolver and convolution.
 """
 
 import math
@@ -15,8 +17,19 @@ import scipy.sparse as sp
 from scipy.fft import next_fast_len
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from kaclab import DisorderConfig, DisorderRealization, EnsembleSpec, build_realization, run_ensemble
-from kaclab import laplace
+from kaclab import (
+    DisorderConfig,
+    DisorderRealization,
+    EnsembleSpec,
+    MaskedOperator,
+    assemble_effective_operator,
+    build_realization,
+    convolve_density,
+    lowest_eigenpairs,
+    run_ensemble,
+)
+from kaclab import grids, laplace
+from kaclab.hartree import EL_TOL, component_ground_state
 
 
 def brute_force_mask(config, centers):
@@ -82,6 +95,60 @@ def dense_laplacian(mask, h):
     return A, nodes
 
 
+def value_at_offset(v, offset):
+    """v at an integer grid offset; zero outside the stencil."""
+    R = v.stencil_radius
+    if any(abs(int(o)) > R for o in offset):
+        return 0.0
+    return float(v.values[tuple(int(o) + R for o in offset)])
+
+
+def brute_double_sum(u, v):
+    """double-sum v(x-y) u(x)^2 u(y)^2 h^(2d) over every pair of grid nodes."""
+    total = 0.0
+    for x in np.ndindex(u.shape):
+        for y in np.ndindex(u.shape):
+            off = tuple(a - b for a, b in zip(x, y))
+            total += u[x] ** 2 * u[y] ** 2 * value_at_offset(v, off)
+    return total * v.h ** (2 * v.d)
+
+
+def loop_hartree_energy(u, real, v, N):
+    """E[u] = <u, -Lap u> + (N-1)/2 double-sum, by loops: the energy oracle.
+
+    u is a unit-norm state on the vacancy set; the kinetic term comes from
+    the dense stencil, the pair term from the double sum.
+    """
+    A, nodes = dense_laplacian(real.mask, real.h)
+    x = np.array([u[idx] for idx in nodes])
+    return float(x @ A @ x) * real.h**real.d + 0.5 * (N - 1) * brute_double_sum(u, v)
+
+
+def scf_minimizer(real, component, v, N):
+    """Damped self-consistent field solver, the flow's independent cross-check.
+
+    From the component's Dirichlet ground state, iterates density -> ground
+    state of -Lap + (N-1)(density * v) on the component (eigensolves at tol
+    1e-10) -> density mixed at 0.4, until the Euler-Lagrange residual of
+    u = sqrt(density) is below EL_TOL.  The minimizer is unique, so the flow
+    must land on the same u.  Returns (u, energy, iterations).
+    """
+    comp_mask = real.labels == component
+    dens = component_ground_state(real, component, 1e-10)[0] ** 2
+    for it in range(1, 501):
+        sub = MaskedOperator(mask=comp_mask, h=real.h,
+                             potential=(N - 1) * convolve_density(dens, v))
+        u = grids.normalize(np.sqrt(dens), real.h)
+        g = sub.apply_grid(u)
+        if grids.norm(g - grids.inner(u, g, real.h) * u, real.h) < EL_TOL:
+            hop = assemble_effective_operator(u, real, v, N)
+            return u, grids.inner(u, hop.apply_grid(u), real.h), it
+        phi = np.clip(lowest_eigenpairs(sub, count=1, tol=1e-10).phi1, 0.0, None)
+        dens = 0.6 * dens + 0.4 * grids.normalize(phi, real.h) ** 2
+        dens /= float(np.sum(dens)) * real.h**real.d
+    raise AssertionError("SCF did not reach EL_TOL in 500 iterations")
+
+
 def _multiset_keys(states, M):
     """Monotone base-M integer key for sorted site tuples (lex order preserved)."""
     N = states.shape[1]
@@ -127,7 +194,7 @@ def loop_manybody_hamiltonian(real, v, N):
                 inter += 0.5 * na * (na - 1) * v.v_at_zero
             for ib in range(ia + 1, occupied.size):
                 off = np.subtract(nodes[a], nodes[occupied[ib]])
-                w = v.value_at_offset(off)
+                w = value_at_offset(v, off)
                 if w != 0.0:
                     inter += na * counts[ib] * w
         diag[i] = kinetic_diag + inter

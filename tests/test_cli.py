@@ -105,6 +105,28 @@ class TestParseConfig:
         cfg = parse_config(path, ['disorder={"N": 32, "seed": 4}'])
         assert (cfg.disorder.N, cfg.disorder.seed, cfg.disorder.h) == (32, 4, 0.5)
 
+    @pytest.mark.parametrize("layered, sets, final", [
+        ({"disorder": {"N": {}}}, ["disorder.N=16"], {"disorder": {"N": 16}}),
+        ({}, ['disorder.N={"a": 1}', "disorder.N=16"], {"disorder": {"N": 16}}),
+        ({"output_dir": {}}, ["output_dir=RUN"], {}),
+    ], ids=["file_object_then_set", "set_object_then_set", "output_dir_object_then_set"])
+    def test_a_leaf_set_to_an_object_stays_a_leaf(self, tmp_path, capsys, layered, sets, final):
+        # a key is a section or a leaf by the defaults' shape: a later --set
+        # replaces an object an earlier layer put on a leaf, and the command
+        # runs as one file holding only the final values does
+        run = tmp_path / "run"
+        echo = run / "config_echo.json"
+        outcomes = []
+        for data, given in ((final, []), (layered, sets)):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"output_dir": str(run), **data}))
+            argv = [arg for item in given for arg in ("--set", item.replace("RUN", str(run)))]
+            code = main(["sample", "-c", str(path), *argv])
+            outcomes.append((code, capsys.readouterr(), echo.read_text()))
+            echo.unlink()
+        assert outcomes[0][0] == EXIT_OK
+        assert outcomes[1] == outcomes[0]
+
 
 # one valid and one invalid value for every leaf key, and the sections the
 # key needs beside it (a top_hat or custom_table parameter needs its kind)

@@ -19,10 +19,8 @@ from kaclab import (
     build_realization,
     effective_spectrum,
     ground_state_component,
-    hartree_energy,
     lowest_eigenpairs,
     minimize_hartree,
-    minimize_hartree_scf,
     run_pipeline,
 )
 from kaclab import PipelineResult, grids, hartree
@@ -34,7 +32,8 @@ from kaclab.hartree import (
 )
 from kaclab.laplace import DENSE_CUTOFF
 
-from conftest import dense_laplacian, tiny_box_config
+from conftest import (brute_double_sum, dense_laplacian, loop_hartree_energy, scf_minimizer,
+                      tiny_box_config)
 
 
 def potential_for(real, kappa, width=0.5, truncation=8.0):
@@ -61,20 +60,17 @@ def host_effective_ground_energy(hs, real, v, N):
     return np.linalg.eigvalsh(host.matrix().toarray())[0] - host.diagonal_shift
 
 
-def brute_double_sum(u, v):
-    total = 0.0
-    for x in np.ndindex(u.shape):
-        for y in np.ndindex(u.shape):
-            off = tuple(a - b for a, b in zip(x, y))
-            total += u[x] ** 2 * u[y] ** 2 * v.value_at_offset(off)
-    return total * v.h ** (2 * v.d)
+def mass_on_component(hs, real, v, N):
+    """Mass of h_u's ground vector on the host component."""
+    gvec = effective_spectrum(assemble_effective_operator(hs.u, real, v, N))[2]
+    return float(np.sum(np.where(real.labels == hs.component, gvec, 0.0) ** 2)) * real.h**real.d
 
 
 class TestEnergyFunctional:
     def test_zero_coupling_is_rayleigh_quotient(self, free_3x3):
         v = potential_for(free_3x3, 0.0)
         phi, lam1 = component_ground_state(free_3x3, 1)
-        energy = hartree_energy(phi, free_3x3, 1, v, N=free_3x3.config.N)
+        energy = loop_hartree_energy(phi, free_3x3, v, N=free_3x3.config.N)
         assert energy == pytest.approx(lam1, rel=1e-12)
 
     def test_interaction_term_against_double_sum(self):
@@ -82,27 +78,12 @@ class TestEnergyFunctional:
             tiny_box_config(N=6, L=3.0, h=0.3, r=0.5), centers=np.zeros((0, 2))
         )
         v = potential_for(real, kappa=2.0)
-        phi, lam1 = component_ground_state(real, 1)
+        _, lam1 = component_ground_state(real, 1)
         N = real.config.N
-        energy = hartree_energy(phi, real, 1, v, N)
-        expected = lam1 + 0.5 * (N - 1) * brute_double_sum(phi, v)
-        assert energy == pytest.approx(expected, rel=1e-11)
-        assert energy > lam1
-
-    def test_invariant_under_sign_flip(self, free_3x3):
-        v = potential_for(free_3x3, 1.0)
-        phi, _ = component_ground_state(free_3x3, 1)
-        e_plus = hartree_energy(phi, free_3x3, 1, v, 2)
-        # the functional depends on |u|^2 only; bypass clipping via a raw call
-        e_minus = hartree_energy(-phi, free_3x3, 1, v, 2)
-        assert e_plus == pytest.approx(e_minus, rel=1e-14)
-
-    def test_rejects_mass_outside_component(self, two_strip_5):
-        v = potential_for(two_strip_5, 1.0)
-        u = np.where(two_strip_5.mask, 1.0, 0.0)
-        u = grids.normalize(u, two_strip_5.h)  # mass on both components
-        with pytest.raises(ValueError, match="outside component"):
-            hartree_energy(u, two_strip_5, 1, v, 2)
+        # the flow's energy, by FFT convolution, is the loop functional at its u
+        hs = minimize_hartree(real, 1, v, N)
+        assert hs.energy == pytest.approx(loop_hartree_energy(hs.u, real, v, N), rel=1e-11)
+        assert hs.energy > lam1
 
 
 class TestMinimizer:
@@ -140,9 +121,9 @@ class TestMinimizer:
         assert real.dims == (16, 16)
         v = potential_for(real, kappa=1.5)
         hs_flow = minimize_hartree(real, 1, v, N)
-        hs_scf = minimize_hartree_scf(real, 1, v, N)
-        assert grids.norm(hs_flow.u - hs_scf.u, real.h) < 1e-6
-        assert hs_flow.energy == pytest.approx(hs_scf.energy, abs=1e-10)
+        u_scf, energy_scf, _ = scf_minimizer(real, 1, v, N)
+        assert grids.norm(hs_flow.u - u_scf, real.h) < 1e-6
+        assert hs_flow.energy == pytest.approx(energy_scf, abs=1e-10)
 
     def test_randomized_initializations_agree(self, corner_blocked_6):
         real = corner_blocked_6
@@ -224,15 +205,6 @@ class TestMinimizer:
             minimize_hartree(real, 1, v, real.config.N)
         assert len(err.value.trace) == 1  # the start energy
 
-    def test_scf_nonconvergence_raises_with_trace(self, corner_blocked_6, monkeypatch):
-        monkeypatch.setattr(hartree, "_SCF_MAX_ITER", 1)
-        real, v = corner_blocked_6, potential_for(corner_blocked_6, kappa=5.0)
-        with pytest.raises(SolverError, match="SCF did not reach residual") as err:
-            minimize_hartree_scf(real, 1, v, real.config.N)
-        assert len(err.value.trace) == 1 and np.isfinite(err.value.trace[0])
-        (residual,) = err.value.residuals
-        assert residual >= hartree.EL_TOL
-
     def test_tol_below_the_roundoff_floor_stalls(self):
         # the residual's roundoff floor on this set is about 3e-15: tol=1e-14
         # converges, tol=1e-15 cannot, and the flow stops STALL_STEPS accepted
@@ -284,25 +256,6 @@ class TestMinimizer:
         assert at_finalize["convolve_density"] >= hs.iterations + 1
         assert at_finalize["apply_grid"] == at_finalize["convolve_density"]
         assert counts["convolve_density"] == at_finalize["convolve_density"]
-
-    def test_scf_convolves_once_per_iteration(self, monkeypatch):
-        # the converged density's W serves h_u and the energy's interaction term
-        real = build_realization(
-            tiny_box_config(N=16, L=4.0, h=0.25, nu=0.4, r=0.4, seed=21)
-        )
-        component = ground_state_component(real, lowest_eigenpairs(assemble_laplacian(real)))
-        v, N = potential_for(real, kappa=0.8), real.config.N
-        calls = []
-        convolve = hartree.convolve_density
-
-        def counting_convolve(dens, pot):
-            calls.append(1)
-            return convolve(dens, pot)
-
-        monkeypatch.setattr(hartree, "convolve_density", counting_convolve)
-        hs = minimize_hartree_scf(real, component.component, v, N)
-        assert len(calls) == hs.iterations + 1
-        assert hs.energy == hartree_energy(hs.u, real, component.component, v, N)
 
 
 class TestEffectiveOperator:
@@ -357,7 +310,7 @@ class TestEffectiveOperator:
         hs = minimize_hartree(real, 1, v, N=3)
         assert hs.e2 is None
         assert hs.energy == hs.e1 == 16.60682615108455
-        assert hs.ground_mass_on_component == 1.0
+        assert mass_on_component(hs, real, v, 3) == 1.0
 
     def test_effective_spectrum_zero_coupling(self, two_strip_5):
         v = potential_for(two_strip_5, 0.0)
@@ -420,7 +373,7 @@ class TestEffectiveOperator:
         )
         assert pair.lambda2 - pair.lambda1 > gap_rhs  # gap event holds
         hs = minimize_hartree(real, sel.component, v, N=2)
-        assert hs.ground_mass_on_component > 0.99
+        assert mass_on_component(hs, real, v, 2) > 0.99
         # the minimizer attains the full-domain ground energy
         hop = assemble_effective_operator(hs.u, real, v, N=2)
         dense_eigs = np.linalg.eigvalsh(hop.matrix().toarray()) - hop.diagonal_shift
@@ -452,7 +405,7 @@ class TestSpectrumSteeredFlow:
         )
         real, hs = res.real, res.hartree
         off_host = np.where(real.labels == hs.component, 0.0, hs.u)
-        assert float(np.sum(off_host**2)) * real.h**real.d < hartree.SUPPORT_TOL
+        assert float(np.sum(off_host**2)) * real.h**real.d < 1e-12
         plain = minimize_hartree(real, hs.component, res.v, config.N,
                                  init=np.abs(res.pair.phi1))
         assert hs.energy == pytest.approx(plain.energy, rel=1e-12)
@@ -500,9 +453,8 @@ class TestSpectrumSteeredFlow:
         monkeypatch.setattr(hartree, "lowest_eigenpairs", eigensolve)
         real = two_strip_5
         v = potential_for(real, kappa=1.0)
-        for solver in (minimize_hartree, minimize_hartree_scf):
-            with pytest.raises(ValueError, match=f"component {real.K + 1} is empty"):
-                solver(real, real.K + 1, v, 2)
+        with pytest.raises(ValueError, match=f"component {real.K + 1} is empty"):
+            minimize_hartree(real, real.K + 1, v, 2)
 
     def test_pair_brings_its_factor(self, factors):
         # 2,834 nodes, below 2D's crossover: the spectrum's factor serves the

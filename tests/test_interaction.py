@@ -14,7 +14,7 @@ from kaclab import ConfigError, build_interaction, convolve_density, minimize_ha
 from kaclab import interaction
 from kaclab.certify import scaling_diagnostics
 
-from conftest import lattice_symbol, positive_definite, tiny_box_config
+from conftest import lattice_symbol, positive_definite, tiny_box_config, value_at_offset
 
 
 def gaussian(kappa=1.0, N=64, d=2, h=0.25, **params):
@@ -36,7 +36,7 @@ def brute_convolution(density, v):
         acc = 0.0
         for y in np.ndindex(dims):
             off = tuple(a - b for a, b in zip(x, y))
-            acc += density[y] * v.value_at_offset(off)
+            acc += density[y] * value_at_offset(v, off)
         out[x] = acc * v.h ** v.d
     return out
 
@@ -125,9 +125,9 @@ class TestBuild:
         scale = 1.0 / (10 * math.log(10))
         assert v.v_at_zero == pytest.approx(scale)
         # radial linear interpolation between the rows, zero from the last radius on
-        assert v.value_at_offset((1, 0)) == pytest.approx(0.75 * scale)
-        assert v.value_at_offset((2, 0)) == pytest.approx(0.5 * scale)
-        assert v.value_at_offset((4, 0)) == 0.0
+        assert value_at_offset(v, (1, 0)) == pytest.approx(0.75 * scale)
+        assert value_at_offset(v, (2, 0)) == pytest.approx(0.5 * scale)
+        assert value_at_offset(v, (4, 0)) == 0.0
 
     def test_negative_table_rejected(self, tmp_path):
         path = tmp_path / "profile.txt"
@@ -286,7 +286,7 @@ class TestConvolution:
         for x in np.ndindex(f.shape):
             for y in np.ndindex(f.shape):
                 off = tuple(a - b for a, b in zip(x, y))
-                double_sum += f[x] * f[y] * v.value_at_offset(off)
+                double_sum += f[x] * f[y] * value_at_offset(v, off)
         double_sum *= v.h**4
         inner = float(np.sum(f * convolve_density(f, v))) * v.h**2
         assert inner == pytest.approx(double_sum, rel=1e-12)

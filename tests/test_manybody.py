@@ -44,6 +44,7 @@ from conftest import (
     loop_density_matrix,
     loop_manybody_hamiltonian,
     tiny_box_config,
+    value_at_offset,
 )
 
 
@@ -96,7 +97,7 @@ def first_quantized_two_boson(real, v):
     for i, xi in enumerate(nodes):
         for j, xj in enumerate(nodes):
             off = tuple(a - b for a, b in zip(xi, xj))
-            pair[i, j] = v.value_at_offset(off)
+            pair[i, j] = value_at_offset(v, off)
     H2 += np.diag(pair.ravel())
     vals, vecs = np.linalg.eigh(H2)
     psi = vecs[:, 0].reshape(M, M)

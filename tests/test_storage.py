@@ -35,8 +35,8 @@ def test_realization_sidecar_contents(tmp_path):
     sidecar = json.loads((tmp_path / "real.klvac.json").read_text())
     assert sidecar["format"] == "KLVAC2"
     assert sidecar["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert sidecar["summary"]["K"] == real.K
-    assert sidecar["summary"]["n_vacant"] == real.n_vacant
+    # the config and the digest only: K, labels and volumes come from the mask
+    assert set(sidecar) == {"format", "sha256", "config"}
     assert sidecar["config"]["seed"] == 9
 
 
@@ -93,11 +93,12 @@ def test_header_h_must_match_sidecar(tmp_path):
 
 
 def test_changed_summary_is_not_read(tmp_path):
-    # the summary is for people: K and labels come from the mask
+    # an older sidecar that holds a summary still loads, and the summary is
+    # not read: K and labels come from the mask
     real, path, _ = saved_dump(tmp_path)
     sidecar_path = tmp_path / "real.klvac.json"
     sidecar = json.loads(sidecar_path.read_text())
-    sidecar["summary"]["K"] = real.K + 1
+    sidecar["summary"] = {"K": real.K + 1, "n_vacant": real.n_vacant + 1}
     sidecar_path.write_text(json.dumps(sidecar))
     loaded = load_realization(path)
     assert loaded.K == real.K
