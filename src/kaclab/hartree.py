@@ -8,9 +8,11 @@ with h^d quadrature throughout.  Its minimizer is found by projected gradient
 descent on the unit sphere with energy backtracking: a step is accepted only
 when the new energy is at most old + 8 eps max(1, |old|), so the energy trace
 never rises by more than that roundoff allowance, and the flow's one exit
-that returns is an Euler-Lagrange residual below tol.  One preconditioner T
-(_shifted_inverse: (-Lap - sigma)^(-1) on a Laplacian's lowest modes,
-(-Lap)^(-1) off them) serves the flow and h_u's block LOBPCG.  The
+that returns is an Euler-Lagrange residual below tol.  _shifted_inverse
+owns the preconditioners and sigma: T ((-Lap - sigma)^(-1) on a Laplacian's
+lowest modes, (-Lap)^(-1) off them) serves h_u's block LOBPCG and the flow
+on sets whose host has a SuperLU factor, and P_W ((-Lap + W - sigma)^(-1)
+on the host, at a lagged mean field W) the flow on banded hosts.  The
 independent checks of the (unique) minimizer, a damped self-consistent field
 solver and a loop evaluation of E[u], are test oracles (tests/conftest.py).
 Linearizing at u gives the effective operator
@@ -38,21 +40,26 @@ from scipy.sparse.linalg import splu  # noqa: F401
 from . import grids
 from .errors import SolverError
 from .interaction import InteractionPotential, convolve_density
-from .laplace import EIG_TOL, MaskedOperator, SpectralPair, lowest_eigenpairs
+from .laplace import EIG_TOL, MaskedOperator, SpectralPair, band_factorizes, lowest_eigenpairs
 
 # the flow's contract: the Euler-Lagrange residual of a converged u is below
 # EL_TOL (every el_tol defaults to it), reached within MAX_ITER steps
 EL_TOL = 1e-8
 MAX_ITER = 5000
 # no new energy minimum in this many steps: the flow sits at its roundoff
-# floor, above tol.  Converged flows went at most 531 steps without one (README)
+# floor, above tol.  Converged flows went at most 6 steps without one (README)
 STALL_STEPS = 1000
-# the preconditioner T and h_u's own shift-invert point (see _shifted_inverse)
-# sit at sigma = 0.9 lambda1: below lambda1, so all stay positive definite,
-# with a 10% margin for FFT roundoff in W (and for kappa = 0, where W = 0).
-# 0.99 lambda1 slowed the flow under strong interaction: mean iterations
-# 31.5 -> 87.3 on 200 seeds at d=2, N=64, kappa=10.
+# the preconditioners T and P_W and h_u's own shift-invert point (see
+# _shifted_inverse) sit at sigma = 0.9 lambda1: below lambda1, so all stay
+# positive definite, with a 10% margin for FFT roundoff in W (and for
+# kappa = 0, where W = 0).  Under T, 0.99 lambda1 slowed the flow at strong
+# interaction; under P_W it does not: mean iterations 54.3 -> 141.0 (3
+# stalled) and 25.2 -> 23.7 on derive_seeds(2024, 200) at d=2, N=64,
+# nu=0.3, kappa=10.
 SHIFT_FRACTION = 0.9
+# the flow refactors its lagged P_W at the current mean field when a step
+# leaves the residual above this fraction of the one before
+REFACTOR_RATIO = 0.8
 # h_u's spectrum comes from the Laplacian's factor (block LOBPCG, certified
 # by Weyl's inequality with lambda3) on sets of at least this many vacant
 # nodes, per dimension; elsewhere h_u is factorized and solved by ARPACK.
@@ -72,20 +79,33 @@ def reuses_laplacian_factor(d: int, n_vacant: int) -> bool:
     return n_vacant >= FACTOR_REUSE_MIN_NODES.get(d, math.inf)
 
 
-def _shifted_inverse(pair: SpectralPair, count: int):
-    """sigma = SHIFT_FRACTION lambda1 of pair, and T on pair's count lowest modes.
+def _shifted_inverse(pair: SpectralPair, count: int, host: Optional[MaskedOperator] = None,
+                     W: Optional[np.ndarray] = None):
+    """sigma = SHIFT_FRACTION lambda1 of pair, a preconditioner and the operator it solves on.
 
-    T maps compressed columns of lap = pair.operator, a vector or a block,
+    Without host, T on pair's count lowest modes, which maps compressed
+    columns of lap = pair.operator, a vector or a block,
 
         T r = (-Lap)^(-1) r + sum_k (1/(lambda_k - sigma) - 1/lambda_k) <phi_k, r> phi_k:
 
     (-Lap - sigma)^(-1) on the modes' span and (-Lap)^(-1) off it, positive
     definite since sigma < lambda1 <= lambda_k.  It solves on lap's factor.
-    The flow's P is T on two modes and LOBPCG's preconditioner T on three,
-    so another approximate inverse of -Lap plugs in here alone.
+    LOBPCG's preconditioner is T on three modes, and the flow's is T on two
+    where it does not take P_W.
+
+    With host, the bare operator of a component of lap's set, and the mean
+    field W: P_W = (-Lap + W - sigma)^(-1) on host's nodes, solved on a new
+    operator's own factor (count is unused).  It is positive definite, since
+    W >= 0 and sigma < lambda1 <= the host's least eigenvalue, and it is
+    (h_u + shift - sigma)^(-1) at the u that W was built from, so near the
+    minimizer a flow step preconditioned by it is close to inverse
+    iteration on h_u.
     """
     lap = pair.operator
     sigma = SHIFT_FRACTION * pair.lambda1
+    if host is not None:
+        op = replace(host, potential=W - sigma)
+        return sigma, op.solve, op
     modes = [(phi, lam) for phi, lam in zip((pair.phi1, pair.phi2, pair.phi3)[:count],
                                             (pair.lambda1, pair.lambda2, pair.lambda3))
              if phi is not None]
@@ -97,7 +117,7 @@ def _shifted_inverse(pair: SpectralPair, count: int):
         weight = coef if R.ndim == 1 else coef[:, None]
         return lap.solve(R) + rows.T @ (weight * (rows @ R))
 
-    return sigma, apply
+    return sigma, apply, lap
 
 
 @dataclass
@@ -176,7 +196,7 @@ def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np
     as given: Rayleigh-Ritz does not depend on a shift.  The start block is
     [start, phi2]; each step runs Rayleigh-Ritz on an orthonormal basis of
     [X, T R, P] (Knyazev, SIAM J. Sci. Comput. 23, 2001), preconditioned by
-    the flow's T of _shifted_inverse on all three modes, not zeroed off any
+    T of _shifted_inverse on all three modes, not zeroed off any
     component, and stops when each residual is below tol/2 * |e|, half the
     contract lowest_eigenpairs checks.
 
@@ -251,14 +271,14 @@ def effective_spectrum(hop: MaskedOperator, tol: float = EIG_TOL,
 
     hop is -Lap + potential - shift, potential >= 0 or None (h_u as
     assemble_effective_operator builds it).  pair is a Laplacian's spectrum,
-    whose factor the flow solved with.  If pair's operator spans hop's set
-    and pair has lambda3, laplacian_factor_spectrum solves hop on that
-    factor from [start, phi2] (start |phi1| by default), and its certified
-    answer is taken.  Otherwise lowest_eigenpairs solves hop itself (on its
+    whose factor its eigensolve and a flow under T solved with.  If pair's
+    operator spans hop's set and pair has lambda3, laplacian_factor_spectrum
+    solves hop on that factor from [start, phi2] (start |phi1| by default),
+    and its certified answer is taken.  Otherwise lowest_eigenpairs solves hop itself (on its
     own factor above DENSE_CUTOFF), shift-inverted at a spanning pair's sigma
     (only its lambda1 bounds -Lap + potential below, by Weyl), else at 0;
     only this solve sees sigma.  pair.operator's factor is released in
-    between, after its last use: at most one factor is held at any time.
+    between, after its last use: at most one factor is held here.
     """
     spans = pair is not None and pair.operator.n_vacant == hop.n_vacant
     found = None
@@ -339,9 +359,9 @@ def minimize_hartree(
     at most old + 8 eps max(1, |old|), so no step of the energy trace rises
     by more than that roundoff allowance.  The raw gradient contracts like
     gap/||A|| per step, hopeless on fine grids, so it is preconditioned by a
-    positive definite P built on (-Lap)^(-1): the projected direction still
-    descends, the rate is grid-independent, and tau = 1 is a good first step
-    while the interaction is small against lambda1.  The one success exit is
+    positive definite P, an approximate inverse of -Lap + W - sigma: the
+    projected direction still descends, the rate is grid-independent, and
+    tau = 1 is a good first step.  The one success exit is
     an Euler-Lagrange residual || h_u u - <u, h_u u> u || below tol; a step
     that no 40 halvings of tau make acceptable, STALL_STEPS steps without a
     new energy minimum, or MAX_ITER steps without that exit, raise
@@ -349,23 +369,38 @@ def minimize_hartree(
 
     pair is the spectrum of lap = pair.operator, the Dirichlet Laplacian of
     the whole vacancy set (run_pipeline's) or, when pair is None, of the
-    component alone, solved here.  P solves with lap's factor, which
-    effective_spectrum releases.  -Lap is block-diagonal over components and
-    u and the residual live on the component, so the whole set's stencil and
-    factor act there as the component's own, and |phi1| of the whole set is
-    the component's ground state whenever the component attains lambda1;
-    either pair's |phi1| is the default init.
+    component alone, solved here.  -Lap is block-diagonal over components
+    and u and the residual live on the component, so the whole set's
+    stencil and factor act there as the component's own, and |phi1| of the
+    whole set is the component's ground state whenever the component
+    attains lambda1; either pair's |phi1| is the default init.
 
-    With P = (-Lap)^(-1) the phi2 mode contracts only like lambda1/lambda2
-    per step, slow on the clustered low spectra of vacancy sets.  So P is
-    _shifted_inverse's T on two modes, (-Lap - sigma)^(-1) on span{phi1,
-    phi2}, zeroed off the component, where it stays positive definite, so
-    the projected direction still descends.  The restriction is needed: on a
-    fragmented set phi1 and phi2 may live on other components, and without
-    it the correction moved mass off the host (at d=2, N=1024, nu=2,
-    kappa=10, 3 of 40 flows ended with up to 45% of the mass off the host
-    and the energy up to 2.3% above the minimum).  _finalize then solves
-    h_u's spectrum on the whole vacancy set.
+    P is one of _shifted_inverse's two forms, by one rule: P_W where the
+    component's factor is a banded Cholesky (laplace.band_factorizes), T
+    elsewhere.  A SuperLU factor of the component does not pay for the
+    steps it saves (README, Library tour), and T reuses lap's.
+
+    - P_W = (-Lap + W - sigma)^(-1) on the component, the energy-adaptive
+      Sobolev gradient of Henning and Peterseim (SIAM J. Numer. Anal. 58,
+      2020): at W of the current u a step is close to inverse iteration on
+      h_u, so it sees the mean field that T ignores.  It is lagged: factored at
+      the start state's W, and again at the current W only when a step
+      cuts the residual by less than REFACTOR_RATIO.  Its factor is
+      released before _finalize, so during the flow it and lap's factor
+      are both held.
+    - T on two modes, (-Lap - sigma)^(-1) on span{phi1, phi2} and
+      (-Lap)^(-1) off it, on lap's factor, which effective_spectrum
+      releases: with (-Lap)^(-1) alone the phi2 mode contracts only like
+      lambda1/lambda2 per step, slow on the clustered low spectra of
+      vacancy sets.  It is zeroed off the component, where it stays
+      positive definite, so the projected direction still descends.  The
+      restriction is needed: on a fragmented set phi1 and phi2 may live on
+      other components, and without it the correction moved mass off the
+      host (at d=2, N=1024, nu=2, kappa=10, 3 of 40 flows ended with up to
+      45% of the mass off the host and the energy up to 2.3% above the
+      minimum).
+
+    _finalize then solves h_u's spectrum on the whole vacancy set.
     """
     comp_mask = real.labels == component
     if not np.any(comp_mask):  # before any solve
@@ -377,9 +412,16 @@ def minimize_hartree(
     u = grids.normalize(np.clip(np.where(comp_mask, init, 0.0), 0.0, None), real.h)
     eps = np.finfo(float).eps
     h = real.h
-    # the spectrum's operator, and so its factor, serves the flow
     lap = pair.operator
-    precondition = _shifted_inverse(pair, 2)[1]
+    # the host's bare operator where its factor is a banded Cholesky, for P_W
+    host = MaskedOperator(mask=comp_mask, h=h)
+    if not band_factorizes(host.d, host.n_vacant, host.bandwidth_bound):
+        host = None
+
+    def preconditioner(W):
+        # P_W at the mean field W, or T, which does not depend on it; and
+        # the operator whose compressed columns it maps
+        return _shifted_inverse(pair, 2, *(() if host is None else (host, W)))[1:]
 
     def energy_and_potential(w):
         # the stencil product and the mean field are returned too: the
@@ -391,10 +433,13 @@ def minimize_hartree(
 
     energy, W, shift, Lu = energy_and_potential(u)
     trace = [energy]
-    before = lap.solves
+    precondition, pre = preconditioner(W)
+    # this flow's factorizations and LU solves: T's operator, lap, comes
+    # with counts of its own, and a refreshed P_W adds those of the old one
+    spent = -np.array([pre.factorizations, pre.solves])
 
     tau = 1.0
-    residual = np.inf
+    residual = previous = np.inf
     backtracks = 0
     lowest, stalled = energy, 0
 
@@ -411,8 +456,13 @@ def minimize_hartree(
         if stalled >= STALL_STEPS:
             raise SolverError(f"Hartree flow stalled: no new energy minimum in {STALL_STEPS} "
                               f"steps (residual {residual:.3e})", residuals=[residual], trace=trace)
+        if host is not None and residual > REFACTOR_RATIO * previous:
+            spent += (pre.factorizations, pre.solves)
+            pre.release()
+            precondition, pre = preconditioner(W)
+        previous = residual
 
-        z = np.where(comp_mask, lap.embed(precondition(lap.restrict(resid))), 0.0)
+        z = np.where(comp_mask, pre.embed(precondition(pre.restrict(resid))), 0.0)
         direction = z - grids.inner(u, z, h) * u
 
         for _ in range(40):
@@ -443,8 +493,12 @@ def minimize_hartree(
             residuals=[residual],
             trace=trace,
         )
-    logger.debug("Hartree flow converged: %d iterations, %d backtracks, %d LU solves, "
-                 "residual %.3e", iterations, backtracks, lap.solves - before, residual)
+    spent += (pre.factorizations, pre.solves)
+    logger.debug("Hartree flow converged: %d iterations, %d backtracks, %s: %d factorizations, "
+                 "%d LU solves, residual %.3e", iterations, backtracks,
+                 "T" if host is None else "P_W", *spent, residual)
+    if host is not None:
+        pre.release()
     # T's mode rows would live on through _finalize's LOBPCG (sparse_2d peak
     # RSS 160.2 -> 162.1 MB); rebuilt on each call, they cost ensemble_small 1.4%
     del precondition

@@ -13,7 +13,8 @@ counts its solves and holds the factor until release().  A narrow band
 LAPACK's banded Cholesky, assembled from the face pairs with no sparse
 matrix; a wide one SuperLU in symmetric mode (minimum degree ordering of
 A + A^T, diagonal pivots).  ARPACK's shift-invert above DENSE_CUTOFF nodes
-and the Hartree flow's preconditioner solve on the Laplacian's, one factor.
+and, on a host component whose own factor would be SuperLU, the Hartree
+flow's preconditioner solve on the Laplacian's, one factor.
 On large sets the pipeline asks for a third eigenpair: lambda3 bounds the
 rest of the spectrum from below, which lets hartree solve h_u on this same
 factor, certified, not on its own.
@@ -86,7 +87,7 @@ class MaskedOperator:
     -Laplacian + potential, and solve inverts it on its factor (_factorize:
     banded Cholesky or SuperLU), held from the first solve until release().
     solves counts the LU solves, Cholesky ones included, one per right-hand
-    side column.
+    side column, and factorizations the factors built.
     """
 
     mask: np.ndarray
@@ -104,7 +105,7 @@ class MaskedOperator:
             raise KacLabError("empty vacancy set")
         # row-major flat grid index of each vacant node: node i is sites[i]
         self.sites = np.flatnonzero(self.mask.ravel())
-        self._factor, self.solves = None, 0
+        self._factor, self.solves, self.factorizations = None, 0, 0
 
     @property
     def d(self) -> int:
@@ -233,6 +234,7 @@ class MaskedOperator:
         """matrix()^(-1) rhs for a compressed vector or a block of columns."""
         if self._factor is None:
             self._factor = self._factorize()
+            self.factorizations += 1
         self.solves += 1 if rhs.ndim == 1 else rhs.shape[1]
         return self._factor(rhs)
 

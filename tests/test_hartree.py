@@ -23,7 +23,7 @@ from kaclab import (
     minimize_hartree,
     run_pipeline,
 )
-from kaclab import PipelineResult, grids, hartree
+from kaclab import PipelineResult, grids, hartree, laplace
 from kaclab.certify import supnorm_constant
 from kaclab.hartree import (
     component_ground_state,
@@ -391,11 +391,12 @@ LEAKING_SEEDS = (1723312680387767620, 3394594863205772940, 1756388568355844705)
 
 class TestSpectrumSteeredFlow:
     def test_criterion_56_flow_iterations(self, criterion_56_records):
-        # P = (-Lap)^(-1) alone took 31.3 iterations on average and 386 at most
+        # P = (-Lap)^(-1) alone took 31.3 iterations on average and 386 at
+        # most, T 15.7 and 94; P_W takes 6.5 and 43
         _, records = criterion_56_records
         iterations = [r["hartree"]["iterations"] for r in records if r["error"] is None]
         assert len(iterations) == 200
-        assert np.mean(iterations) <= 20 and max(iterations) <= 120
+        assert np.mean(iterations) <= 7.5 and max(iterations) <= 50
 
     @pytest.mark.parametrize("seed", LEAKING_SEEDS)
     def test_mode_correction_stays_on_the_host(self, seed):
@@ -456,21 +457,85 @@ class TestSpectrumSteeredFlow:
         with pytest.raises(ValueError, match=f"component {real.K + 1} is empty"):
             minimize_hartree(real, real.K + 1, v, 2)
 
-    def test_pair_brings_its_factor(self, factors):
-        # 2,834 nodes, below 2D's crossover: the spectrum's factor serves the
-        # flow, so the only other factorization is h_u's
+    def test_banded_host_flow_factors_p_w_not_the_laplacian(self, monkeypatch, caplog,
+                                                             factors):
+        # 2,834 nodes, a banded host: the flow solves on P_W's factors alone,
+        # one at the start state's W and one per refresh, and releases each;
+        # the spectrum's factor gets no solve, and the last factor is h_u's
+        caplog.set_level(logging.DEBUG, logger="kaclab.hartree")
         config = DisorderConfig(d=2, rho=1.0, N=512, nu=0.15, r=0.5, h=0.4, seed=3)
         real = build_realization(config)
         pair = lowest_eigenpairs(assemble_laplacian(real))
-        assert real.n_vacant == 2834 and len(factors) == 1
+        (lap_factor,) = factors
+        assert real.n_vacant == 2834 and lap_factor.op is pair.operator
+        host = real.labels == 1
+        op = MaskedOperator(mask=host, h=real.h)
+        assert hartree.band_factorizes(op.d, op.n_vacant, op.bandwidth_bound)
+        built = []
+        shifted_inverse = hartree._shifted_inverse
+
+        def recording(*args):
+            built.append(shifted_inverse(*args))
+            return built[-1]
+
+        monkeypatch.setattr(hartree, "_shifted_inverse", recording)
         v = potential_for(real, 0.5)
+        before = lap_factor.solves
         hs = minimize_hartree(real, 1, v, config.N, pair=pair)
-        assert len(factors) == 2
-        # the second is h_u's SPD part -Lap + W - sigma
-        W = assemble_effective_operator(hs.u, real, v, config.N).potential
+        assert lap_factor.solves == before
+        flow = factors[1:-1]
+        assert len(flow) == len([b for b in built if b[2] is not pair.operator]) >= 1
+        assert [f.op for f in flow] == [b[2] for b in built if b[2] is not pair.operator]
+        assert sum(f.solves for f in flow) == hs.iterations
+        assert all(np.array_equal(f.op.mask, host) and f.op._factor is None for f in flow)
+        # the first is -Lap + W - sigma at the start state |phi1|
         sigma = hartree.SHIFT_FRACTION * pair.lambda1
+        start = grids.normalize(np.where(host, np.abs(pair.phi1), 0.0), real.h)
+        W0 = assemble_effective_operator(start, real, v, config.N).potential
+        assert (flow[0].op.matrix() != MaskedOperator(host, real.h, W0 - sigma).matrix()).nnz == 0
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "kaclab.hartree"]
+        assert f"P_W: {len(flow)} factorizations, {hs.iterations} LU solves" in line
+        # the last is h_u's SPD part -Lap + W - sigma, on the whole set
+        W = assemble_effective_operator(hs.u, real, v, config.N).potential
         expected = MaskedOperator(real.mask, real.h, W - sigma).matrix()
-        assert (factors[1].op.matrix() != expected).nnz == 0
+        assert (factors[-1].op.matrix() != expected).nnz == 0
+
+    def test_p_w_and_t_find_the_same_minimizer(self, monkeypatch):
+        # 324 nodes: the banded host takes P_W; with no band allowed, T on the
+        # Laplacian's factor.  Both stop at el_tol on the unique minimizer
+        results = []
+        for band_max_work in (laplace.BAND_MAX_WORK, {}):
+            monkeypatch.setattr(laplace, "BAND_MAX_WORK", band_max_work)
+            real = build_realization(OWN_PATH_324)
+            v = potential_for(real, 1.0)
+            pair = lowest_eigenpairs(assemble_laplacian(real))
+            component = ground_state_component(real, pair).component
+            host = MaskedOperator(mask=real.labels == component, h=real.h)
+            assert hartree.band_factorizes(host.d, host.n_vacant,
+                                           host.bandwidth_bound) == bool(band_max_work)
+            results.append(minimize_hartree(real, component, v, OWN_PATH_324.N, pair=pair))
+        mean_field, plain = results
+        assert mean_field.iterations < plain.iterations
+        assert mean_field.energy == pytest.approx(plain.energy, rel=1e-13)
+        assert mean_field.e1 == pytest.approx(plain.e1, rel=1e-11)
+
+    @pytest.mark.parametrize("kappa, nu, seed", [
+        (20.0, 0.3, 129391323648738835),
+        (20.0, 0.3, 1863838724005211432),
+        (20.0, 0.3, 13090600771037649262),
+        (30.0, 0.6, 15007993948982913857),
+        (30.0, 0.6, 8054818535886222723),
+        (30.0, 0.6, 9190995425512964991),
+    ])
+    def test_strong_coupling_converges(self, kappa, nu, seed):
+        # seeds of derive_seeds(2024, 200) at kappa 20 and derive_seeds(2024,
+        # 60) at kappa 30 on which T stopped at its roundoff floor (the first
+        # after MAX_ITER steps, the others stalled after STALL_STEPS); P_W
+        # reaches the default el_tol in 11 to 107 steps
+        config = DisorderConfig(d=2, rho=1.0, N=64, nu=nu, r=0.5, h=0.4, seed=seed)
+        hs = run_pipeline(PipelineResult(config), gaussian(kappa)).hartree
+        assert hs.el_residual < hartree.EL_TOL and hs.iterations <= 120
+        assert within_roundoff_allowance(hs.energy_trace)
 
     @pytest.mark.parametrize("kappa", [0.5, 10.0])
     def test_energy_trace_steps_within_roundoff_allowance(self, kappa, corner_blocked_6):
@@ -493,8 +558,9 @@ class TestSpectrumSteeredFlow:
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
         assert f"{hs.iterations} iterations" in message and "backtracks" in message
-        # one preconditioner solve per step taken
-        assert f"{hs.iterations} LU solves" in message
+        # one preconditioner solve per step taken, on P_W's factors (the
+        # host is banded)
+        assert re.search(rf"P_W: [1-9]\d* factorizations, {hs.iterations} LU solves", message)
         assert f"residual {hs.el_residual:.3e}" in message
 
 
@@ -537,8 +603,13 @@ class TestLaplacianFactorSpectrum:
         res = run_pipeline(PipelineResult(D3_ABOVE_CROSSOVER), gaussian(kappa))
         real, pair, hs = res.real, res.pair, res.hartree
         assert reuses_laplacian_factor(3, real.n_vacant) and pair.lambda3 is not None
-        (factor,) = factors
-        assert factor.op is pair.operator  # the Laplacian's, only
+        # the Laplacian's, then the flow's P_W ones on the banded host, if it
+        # steps (at kappa 0 |phi1| is the minimizer): h_u is not factorized
+        lap_factor, *flow = factors
+        assert lap_factor.op is pair.operator
+        assert len(flow) == (kappa > 0.0)
+        host = real.labels == hs.component
+        assert all(np.array_equal(f.op.mask, host) for f in flow)
         hop = assemble_effective_operator(hs.u, real, res.v, D3_ABOVE_CROSSOVER.N)
         A, _ = dense_laplacian(real.mask, real.h)
         vals = np.linalg.eigvalsh(A + np.diag(hop.potential[real.mask])) - hs.shift
@@ -547,17 +618,21 @@ class TestLaplacianFactorSpectrum:
             assert (hs.e1, hs.e2) == pytest.approx((pair.lambda1, pair.lambda2), rel=1e-12)
 
     def test_the_operator_counts_every_lu_solve(self, caplog, factors):
-        # one factor serves ARPACK, the flow and LOBPCG on this set: the
-        # Laplacian's count is the factor's, and its three DEBUG lines split it
+        # the Laplacian's factor serves ARPACK and LOBPCG on this set, and
+        # the flow's P_W factors the flow: the Laplacian's count is its
+        # factor's, split by two DEBUG lines, and the flow's line counts P_W's
         caplog.set_level(logging.DEBUG, logger="kaclab")
         res = run_pipeline(PipelineResult(D3_ABOVE_CROSSOVER), gaussian(10.0))
-        (lu,) = factors
-        assert res.pair.operator.solves == lu.solves > 0
-        lines = [(r.name, int(m.group(1))) for r in caplog.records
-                 for m in [re.search(r"(\d+) LU solves", r.getMessage())] if m]
-        assert [name for name, _ in lines] == ["kaclab.laplace", "kaclab.hartree",
-                                               "kaclab.hartree.spectrum"]
-        assert sum(count for _, count in lines) == lu.solves
+        lu, *flow = factors
+        assert res.pair.operator.solves == lu.solves > 0 and flow
+        lines = [(r.name, m.group(1), int(m.group(2))) for r in caplog.records
+                 for m in [re.search(r"(?:(\d+) factorizations, )?(\d+) LU solves",
+                                     r.getMessage())] if m]
+        assert [name for name, _, _ in lines] == ["kaclab.laplace", "kaclab.hartree",
+                                                  "kaclab.hartree.spectrum"]
+        assert lines[0][2] + lines[2][2] == lu.solves
+        assert lines[1][1:] == (str(len(flow)), sum(f.solves for f in flow))
+        assert lines[1][2] == res.hartree.iterations
 
     def test_crossover_depends_on_dimension_and_size_only(self):
         # the benchmark sizes: ensemble_small (~320 nodes, d=2) and the
@@ -700,8 +775,8 @@ class TestShiftedInverse:
         vals, vecs = np.linalg.eigh(A)
         before = pair.operator.solves
         for count in (2, 3):
-            sigma, precondition = hartree._shifted_inverse(pair, count)
-            assert sigma == hartree.SHIFT_FRACTION * pair.lambda1
+            sigma, precondition, operator = hartree._shifted_inverse(pair, count)
+            assert sigma == hartree.SHIFT_FRACTION * pair.lambda1 and operator is pair.operator
             shifted = np.where(np.arange(count + 3) < count, vals[:count + 3] - sigma,
                                vals[:count + 3])
             V = vecs[:, :count + 3]

@@ -342,7 +342,9 @@ class TestSparseFactorization:
         assert flow["shared"]
         assert flow["before"] > 0  # ARPACK solved with it first
         assert flow["after"] - flow["before"] >= res.hartree.iterations
-        # the only other factor is the effective operator's, for e1 and e2
+        # the host's factor would be SuperLU, so the flow takes T and adds
+        # no factorization: the only other factor is the effective
+        # operator's, for e1 and e2, built after the Laplacian's is released
         assert len(factors) == 2
         assert not flow["held_at_second"]
 
@@ -458,9 +460,15 @@ class TestBandCholesky:
         a, b = (DisorderConfig(d=2, rho=1.0, N=64, nu=0.15, r=0.5, h=0.4, seed=s)
                 for s in (11, 12))
         first = json.dumps(run_realization(a, potential), sort_keys=True)
+        made = len(factors)
         run_realization(b, potential)
+        before = len(factors)
         assert json.dumps(run_realization(a, potential), sort_keys=True) == first
-        assert len(factors) == 6  # the Laplacian and h_u of each, all banded
+        # the Laplacian, the flow's P_W and h_u of each, all banded; A makes
+        # its factors again, of the same matrices
+        assert made >= 3 and len(factors) - before == made
+        assert all((f.op.matrix() != g.op.matrix()).nnz == 0
+                   for f, g in zip(factors[:made], factors[before:]))
         assert all(band_factorizes(f.op.d, f.op.n_vacant, f.op.bandwidth_bound)
                    for f in factors)
 
@@ -592,7 +600,13 @@ class TestArpackStopping:
                                     r=0.5, h=0.4, seed=seed)
             run_pipeline(PipelineResult(config),
                          {"kind": "gaussian", "kappa": 0.05, "width": 0.5})
-        assert len(factors) == count  # the Laplacian's, one per item
+        # the Laplacian's, one per item, and the flow's P_W ones where the
+        # host is banded: every 3D host here, no 2D one
+        lap_factors = [f for f in factors if f.op.potential is None]
+        flow = [f for f in factors if f.op.potential is not None]
+        assert len(lap_factors) == count
+        assert len(flow) >= count if d == 3 else not flow
+        assert all(band_factorizes(f.op.d, f.op.n_vacant, f.op.bandwidth_bound) for f in flow)
         assert all(f.certified for f in found) and len(found) == count
         assert sum(lap_solves) <= max_lap
         assert max(lobpcg_solves) <= max_lobpcg
