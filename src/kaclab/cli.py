@@ -6,7 +6,7 @@ Runs are driven by a JSON config file with dotted --set overrides, each
 merged after the file by the one rule the file is merged by, and
 parse_config checks every value, each number by the one rule
 errors.check_number and a custom_table by reading it, before the run
-directory exists, and main loads an oracle --realization dump before it too.
+directory exists; main loads an oracle --realization .npy dump before it too.
 What depends on the subcommand is checked when it runs: a sweep's three N
 values, and a built potential's N >= 2 and top_hat's allow_non_posdef=true.
 Every run directory receives the fully resolved config echo and a version
@@ -160,7 +160,7 @@ def _prepare_run_dir(cfg: RunConfig) -> Path:
 
 def cmd_sample(cfg: RunConfig, out: Path) -> int:
     real = build_realization(cfg.disorder)
-    storage.save_realization(real, out / "realization.klvac")
+    storage.save_realization(real, out / "realization.npy")
     eta = cfg.spec.eta
     fraction, in_event, _ = volume_fraction(real, eta)
     print(f"K={real.K} vacant={real.n_vacant} fraction={fraction:.6f} "
@@ -178,9 +178,9 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
         "residuals": [pair.residual1, pair.residual2],
         "component": component,
     }
-    storage.save_field(pair.phi1, real.h, out / "phi1.kleig", {**meta, "index": 1})
+    storage.save_field(pair.phi1, real.h, out / "phi1.npy", {**meta, "index": 1})
     if pair.phi2 is not None:
-        storage.save_field(pair.phi2, real.h, out / "phi2.kleig", {**meta, "index": 2})
+        storage.save_field(pair.phi2, real.h, out / "phi2.npy", {**meta, "index": 2})
     print(f"lambda1={pair.lambda1:.9g} lambda2={pair.lambda2} "
           f"component={component} mass_outside={sel.mass_outside:.3e}")
     return EXIT_OK
@@ -194,7 +194,7 @@ def cmd_hartree(cfg: RunConfig, out: Path, dump_state=False) -> int:
     with open(out / "hartree.jsonl", "a") as f:
         f.write(json.dumps(rec, sort_keys=True) + "\n")
     if dump_state:
-        storage.save_field(hs.u, res.real.h, out / "hartree_u.kleig",
+        storage.save_field(hs.u, res.real.h, out / "hartree_u.npy",
                            {"energy": hs.energy, "component": hs.component})
     print(json.dumps(rec, sort_keys=True))
     return EXIT_OK
@@ -232,7 +232,7 @@ def cmd_certify(cfg: RunConfig, out: Path, with_oracle=False) -> int:
 
 
 def _load_realization(path):
-    """The KLVAC2 dump at path; one that is missing or does not load is a ConfigError."""
+    """The realization dump at path; one that is missing or does not load is a ConfigError."""
     try:
         return storage.load_realization(path)
     except (OSError, ValueError) as exc:  # the dump path is user input
@@ -255,7 +255,8 @@ def cmd_oracle(cfg: RunConfig, out: Path, realization=None, dump_state=False) ->
     }
     (out / "oracle.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
     if dump_state:
-        np.save(out / "oracle_psi.npy", gs.psi)
+        storage.save_array(gs.psi, out / "oracle_psi.npy",
+                           {"N": N, "basis_dim": gs.basis_dim, "E_qm": gs.E_qm})
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-oracle", action="store_true",
                    help="also run the exact diagonalization checks")
     p = command("oracle", cmd_oracle, "exact few-boson diagonalization on a small realization")
-    p.add_argument("--realization", default=None, help="path to a KLVAC2 dump to reuse")
+    p.add_argument("--realization", default=None, help="path to a realization.npy dump to reuse")
     p.add_argument("--dump-state", action="store_true")
     command("ensemble", cmd_ensemble, "Monte Carlo over seeds with event frequencies")
     command("sweep", cmd_sweep, "N sweep with medians and scaling fits")

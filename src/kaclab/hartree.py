@@ -475,6 +475,8 @@ def minimize_hartree(
                     u, energy, W, shift, Lu = w, new_energy, new_W, new_shift, new_Lw
                     trace.append(energy)
                     stalled, lowest = (0, energy) if energy < lowest else (stalled + 1, lowest)
+                    # tau carries over: restarting it at 1 each step left P_W flows
+                    # as they are but took T's failures at kappa=20 from 13 to 46 of 200
                     tau = min(tau * 1.3, 1.0)
                     break
             tau *= 0.5

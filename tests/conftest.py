@@ -352,6 +352,6 @@ def criterion_56_records():
     spec = EnsembleSpec(
         base={"d": 2, "rho": 1.0, "N": 64, "nu": 0.15, "r": 0.5, "h": 0.4},
         potential={"kind": "gaussian", "kappa": 0.05, "width": 0.5},
-        seeds=200, master_seed=2024, eig_tol=1e-9, sigma_ref=6.0,
+        seeds=200, master_seed=2024, eig_tol=laplace.EIG_TOL, sigma_ref=6.0,
     )
     return spec, run_ensemble(spec)

@@ -16,7 +16,7 @@ from kaclab.cli import (
 )
 from kaclab.errors import ConfigError, KacLabError
 from kaclab.interaction import potential_from_spec
-from kaclab.storage import load_field, load_realization
+from kaclab.storage import load_array, load_field, load_realization, save_array
 
 from conftest import arpack_no_convergence, positive_definite
 
@@ -231,8 +231,8 @@ class TestSubcommands:
         path = write_config(tmp_path)
         out = tmp_path / "run"
         assert main(["sample", "-c", str(path), "-o", str(out)]) == EXIT_OK
-        assert (out / "realization.klvac").exists()
-        assert (out / "realization.klvac.json").exists()
+        assert (out / "realization.npy").exists()
+        assert (out / "realization.npy.json").exists()
         assert (out / "config_echo.json").exists()
         assert "kaclab" in (out / "version.txt").read_text()
         assert "K=1" in capsys.readouterr().out
@@ -241,7 +241,7 @@ class TestSubcommands:
         path = write_config(tmp_path)
         out = tmp_path / "run"
         assert main(["spectrum", "-c", str(path), "-o", str(out)]) == EXIT_OK
-        grid, h, meta = load_field(out / "phi1.kleig")
+        grid, h, meta = load_field(out / "phi1.npy")
         assert grid.shape == (7, 7)
         assert meta["index"] == 1
         assert len(meta["eigenvalues"]) == 2
@@ -258,7 +258,7 @@ class TestSubcommands:
         record = ensemble.run_realization(DisorderConfig(**disorder),
                                           {"kind": "gaussian", "kappa": 0.0, "width": 0.5})
         assert record["n_vacant"] == 1664
-        meta = load_field(out / "phi1.kleig")[2]
+        meta = load_field(out / "phi1.npy")[2]
         assert meta["eigenvalues"] == [record["lambda1"], record["lambda2"]]
 
     def test_certify_noninteracting_golden_fixture(self, tmp_path, capsys):
@@ -314,7 +314,7 @@ class TestSubcommands:
         rec = json.loads(lines[0])
         assert set(rec) == {"component", "energy", "e1", "e2", "shift",
                             "iterations", "el_residual"}
-        grid, _, _ = load_field(out / "hartree_u.kleig")
+        grid, _, _ = load_field(out / "hartree_u.npy")
         assert grid.shape == (7, 7)
 
     @pytest.mark.parametrize("level, logged", [("DEBUG", 1), ("INFO", 0)])
@@ -337,29 +337,34 @@ class TestSubcommands:
         out = tmp_path / "run"
         assert main(["sample", "-c", str(path), "-o", str(out)]) == EXIT_OK
         code = main(["oracle", "-c", str(path), "-o", str(out),
-                     "--realization", str(out / "realization.klvac"),
+                     "--realization", str(out / "realization.npy"),
                      "--set", "oracle.N=2"])
         assert code == EXIT_OK
         summary = json.loads((out / "oracle.json").read_text())
         assert summary["basis_dim"] == 49 * 50 // 2
         assert summary["rho1_trace"] == pytest.approx(1.0, abs=1e-12)
+        # the dumped realization gives the oracle of the config's own sample
+        direct = tmp_path / "direct"
+        assert main(["oracle", "-c", str(path), "-o", str(direct),
+                     "--set", "oracle.N=2"]) == EXIT_OK
+        assert (out / "oracle.json").read_bytes() == (direct / "oracle.json").read_bytes()
 
     @pytest.mark.parametrize("damage, fault", [
         pytest.param("missing", "No such file", id="missing"),
-        pytest.param("bad_magic", "bad magic b'XXXXXX'", id="bad_magic"),
-        pytest.param("sidecar_without_config", "sidecar is not an object with a 'config' object",
+        pytest.param("bad_magic", "sha256 of it and its sidecar is", id="bad_magic"),
+        pytest.param("sidecar_without_config", "unknown keys [] and lacks ['N', 'd', 'h',",
                      id="sidecar_without_config"),
-        pytest.param("sidecar_not_an_object", "sidecar is not an object with a 'config' object",
+        pytest.param("sidecar_not_an_object", "sidecar is not an object",
                      id="sidecar_not_an_object"),
         pytest.param("config_unknown_key", "unknown keys ['colour'] and lacks []",
                      id="config_unknown_key"),
         pytest.param("sidecar_without_sha256", "the sidecar's None", id="sidecar_without_sha256"),
-        pytest.param("klvac1", "bad magic b'KLVAC1', expected b'KLVAC2'", id="klvac1"),
+        pytest.param("klvac1", "dump format is 'KLVAC1'", id="klvac1"),
     ])
     def test_unreadable_realization_is_one_error_line(self, tmp_path, capsys, damage, fault):
         path = write_config(tmp_path)
-        dump = tmp_path / "dump" / "realization.klvac"
-        sidecar_path = tmp_path / "dump" / "realization.klvac.json"
+        dump = tmp_path / "dump" / "realization.npy"
+        sidecar_path = tmp_path / "dump" / "realization.npy.json"
         assert main(["sample", "-c", str(path), "-o", str(dump.parent)]) == EXIT_OK
         sidecar = json.loads(sidecar_path.read_text())
         if damage == "missing":
@@ -367,17 +372,22 @@ class TestSubcommands:
         elif damage == "bad_magic":
             dump.write_bytes(b"XXXXXX" + dump.read_bytes()[6:])
         elif damage == "config_unknown_key":
-            sidecar["config"]["colour"] = 1
+            # written by the storage module, so the digest holds and the config is refused
+            save_array(np.load(dump), dump, {"config": {**sidecar["config"], "colour": 1}})
+            sidecar = json.loads(sidecar_path.read_text())
+        elif damage == "sidecar_without_config":
+            save_array(np.load(dump), dump)
+            sidecar = json.loads(sidecar_path.read_text())
         elif damage == "sidecar_without_sha256":
             del sidecar["sha256"]
         elif damage == "klvac1":
-            # the earlier format: int32 labels after the mask, no sha256 in the sidecar
+            # an earlier format: a magic header, int32 labels after the mask, no sha256
             labels = load_realization(dump).labels.astype("<i4").tobytes()
             dump.write_bytes(b"KLVAC1" + dump.read_bytes()[6:] + labels)
             sidecar["format"] = "KLVAC1"
             del sidecar["sha256"]
         else:
-            sidecar = {"format": "KLVAC2"} if damage == "sidecar_without_config" else [1, 2]
+            sidecar = [1, 2]
         sidecar_path.write_text(json.dumps(sidecar))
         capsys.readouterr()
         out = tmp_path / "run"
@@ -395,9 +405,15 @@ class TestSubcommands:
         assert main(["oracle", "-c", str(path), "-o", str(out),
                      "--dump-state"]) == EXIT_OK
         summary = json.loads((out / "oracle.json").read_text())
-        psi = np.load(out / "oracle_psi.npy")
+        psi = np.load(out / "oracle_psi.npy", allow_pickle=False)
         assert psi.shape == (summary["basis_dim"],)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        # the storage module's digest guards psi and its sidecar
+        loaded, sidecar = load_array(out / "oracle_psi.npy")
+        assert np.array_equal(loaded, psi)
+        assert {key: sidecar[key] for key in ("N", "basis_dim", "E_qm")} == {
+            key: summary[key] for key in ("N", "basis_dim", "E_qm")}
+        assert set(sidecar) == {"N", "basis_dim", "E_qm", "format", "sha256"}
 
     def test_oracle_over_cap_exits_2_with_dimension(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -666,8 +682,8 @@ def parse_json_outputs(out):
 # each subcommand's argv after its name, and the JSON files it writes
 # besides config_echo.json
 JSON_WRITERS = {
-    "sample": ([], {"realization.klvac.json"}),
-    "spectrum": ([], {"phi1.kleig.json", "phi2.kleig.json"}),
+    "sample": ([], {"realization.npy.json"}),
+    "spectrum": ([], {"phi1.npy.json", "phi2.npy.json"}),
     "hartree": ([], {"hartree.jsonl"}),
     "certify": (["--with-oracle", "--set", "disorder.N=2", "--set", "disorder.rho=0.125"],
                 {"certificate.json"}),

@@ -29,7 +29,7 @@ from kaclab import (
     one_body_density_matrix,
     product_state,
 )
-from kaclab import manybody
+from kaclab import laplace, manybody
 from kaclab.manybody import (
     DENSE_CUTOFF,
     ManyBodyGroundState,
@@ -585,8 +585,8 @@ class TestDisorderedCertificates:
         real = disordered_2d_set(N=N, L=L, seed=seed)
         assert real.n_vacant == M and real.K == 1
         v = potential_for(real, 1.0, N)
-        pair = lowest_eigenpairs(assemble_laplacian(real), tol=1e-9)
-        hs = minimize_hartree(real, 1, v, N, eig_tol=1e-9)
+        pair = lowest_eigenpairs(assemble_laplacian(real), tol=laplace.EIG_TOL)
+        hs = minimize_hartree(real, 1, v, N, eig_tol=laplace.EIG_TOL)
         gs = ground_state(build_manybody_hamiltonian(real, v, N))
         rho1 = one_body_density_matrix(gs)
         n_cond = condensate_occupation(rho1, hs.u, real, N)
