@@ -10,9 +10,11 @@ when the new energy is at most old + 8 eps max(1, |old|), so the energy trace
 never rises by more than that roundoff allowance, and the flow's one exit
 that returns is an Euler-Lagrange residual below tol.  _shifted_inverse
 owns the preconditioners and sigma: T ((-Lap - sigma)^(-1) on a Laplacian's
-lowest modes, (-Lap)^(-1) off them) serves h_u's block LOBPCG and the flow
-on sets whose host has a SuperLU factor, and P_W ((-Lap + W - sigma)^(-1)
-on the host, at a lagged mean field W) the flow on banded hosts.  The
+lowest modes, (-Lap)^(-1) off them, sigma = 0.9 lambda1) serves h_u's block
+LOBPCG and the flow on sets whose host has a SuperLU factor, and P_W
+((-Lap + W - sigma)^(-1) on the host, at a lagged mean field W, with sigma
+up to 0.99 lambda1 where W is small) the flow on banded hosts; the flow
+refreshes P_W only once W has left the factor's margin.  The
 independent checks of the (unique) minimizer, a damped self-consistent field
 solver and a loop evaluation of E[u], are test oracles (tests/conftest.py).
 Linearizing at u gives the effective operator
@@ -49,17 +51,20 @@ MAX_ITER = 5000
 # no new energy minimum in this many steps: the flow sits at its roundoff
 # floor, above tol.  Converged flows went at most 6 steps without one (README)
 STALL_STEPS = 1000
-# the preconditioners T and P_W and h_u's own shift-invert point (see
-# _shifted_inverse) sit at sigma = 0.9 lambda1: below lambda1, so all stay
-# positive definite, with a 10% margin for FFT roundoff in W (and for
-# kappa = 0, where W = 0).  Under T, 0.99 lambda1 slowed the flow at strong
-# interaction; under P_W it does not: mean iterations 54.3 -> 141.0 (3
-# stalled) and 25.2 -> 23.7 on derive_seeds(2024, 200) at d=2, N=64,
-# nu=0.3, kappa=10.
+# T, LOBPCG's T and h_u's own shift-invert point sit at sigma = 0.9 lambda1,
+# and P_W never lower (see _shifted_inverse): below lambda1, so all stay
+# positive definite.  Under T, 0.99 lambda1 slowed the flow at strong
+# interaction (mean iterations 54.3 -> 141.0, 3 stalled, on
+# derive_seeds(2024, 200) at d=2, N=64, nu=0.3, kappa=10), and h_u's own
+# eigensolve took 21 LU solves on every ensemble_small set at either point.
 SHIFT_FRACTION = 0.9
-# the flow refactors its lagged P_W at the current mean field when a step
-# leaves the residual above this fraction of the one before
-REFACTOR_RATIO = 0.8
+# P_W's sigma is max(0.9 lambda1, 0.99 lambda1 - max W on the host).  P_W
+# leaves out the flow's nonlinear term, which is about the size of W, so
+# where W is small sigma moves next to lambda1: ensemble_small's flows went
+# from 6.50 to 3.23 mean iterations (max 43 -> 8).  Where W is large the
+# 0.9 lambda1 floor binds; a plain 0.99 lambda1 took kappa = 20 and 30 from
+# 27.1 and 54.9 to 32.4 and 60.1 (README, Library tour).
+P_W_SHIFT_FRACTION = 0.99
 # h_u's spectrum comes from the Laplacian's factor (block LOBPCG, certified
 # by Weyl's inequality with lambda3) on sets of at least this many vacant
 # nodes, per dimension; elsewhere h_u is factorized and solved by ARPACK.
@@ -81,10 +86,11 @@ def reuses_laplacian_factor(d: int, n_vacant: int) -> bool:
 
 def _shifted_inverse(pair: SpectralPair, count: int, host: Optional[MaskedOperator] = None,
                      W: Optional[np.ndarray] = None):
-    """sigma = SHIFT_FRACTION lambda1 of pair, a preconditioner and the operator it solves on.
+    """sigma below lambda1 of pair, a preconditioner and the operator it solves on.
 
-    Without host, T on pair's count lowest modes, which maps compressed
-    columns of lap = pair.operator, a vector or a block,
+    Without host, sigma = SHIFT_FRACTION lambda1 and T on pair's count
+    lowest modes, which maps compressed columns of lap = pair.operator, a
+    vector or a block,
 
         T r = (-Lap)^(-1) r + sum_k (1/(lambda_k - sigma) - 1/lambda_k) <phi_k, r> phi_k:
 
@@ -95,15 +101,22 @@ def _shifted_inverse(pair: SpectralPair, count: int, host: Optional[MaskedOperat
 
     With host, the bare operator of a component of lap's set, and the mean
     field W: P_W = (-Lap + W - sigma)^(-1) on host's nodes, solved on a new
-    operator's own factor (count is unused).  It is positive definite, since
-    W >= 0 and sigma < lambda1 <= the host's least eigenvalue, and it is
-    (h_u + shift - sigma)^(-1) at the u that W was built from, so near the
-    minimizer a flow step preconditioned by it is close to inverse
-    iteration on h_u.
+    operator's own factor (count is unused), at
+
+        sigma = max(SHIFT_FRACTION lambda1, P_W_SHIFT_FRACTION lambda1 - max W on host).
+
+    It is (h_u + shift - sigma)^(-1) at the u that W was built from, so near
+    the minimizer a flow step preconditioned by it is close to inverse
+    iteration on h_u, up to the flow's nonlinear term, which P_W leaves out
+    and which is about the size of W: so sigma nears lambda1 only where W
+    is small.  Both candidates are below lambda1 <= the host's least
+    eigenvalue and W >= 0, so P_W is positive definite, with a margin
+    lambda1 - sigma of at least (1 - P_W_SHIFT_FRACTION) lambda1.
     """
     lap = pair.operator
     sigma = SHIFT_FRACTION * pair.lambda1
     if host is not None:
+        sigma = max(sigma, P_W_SHIFT_FRACTION * pair.lambda1 - float(host.restrict(W).max()))
         op = replace(host, potential=W - sigma)
         return sigma, op.solve, op
     modes = [(phi, lam) for phi, lam in zip((pair.phi1, pair.phi2, pair.phi3)[:count],
@@ -383,11 +396,16 @@ def minimize_hartree(
     - P_W = (-Lap + W - sigma)^(-1) on the component, the energy-adaptive
       Sobolev gradient of Henning and Peterseim (SIAM J. Numer. Anal. 58,
       2020): at W of the current u a step is close to inverse iteration on
-      h_u, so it sees the mean field that T ignores.  It is lagged: factored at
-      the start state's W, and again at the current W only when a step
-      cuts the residual by less than REFACTOR_RATIO.  Its factor is
-      released before _finalize, so during the flow it and lap's factor
-      are both held.
+      h_u, so it sees the mean field that T ignores.  Its sigma follows W
+      (_shifted_inverse).  It is lagged: factored at the start state's W,
+      and again at the current W only once W has moved, somewhere on the
+      component, by more than the factor's margin lambda1 - sigma.  Up to
+      that, -Lap + W - sigma at the current W lies between 0 and twice the
+      factored matrix, so a fresh factor is never refactored, while one
+      left behind by the flow is.  Contraction-based rules refactored on
+      almost every step of a slowly contracting flow (README).  Its factor
+      is released before the next one and before _finalize, so during the
+      flow it and lap's factor are both held.
     - T on two modes, (-Lap - sigma)^(-1) on span{phi1, phi2} and
       (-Lap)^(-1) off it, on lap's factor, which effective_spectrum
       releases: with (-Lap)^(-1) alone the phi2 mode contracts only like
@@ -419,9 +437,9 @@ def minimize_hartree(
         host = None
 
     def preconditioner(W):
-        # P_W at the mean field W, or T, which does not depend on it; and
-        # the operator whose compressed columns it maps
-        return _shifted_inverse(pair, 2, *(() if host is None else (host, W)))[1:]
+        # P_W at the mean field W, or T, which does not depend on it: sigma,
+        # the map and the operator whose compressed columns it maps
+        return _shifted_inverse(pair, 2, *(() if host is None else (host, W)))
 
     def energy_and_potential(w):
         # the stencil product and the mean field are returned too: the
@@ -433,13 +451,16 @@ def minimize_hartree(
 
     energy, W, shift, Lu = energy_and_potential(u)
     trace = [energy]
-    precondition, pre = preconditioner(W)
+    sigma, precondition, pre = preconditioner(W)
+    # the mean field on the host that P_W was factored at
+    factored_at = None if host is None else host.restrict(W)
     # this flow's factorizations and LU solves: T's operator, lap, comes
     # with counts of its own, and a refreshed P_W adds those of the old one
     spent = -np.array([pre.factorizations, pre.solves])
+    refreshes = 0
 
     tau = 1.0
-    residual = previous = np.inf
+    residual = np.inf
     backtracks = 0
     lowest, stalled = energy, 0
 
@@ -456,11 +477,16 @@ def minimize_hartree(
         if stalled >= STALL_STEPS:
             raise SolverError(f"Hartree flow stalled: no new energy minimum in {STALL_STEPS} "
                               f"steps (residual {residual:.3e})", residuals=[residual], trace=trace)
-        if host is not None and residual > REFACTOR_RATIO * previous:
+        # P_W is stale once W has moved by the margin lambda1 - sigma that
+        # bounds its matrix below: up to that, the current -Lap + W - sigma
+        # lies between 0 and twice the factored one
+        if host is not None and (np.abs(host.restrict(W) - factored_at).max()
+                                 > pair.lambda1 - sigma):
             spent += (pre.factorizations, pre.solves)
             pre.release()
-            precondition, pre = preconditioner(W)
-        previous = residual
+            sigma, precondition, pre = preconditioner(W)
+            factored_at = host.restrict(W)
+            refreshes += 1
 
         z = np.where(comp_mask, pre.embed(precondition(pre.restrict(resid))), 0.0)
         direction = z - grids.inner(u, z, h) * u
@@ -497,8 +523,8 @@ def minimize_hartree(
         )
     spent += (pre.factorizations, pre.solves)
     logger.debug("Hartree flow converged: %d iterations, %d backtracks, %s: %d factorizations, "
-                 "%d LU solves, residual %.3e", iterations, backtracks,
-                 "T" if host is None else "P_W", *spent, residual)
+                 "%d LU solves, %d refreshes, sigma %.6g, residual %.3e", iterations, backtracks,
+                 "T" if host is None else "P_W", *spent, refreshes, sigma, residual)
     if host is not None:
         pre.release()
     # T's mode rows would live on through _finalize's LOBPCG (sparse_2d peak

@@ -392,11 +392,12 @@ LEAKING_SEEDS = (1723312680387767620, 3394594863205772940, 1756388568355844705)
 class TestSpectrumSteeredFlow:
     def test_criterion_56_flow_iterations(self, criterion_56_records):
         # P = (-Lap)^(-1) alone took 31.3 iterations on average and 386 at
-        # most, T 15.7 and 94; P_W takes 6.5 and 43
+        # most, T 15.7 and 94, P_W at sigma = 0.9 lambda1 6.5 and 43; with
+        # sigma following the mean field, 3.23 and 8
         _, records = criterion_56_records
         iterations = [r["hartree"]["iterations"] for r in records if r["error"] is None]
         assert len(iterations) == 200
-        assert np.mean(iterations) <= 7.5 and max(iterations) <= 50
+        assert np.mean(iterations) <= 4 and max(iterations) <= 10
 
     @pytest.mark.parametrize("seed", LEAKING_SEEDS)
     def test_mode_correction_stays_on_the_host(self, seed):
@@ -461,7 +462,8 @@ class TestSpectrumSteeredFlow:
                                                              factors):
         # 2,834 nodes, a banded host: the flow solves on P_W's factors alone,
         # one at the start state's W and one per refresh, and releases each;
-        # the spectrum's factor gets no solve, and the last factor is h_u's
+        # the spectrum's factor gets no solve, and the last factor is h_u's.
+        # Each sigma is _shifted_inverse's, at the W it factors
         caplog.set_level(logging.DEBUG, logger="kaclab.hartree")
         config = DisorderConfig(d=2, rho=1.0, N=512, nu=0.15, r=0.5, h=0.4, seed=3)
         real = build_realization(config)
@@ -484,21 +486,58 @@ class TestSpectrumSteeredFlow:
         hs = minimize_hartree(real, 1, v, config.N, pair=pair)
         assert lap_factor.solves == before
         flow = factors[1:-1]
-        assert len(flow) == len([b for b in built if b[2] is not pair.operator]) >= 1
-        assert [f.op for f in flow] == [b[2] for b in built if b[2] is not pair.operator]
+        p_w = [b for b in built if b[2] is not pair.operator]
+        assert len(flow) == len(p_w) >= 1
+        assert [f.op for f in flow] == [b[2] for b in p_w]
         assert sum(f.solves for f in flow) == hs.iterations
         assert all(np.array_equal(f.op.mask, host) and f.op._factor is None for f in flow)
         # the first is -Lap + W - sigma at the start state |phi1|
-        sigma = hartree.SHIFT_FRACTION * pair.lambda1
         start = grids.normalize(np.where(host, np.abs(pair.phi1), 0.0), real.h)
         W0 = assemble_effective_operator(start, real, v, config.N).potential
+        sigma = shifted_inverse(pair, 2, op, W0)[0]
+        assert p_w[0][0] == sigma < pair.lambda1
         assert (flow[0].op.matrix() != MaskedOperator(host, real.h, W0 - sigma).matrix()).nnz == 0
         (line,) = [r.getMessage() for r in caplog.records if r.name == "kaclab.hartree"]
-        assert f"P_W: {len(flow)} factorizations, {hs.iterations} LU solves" in line
-        # the last is h_u's SPD part -Lap + W - sigma, on the whole set
+        assert (f"P_W: {len(flow)} factorizations, {hs.iterations} LU solves, "
+                f"{len(flow) - 1} refreshes, sigma {p_w[-1][0]:.6g}") in line
+        # the last is h_u's SPD part -Lap + W - sigma, on the whole set, at
+        # the sigma of T and of h_u's own eigensolve
+        sigma = shifted_inverse(pair, 0)[0]
         W = assemble_effective_operator(hs.u, real, v, config.N).potential
         expected = MaskedOperator(real.mask, real.h, W - sigma).matrix()
         assert (factors[-1].op.matrix() != expected).nnz == 0
+
+    # d=2 N=64: at nu=0.3 kappa=10 a flow whose residual contracts by about
+    # 0.995 per step however fresh P_W is (a refresh whenever a step
+    # contracted by less than 0.8 made 931 factorizations in 937 steps), and
+    # at nu=0.6 kappa=30 a short flow that refreshes P_W four times
+    @pytest.mark.parametrize("nu, kappa, seed", [(0.3, 10.0, 3758095861278844018),
+                                                 (0.6, 30.0, 5542274469057483708)])
+    def test_p_w_is_refreshed_only_once_w_leaves_its_margin(self, monkeypatch, caplog,
+                                                            nu, kappa, seed):
+        caplog.set_level(logging.DEBUG, logger="kaclab.hartree")
+        built = []
+        shifted_inverse = hartree._shifted_inverse
+
+        def recording(pair, count, host=None, W=None):
+            out = shifted_inverse(pair, count, host, W)
+            built.append((out[0], None if host is None else host.restrict(W)))
+            return out
+
+        monkeypatch.setattr(hartree, "_shifted_inverse", recording)
+        config = DisorderConfig(d=2, rho=1.0, N=64, nu=nu, r=0.5, h=0.4, seed=seed)
+        res = run_pipeline(PipelineResult(config), gaussian(kappa))
+        hs = res.hartree
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "kaclab.hartree"]
+        factorizations = int(re.search(r"P_W: (\d+) factorizations", line).group(1))
+        assert factorizations <= hs.iterations / 2 + 1
+        assert f"{factorizations - 1} refreshes" in line
+        # each refresh factors a W that left the last factor's margin
+        p_w = [(sigma, W) for sigma, W in built if W is not None]
+        assert len(p_w) == factorizations
+        assert hs.iterations > 500 if kappa == 10.0 else len(p_w) == 5
+        for (sigma, old), (_, new) in zip(p_w, p_w[1:]):
+            assert np.abs(new - old).max() > res.pair.lambda1 - sigma
 
     def test_p_w_and_t_find_the_same_minimizer(self, monkeypatch):
         # 324 nodes: the banded host takes P_W; with no band allowed, T on the
@@ -788,13 +827,51 @@ class TestShiftedInverse:
         # one LU solve per column, on the pair's factor
         assert pair.operator.solves - before == 2 * (5 + 6)
 
+    def test_p_w_sigma_follows_the_mean_field(self):
+        # sigma = max(0.9 lambda1, 0.99 lambda1 - max W on the host): next to
+        # lambda1 where W = 0 on the host (kappa = 0, or W only off it), between
+        # the two under a weak W, at the floor under a strong one, and below
+        # lambda1 always, so -Lap + W - sigma is positive definite and factors
+        config = DisorderConfig(d=2, rho=1.0, N=64, nu=0.3, r=0.5, h=0.4, seed=0)
+        real = build_realization(config)
+        pair = lowest_eigenpairs(assemble_laplacian(real))
+        component = ground_state_component(real, pair).component
+        host = MaskedOperator(mask=real.labels == component, h=real.h)
+        lam1 = pair.lambda1
+        u = grids.normalize(np.where(host.mask, np.abs(pair.phi1), 0.0), real.h)
+        mean_field = {kappa: assemble_effective_operator(u, real, potential_for(real, kappa),
+                                                         config.N).potential
+                      for kappa in (0.0, 0.05, 30.0)}
+        assert not mean_field[0.0].any()
+        cases = [(mean_field[0.0], hartree.P_W_SHIFT_FRACTION * lam1),
+                 (np.where(host.mask, 0.0, 10.0 * lam1), hartree.P_W_SHIFT_FRACTION * lam1),
+                 (mean_field[0.05], hartree.P_W_SHIFT_FRACTION * lam1
+                  - host.restrict(mean_field[0.05]).max()),
+                 (mean_field[30.0], hartree.SHIFT_FRACTION * lam1)]
+        assert hartree.SHIFT_FRACTION * lam1 < cases[2][1] < hartree.P_W_SHIFT_FRACTION * lam1
+        for W, expected in cases:
+            sigma, precondition, operator = hartree._shifted_inverse(pair, 2, host, W)
+            assert sigma == expected < lam1
+            A = operator.matrix().toarray()
+            assert (A == host.matrix().toarray() + np.diag(host.restrict(W) - sigma)).all()
+            # lam1 - sigma bounds A below, up to the eigensolve's tolerance
+            assert np.linalg.eigvalsh(A)[0] >= lam1 - sigma - 1e-8 * lam1
+            x = np.linspace(1.0, 2.0, host.n_vacant)
+            assert np.allclose(precondition(A @ x), x, rtol=1e-10, atol=0)
+            operator.release()
+
     def test_one_owner_of_the_shifted_inverse(self):
         # in hartree only _shifted_inverse solves, computes 1/(lambda - sigma)
-        # or reads SHIFT_FRACTION: the flow's P and LOBPCG's preconditioner
-        # are both its T, and sigma everywhere is its sigma
+        # or reads a shift constant (SHIFT_FRACTION, P_W_SHIFT_FRACTION): the
+        # flow's P (T or P_W) and LOBPCG's T are its, and sigma everywhere is
+        # its sigma
         text = Path(hartree.__file__).read_text()
         assert "_shifted_modes" not in text and "_spans_set" not in text
         tree = ast.parse(text)
+        shift_constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                           for target in node.targets
+                           if isinstance(target, ast.Name) and "SHIFT" in target.id}
+        assert shift_constants == {"SHIFT_FRACTION", "P_W_SHIFT_FRACTION"}
         # h_u is built once, unshifted: sigma is folded into an operator only
         # in effective_spectrum's own eigensolve
         (finalize,) = [fn for fn in tree.body
@@ -814,5 +891,5 @@ class TestShiftedInverse:
             assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
                         and isinstance(node.right, ast.BinOp)
                         and isinstance(node.right.op, ast.Sub)), where
-            assert not (isinstance(node, ast.Name) and node.id == "SHIFT_FRACTION"
+            assert not (isinstance(node, ast.Name) and node.id in shift_constants
                         and isinstance(node.ctx, ast.Load)), where
