@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import blas
 from .certify import build_certificate
 from .disorder import ETA, DisorderConfig, DisorderRealization, build_realization, volume_fraction
 from .errors import ConfigError, KacLabError, check_number
@@ -108,12 +109,17 @@ class PipelineResult:
     hartree: Optional[HartreeSolution] = None
 
 
+@blas.one_thread()
 def dirichlet_spectrum(real, eig_tol: float = EIG_TOL) -> SpectralPair:
-    """The Laplacian's pair as the pipeline and the CLI solve it: lambda3 only where asked for."""
+    """The Laplacian's pair as the pipeline and the CLI solve it: lambda3 only where asked for.
+
+    BLAS runs on one thread (blas.one_thread), as in run_pipeline.
+    """
     count = 3 if reuses_laplacian_factor(real.d, real.n_vacant) else 2
     return lowest_eigenpairs(assemble_laplacian(real), count=count, tol=eig_tol)
 
 
+@blas.one_thread()
 def run_pipeline(
     result: PipelineResult,
     potential,
@@ -127,7 +133,8 @@ def run_pipeline(
     built for another N, d or spacing is a ConfigError at stage "potential".
     Fills result in place and returns it.  An empty vacancy set and a one-node
     domain (no second eigenvalue) stop the pipeline with a KacLabError;
-    solver failures propagate as raised.
+    solver failures propagate as raised.  BLAS runs on one thread throughout
+    (blas.one_thread), so the bits do not depend on the caller's thread count.
     """
     config = result.config
     result.stage = "potential"

@@ -205,9 +205,7 @@ class MaskedOperator:
         SuperLU with SPD_LU_OPTIONS.  A pivot that is not positive means the
         matrix is not SPD, against Weyl's inequality (SPD_LU_OPTIONS), and
         raises SolverError, as does a SuperLU factorization that fails (a
-        singular matrix, or fill that does not fit in memory).  dpbtrf is
-        blocked BLAS from a bandwidth of 32, so, like eigh's, its bits may
-        depend on the BLAS thread count.
+        singular matrix, or fill that does not fit in memory).
         """
         if not band_factorizes(self.d, self.n_vacant, self.bandwidth_bound):
             matrix = self.matrix()

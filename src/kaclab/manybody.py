@@ -23,10 +23,14 @@ C(M+N-1, N) is capped).
 
 The ground state condenses: it overlaps the product state phi1^(x N) of the
 one-body ground state by 0.999 and more on the benchmark's oracle sets.  So
-ARPACK starts from the product of the build's orbital, phi1 with a positive
-floor that reaches every particle-number sector of a disconnected set, and
-product_state serves that start and the certificate's overlap with the
-Hartree product state alike.
+ground_state finds it by a Lanczos run from the product of the build's
+orbital, phi1 with a positive floor that reaches every particle-number sector
+of a disconnected set, and product_state serves that start and the
+certificate's overlap with the Hartree product state alike.  The run keeps
+no more than LANCZOS_CAP basis vectors, restarts from its Ritz vector when
+they are full, and needs no reorthogonalization for the one lowest pair; its
+working set is LANCZOS_CAP + 3 vectors of the basis dimension.  Small bases
+go to dense eigh.
 """
 
 import logging
@@ -36,23 +40,26 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.linalg.blas import daxpy, ddot, dnrm2
 
-from . import grids
+from . import blas, grids
 from .errors import BasisSizeError, GridMismatchError, SolverError
 from .interaction import InteractionPotential
 from .laplace import EIG_TOL, MaskedOperator, check_residual, lowest_eigenpairs
 
 BASIS_CAP = 2_000_000
-# measured crossover (one BLAS thread, N=2, medians of 30 calls): with eigsh
-# at tol=0 eigh won up to D=231 and eigsh from D=253; stopping at
-# EIG_TOL / 10, eigsh wins from D=210, one row lower (README), so it stays
-DENSE_CUTOFF = 240
-# ARPACK's Lanczos basis (its default is 20).  Measured on the benchmark's six
-# oracle instances from the product start (one BLAS thread, medians of 9
-# interleaved passes): 10 and 12 tie at 111 ms, 8 takes 115, 15 118, 20 137
-# and 6 145; 10 also holds half of the default's D x ncv workspace
-NCV = 10
+# measured crossover (one BLAS thread, N=2, medians of 30 calls, two runs):
+# eigh wins up to D=136 and _lanczos from D=153 (README)
+DENSE_CUTOFF = 144
+# Lanczos basis vectors: the kernel holds LANCZOS_CAP + 3 vectors of D
+# doubles, ARPACK at ncv=10 held 26 (tracemalloc); at BASIS_CAP that is
+# about 370 MB against 420 MB
+LANCZOS_CAP = 20
+# steps between Ritz checks of the tridiagonal (a check costs about a fifth
+# of a product at the benchmark's sizes)
+RITZ_EVERY = 4
+# products with H before _lanczos gives up with a SolverError
+PRODUCT_BUDGET = 20_000
 
 logger = logging.getLogger(__name__)
 
@@ -125,7 +132,7 @@ class ManyBodyHamiltonian:
     states: np.ndarray      # (D, N) sorted site tuples, lex order; row = rank
     create: np.ndarray      # (D', M) row of c + a per (N-1)-particle state c, site a
     count: np.ndarray       # (D', M) n_a in that state, as float; products stay exact
-    orbital: np.ndarray     # (M,) unit, > 0 on every site: ARPACK's start is its product
+    orbital: np.ndarray     # (M,) unit, > 0 on every site: the Lanczos start is its product
     h: float
     d: int
 
@@ -204,16 +211,17 @@ def build_manybody_hamiltonian(
     logger.debug("many-body build on %d states: %d stored entries, creation table %d x %d",
                  dim, nnz, *create.shape)
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    # ARPACK's orbital.  H keeps the boson number of each connected component,
-    # and each such sector has its own positive (Perron) ground state, which a
-    # start with no weight there never reaches.  phi1 vanishes off its
-    # component (|phi1|: a degenerate one may mix components with either
-    # sign), so it gets a floor of a hundredth of its maximum.  Measured on
-    # boxes of 8 and 9 sites at N=3 (969 states): with no floor ARPACK
-    # returned another sector's energy, 3.5% high at kappa=5 and 47% at
-    # kappa=50; with the floor it matched dense eigh to 2e-15 at kappa 1, 5
-    # and 50.  On the benchmark's connected oracle sets the floored start
-    # took 51-76 products, the unfloored 56-76.
+    # the Lanczos start's orbital.  H keeps the boson number of each
+    # connected component, and each such sector has its own positive
+    # (Perron) ground state, which a start with no weight there never
+    # reaches.  phi1 vanishes off its component (|phi1|: a degenerate one may
+    # mix components with either sign), so it gets a floor of a hundredth of
+    # its maximum.  Measured with ARPACK on boxes of 8 and 9 sites at N=3
+    # (969 states): with no floor it returned another sector's energy, 3.5%
+    # high at kappa=5 and 47% at kappa=50; with the floor it matched dense
+    # eigh to 2e-15 at kappa 1, 5 and 50.  On the benchmark's connected
+    # oracle sets the floored start took ARPACK 51-76 products, the
+    # unfloored 56-76.
     phi = np.abs(op.restrict(lowest_eigenpairs(op, count=1).phi1))
     orbital = phi + 0.01 * phi.max()
     orbital /= np.linalg.norm(orbital)
@@ -242,49 +250,96 @@ def product_state(H: ManyBodyHamiltonian, w: np.ndarray) -> np.ndarray:
     return coef / np.linalg.norm(coef)
 
 
+def _lanczos(A, v0: np.ndarray, tol: float, cap: int, budget: int):
+    """Lowest eigenpair of the symmetric A by Lanczos without reorthogonalization.
+
+    The three-term recurrence runs from the unit vector v0 in one (cap, D)
+    basis array; a step allocates nothing but A's product.  Every RITZ_EVERY
+    steps, on a full basis and on a small beta, the lowest Ritz pair (theta,
+    s) of the tridiagonal is checked: it has converged when |beta_k s_k| <=
+    tol |theta|.  Lost orthogonality only repeats Ritz values that have
+    converged already; it leaves the lowest pair accurate (Paige, J. Inst.
+    Maths Applics 18, 1976).  A full basis restarts from the normalized Ritz
+    vector y, keeping the product it already holds: A y = theta y + beta_k
+    s_k v_(k+1) makes alpha = theta and beta = |beta_k s_k| the new first
+    coefficients (thick restart with one vector, Wu & Simon, SIAM J. Matrix
+    Anal. Appl. 22, 2000).  A beta of zero up to roundoff (an invariant
+    subspace) passes the check at once.  Returns (theta, unit y, products,
+    restarts); SolverError after budget products.
+    """
+    V = np.empty((cap, v0.size))
+    alpha, beta = np.empty(cap), np.empty(cap)
+    V[0] = v0
+    k = products = restarts = 0   # k: the basis vector that A multiplies next
+    estimate = math.inf
+    while products < budget:
+        w = A @ V[k]
+        products += 1
+        alpha[k] = ddot(V[k], w)
+        daxpy(V[k], w, a=-alpha[k])
+        if k:
+            daxpy(V[k - 1], w, a=-beta[k - 1])
+        b = beta[k] = dnrm2(w)
+        k += 1
+        if k % RITZ_EVERY == 0 or k == cap or b <= tol * abs(alpha[k - 1]):
+            theta, s = scipy.linalg.eigh_tridiagonal(
+                alpha[:k], beta[:k - 1], select="i", select_range=(0, 0), check_finite=False)
+            theta, s = float(theta[0]), s[:, 0]
+            estimate = abs(b * s[-1])
+            if estimate <= tol * abs(theta) or k == cap:
+                y = s @ V[:k]
+                y /= dnrm2(y)
+                if estimate <= tol * abs(theta):
+                    return theta, y, products, restarts
+                restarts += 1
+                V[0] = y
+                del y
+                alpha[0], beta[0] = theta, estimate
+                b = math.copysign(b, s[-1])
+                k = 1
+        # b != 0: a zero beta passes the check above.  After w's last use the
+        # next step's product is the only live work vector
+        np.multiply(w, 1.0 / b, out=V[k])
+        del w
+    raise SolverError(f"many-body eigensolver did not converge ({products} products, "
+                      f"Ritz estimate {estimate:.3e} above {tol:.1e} |E|)")
+
+
+@blas.one_thread()
 def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
     """Lowest eigenpair of the assembled Hamiltonian, sign-fixed.
 
-    The residual ||H psi - E psi|| of the unit vector psi is held to the
-    one-body solvers' contract, laplace.check_residual at EIG_TOL with a
-    machine-precision floor proportional to a bound on ||H||.  ARPACK keeps
-    NCV Lanczos vectors, starts from product_state(H, H.orbital), which is
-    positive on every basis state and so reaches the ground state of every
-    sector, and stops when its Ritz estimate, which in SA mode is H's own
-    residual, reaches EIG_TOL / 10 |E|.  Each ARPACK run logs one DEBUG line
-    with the basis size, the products with H, the residual and the start's
-    overlap |<v0, psi>|.
+    Up to DENSE_CUTOFF states dense eigh; above it _lanczos, with LANCZOS_CAP
+    basis vectors and at most PRODUCT_BUDGET products, from
+    product_state(H, H.orbital), which is positive on every basis state and
+    so reaches the ground state of every sector.  It stops when its Ritz
+    estimate reaches EIG_TOL / 10 |E|.  The residual ||H psi - E psi|| of the
+    unit vector psi is then held to the one-body solvers' contract,
+    laplace.check_residual at EIG_TOL with a machine-precision floor
+    proportional to a bound on ||H||.  Each Lanczos run logs one DEBUG line
+    with the basis size, the products with H, the restarts, the residual and
+    the start's overlap |<v0, psi>|; the run and the line depend on H alone.
+    BLAS runs on one thread throughout (blas.one_thread).
     """
     dim = H.basis_dim
     if dim <= DENSE_CUTOFF:
         vals, vecs = scipy.linalg.eigh(H.matrix.toarray(), subset_by_index=(0, 0))
+        E, psi = float(vals[0]), vecs[:, 0]
     else:
-        try:
-            matvecs = 0
-
-            def matvec(x):
-                nonlocal matvecs
-                matvecs += 1
-                return H.matrix @ x
-
-            # in SA mode ARPACK's Ritz estimate is H's own residual, so
-            # stopping at EIG_TOL / 10 leaves a 10x margin on the check
-            # below; its default tol=0 iterates on to machine precision, a
-            # third to a half more products
-            h_op = LinearOperator((dim, dim), matvec, dtype=float)
-            v0 = product_state(H, H.orbital)
-            vals, vecs = eigsh(h_op, k=1, which="SA", v0=v0, ncv=NCV, tol=EIG_TOL / 10)
-        except ArpackNoConvergence as exc:
-            raise SolverError(f"many-body eigensolver did not converge ({exc})") from exc
-    E, psi = float(vals[0]), vecs[:, 0]
+        v0 = product_state(H, H.orbital)
+        # the estimate is H's own residual for the Ritz pair, so stopping at
+        # EIG_TOL / 10 leaves a 10x margin on the check below
+        E, psi, products, restarts = _lanczos(H.matrix, v0, EIG_TOL / 10, LANCZOS_CAP,
+                                              PRODUCT_BUDGET)
     # ||H|| <= max diag(H) + N 2d/h^2: the kinetic part is at most N times the
     # one-body Gershgorin bound 4d/h^2, the interaction is diagonal and >= 0
     norm_bound = float(H.matrix.diagonal().max()) + H.N * 2.0 * H.d / H.h**2
     res = float(np.linalg.norm(H.matrix @ psi - E * psi))
     check_residual("many-body ground state", res, E, 64.0 * np.finfo(float).eps * norm_bound)
     if dim > DENSE_CUTOFF:
-        logger.debug("ARPACK ground state on %d states: %d products, residual %.3e, "
-                     "start overlap %.4f", dim, matvecs, res, abs(v0 @ psi))
+        logger.debug("Lanczos ground state on %d states: %d products, %d restarts, "
+                     "residual %.3e, start overlap %.4f",
+                     dim, products, restarts, res, abs(v0 @ psi))
     return ManyBodyGroundState(
         N=H.N,
         site_count=H.site_count,

@@ -570,14 +570,17 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("command, disorder", [
         ("spectrum", {"N": 64, "h": 0.4}),  # 361 nodes: an ARPACK-size spectrum
-        ("oracle", {}),                     # 49 sites, N=2: an ARPACK-size basis
+        ("oracle", {}),                     # 49 sites, N=2: a Lanczos-size basis
     ])
     def test_arpack_no_convergence_is_one_solver_line(self, tmp_path, capsys, monkeypatch,
                                                        command, disorder):
         from kaclab import laplace, manybody
 
-        monkeypatch.setattr(laplace if command == "spectrum" else manybody, "eigsh",
-                            arpack_no_convergence)
+        if command == "spectrum":
+            monkeypatch.setattr(laplace, "eigsh", arpack_no_convergence)
+        else:
+            # a product budget too small for the basis: the Lanczos run gives up
+            monkeypatch.setattr(manybody, "PRODUCT_BUDGET", 3)
         path = write_config(tmp_path, disorder=disorder)
         assert main([command, "-c", str(path), "-o", str(tmp_path / "run")]) == EXIT_SOLVER
         (err,) = capsys.readouterr().err.splitlines()

@@ -1,13 +1,15 @@
 """Exact few-boson diagonalization against independent first-quantized oracles."""
 
+import ast
 import logging
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, aslinearoperator
+from scipy.sparse.linalg import eigsh
 
 from itertools import combinations_with_replacement
 
@@ -38,7 +40,6 @@ from kaclab.manybody import (
 )
 
 from conftest import (
-    arpack_no_convergence,
     dense_laplacian,
     free_box_realization,
     loop_density_matrix,
@@ -400,14 +401,15 @@ class TestReach:
         assert np.trace(one_body_density_matrix(gs)) == pytest.approx(1.0, abs=1e-12)
 
     def test_arpack_ground_state_independent_of_call_history(self, caplog):
-        # A, then B, then A again on the ARPACK path: the start is a function
-        # of H alone, so A's energy and state repeat byte for byte.  At
-        # kappa=0 psi is phi1^(x N) and the floored start overlaps it by 0.9999
+        # A, then B, then A again on the Lanczos path: the start is a function
+        # of H alone, so A's energy, state and DEBUG line repeat byte for
+        # byte.  At kappa=0 psi is phi1^(x N) and the floored start overlaps
+        # it by 0.9999
         caplog.set_level(logging.DEBUG, logger="kaclab.manybody")
         real_a = build_realization(tiny_box_config(N=2, L=3.0), centers=np.zeros((0, 2)))
         real_b = build_realization(tiny_box_config(N=2, L=3.0),
                                    centers=np.array([[-1.0, -1.0]]))
-        for kappa, products in ((1.0, 36), (0.0, 16)):
+        for kappa, products in ((1.0, "27 products, 1 restarts"), (0.0, "12 products, 0 restarts")):
             caplog.clear()
             H_a = build_manybody_hamiltonian(real_a, potential_for(real_a, kappa, 3), 3)
             H_b = build_manybody_hamiltonian(real_b, potential_for(real_b, kappa, 3), 3)
@@ -418,13 +420,14 @@ class TestReach:
             assert np.float64(first.E_qm).tobytes() == np.float64(again.E_qm).tobytes()
             assert first.psi.tobytes() == again.psi.tobytes()
             lines = [r.getMessage() for r in caplog.records
-                     if r.getMessage().startswith("ARPACK")]
+                     if r.getMessage().startswith("Lanczos")]
             assert len(lines) == 3 and lines[0] == lines[2]
-            assert f"on {H_a.basis_dim} states: {products} products" in lines[0]
+            assert f"on {H_a.basis_dim} states: {products}, residual" in lines[0]
 
     def test_exact_eigenvector_start_breaks_down_at_once(self, caplog):
-        # the unfloored phi1^(x N) is H's ground state at kappa=0: ARPACK
-        # finds an invariant subspace on its first step and stops there
+        # the unfloored phi1^(x N) is H's ground state at kappa=0: the first
+        # Lanczos step finds an invariant subspace, beta is roundoff, and the
+        # Ritz check stops it after one product (ARPACK took 11)
         caplog.set_level(logging.DEBUG, logger="kaclab.manybody")
         real = build_realization(tiny_box_config(N=2, L=3.0), centers=np.zeros((0, 2)))
         H = build_manybody_hamiltonian(real, potential_for(real, 0.0, 3), 3)
@@ -434,9 +437,9 @@ class TestReach:
         for _ in range(2):
             assert ground_state(H).E_qm == pytest.approx(3 * pair.lambda1, rel=1e-13)
         first, again = (r.getMessage() for r in caplog.records
-                        if r.getMessage().startswith("ARPACK"))
+                        if r.getMessage().startswith("Lanczos"))
         assert first == again
-        assert f"on {H.basis_dim} states: 11 products" in first
+        assert f"on {H.basis_dim} states: 1 products, 0 restarts" in first
         assert first.endswith("start overlap 1.0000")
 
 
@@ -445,18 +448,28 @@ class TestGroundStateResidual:
     def test_perturbed_solver_vector_raises(self, monkeypatch, N):
         # a solver whose unit vector is 1e-6 off its eigenvector: the
         # residual (~1e-5) is far above 1e-9 |E| plus the floor (~1e-12);
-        # 16 sites give bases of 136 (N=2, eigh) and 816 (N=3, eigsh) states
+        # 16 sites give bases of 136 (N=2, eigh) and 816 (N=3, Lanczos) states
         real = build_realization(tiny_box_config(N=2, L=2.5), centers=np.zeros((0, 2)))
         H = build_manybody_hamiltonian(real, potential_for(real, 1.0, N), N)
         assert (H.basis_dim > DENSE_CUTOFF) == (N == 3)
-        module, name = (manybody, "eigsh") if N == 3 else (scipy.linalg, "eigh")
-        solver = getattr(module, name)
 
-        def perturbed(*args, **kwargs):
-            vals, vecs = solver(*args, **kwargs)
-            vecs[:, 0] += 1e-6 * np.random.default_rng(1).standard_normal(vecs.shape[0])
-            vecs[:, 0] /= np.linalg.norm(vecs[:, 0])
-            return vals, vecs
+        def perturb(vec):
+            vec = vec + 1e-6 * np.random.default_rng(1).standard_normal(vec.shape[0])
+            return vec / np.linalg.norm(vec)
+
+        if N == 3:
+            module, name, solver = manybody, "_lanczos", manybody._lanczos
+
+            def perturbed(*args, **kwargs):
+                E, psi, products, restarts = solver(*args, **kwargs)
+                return E, perturb(psi), products, restarts
+        else:
+            module, name, solver = scipy.linalg, "eigh", scipy.linalg.eigh
+
+            def perturbed(*args, **kwargs):
+                vals, vecs = solver(*args, **kwargs)
+                vecs[:, 0] = perturb(vecs[:, 0])
+                return vals, vecs
 
         assert ground_state(H).E_qm > 0.0
         monkeypatch.setattr(module, name, perturbed)
@@ -466,7 +479,7 @@ class TestGroundStateResidual:
 
 
 class TestProductStart:
-    """ARPACK starts from the product of a floored, positive one-body orbital."""
+    """The Lanczos run starts from the product of a floored, positive one-body orbital."""
 
     @pytest.mark.parametrize("kappa", [1.0, 5.0, 50.0])
     def test_two_components_reach_the_ground_sector(self, kappa):
@@ -514,7 +527,7 @@ class TestProductStart:
 
 
 class TestArpackStopping:
-    """ARPACK's SA run stops at EIG_TOL / 10, not at machine precision."""
+    """The Lanczos run stops at EIG_TOL / 10, not at machine precision."""
 
     # the first three connected 22-24-site d=2 sets of derive_seeds(2024, ...)
     # at L=2.4: N=3 bases of 2,024-2,300 states
@@ -523,19 +536,23 @@ class TestArpackStopping:
     def test_fewer_products_same_energy(self, monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger="kaclab.manybody")
         counts = []
-        solver = manybody.eigsh
+        solver = manybody._lanczos
 
-        def counting_eigsh(A, *args, **kwargs):
-            op = aslinearoperator(A)
-            counts.append(0)
+        class Counting:
+            """H's matrix, counting its products."""
 
-            def matvec(x):
+            def __init__(self, matrix):
+                self.matrix = matrix
+
+            def __matmul__(self, x):
                 counts[-1] += 1
-                return op.matvec(x)
+                return self.matrix @ x
 
-            return solver(LinearOperator(op.shape, matvec, dtype=float), *args, **kwargs)
+        def counting_lanczos(A, *args, **kwargs):
+            counts.append(0)
+            return solver(Counting(A), *args, **kwargs)
 
-        monkeypatch.setattr(manybody, "eigsh", counting_eigsh)
+        monkeypatch.setattr(manybody, "_lanczos", counting_lanczos)
         for seed in self.SEEDS:
             real = disordered_2d_set(N=3, L=2.4, seed=seed)
             assert 22 <= real.n_vacant <= 24 and real.K == 1
@@ -544,9 +561,9 @@ class TestArpackStopping:
             exact = scipy.linalg.eigh(H.matrix.toarray(), eigvals_only=True,
                                       subset_by_index=(0, 0))[0]
             assert gs.E_qm == pytest.approx(exact, rel=1e-13)
-            # 46 products each from the product start with 10 Lanczos
-            # vectors; from a random start with 20, 61, and at ARPACK's
-            # default tol=0, 81-91
+            # 50, 46 and 46 products from the product start with 20 Lanczos
+            # vectors; ARPACK with 10 took 46 each, from a random start with
+            # 20, 61, and at its default tol=0, 81-91
             assert counts[-1] <= 50
             record = caplog.records[-1]
             assert record.levelno == logging.DEBUG
@@ -555,18 +572,77 @@ class TestArpackStopping:
             overlap = float(message.rsplit("start overlap ", 1)[1])
             assert overlap == pytest.approx(abs(product_state(H, H.orbital) @ gs.psi),
                                             abs=5e-5)
-        # one ARPACK line per solve, besides each build's own line
-        arpack = [r for r in caplog.records if r.getMessage().startswith("ARPACK")]
-        assert len(counts) == len(arpack) == 3
+        # one Lanczos line per solve, besides each build's own line
+        lines = [r for r in caplog.records if r.getMessage().startswith("Lanczos")]
+        assert len(counts) == len(lines) == 3
+
+
+class TestLanczos:
+    """The kernel's restarts, working set and imports."""
+
+    @pytest.mark.parametrize("cap", [manybody.LANCZOS_CAP, 8])
+    def test_restarted_basis_matches_dense_eigh(self, monkeypatch, caplog, cap):
+        # the N=3 set of 22 sites needs more products than either cap holds,
+        # so the run restarts from its Ritz vector and still lands on eigh's pair
+        caplog.set_level(logging.DEBUG, logger="kaclab.manybody")
+        monkeypatch.setattr(manybody, "LANCZOS_CAP", cap)
+        real = disordered_2d_set(N=3, L=2.4, seed=TestArpackStopping.SEEDS[0])
+        H = build_manybody_hamiltonian(real, potential_for(real, 1.0, 3), 3)
+        gs = ground_state(H)
+        vals, vecs = scipy.linalg.eigh(H.matrix.toarray(), subset_by_index=(0, 1))
+        assert gs.E_qm == pytest.approx(vals[0], rel=1e-13)
+        assert abs(vecs[:, 0] @ gs.psi) == pytest.approx(1.0, abs=1e-9)
+        message = caplog.records[-1].getMessage()
+        products, restarts = (int(part.split()[0]) for part in
+                              message.split(": ", 1)[1].split(", ")[:2])
+        assert products > cap and restarts >= products // cap
+
+    def test_working_set_within_arpack(self):
+        # the basis and the work vectors: cap + 3 vectors of D doubles, where
+        # ARPACK at ncv=10 from the same start held 26
+        real = disordered_2d_set(N=3, L=2.4, seed=TestArpackStopping.SEEDS[0])
+        H = build_manybody_hamiltonian(real, potential_for(real, 1.0, 3), 3)
+        v0 = product_state(H, H.orbital)
+        peaks = []
+        for solve in (lambda: ground_state(H),
+                      lambda: eigsh(H.matrix, k=1, which="SA", v0=v0, ncv=10,
+                                    tol=laplace.EIG_TOL / 10)):
+            solve()
+            tracemalloc.start()
+            solve()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        ours, arpack = peaks
+        assert ours <= arpack
+        assert ours <= (manybody.LANCZOS_CAP + 4) * 8 * H.basis_dim
+
+    def test_manybody_imports_nothing_from_sparse_linalg(self):
+        # ARPACK and scipy's other iterative solvers stay in laplace: the
+        # many-body ground state is _lanczos's, and no name of
+        # scipy.sparse.linalg is imported or read in manybody
+        path = Path(manybody.__file__)
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.ImportFrom):
+                assert not (node.module or "").startswith("scipy.sparse.linalg"), where
+            elif isinstance(node, ast.Import):
+                assert not any(alias.name.startswith("scipy.sparse.linalg")
+                               for alias in node.names), where
+            elif isinstance(node, ast.Attribute):
+                assert not ast.unparse(node).startswith(("sp.linalg", "scipy.sparse.linalg")), where
+            elif isinstance(node, ast.Name):
+                assert node.id not in ("eigsh", "LinearOperator", "ArpackNoConvergence"), where
 
 
 def test_arpack_no_convergence_is_a_solver_error(monkeypatch):
-    monkeypatch.setattr(manybody, "eigsh", arpack_no_convergence)
+    # a product budget too small for the basis: the kernel gives up
+    monkeypatch.setattr(manybody, "PRODUCT_BUDGET", 3)
     real = free_box_realization(8)
     H = build_manybody_hamiltonian(real, potential_for(real, 1.0, 2), 2)
     assert H.basis_dim > DENSE_CUTOFF
-    with pytest.raises(SolverError, match="many-body eigensolver did not converge"):
+    with pytest.raises(SolverError, match="many-body eigensolver did not converge") as info:
         ground_state(H)
+    assert "3 products" in str(info.value) and info.value.residuals is None
 
 
 class TestDisorderedCertificates:
