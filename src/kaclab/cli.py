@@ -10,7 +10,9 @@ directory exists; main loads an oracle --realization .npy dump before it too.
 What depends on the subcommand is checked when it runs: a sweep's three N
 values, and a built potential's N >= 2 and top_hat's allow_non_posdef=true.
 Every run directory receives the fully resolved config echo and a version
-stamp so results stay auditable.  The config's log_level sets the level of
+stamp so results stay auditable.  A command runs with BLAS on one thread
+(blas.one_thread), so what it writes does not depend on the caller's
+OPENBLAS_NUM_THREADS.  The config's log_level sets the level of
 the "kaclab" logger, whose records go to stderr.  Exit codes: 0 success, 1
 asserted-certificate failure or a domain error (an empty vacancy set, a
 one-node domain), 2 usage error, 3 solver failure, a failed factorization too.
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, storage
+from . import __version__, blas, storage
 from .certify import build_certificate, certificate_assertions
 from .disorder import DisorderConfig, build_realization, volume_fraction
 from .ensemble import (
@@ -334,7 +336,10 @@ def main(argv=None) -> int:
         logging.getLogger("kaclab").setLevel(cfg.data["log_level"])
         if flags.get("realization") is not None:  # a dump is input, checked like the config
             flags["realization"] = _load_realization(flags["realization"])
-        return args.handler(cfg, _prepare_run_dir(cfg), **flags)
+        # the whole command: the oracle's rho1, occupation and overlap run
+        # outside the pinned solvers and round by the thread count too
+        with blas.one_thread():
+            return args.handler(cfg, _prepare_run_dir(cfg), **flags)
     except (ConfigError, BasisSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

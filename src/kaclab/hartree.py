@@ -30,7 +30,7 @@ place that shift-inverts h_u at sigma (effective_spectrum).
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -157,8 +157,8 @@ class HartreeSolution:
     shift: float
     iterations: int
     el_residual: float
-    energy_trace: list = field(default_factory=list)
-    quadratic_form: float = 0.0
+    energy_trace: list
+    quadratic_form: float
 
 
 def _mean_field(u: np.ndarray, v: InteractionPotential, N: int, h: float):
@@ -181,7 +181,7 @@ def assemble_effective_operator(u: np.ndarray, real, v: InteractionPotential, N:
 
 @dataclass
 class FactorSpectrum:
-    """h_u's two lowest eigenpairs from the Laplacian's factor, with their certificate.
+    """h_u's two lowest eigenvalues from the Laplacian's factor, with their certificate.
 
     margin is lambda3 - residual3 + min(potential) - (theta2 + ||R||_2); the
     pair is certified (reason None) when it exceeds the residual floor and
@@ -190,7 +190,6 @@ class FactorSpectrum:
 
     e1: float
     e2: float
-    phi1: np.ndarray
     iterations: int
     margin: float
     reason: Optional[str]
@@ -202,7 +201,7 @@ class FactorSpectrum:
 
 def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np.ndarray,
                               tol: float = EIG_TOL) -> FactorSpectrum:
-    """Block-2 LOBPCG for hop's two lowest eigenpairs, preconditioned by pair's factor.
+    """Block-2 LOBPCG for hop's two lowest eigenvalues, preconditioned by pair's factor.
 
     pair holds the three lowest eigenpairs of the Laplacian lap =
     pair.operator and hop is -Lap + potential - shift on lap's vacancy set,
@@ -234,7 +233,6 @@ def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np
     potential exceeds lambda3 - lambda2.
     """
     lap = pair.operator
-    scale = hop.h ** (hop.d / 2.0)  # unit discrete norm <-> unit vector
     B = hop.matrix()
     precondition = _shifted_inverse(pair, 3)[1]
 
@@ -270,32 +268,31 @@ def laplacian_factor_spectrum(hop: MaskedOperator, pair: SpectralPair, start: np
         reason = f"no convergence in {LOBPCG_MAX_ITER} iterations"
     elif not margin > floor:
         reason = "not certified"
-    return FactorSpectrum(
-        e1=float(theta[0] - shift), e2=float(theta[1] - shift),
-        phi1=grids.fix_sign(hop.embed(X[:, 0]) / scale), iterations=iterations,
-        margin=float(margin), reason=reason,
-    )
+    return FactorSpectrum(e1=float(theta[0] - shift), e2=float(theta[1] - shift),
+                          iterations=iterations, margin=float(margin), reason=reason)
 
 
-def effective_spectrum(hop: MaskedOperator, tol: float = EIG_TOL,
-                       pair: Optional[SpectralPair] = None,
+def effective_spectrum(hop: MaskedOperator, pair: SpectralPair, tol: float = EIG_TOL,
                        start: Optional[np.ndarray] = None):
-    """Two lowest eigenvalues of the effective operator and its ground vector.
+    """(e1, e2), the two lowest eigenvalues of the effective operator on its whole set.
 
     hop is -Lap + potential - shift, potential >= 0 or None (h_u as
     assemble_effective_operator builds it).  pair is a Laplacian's spectrum,
-    whose factor its eigensolve and a flow under T solved with.  If pair's
-    operator spans hop's set and pair has lambda3, laplacian_factor_spectrum
-    solves hop on that factor from [start, phi2] (start |phi1| by default),
-    and its certified answer is taken.  Otherwise lowest_eigenpairs solves hop itself (on its
-    own factor above DENSE_CUTOFF), shift-inverted at a spanning pair's sigma
+    whose factor its eigensolve and a flow under T solved with; it spans
+    hop's set when its operator has hop's mask.  If it spans and has
+    lambda3, laplacian_factor_spectrum solves hop on that factor from
+    [start, phi2] (start |phi1| by default), and its certified answer is
+    taken.  Otherwise lowest_eigenpairs solves hop itself (on its own factor
+    above laplace.DENSE_CUTOFF), shift-inverted at a spanning pair's sigma
     (only its lambda1 bounds -Lap + potential below, by Weyl), else at 0;
-    only this solve sees sigma.  pair.operator's factor is released in
-    between, after its last use: at most one factor is held here.
+    only this solve sees sigma.  A pair on another set of as many nodes
+    does not span: its lambda1 need not bound hop's set.  pair.operator's
+    factor is released in between, after its last use: at most one factor
+    is held here.
     """
-    spans = pair is not None and pair.operator.n_vacant == hop.n_vacant
+    spans = np.array_equal(pair.operator.mask, hop.mask)
     found = None
-    if pair is None or pair.lambda3 is None:
+    if pair.lambda3 is None:
         note = "no lambda3"
     elif not spans:
         note = "pair off the vacancy set"
@@ -305,12 +302,11 @@ def effective_spectrum(hop: MaskedOperator, tol: float = EIG_TOL,
                                           tol)
         note = (f"{found.iterations} LOBPCG iterations, {pair.operator.solves - before} LU "
                 f"solves, certificate margin {found.margin:.3e}")
-    if pair is not None:
-        pair.operator.release()
+    pair.operator.release()
     if found is not None and found.certified:
         spectrum_logger.debug("effective spectrum on %d nodes: Laplacian's factor, %s",
                               hop.n_vacant, note)
-        return found.e1, found.e2, found.phi1
+        return found.e1, found.e2
     if found is not None:
         note = f"fallback after {note}: {found.reason}"
     if spans:
@@ -320,7 +316,7 @@ def effective_spectrum(hop: MaskedOperator, tol: float = EIG_TOL,
     own = lowest_eigenpairs(hop, count=2, tol=tol)
     spectrum_logger.debug("effective spectrum on %d nodes: own eigensolve (%s)",
                           hop.n_vacant, note)
-    return own.lambda1, own.lambda2, own.phi1
+    return own.lambda1, own.lambda2
 
 
 def component_ground_state(real, component: int, eig_tol: float = EIG_TOL):
@@ -333,25 +329,6 @@ def component_ground_state(real, component: int, eig_tol: float = EIG_TOL):
     pair = lowest_eigenpairs(sub, count=1, tol=eig_tol)
     phi = np.clip(pair.phi1, 0.0, None)  # Perron ground state up to solver noise
     return grids.normalize(phi, real.h), pair.lambda1
-
-
-def _finalize(u, real, component, W, shift, iterations, residual, trace, energy,
-              eig_tol, pair):
-    """Spectrum of the effective operator h_u = -Lap + W - shift at the converged u.
-
-    The caller passes the mean field W and shift it already holds, so nothing
-    here convolves; h_u is assemble_effective_operator's, unshifted.  Only the
-    full-set spectrum is solved: h_u is block-diagonal over the components
-    and u is a unit trial state on the host, so e1 <= e1_host <= <u, h_u u>
-    = energy, and |energy - e1| bounds a host-restricted solve's distance.
-    """
-    hop = MaskedOperator(mask=real.mask, h=real.h, potential=W, diagonal_shift=shift)
-    e1, e2, _ = effective_spectrum(hop, tol=eig_tol, pair=pair, start=u)
-    return HartreeSolution(
-        u=u, component=component, energy=energy, e1=e1, e2=e2, shift=shift,
-        iterations=iterations, el_residual=residual, energy_trace=trace,
-        quadratic_form=grids.inner(u, hop.apply_grid(u), real.h),
-    )
 
 
 def minimize_hartree(
@@ -404,8 +381,8 @@ def minimize_hartree(
       factored matrix, so a fresh factor is never refactored, while one
       left behind by the flow is.  Contraction-based rules refactored on
       almost every step of a slowly contracting flow (README).  Its factor
-      is released before the next one and before _finalize, so during the
-      flow it and lap's factor are both held.
+      is released before the next one and before h_u's spectrum, so during
+      the flow it and lap's factor are both held.
     - T on two modes, (-Lap - sigma)^(-1) on span{phi1, phi2} and
       (-Lap)^(-1) off it, on lap's factor, which effective_spectrum
       releases: with (-Lap)^(-1) alone the phi2 mode contracts only like
@@ -418,7 +395,8 @@ def minimize_hartree(
       45% of the mass off the host and the energy up to 2.3% above the
       minimum).
 
-    _finalize then solves h_u's spectrum on the whole vacancy set.
+    effective_spectrum then solves h_u's spectrum on the whole vacancy set,
+    at the converged u's mean field.
     """
     comp_mask = real.labels == component
     if not np.any(comp_mask):  # before any solve
@@ -527,8 +505,18 @@ def minimize_hartree(
                  "T" if host is None else "P_W", *spent, refreshes, sigma, residual)
     if host is not None:
         pre.release()
-    # T's mode rows would live on through _finalize's LOBPCG (sparse_2d peak
-    # RSS 160.2 -> 162.1 MB); rebuilt on each call, they cost ensemble_small 1.4%
+    # T's mode rows would live on through h_u's LOBPCG (sparse_2d peak RSS
+    # 160.2 -> 162.1 MB); rebuilt on each call, they cost ensemble_small 1.4%
     del precondition
-    return _finalize(u, real, component, W, shift, iterations, residual, trace,
-                     energy, eig_tol, pair)
+    # h_u = -Lap + W - shift at the converged u, from the W and shift the flow
+    # holds, so nothing convolves here.  Only its spectrum on the whole
+    # vacancy set is solved: h_u is block-diagonal over the components and u
+    # is a unit trial state on the host, so e1 <= e1_host <= <u, h_u u> =
+    # energy, and |energy - e1| bounds a host-restricted solve's distance.
+    hop = MaskedOperator(mask=real.mask, h=h, potential=W, diagonal_shift=shift)
+    e1, e2 = effective_spectrum(hop, pair, tol=eig_tol, start=u)
+    return HartreeSolution(
+        u=u, component=component, energy=energy, e1=e1, e2=e2, shift=shift,
+        iterations=iterations, el_residual=residual, energy_trace=trace,
+        quadratic_form=grids.inner(u, hop.apply_grid(u), h),
+    )

@@ -29,8 +29,9 @@ of a disconnected set, and product_state serves that start and the
 certificate's overlap with the Hartree product state alike.  The run keeps
 no more than LANCZOS_CAP basis vectors, restarts from its Ritz vector when
 they are full, and needs no reorthogonalization for the one lowest pair; its
-working set is LANCZOS_CAP + 3 vectors of the basis dimension.  Small bases
-go to dense eigh.
+working set is LANCZOS_CAP + 3 vectors of the basis dimension, whatever the
+basis size: a basis smaller than LANCZOS_CAP ends the run when its Krylov
+space does.
 """
 
 import logging
@@ -48,9 +49,6 @@ from .interaction import InteractionPotential
 from .laplace import EIG_TOL, MaskedOperator, check_residual, lowest_eigenpairs
 
 BASIS_CAP = 2_000_000
-# measured crossover (one BLAS thread, N=2, medians of 30 calls, two runs):
-# eigh wins up to D=136 and _lanczos from D=153 (README)
-DENSE_CUTOFF = 144
 # Lanczos basis vectors: the kernel holds LANCZOS_CAP + 3 vectors of D
 # doubles, ARPACK at ncv=10 held 26 (tracemalloc); at BASIS_CAP that is
 # about 370 MB against 420 MB
@@ -309,11 +307,12 @@ def _lanczos(A, v0: np.ndarray, tol: float, cap: int, budget: int):
 def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
     """Lowest eigenpair of the assembled Hamiltonian, sign-fixed.
 
-    Up to DENSE_CUTOFF states dense eigh; above it _lanczos, with LANCZOS_CAP
-    basis vectors and at most PRODUCT_BUDGET products, from
-    product_state(H, H.orbital), which is positive on every basis state and
-    so reaches the ground state of every sector.  It stops when its Ritz
-    estimate reaches EIG_TOL / 10 |E|.  The residual ||H psi - E psi|| of the
+    _lanczos on every basis size, with LANCZOS_CAP basis vectors and at most
+    PRODUCT_BUDGET products, from product_state(H, H.orbital), which is
+    positive on every basis state and so reaches the ground state of every
+    sector.  It stops when its Ritz estimate reaches EIG_TOL / 10 |E|, or
+    when a basis smaller than LANCZOS_CAP runs out of Krylov directions
+    (beta falls to roundoff).  The residual ||H psi - E psi|| of the
     unit vector psi is then held to the one-body solvers' contract,
     laplace.check_residual at EIG_TOL with a machine-precision floor
     proportional to a bound on ||H||.  Each Lanczos run logs one DEBUG line
@@ -322,24 +321,17 @@ def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
     BLAS runs on one thread throughout (blas.one_thread).
     """
     dim = H.basis_dim
-    if dim <= DENSE_CUTOFF:
-        vals, vecs = scipy.linalg.eigh(H.matrix.toarray(), subset_by_index=(0, 0))
-        E, psi = float(vals[0]), vecs[:, 0]
-    else:
-        v0 = product_state(H, H.orbital)
-        # the estimate is H's own residual for the Ritz pair, so stopping at
-        # EIG_TOL / 10 leaves a 10x margin on the check below
-        E, psi, products, restarts = _lanczos(H.matrix, v0, EIG_TOL / 10, LANCZOS_CAP,
-                                              PRODUCT_BUDGET)
+    v0 = product_state(H, H.orbital)
+    # the estimate is H's own residual for the Ritz pair, so stopping at
+    # EIG_TOL / 10 leaves a 10x margin on the check below
+    E, psi, products, restarts = _lanczos(H.matrix, v0, EIG_TOL / 10, LANCZOS_CAP, PRODUCT_BUDGET)
     # ||H|| <= max diag(H) + N 2d/h^2: the kinetic part is at most N times the
     # one-body Gershgorin bound 4d/h^2, the interaction is diagonal and >= 0
     norm_bound = float(H.matrix.diagonal().max()) + H.N * 2.0 * H.d / H.h**2
     res = float(np.linalg.norm(H.matrix @ psi - E * psi))
     check_residual("many-body ground state", res, E, 64.0 * np.finfo(float).eps * norm_bound)
-    if dim > DENSE_CUTOFF:
-        logger.debug("Lanczos ground state on %d states: %d products, %d restarts, "
-                     "residual %.3e, start overlap %.4f",
-                     dim, products, restarts, res, abs(v0 @ psi))
+    logger.debug("Lanczos ground state on %d states: %d products, %d restarts, "
+                 "residual %.3e, start overlap %.4f", dim, products, restarts, res, abs(v0 @ psi))
     return ManyBodyGroundState(
         N=H.N,
         site_count=H.site_count,

@@ -16,13 +16,20 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Six connected d=2 oracle sets, (box side L, bosons N, seed): the first three
 # of derive_seeds(2024, ...) with 22-24 vacant sites at L=2.4 and with 43-47
 # at L=3.2 (bases of 12,650-16,215 states), and one d=2 N=16384 realization
-# (~90k vacant nodes).  At OPENBLAS_NUM_THREADS=2 without the pin, the third
-# L=3.2 ground state and the N=16384 record hashed differently from one thread.
+# (~90k vacant nodes), and the bytes of certificate.json from kaclab certify
+# --with-oracle at N=2 on 478 vacant sites (114,481 states).  At
+# OPENBLAS_NUM_THREADS=2 without the pin, the third L=3.2 ground state and the
+# N=16384 record hashed differently from one thread, and so did the
+# certificate: its product_overlap read 0.9987405665028973, not
+# 0.998740566502896, while the pin covered only the pipeline and the oracle's
+# ground state.
 DIGESTS = textwrap.dedent("""
-    import hashlib, json
+    import hashlib, json, tempfile
+    from pathlib import Path
     import numpy as np
     import kaclab
     from kaclab import blas
+    from kaclab.cli import main
 
     def digest(data):
         return hashlib.sha256(data).hexdigest()
@@ -41,6 +48,11 @@ DIGESTS = textwrap.dedent("""
                                    seed=3972976727410370023)
     record = kaclab.run_realization(config, {"kind": "gaussian", "kappa": 0.05, "width": 0.5})
     out["record"] = digest(json.dumps(record, sort_keys=True).encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(["certify", "--with-oracle", "-o", tmp, "--set", "disorder.N=2",
+                     "--set", "disorder.rho=0.0625", "--set", "disorder.h=0.25",
+                     "--set", "potential.kappa=1.0", "--set", "potential.width=0.5"]) == 0
+        out["certificate"] = digest((Path(tmp) / "certificate.json").read_bytes())
     print(json.dumps(out))
 """)
 

@@ -3,6 +3,7 @@
 import ast
 import logging
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,9 +62,10 @@ def host_effective_ground_energy(hs, real, v, N):
 
 
 def mass_on_component(hs, real, v, N):
-    """Mass of h_u's ground vector on the host component."""
-    gvec = effective_spectrum(assemble_effective_operator(hs.u, real, v, N))[2]
-    return float(np.sum(np.where(real.labels == hs.component, gvec, 0.0) ** 2)) * real.h**real.d
+    """Mass of h_u's ground vector on the host component (dense)."""
+    hop = assemble_effective_operator(hs.u, real, v, N)
+    gvec = np.linalg.eigh(hop.matrix().toarray())[1][:, 0]
+    return float(np.sum(gvec[real.labels[real.mask] == hs.component] ** 2))
 
 
 class TestEnergyFunctional:
@@ -222,9 +224,9 @@ class TestMinimizer:
 
     def test_one_stencil_product_per_energy_evaluation(self, monkeypatch):
         # the gradient at an accepted state reuses the stencil product of its
-        # energy evaluation, so until _finalize the flow applies lap exactly
-        # as often as it convolves; h_u is built from the last accepted W
-        # and shift, so _finalize convolves nothing
+        # energy evaluation, so until h_u's spectrum the flow applies lap
+        # exactly as often as it convolves; h_u is built from the last
+        # accepted W and shift, so nothing convolves from there on
         real = build_realization(
             tiny_box_config(N=16, L=4.0, h=0.25, nu=0.4, r=0.4, seed=21)
         )
@@ -233,8 +235,9 @@ class TestMinimizer:
         sel = ground_state_component(real, pair)
         v = potential_for(real, kappa=0.8)
         counts = {"apply_grid": 0, "convolve_density": 0}
-        at_finalize = {}
-        apply_grid, convolve, finalize = lap.apply_grid, hartree.convolve_density, hartree._finalize
+        at_spectrum = {}
+        apply_grid, convolve = lap.apply_grid, hartree.convolve_density
+        spectrum = hartree.effective_spectrum
 
         def counting_apply_grid(f):
             counts["apply_grid"] += 1
@@ -244,18 +247,18 @@ class TestMinimizer:
             counts["convolve_density"] += 1
             return convolve(dens, pot)
 
-        def spy_finalize(*args, **kwargs):
-            at_finalize.update(counts)
-            return finalize(*args, **kwargs)
+        def spy_spectrum(*args, **kwargs):
+            at_spectrum.update(counts)
+            return spectrum(*args, **kwargs)
 
         lap.apply_grid = counting_apply_grid
         monkeypatch.setattr(hartree, "convolve_density", counting_convolve)
-        monkeypatch.setattr(hartree, "_finalize", spy_finalize)
+        monkeypatch.setattr(hartree, "effective_spectrum", spy_spectrum)
         hs = minimize_hartree(real, sel.component, v, real.config.N, pair=pair)
         assert hs.iterations > 1
-        assert at_finalize["convolve_density"] >= hs.iterations + 1
-        assert at_finalize["apply_grid"] == at_finalize["convolve_density"]
-        assert counts["convolve_density"] == at_finalize["convolve_density"]
+        assert at_spectrum["convolve_density"] >= hs.iterations + 1
+        assert at_spectrum["apply_grid"] == at_spectrum["convolve_density"]
+        assert counts["convolve_density"] == at_spectrum["convolve_density"]
 
 
 class TestEffectiveOperator:
@@ -280,7 +283,8 @@ class TestEffectiveOperator:
         assert quad == pytest.approx(hs.energy, abs=1e-12)
         # the flow's h_u, from its own mean field, is this operator
         assert hs.shift == pytest.approx(hop.diagonal_shift, rel=1e-15)
-        assert (hs.e1, hs.e2) == pytest.approx(effective_spectrum(hop)[:2], rel=1e-12)
+        pair = lowest_eigenpairs(assemble_laplacian(real))
+        assert (hs.e1, hs.e2) == pytest.approx(effective_spectrum(hop, pair), rel=1e-12)
 
     def test_far_component_sees_shifted_laplacian(self, two_strip_5):
         # narrow potential cannot reach the other strip: there the effective
@@ -317,12 +321,12 @@ class TestEffectiveOperator:
         phi, _ = component_ground_state(two_strip_5, 2)
         hop = assemble_effective_operator(phi, two_strip_5, v, N=2)
         pair = lowest_eigenpairs(assemble_laplacian(two_strip_5))
-        e1, e2, _ = effective_spectrum(hop)
+        e1, e2 = effective_spectrum(hop, pair)
         assert e1 == pytest.approx(pair.lambda1, rel=1e-11)
         assert e2 == pytest.approx(pair.lambda2, rel=1e-11)
         # a spanning pair's sigma is folded into a copy of an operator with no potential too
         bare = effective_spectrum(assemble_laplacian(two_strip_5), pair=pair)
-        assert bare[:2] == pytest.approx((pair.lambda1, pair.lambda2), rel=1e-11)
+        assert bare == pytest.approx((pair.lambda1, pair.lambda2), rel=1e-11)
 
     def test_single_component_restriction_is_identity(self, corner_blocked_6):
         real = corner_blocked_6
@@ -776,20 +780,44 @@ class TestLaplacianFactorSpectrum:
         assert line.getMessage() == ("effective spectrum on 1111 nodes: "
                                      "own eigensolve (pair off the vacancy set)")
 
+    def test_pair_of_as_many_nodes_elsewhere_does_not_span(self, caplog):
+        # two 120-node sets of one 19 x 19 grid: the first rows, and the
+        # nodes nearest the centre.  The rows' sigma = 0.9 lambda1 = 1.20
+        # lies above the centre's lambda1 = 0.845, so shift-inverting the
+        # centre's operator at it fails to factor: only a pair on hop's own
+        # mask spans, and this one is solved at no shift
+        caplog.set_level(logging.DEBUG, logger="kaclab.hartree")
+        config = DisorderConfig(d=2, rho=1.0, N=64, nu=0.0, r=0.5, h=0.4, seed=0)
+        rows, centre = np.zeros(config.grid_dims, dtype=bool), np.zeros(config.grid_dims, bool)
+        rows.flat[:120] = True
+        i, j = np.indices(config.grid_dims)
+        centre.flat[np.argsort(((i - 9) ** 2 + (j - 9) ** 2).ravel(), kind="stable")[:120]] = True
+        pair = lowest_eigenpairs(assemble_laplacian(DisorderRealization.from_mask(config, rows)),
+                                 count=3)
+        hop = assemble_laplacian(DisorderRealization.from_mask(config, centre))
+        own = lowest_eigenpairs(hop)
+        assert config.grid_dims == (19, 19) and own.lambda1 < 0.9 * pair.lambda1
+        spectrum_lines(caplog)
+        assert effective_spectrum(hop, pair) == pytest.approx((own.lambda1, own.lambda2),
+                                                              rel=1e-12)
+        (line,) = spectrum_lines(caplog)
+        assert line.getMessage() == ("effective spectrum on 120 nodes: "
+                                     "own eigensolve (pair off the vacancy set)")
+
     def test_effective_spectrum_starts_from_phi1_by_default(self, caplog):
         # without start, the block starts from |phi1| of the Laplacian's pair
         # and is certified on this set (kappa 10, as in the tests above)
         caplog.set_level(logging.DEBUG, logger="kaclab.hartree")
         real, pair, hs, hop = fallback_setup(D3_ABOVE_CROSSOVER, 10.0)
         spectrum_lines(caplog)
-        e1, e2, gvec = effective_spectrum(hop, pair=pair)
+        e1, e2 = effective_spectrum(hop, pair=pair)
         (line,) = spectrum_lines(caplog)
         assert "Laplacian's factor" in line.getMessage()
         assert pair.operator._factor is None
-        own = effective_spectrum(hop)
-        assert (e1, e2) == pytest.approx(own[:2], rel=1e-12)
+        own = effective_spectrum(hop, replace(pair, lambda3=None))
+        assert "own eigensolve (no lambda3)" in spectrum_lines(caplog)[0].getMessage()
+        assert (e1, e2) == pytest.approx(own, rel=1e-12)
         assert (e1, e2) == pytest.approx((hs.e1, hs.e2), rel=1e-12)
-        assert grids.inner(gvec, own[2], real.h) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("config", [OWN_PATH_324, D3_ABOVE_CROSSOVER], ids=["own", "lobpcg"])
     def test_public_operator_reproduces_the_pipeline(self, config):
@@ -800,7 +828,7 @@ class TestLaplacianFactorSpectrum:
         assert res.real.n_vacant > DENSE_CUTOFF
         assert (res.pair.lambda3 is None) == (config is OWN_PATH_324)
         hop = assemble_effective_operator(hs.u, res.real, res.v, config.N)
-        assert effective_spectrum(hop, pair=res.pair, start=hs.u)[:2] == (hs.e1, hs.e2)
+        assert effective_spectrum(hop, pair=res.pair, start=hs.u) == (hs.e1, hs.e2)
 
 
 class TestShiftedInverse:
@@ -872,12 +900,14 @@ class TestShiftedInverse:
                            for target in node.targets
                            if isinstance(target, ast.Name) and "SHIFT" in target.id}
         assert shift_constants == {"SHIFT_FRACTION", "P_W_SHIFT_FRACTION"}
-        # h_u is built once, unshifted: sigma is folded into an operator only
-        # in effective_spectrum's own eigensolve
-        (finalize,) = [fn for fn in tree.body
-                       if isinstance(fn, ast.FunctionDef) and fn.name == "_finalize"]
-        assert not any(isinstance(node, ast.Name) and node.id == "_shifted_inverse"
-                       for node in ast.walk(finalize))
+        # h_u is built once, unshifted: no MaskedOperator is built from sigma,
+        # which is folded into an operator only in effective_spectrum's own
+        # eigensolve (and into P_W's, inside _shifted_inverse)
+        built = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "MaskedOperator"]
+        assert len(built) >= 3
+        assert not any(isinstance(node, ast.Name) and node.id == "sigma"
+                       for call in built for node in ast.walk(call))
         owner = {id(node) for fn in tree.body
                  if isinstance(fn, ast.FunctionDef) and fn.name == "_shifted_inverse"
                  for node in ast.walk(fn)}

@@ -33,7 +33,6 @@ from kaclab import (
 )
 from kaclab import laplace, manybody
 from kaclab.manybody import (
-    DENSE_CUTOFF,
     ManyBodyGroundState,
     _lex_basis,
     basis_dimension,
@@ -186,7 +185,7 @@ class TestGroundState:
         assert 1.0 - n_cond / N < 1e-10
 
     def test_one_site_is_the_diagonal_entry(self):
-        # a 1x1 Hamiltonian goes through eigh like any other: the entry exactly
+        # a 1x1 Hamiltonian goes through _lanczos like any other: the entry exactly
         mask = np.zeros((3, 3), dtype=bool)
         mask[1, 1] = True
         real = DisorderRealization.from_mask(tiny_box_config(), mask)
@@ -413,7 +412,6 @@ class TestReach:
             caplog.clear()
             H_a = build_manybody_hamiltonian(real_a, potential_for(real_a, kappa, 3), 3)
             H_b = build_manybody_hamiltonian(real_b, potential_for(real_b, kappa, 3), 3)
-            assert H_a.basis_dim > DENSE_CUTOFF and H_b.basis_dim > DENSE_CUTOFF
             first = ground_state(H_a)
             ground_state(H_b)
             again = ground_state(H_a)
@@ -444,38 +442,27 @@ class TestReach:
 
 
 class TestGroundStateResidual:
-    @pytest.mark.parametrize("N", [2, 3], ids=["dense", "arpack"])
-    def test_perturbed_solver_vector_raises(self, monkeypatch, N):
+    def test_perturbed_solver_vector_raises(self, monkeypatch):
         # a solver whose unit vector is 1e-6 off its eigenvector: the
         # residual (~1e-5) is far above 1e-9 |E| plus the floor (~1e-12);
-        # 16 sites give bases of 136 (N=2, eigh) and 816 (N=3, Lanczos) states
+        # 16 sites give bases of 136 (N=2) and 816 (N=3) states
         real = build_realization(tiny_box_config(N=2, L=2.5), centers=np.zeros((0, 2)))
-        H = build_manybody_hamiltonian(real, potential_for(real, 1.0, N), N)
-        assert (H.basis_dim > DENSE_CUTOFF) == (N == 3)
+        solver = manybody._lanczos
 
-        def perturb(vec):
-            vec = vec + 1e-6 * np.random.default_rng(1).standard_normal(vec.shape[0])
-            return vec / np.linalg.norm(vec)
+        def perturbed(*args, **kwargs):
+            E, psi, products, restarts = solver(*args, **kwargs)
+            psi = psi + 1e-6 * np.random.default_rng(1).standard_normal(psi.shape[0])
+            return E, psi / np.linalg.norm(psi), products, restarts
 
-        if N == 3:
-            module, name, solver = manybody, "_lanczos", manybody._lanczos
-
-            def perturbed(*args, **kwargs):
-                E, psi, products, restarts = solver(*args, **kwargs)
-                return E, perturb(psi), products, restarts
-        else:
-            module, name, solver = scipy.linalg, "eigh", scipy.linalg.eigh
-
-            def perturbed(*args, **kwargs):
-                vals, vecs = solver(*args, **kwargs)
-                vecs[:, 0] = perturb(vecs[:, 0])
-                return vals, vecs
-
-        assert ground_state(H).E_qm > 0.0
-        monkeypatch.setattr(module, name, perturbed)
-        with pytest.raises(SolverError, match="residual") as err:
-            ground_state(H)
-        assert err.value.residuals[0] > 1e-7
+        for N, dim in ((2, 136), (3, 816)):
+            H = build_manybody_hamiltonian(real, potential_for(real, 1.0, N), N)
+            assert H.basis_dim == dim
+            assert ground_state(H).E_qm > 0.0
+            with monkeypatch.context() as patch:
+                patch.setattr(manybody, "_lanczos", perturbed)
+                with pytest.raises(SolverError, match="residual") as err:
+                    ground_state(H)
+            assert err.value.residuals[0] > 1e-7
 
 
 class TestProductStart:
@@ -489,7 +476,7 @@ class TestProductStart:
         # sector's energy, 3.5% and 47% high
         real = two_box_set()
         H = build_manybody_hamiltonian(real, potential_for(real, kappa, 3), 3)
-        assert H.basis_dim == 969 > DENSE_CUTOFF
+        assert H.basis_dim == 969
         exact = scipy.linalg.eigh(H.matrix.toarray(), eigvals_only=True,
                                   subset_by_index=(0, 0))[0]
         assert ground_state(H).E_qm == pytest.approx(exact, rel=1e-12)
@@ -597,6 +584,22 @@ class TestLanczos:
                               message.split(": ", 1)[1].split(", ")[:2])
         assert products > cap and restarts >= products // cap
 
+    @pytest.mark.parametrize("sites, N", [((1, 1), 3), ((1, 2), 2), ((2, 4), 2), ((4, 4), 2)],
+                             ids=["D=1", "D=3", "D=36", "D=136"])
+    def test_small_bases_match_dense_eigh(self, sites, N):
+        # bases of one state and more take the same run; below LANCZOS_CAP
+        # states the Krylov space runs out before the basis fills: beta falls
+        # to roundoff and the Ritz check stops the run there
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[1:1 + sites[0], 1:1 + sites[1]] = True
+        real = DisorderRealization.from_mask(tiny_box_config(L=3.0), mask)
+        H = build_manybody_hamiltonian(real, potential_for(real, 1.0, N), N)
+        gs = ground_state(H)
+        vals, vecs = scipy.linalg.eigh(H.matrix.toarray())
+        assert gs.basis_dim == len(vals) == math.comb(int(mask.sum()) + N - 1, N)
+        assert gs.E_qm == pytest.approx(vals[0], rel=laplace.EIG_TOL)
+        assert abs(vecs[:, 0] @ gs.psi) == pytest.approx(1.0, abs=laplace.EIG_TOL)
+
     def test_working_set_within_arpack(self):
         # the basis and the work vectors: cap + 3 vectors of D doubles, where
         # ARPACK at ncv=10 from the same start held 26
@@ -639,7 +642,6 @@ def test_arpack_no_convergence_is_a_solver_error(monkeypatch):
     monkeypatch.setattr(manybody, "PRODUCT_BUDGET", 3)
     real = free_box_realization(8)
     H = build_manybody_hamiltonian(real, potential_for(real, 1.0, 2), 2)
-    assert H.basis_dim > DENSE_CUTOFF
     with pytest.raises(SolverError, match="many-body eigensolver did not converge") as info:
         ground_state(H)
     assert "3 products" in str(info.value) and info.value.residuals is None
