@@ -788,7 +788,7 @@ class TestLaplacianFactorSpectrum:
         # mask spans, and this one is solved at no shift
         caplog.set_level(logging.DEBUG, logger="kaclab.hartree")
         config = DisorderConfig(d=2, rho=1.0, N=64, nu=0.0, r=0.5, h=0.4, seed=0)
-        rows, centre = np.zeros(config.grid_dims, dtype=bool), np.zeros(config.grid_dims, bool)
+        rows, centre = (np.zeros(config.grid_dims, dtype=bool) for _ in range(2))
         rows.flat[:120] = True
         i, j = np.indices(config.grid_dims)
         centre.flat[np.argsort(((i - 9) ** 2 + (j - 9) ** 2).ravel(), kind="stable")[:120]] = True
