@@ -442,11 +442,15 @@ class TestReach:
 
 
 class TestGroundStateResidual:
-    def test_perturbed_solver_vector_raises(self, monkeypatch):
+    @pytest.mark.parametrize("N, dim", [(2, 136), (3, 816)], ids=["dense", "arpack"])
+    def test_perturbed_solver_vector_raises(self, monkeypatch, N, dim):
         # a solver whose unit vector is 1e-6 off its eigenvector: the
         # residual (~1e-5) is far above 1e-9 |E| plus the floor (~1e-12);
-        # 16 sites give bases of 136 (N=2) and 816 (N=3) states
+        # 16 sites give bases of 136 (N=2) and 816 (N=3) states, the sizes
+        # the ids name after the solver each size once ran
         real = build_realization(tiny_box_config(N=2, L=2.5), centers=np.zeros((0, 2)))
+        H = build_manybody_hamiltonian(real, potential_for(real, 1.0, N), N)
+        assert H.basis_dim == dim
         solver = manybody._lanczos
 
         def perturbed(*args, **kwargs):
@@ -454,15 +458,11 @@ class TestGroundStateResidual:
             psi = psi + 1e-6 * np.random.default_rng(1).standard_normal(psi.shape[0])
             return E, psi / np.linalg.norm(psi), products, restarts
 
-        for N, dim in ((2, 136), (3, 816)):
-            H = build_manybody_hamiltonian(real, potential_for(real, 1.0, N), N)
-            assert H.basis_dim == dim
-            assert ground_state(H).E_qm > 0.0
-            with monkeypatch.context() as patch:
-                patch.setattr(manybody, "_lanczos", perturbed)
-                with pytest.raises(SolverError, match="residual") as err:
-                    ground_state(H)
-            assert err.value.residuals[0] > 1e-7
+        assert ground_state(H).E_qm > 0.0
+        monkeypatch.setattr(manybody, "_lanczos", perturbed)
+        with pytest.raises(SolverError, match="residual") as err:
+            ground_state(H)
+        assert err.value.residuals[0] > 1e-7
 
 
 class TestProductStart:
