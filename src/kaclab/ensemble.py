@@ -109,11 +109,10 @@ class PipelineResult:
     hartree: Optional[HartreeSolution] = None
 
 
-@blas.one_thread()
 def dirichlet_spectrum(real, eig_tol: float = EIG_TOL) -> SpectralPair:
     """The Laplacian's pair as the pipeline and the CLI solve it: lambda3 only where asked for.
 
-    BLAS runs on one thread (blas.one_thread), as in run_pipeline.
+    BLAS runs on one thread, as lowest_eigenpairs runs it.
     """
     count = 3 if reuses_laplacian_factor(real.d, real.n_vacant) else 2
     return lowest_eigenpairs(assemble_laplacian(real), count=count, tol=eig_tol)

@@ -39,7 +39,7 @@ import numpy as np
 # keeps this name alive, reading it (its SPLU_HOLDERS) when it installs
 from scipy.sparse.linalg import splu  # noqa: F401
 
-from . import grids
+from . import blas, grids
 from .errors import SolverError
 from .interaction import InteractionPotential, convolve_density
 from .laplace import EIG_TOL, MaskedOperator, SpectralPair, band_factorizes, lowest_eigenpairs
@@ -331,6 +331,7 @@ def component_ground_state(real, component: int, eig_tol: float = EIG_TOL):
     return grids.normalize(phi, real.h), pair.lambda1
 
 
+@blas.one_thread()
 def minimize_hartree(
     real,
     component: int,
@@ -396,7 +397,8 @@ def minimize_hartree(
       minimum).
 
     effective_spectrum then solves h_u's spectrum on the whole vacancy set,
-    at the converged u's mean field.
+    at the converged u's mean field.  BLAS runs on one thread
+    (blas.one_thread), also when it is called directly, outside run_pipeline.
     """
     comp_mask = real.labels == component
     if not np.any(comp_mask):  # before any solve

@@ -30,7 +30,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from . import grids
+from . import blas, grids
 from .errors import KacLabError, SolverError
 
 # measured crossover on d=2 masks (one BLAS thread, medians of 30 calls),
@@ -293,6 +293,7 @@ def assemble_laplacian(real) -> MaskedOperator:
     return MaskedOperator(mask=real.mask, h=real.h)
 
 
+@blas.one_thread()
 def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = EIG_TOL) -> SpectralPair:
     """The count (1, 2 or 3) smallest eigenpairs of a masked operator.
 
@@ -306,7 +307,8 @@ def lowest_eigenpairs(op: MaskedOperator, count: int = 2, tol: float = EIG_TOL) 
     machine-precision floor proportional to the operator norm.  ARPACK
     stops when its Ritz estimates reach tol / 10, not at machine precision,
     and each ARPACK run logs one DEBUG line with its size, LU solves and
-    residuals.
+    residuals.  BLAS runs on one thread (blas.one_thread), also when it is
+    called directly, outside run_pipeline.
     """
     if count not in (1, 2, 3):
         raise ValueError(f"count must be 1, 2 or 3 (lambda3 certifies h_u's spectrum), "

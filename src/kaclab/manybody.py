@@ -66,24 +66,32 @@ def basis_dimension(M: int, N: int) -> int:
     return math.comb(M + N - 1, N)
 
 
-def _lex_basis(M: int, N: int):
-    """Sorted N-tuples over range(M) in lex order, and their rank function.
+def _lex_weights(M: int, N: int):
+    """(w, top): the (N, M) rank weights of sorted N-tuples over range(M).
 
     The combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3), applied in
     colex order to the complement of the N-subset c_j = s_j + j of
     range(M + N - 1), gives top - rank(s) = sum_j w[j, s_j] for the lex rank
-    rank(s) < C(M+N-1, N).  Unranking fixes one column at a time: s_j is the
-    smallest site whose entry fits in what is left to place.
+    rank(s) < C(M+N-1, N).
     """
     w = [math.comb(M + N - 2 - a - j, N - j) for j in range(N) for a in range(M)]
     w = np.array(w, dtype=np.int64).reshape(N, M)  # decreasing along each row
-    top = int(w[:, 0].sum())
+    return w, int(w[:, 0].sum())
+
+
+def _lex_basis(M: int, N: int) -> np.ndarray:
+    """Sorted N-tuples over range(M) in lex order, row = rank.
+
+    Unranking fixes one column at a time: s_j is the smallest site whose
+    weight fits in what is left to place (_lex_weights).
+    """
+    w, top = _lex_weights(M, N)
     states = np.empty((top + 1, N), dtype=np.int64)
     left = top - np.arange(top + 1)
     for j, row in enumerate(w):
         states[:, j] = np.searchsorted(-row, -left)
         left = left - row[states[:, j]]
-    return states, lambda s: top - w[np.arange(N), s].sum(axis=1)
+    return states
 
 
 def _index_dtype(dim: int, nnz: int):
@@ -97,15 +105,22 @@ def _diagonal_and_table(states, pair, v_at_zero, M, idx):
     The interaction adds its terms over occupied sites in ascending order,
     each site's v(0) term before its pairs with later sites.  Entry (c, a) of
     the table comes from the slot holding the first copy of a in the one
-    state c + a, so it is filled by assignment.
+    state c + a, so it is filled by assignment.  The rank of c, the state
+    without slot p, sums the (N-1)-tuple weights (_lex_weights) of the slots
+    before p at their own columns and of the slots after p one column to the
+    left.
     """
     N = states.shape[1]
     first = np.ones(states.shape, dtype=bool)
     first[:, 1:] = states[:, 1:] != states[:, :-1]
-    occ = (states[:, :, None] == states[:, None, :]).sum(axis=2)
-    reduced = basis_dimension(M, N - 1)
-    create, count = np.empty((reduced, M), dtype=idx), np.empty((reduced, M))
-    rank = _lex_basis(M, N - 1)[1]
+    occ = np.ones(states.shape, dtype=np.int64)
+    for p in range(N):
+        for q in range(p + 1, N):
+            same = states[:, p] == states[:, q]
+            occ[:, p] += same
+            occ[:, q] += same
+    weight, top = _lex_weights(M, N - 1)
+    create, count = np.empty((top + 1, M), dtype=idx), np.empty((top + 1, M))
     inter = np.zeros(states.shape[0])
     for p in range(N):
         lead, na = first[:, p], occ[:, p]
@@ -114,7 +129,7 @@ def _diagonal_and_table(states, pair, v_at_zero, M, idx):
             w = pair[states[:, p], states[:, q]]
             inter += np.where(lead & first[:, q] & (w != 0.0), na * occ[:, q] * w, 0.0)
         i = np.flatnonzero(lead)
-        c = rank(np.delete(states[i], p, axis=1))
+        c = top - sum(weight[j - (j > p), states[i, j]] for j in range(N) if j != p)
         create[c, states[i, p]] = i
         count[c, states[i, p]] = na[i]
     return inter, create, count
@@ -183,7 +198,7 @@ def build_manybody_hamiltonian(
     pair = np.zeros((M, M))
     pair[inside] = v.values[tuple((offsets[inside] + R).T)]
 
-    states = _lex_basis(M, N)[0]
+    states = _lex_basis(M, N)
     # face pairs (a, b) of all axes: each gives every (N-1)-particle state c
     # two hop entries, c + a -> c + b and back, besides the dim diagonal ones
     a, b = (np.concatenate(ends) for ends in zip(*op.face_pairs()))
@@ -342,23 +357,27 @@ def ground_state(H: ManyBodyHamiltonian) -> ManyBodyGroundState:
     )
 
 
+@blas.one_thread()
 def one_body_density_matrix(gs: ManyBodyGroundState) -> np.ndarray:
     """rho1[x, y] = <psi| a+_y a_x |psi> / N, trace-normalized to one.
 
     Built as B^T B / N where B maps (N-1)-particle reduced states c and sites
     a to sqrt(n_a(c) + 1) psi_{c + a}; positive semidefiniteness and the unit
     trace are then automatic.  B is read off the build's creation table.
+    BLAS runs on one thread (blas.one_thread).
     """
     H = gs.hamiltonian
     B = np.sqrt(H.count) * gs.psi[H.create]
     return B.T @ B / H.N
 
 
+@blas.one_thread()
 def condensate_occupation(rho1: np.ndarray, u: np.ndarray, real, N: int) -> float:
     """Occupation n = N <u, rho1 u> with the h^d-weighted inner product.
 
     u is a unit-norm grid function on the same realization grid; it is
     restricted to the vacant sites in their canonical (row-major) order.
+    BLAS runs on one thread (blas.one_thread).
     """
     if u.shape != real.mask.shape:
         raise GridMismatchError(

@@ -22,7 +22,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # N=16384 record hashed differently from one thread, and so did the
 # certificate: its product_overlap read 0.9987405665028973, not
 # 0.998740566502896, while the pin covered only the pipeline and the oracle's
-# ground state.
+# ground state.  The solvers called directly, outside run_pipeline, as
+# perfbench's oracle item calls them, pin themselves too: the oracle sets'
+# spectrum, Hartree minimizer, rho1 and occupation, and the spectrum and
+# minimizer of the d=2 N=1024 golden seed (5,632 nodes, LOBPCG) and of its
+# seed at N=4096, where the unpinned minimizer hashed differently at 2 threads.
 DIGESTS = textwrap.dedent("""
     import hashlib, json, tempfile
     from pathlib import Path
@@ -31,8 +35,18 @@ DIGESTS = textwrap.dedent("""
     from kaclab import blas
     from kaclab.cli import main
 
-    def digest(data):
-        return hashlib.sha256(data).hexdigest()
+    def digest(*arrays):
+        return hashlib.sha256(b"".join(np.asarray(a, dtype=float).tobytes()
+                                       for a in arrays)).hexdigest()
+
+    def direct(config, kappa):
+        real = kaclab.build_realization(config)
+        v = kaclab.build_interaction("gaussian", kappa, config.N, 2, real.h, {"width": 0.5})
+        pair = kaclab.lowest_eigenpairs(kaclab.assemble_laplacian(real))
+        component = kaclab.ground_state_component(real, pair).component
+        hs = kaclab.minimize_hartree(real, component, v, config.N)
+        solved = digest(pair.lambda1, pair.lambda2, pair.phi1, hs.energy, hs.e1, hs.e2, hs.u)
+        return real, v, hs, solved
 
     out = {"threads": [get() for get, _ in blas._CONTROLS]}
     for L, N, seed in ((2.4, 4, 11069854644879971893), (2.4, 4, 1093408664070836919),
@@ -40,19 +54,26 @@ DIGESTS = textwrap.dedent("""
                        (3.2, 3, 11069854644879971893), (3.2, 3, 8666813077495494655)):
         config = kaclab.DisorderConfig(d=2, rho=N / L**2, N=N, nu=0.15, r=0.5, h=0.4,
                                        seed=seed)
-        real = kaclab.build_realization(config)
-        v = kaclab.build_interaction("gaussian", 1.0, N, 2, real.h, {"width": 0.5})
+        real, v, hs, solved = direct(config, 1.0)
         gs = kaclab.ground_state(kaclab.build_manybody_hamiltonian(real, v, N))
-        out[f"oracle {L} {N} {seed}"] = digest(np.float64(gs.E_qm).tobytes() + gs.psi.tobytes())
+        rho1 = kaclab.one_body_density_matrix(gs)
+        n = kaclab.condensate_occupation(rho1, hs.u, real, N)
+        out[f"oracle {L} {N} {seed}"] = digest(gs.E_qm, gs.psi)
+        out[f"direct {L} {N} {seed}"] = [solved, digest(rho1, n)]
+    for N in (1024, 4096):
+        config = kaclab.DisorderConfig(d=2, rho=1.0, N=N, nu=0.15, r=0.5, h=0.4,
+                                       seed=3972976727410370023)
+        out[f"direct d=2 N={N}"] = direct(config, 0.05)[3]
     config = kaclab.DisorderConfig(d=2, rho=1.0, N=16384, nu=0.15, r=0.5, h=0.4,
                                    seed=3972976727410370023)
     record = kaclab.run_realization(config, {"kind": "gaussian", "kappa": 0.05, "width": 0.5})
-    out["record"] = digest(json.dumps(record, sort_keys=True).encode())
+    out["record"] = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
     with tempfile.TemporaryDirectory() as tmp:
         assert main(["certify", "--with-oracle", "-o", tmp, "--set", "disorder.N=2",
                      "--set", "disorder.rho=0.0625", "--set", "disorder.h=0.25",
                      "--set", "potential.kappa=1.0", "--set", "potential.width=0.5"]) == 0
-        out["certificate"] = digest((Path(tmp) / "certificate.json").read_bytes())
+        out["certificate"] = hashlib.sha256(
+            (Path(tmp) / "certificate.json").read_bytes()).hexdigest()
     print(json.dumps(out))
 """)
 

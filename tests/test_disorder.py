@@ -1,10 +1,15 @@
 """Vacancy geometry: Poisson sampling, masks, components, volume law."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import kaclab
 from kaclab import (
     ConfigError,
     DisorderConfig,
@@ -157,6 +162,49 @@ class TestBuildRealization:
         config = tiny_box_config()
         with pytest.raises(ConfigError):
             DisorderRealization.from_mask(config, np.ones((2, 2), dtype=bool))
+
+
+class TestBallStamp:
+    def test_closed_ball_blocks_a_node_at_distance_exactly_r(self):
+        # h = 0.25 divides L = 10 and r = 0.5: node k sits at -5 + 0.25 (k + 1),
+        # so the center is node (19, 19) and node (19, 21) lies at distance 0.5
+        config = config_L10(r=0.5, h=0.25)
+        centers = np.array([[0.0, 0.0]])
+        mask = build_realization(config, centers=centers).mask
+        assert np.array_equal(mask, brute_force_mask(config, centers))
+        assert not mask[19, 21] and not mask[21, 19] and not mask[19, 17]
+        assert mask[19, 22] and mask[20, 21]
+        # nodes (i, j) h from the center with i^2 + j^2 <= 4
+        assert np.count_nonzero(~mask) == 13
+
+    def test_fine_3d_box_matches_bruteforce(self):
+        config = tiny_box_config(N=2, L=1.6, h=0.1, d=3, nu=1.0, r=0.5, seed=3)
+        real = build_realization(config)
+        assert len(real.centers) > 5 and 0 < real.n_vacant < real.n_nodes
+        assert np.array_equal(real.mask, brute_force_mask(config, real.centers))
+
+    def test_transient_memory_bounded_by_the_grid(self):
+        # 501 centers on a 39^3 grid; each window holds 14^3 nodes, so stamping
+        # every center at once would take about 400 bytes per grid node
+        config = tiny_box_config(N=2, L=4.0, h=0.1, d=3, nu=4.0, r=0.5, seed=1)
+        centers = sample_centers(config)
+        build_realization(config, centers)
+        tracemalloc.start()
+        try:
+            real = build_realization(config, centers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(centers) > 400
+        assert peak <= 32 * real.n_nodes
+
+    def test_import_does_not_load_scipy_spatial(self):
+        src = os.path.dirname(os.path.dirname(kaclab.__file__))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import kaclab, kaclab.cli, sys; assert 'scipy.spatial' not in sys.modules"],
+            env=dict(os.environ, PYTHONPATH=src), check=True,
+        )
 
 
 class TestVolumeFraction:

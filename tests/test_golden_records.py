@@ -1,8 +1,8 @@
 """Golden records: fixed records and one exact-oracle instance, pinned field by field.
 
 The cases are 12 ensemble_small seeds (d=2 N=64, kappa=0.05, banded hosts
-under P_W), one kappa=10 nu=0.3 seed whose flow takes 88 steps with P_W
-refreshes, one d=2 N=1024 record on the SuperLU/LOBPCG path (5,632 nodes),
+under P_W), two kappa=10 nu=0.3 seeds whose flows take 88 and 936 steps with
+P_W refreshes, one d=2 N=1024 record on the SuperLU/LOBPCG path (5,632 nodes),
 and one exact oracle instance (N=3 on 22 sites, 2,024 states) with the
 certificate of the pipeline's u.  Each field's tolerance comes from its
 contract:
@@ -42,6 +42,7 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden_records.json"
 BASE = {"d": 2, "rho": 1.0, "N": 64, "nu": 0.15, "r": 0.5, "h": 0.4}
 POTENTIAL = {"kind": "gaussian", "kappa": 0.05, "width": 0.5}
 STRONG_SEED = 9682444039107010595      # kappa=10, nu=0.3: 88 flow steps
+LONG_FLOW_SEED = 3758095861278844018   # kappa=10, nu=0.3: 936 flow steps
 SPARSE_SEED = 3972976727410370023      # d=2 N=1024: 5,632 nodes, LOBPCG certified
 ORACLE_SEED = 11069854644879971893     # N=3 in a 2.4 box: 22 sites, 2,024 states
 
@@ -98,6 +99,8 @@ def compute_cases():
         for name, base, potential, seed in (
                 ("kappa=10 nu=0.3", {**BASE, "nu": 0.3}, {**POTENTIAL, "kappa": 10.0},
                  STRONG_SEED),
+                ("kappa=10 nu=0.3", {**BASE, "nu": 0.3}, {**POTENTIAL, "kappa": 10.0},
+                 LONG_FLOW_SEED),
                 ("d=2 N=1024", {**BASE, "N": 1024}, POTENTIAL, SPARSE_SEED)):
             config = kaclab.DisorderConfig(**base, seed=seed)
             record = kaclab.run_realization(config, potential, eig_tol=EIG_TOL, el_tol=EL_TOL)
